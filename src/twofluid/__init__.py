@@ -5,6 +5,7 @@ from .closure import (
     ConvergenceError,
     FluidParams,
     LinearCoefficients,
+    closure_from_root,
     closure_state,
     linear_coefficients,
     linearized_density_perturbation,
@@ -20,6 +21,7 @@ __all__ = [
     "ConvergenceError",
     "FluidParams",
     "LinearCoefficients",
+    "closure_from_root",
     "closure_state",
     "linear_coefficients",
     "linearized_density_perturbation",

@@ -14,8 +14,10 @@ import argparse
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import sys
+import typing
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -72,7 +74,7 @@ class ModesSection:
     xi_min: float = 1e-4
     xi_max: float = 100.0
     count: int = 200
-    t_check: tuple = (0.1, 1.0, 10.0, 100.0)
+    t_check: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0)
 
 
 @dataclass(frozen=True)
@@ -95,9 +97,9 @@ class SimSection:
     length: float = 2.0 * np.pi * 32.0
     init: str = "random"
     amplitude: float = 1e-3
-    mode: tuple = (1,)
+    mode: tuple[int, ...] = (1,)
     width: float = 0.1
-    band: tuple = (1, 4)
+    band: tuple[int, ...] = (1, 4)
     dt: float = 0.05
     t_end: float = 10.0
     out_every: int = 10
@@ -132,7 +134,41 @@ _SECTION_TYPES = {
     "sim": SimSection,
     "fit": FitSection,
 }
-_TUPLE_FIELDS = {"t_check", "mode", "band"}
+
+
+def _type_name(typ) -> str:
+    args = typing.get_args(typ)
+    if typing.get_origin(typ) is tuple:
+        return f"a list of {args[0].__name__}"
+    if args:
+        return f"{args[0].__name__} or null"
+    return typ.__name__
+
+
+def _coerce(value, typ):
+    """``value`` converted to the annotated type ``typ``.
+
+    Numbers may arrive as strings: YAML reads ``1.0e2`` (no exponent sign)
+    as one.  Booleans are never numbers, an int field takes no float, and a
+    float must be finite.  Raises TypeError or ValueError otherwise.
+    """
+    args = typing.get_args(typ)
+    if typing.get_origin(typ) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError("not a list")
+        return tuple(_coerce(v, args[0]) for v in value)
+    if args:  # X | None
+        return None if value is None else _coerce(value, args[0])
+    if typ is str:
+        if not isinstance(value, str):
+            raise TypeError("not a string")
+        return value
+    if isinstance(value, bool) or (typ is int and isinstance(value, float)):
+        raise TypeError(f"not {typ.__name__}")
+    out = typ(value)
+    if typ is float and not math.isfinite(out):
+        raise ValueError("not finite")
+    return out
 
 
 def _build_section(name, cls, payload, errors):
@@ -141,18 +177,16 @@ def _build_section(name, cls, payload, errors):
     if not isinstance(payload, dict):
         errors.append(f"section '{name}' must be a mapping")
         return cls()
-    known = cls.__dataclass_fields__
+    types = typing.get_type_hints(cls)
     kwargs = {}
     for key, value in payload.items():
-        if key not in known:
+        if key not in types:
             errors.append(f"unknown key '{name}.{key}'")
             continue
-        if key in _TUPLE_FIELDS:
-            if not isinstance(value, (list, tuple)):
-                errors.append(f"'{name}.{key}' must be a list")
-                continue
-            value = tuple(value)
-        kwargs[key] = value
+        try:
+            kwargs[key] = _coerce(value, types[key])
+        except (TypeError, ValueError):
+            errors.append(f"'{name}.{key}' must be {_type_name(types[key])}, got {value!r}")
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -179,7 +213,7 @@ def parse_config(text: str) -> RunConfig:
     if task not in TASKS:
         errors.append(f"task must be one of {TASKS}, got {task!r}")
     seed = raw.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         errors.append("seed must be an integer")
     output = raw.get("output", "out")
     sections = {}
@@ -191,10 +225,8 @@ def parse_config(text: str) -> RunConfig:
         sim_raw = raw.get("sim") or {}
         if sim_raw.get("init", SimSection().init) == "random" and seed is None:
             errors.append("seed is required when sim.init is 'random'")
-    if task == "lower-bound":
-        k0 = (raw.get("decay") or {}).get("K0", 0.5)
-        if not (isinstance(k0, (int, float)) and 0.0 < k0 < 1.0):
-            errors.append("decay.K0 must lie in (0, 1) for the lower-bound task")
+    if task == "lower-bound" and "decay" in sections and not 0.0 < sections["decay"].K0 < 1.0:
+        errors.append("decay.K0 must lie in (0, 1) for the lower-bound task")
     if errors:
         raise ConfigError(errors)
     return RunConfig(task=task, seed=seed, output=str(output),
@@ -418,7 +450,6 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
     grid = Grid(dim=s.dim, n=s.n, length=s.length)
     spec = InitSpec(kind=s.init, amplitude=s.amplitude, mode=s.mode,
                     width=s.width, band=s.band, seed=config.seed or 0)
-    state = init_state(grid, spec)
     co = linear_coefficients(config.params)
     n_steps = int(round(s.t_end / s.dt))
     norm_rows = []
@@ -437,10 +468,11 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
         rep = energy_report(st, config.params)
         energy_rows.append((st.time, rep.e0, rep.d0, rep.mass_plus, rep.mass_minus))
 
-    record(state)
     try:
+        state = init_state(grid, spec, config.params)
+        record(state)
         for i in range(n_steps):
-            state = step(state, s.dt, config.params, c_cfl=s.c_cfl)
+            state = step(state, s.dt, config.params, c_cfl=s.c_cfl, rho_guess=state.rho_plus)
             if (i + 1) % s.out_every == 0 or i == n_steps - 1:
                 record(state)
     except BlowUpError as exc:

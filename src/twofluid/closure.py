@@ -150,7 +150,18 @@ def solve_rho_plus(R_plus, R_minus, params: FluidParams, x0=None):
 
 def closure_state(R_plus, R_minus, params: FluidParams, x0=None) -> ClosureState:
     """Full closure at (R+, R-): densities, fractions, sound speeds, C^2."""
-    rho_p = solve_rho_plus(R_plus, R_minus, params, x0=x0)
+    return closure_from_root(R_plus, R_minus, solve_rho_plus(R_plus, R_minus, params, x0=x0),
+                             params)
+
+
+def closure_from_root(R_plus, R_minus, rho_plus, params: FluidParams) -> ClosureState:
+    """Closure at (R+, R-) from its pressure-equilibrium root ``rho+``.
+
+    Derives rho-, the volume fractions, the sound speeds and C^2 without
+    solving again; ``rho_plus`` comes from :func:`solve_rho_plus`, which
+    also runs the vacuum check.
+    """
+    rho_p = rho_plus
     Rp = np.asarray(R_plus, dtype=float)
     Rm = np.asarray(R_minus, dtype=float)
     rho_m = Rm * rho_p / (rho_p - Rp)

@@ -1,7 +1,7 @@
 """Batched Newton/bisection kernels for the pressure-equilibrium root.
 
-The nonlinear right-hand side re-solves the closure at every grid point on
-every stage, so this root solve is the package's hot inner loop.  Two
+The nonlinear right-hand side solves the closure at every grid point once
+per stage, warm-started from the previous stage's root.  Two
 implementations with identical semantics are provided: a numba ``@njit``
 build (default) and a pure-numpy masked iteration.  Set
 ``TWOFLUID_NO_NUMBA=1`` to force the numpy path; ``benchmarks/bench_closure.py``

@@ -29,6 +29,7 @@ from .spectral import (
     decompose_batch,
     heat_factor,
     semigroup_eval,
+    smooth_step_down,
     spectral_constants,
 )
 
@@ -171,21 +172,6 @@ class RadialProfileData:
 
 def _gaussian(amp, width):
     return lambda r: amp * np.exp(-((np.asarray(r) / width) ** 2) / 2.0)
-
-
-def smooth_step_down(x):
-    """C-infinity transition from 1 (x <= 0) to 0 (x >= 1)."""
-    x = np.asarray(x, dtype=float)
-    y = np.clip(x, 0.0, 1.0)
-
-    def bump(z):
-        out = np.zeros_like(z)
-        pos = z > 0
-        out[pos] = np.exp(-1.0 / z[pos])
-        return out
-
-    a = bump(1.0 - y)
-    return a / (a + bump(y))
 
 
 # Relative shape of the generic data.  The density channels are seeded

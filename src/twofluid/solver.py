@@ -4,25 +4,32 @@ Periodic box, Fourier collocation, 2/3-rule dealiasing.  Time stepping is
 Strang splitting: the stiff linear part (pressure coupling, viscosity and
 the third-order capillary term) advances exactly per mode through the
 semigroup decomposition, and the nonlinear terms advance with explicit RK2.
-The per-mode closure evaluation inside the nonlinear terms is the hot loop;
-it runs through :mod:`twofluid.kernels`.
+
+The fields stay spectral through a step: the linear half-steps are per-mode
+multiplies, the tendencies are assembled as masked spectra, and physical
+arrays are produced only where products and the guards need them.  The
+cost of a run is the FFTs of the nonlinear stages plus a one-off
+propagator build, which decomposes the 4x4 semigroup once per distinct
+integer wave-index norm (a few thousand on a 64^3 grid) rather than once
+per mode.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .closure import (
-    ConvergenceError,
     FluidParams,
+    closure_from_root,
     linear_coefficients,
     nonlinear_coefficients,
-    closure_state,
+    solve_rho_plus,
 )
 from .spectral import decompose_batch
 
@@ -30,8 +37,12 @@ CHECKPOINT_MAGIC = b"TF2F"
 CHECKPOINT_VERSION = 1
 
 
-class BlowUpError(RuntimeError):
-    """Solution left the small-perturbation regime (NaN or |n| > 0.5)."""
+class BlowUpError(ValueError):
+    """State outside the admissible small-perturbation regime.
+
+    Raised for initial data that violates positivity and for a step that
+    produces NaN or ``|n±| > rbar±/2``; ``state`` is the offending state.
+    """
 
     def __init__(self, message, state=None):
         super().__init__(message)
@@ -73,17 +84,25 @@ class Grid:
     def axes(self):
         return [np.arange(self.n) * self.dx for _ in range(self.dim)]
 
-    def k_axes(self):
-        """Wavenumber along each axis, rfft layout on the last one."""
-        full = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
-        half = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
+    def _per_axis(self, full, half):
+        """Broadcastable per-axis arrays, rfft layout on the last axis."""
         out = []
         for d in range(self.dim):
-            k = half if d == self.dim - 1 else full
+            v = half if d == self.dim - 1 else full
             shape = [1] * self.dim
-            shape[d] = k.size
-            out.append(k.reshape(shape))
+            shape[d] = v.size
+            out.append(v.reshape(shape))
         return out
+
+    def k_axes(self):
+        """Wavenumber along each axis, rfft layout on the last one."""
+        return self._per_axis(2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx),
+                              2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx))
+
+    def index_axes(self):
+        """Integer wave index along each axis, rfft layout on the last one."""
+        return self._per_axis(np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64),
+                              np.arange(self.n // 2 + 1, dtype=np.int64))
 
     def k_mag(self):
         k2 = sum(k**2 for k in self.k_axes())
@@ -91,27 +110,101 @@ class Grid:
 
     def dealias_mask(self):
         cut = self.n // 3
-        idx_full = np.abs(np.fft.fftfreq(self.n) * self.n)
-        idx_half = np.abs(np.fft.rfftfreq(self.n) * self.n)
         mask = np.ones(self.spectral_shape, dtype=bool)
-        for d in range(self.dim):
-            idx = idx_half if d == self.dim - 1 else idx_full
-            shape = [1] * self.dim
-            shape[d] = idx.size
-            mask &= idx.reshape(shape) <= cut
+        for m in self.index_axes():
+            mask &= np.abs(m) <= cut
         return mask
 
 
-@dataclass
-class FieldState:
-    """Perturbation fields on a grid; physical arrays are canonical."""
+class _Waves(NamedTuple):
+    ks: list          # k_d, broadcastable
+    ik: list          # i k_d, broadcastable
+    khat: list        # k_d / |k| (0 at k = 0), spectral shape
+    k2: np.ndarray    # |k|^2, spectral shape
+    mask: np.ndarray  # 2/3-rule mask as 0.0 / 1.0, spectral shape
+    l2w: np.ndarray   # Parseval weights of the rfft layout
 
-    grid: Grid
-    n_plus: np.ndarray
-    n_minus: np.ndarray
-    u_plus: np.ndarray   # (dim,) + shape
-    u_minus: np.ndarray
-    time: float = 0.0
+
+@functools.lru_cache(maxsize=8)
+def _waves(grid: Grid) -> _Waves:
+    """Spectral symbols of a grid, built once per grid."""
+    ks = grid.k_axes()
+    kmag = grid.k_mag()
+    inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, kmag, 1.0), 0.0)
+    l2w = np.full(grid.spectral_shape, 2.0)
+    l2w[..., 0] = 1.0
+    l2w[..., grid.n // 2] = 1.0
+    waves = _Waves(ks=ks, ik=[1j * k for k in ks], khat=[k * inv for k in ks],
+                   k2=sum(k**2 for k in ks), mask=grid.dealias_mask().astype(float),
+                   l2w=l2w * grid.volume / float(np.prod(grid.shape)) ** 2)
+    for arr in (*waves.ks, *waves.ik, *waves.khat, waves.k2, waves.mask, waves.l2w):
+        arr.flags.writeable = False  # shared by every caller
+    return waves
+
+
+# scipy.fft is imported on first use: its import costs ~0.1 s, which the
+# tasks that never run the solver should not pay.
+def _rfft(f):
+    import scipy.fft
+    return scipy.fft.rfftn(f)
+
+
+def _irfft(spec, shape):
+    import scipy.fft
+    return scipy.fft.irfftn(spec, s=shape)
+
+
+def _field(key, doc):
+    return property(lambda self: self._physical()[key], doc=doc)
+
+
+class FieldState:
+    """Perturbation fields on a grid, held physically, spectrally or both.
+
+    The constructor takes physical arrays; ``spectra()`` transforms them on
+    every call, so in-place edits stay visible.  The solver builds states
+    with ``from_spectra``: they keep their rfft spectra and produce the
+    physical arrays once, on first access, read-only so the two forms
+    cannot drift apart.  ``rho_plus`` is the closure root of the nonlinear
+    stage that produced the state (a warm start for the next one), or None.
+    """
+
+    def __init__(self, grid: Grid, n_plus, n_minus, u_plus, u_minus, time: float = 0.0):
+        self.grid = grid
+        self.time = time
+        self.rho_plus = None
+        self._phys = {"n+": n_plus, "n-": n_minus, "u+": u_plus, "u-": u_minus}
+        self._spec = None
+
+    @classmethod
+    def from_spectra(cls, grid: Grid, spectra: dict, time: float):
+        """State held by its spectra ``{"n+", "n-", "u+", "u-"}`` (rfft layout)."""
+        state = cls.__new__(cls)
+        state.grid = grid
+        state.time = time
+        state.rho_plus = None
+        state._phys = None
+        state._spec = dict(spectra)
+        for arr in state._spec.values():
+            arr.flags.writeable = False
+        return state
+
+    n_plus = _field("n+", "Fraction-density perturbation of the + phase.")
+    n_minus = _field("n-", "Fraction-density perturbation of the - phase.")
+    u_plus = _field("u+", "Velocity of the + phase, shape (dim,) + grid shape.")
+    u_minus = _field("u-", "Velocity of the - phase, shape (dim,) + grid shape.")
+
+    def _physical(self):
+        if self._phys is None:
+            shape = self.grid.shape
+            sp = self._spec
+            phys = {"n+": _irfft(sp["n+"], shape), "n-": _irfft(sp["n-"], shape),
+                    "u+": np.stack([_irfft(c, shape) for c in sp["u+"]]),
+                    "u-": np.stack([_irfft(c, shape) for c in sp["u-"]])}
+            for arr in phys.values():
+                arr.flags.writeable = False
+            self._phys = phys
+        return self._phys
 
     def copy(self):
         return FieldState(self.grid, self.n_plus.copy(), self.n_minus.copy(),
@@ -119,16 +212,21 @@ class FieldState:
 
     def spectra(self):
         """Spectral twin of every field (rfft layout, Hermitian by reality)."""
-        return {
-            "n+": np.fft.rfftn(self.n_plus),
-            "n-": np.fft.rfftn(self.n_minus),
-            "u+": np.stack([np.fft.rfftn(c) for c in self.u_plus]),
-            "u-": np.stack([np.fft.rfftn(c) for c in self.u_minus]),
-        }
+        if self._spec is not None:
+            return dict(self._spec)
+        ph = self._phys
+        return {"n+": _rfft(ph["n+"]), "n-": _rfft(ph["n-"]),
+                "u+": np.stack([_rfft(c) for c in ph["u+"]]),
+                "u-": np.stack([_rfft(c) for c in ph["u-"]])}
 
-    def check_positivity(self):
-        if np.min(self.n_plus) <= -1.0 or np.min(self.n_minus) <= -1.0:
-            raise ValueError("perturbation violates positivity of the fraction densities")
+    def check_positivity(self, params: FluidParams):
+        """Reject ``n± <= -rbar±``: the fraction densities must stay positive."""
+        for tag, n, rbar in (("+", self.n_plus, params.rbar_plus),
+                             ("-", self.n_minus, params.rbar_minus)):
+            if np.min(n) <= -rbar:
+                raise BlowUpError(f"perturbation violates positivity of R{tag}: "
+                                  f"min n{tag} = {np.min(n):g} <= -rbar{tag} = {-rbar:g}",
+                                  state=self)
 
 
 @dataclass(frozen=True)
@@ -164,7 +262,12 @@ def params_digest(params: FluidParams) -> bytes:
 # initial conditions
 
 
-def init_state(grid: Grid, spec: InitSpec) -> FieldState:
+def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) -> FieldState:
+    """Initial fields, truncated to the 2/3 band.
+
+    Raises :class:`BlowUpError` when ``n± <= -rbar±`` anywhere; ``params``
+    supplies the background (default :class:`FluidParams`).
+    """
     shape = grid.shape
     n_p = np.zeros(shape)
     n_m = np.zeros(shape)
@@ -187,20 +290,16 @@ def init_state(grid: Grid, spec: InitSpec) -> FieldState:
         n_p -= n_p.mean()  # keep zero mean so the background stays rbar
     elif spec.kind == "random":
         rng = np.random.default_rng(spec.seed)
-        idx = [np.abs(np.fft.fftfreq(grid.n) * grid.n) for _ in range(grid.dim - 1)]
-        idx.append(np.abs(np.fft.rfftfreq(grid.n) * grid.n))
         kidx = np.zeros(grid.spectral_shape)
-        for d, ax in enumerate(idx):
-            shape_d = [1] * grid.dim
-            shape_d[d] = ax.size
-            kidx = np.maximum(kidx, ax.reshape(shape_d))
+        for m in grid.index_axes():
+            kidx = np.maximum(kidx, np.abs(m))
         band = (kidx >= spec.band[0]) & (kidx <= spec.band[1])
 
         def rand_field():
             spec_arr = np.zeros(grid.spectral_shape, dtype=complex)
             vals = rng.normal(size=band.sum()) + 1j * rng.normal(size=band.sum())
             spec_arr[band] = vals
-            f = np.fft.irfftn(spec_arr, s=shape, axes=range(len(shape)))
+            f = _irfft(spec_arr, shape)
             m = np.abs(f).max()
             return f * (spec.amplitude / m) if m > 0 else f
 
@@ -212,18 +311,17 @@ def init_state(grid: Grid, spec: InitSpec) -> FieldState:
     else:
         raise ValueError(f"unknown init kind {spec.kind!r}")
     # keep every field inside the 2/3 band so products never alias back
-    mask = grid.dealias_mask()
-    shape = grid.shape
+    mask = _waves(grid).mask
 
     def truncate(f):
-        return np.fft.irfftn(mask * np.fft.rfftn(f), s=shape, axes=range(len(shape)))
+        return _irfft(mask * _rfft(f), shape)
 
     n_p = truncate(n_p)
     n_m = truncate(n_m)
     u_p = np.stack([truncate(c) for c in u_p])
     u_m = np.stack([truncate(c) for c in u_m])
     state = FieldState(grid, n_p, n_m, u_p, u_m, time=0.0)
-    state.check_positivity()
+    state.check_positivity(params if params is not None else FluidParams())
     return state
 
 
@@ -238,12 +336,9 @@ def hodge_split_grid(u_spec: np.ndarray, grid: Grid):
     (zero at k = 0) and ``remainder_hat = u_hat - i k phi_hat / |k|``, which
     is divergence free.
     """
-    ks = grid.k_axes()
-    kmag = grid.k_mag()
-    inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, kmag, 1.0), 0.0)
-    k_dot_u = sum(k * u_spec[d] for d, k in enumerate(ks))
-    phi = -1j * k_dot_u * inv
-    remainder = np.stack([u_spec[d] - 1j * ks[d] * phi * inv for d in range(grid.dim)])
+    khat = _waves(grid).khat
+    phi = -1j * sum(kh * u_spec[d] for d, kh in enumerate(khat))
+    remainder = np.stack([u_spec[d] - 1j * kh * phi for d, kh in enumerate(khat)])
     return phi, remainder
 
 
@@ -253,18 +348,32 @@ def hodge_split_grid(u_spec: np.ndarray, grid: Grid):
 _PROP_CACHE: dict = {}
 _PROP_CACHE_MAX = 8
 
+# (n+, phi+, n-, phi-) = D (n+, w+, n-, w-) with w = i (k . u)/|k|, the
+# scalar of the 4x4 block; D S D carries the semigroup over to phi.
+_PHI_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
+
 
 def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
-    key = (grid.dim, grid.n, grid.length, params, float(dt))
+    """Per-mode semigroup on ``(n+, phi+, n-, phi-)`` and the heat factors.
+
+    The semigroup depends on |k| only, so it is decomposed once per distinct
+    integer wave-index norm ``m^2`` and scattered back to every mode.
+    Returns ``S`` with shape ``(4, 4) + spectral_shape``.
+    """
+    key = (grid, params, float(dt))
     hit = _PROP_CACHE.get(key)
     if hit is not None:
         return hit
     co = linear_coefficients(params)
-    kflat = grid.k_mag().ravel()
-    dec = decompose_batch(kflat, co)
-    S = dec.semigroup(dt).real.astype(np.float64)
-    heat_p = np.exp(-co.nu1_plus * kflat**2 * dt).reshape(grid.spectral_shape)
-    heat_m = np.exp(-co.nu1_minus * kflat**2 * dt).reshape(grid.spectral_shape)
+    m2 = sum(m**2 for m in grid.index_axes()).ravel()
+    _, first, inverse = np.unique(m2, return_index=True, return_inverse=True)
+    dec = decompose_batch(grid.k_mag().ravel()[first], co)
+    S_unique = dec.semigroup(dt).real * np.multiply.outer(_PHI_SIGN, _PHI_SIGN)
+    S = np.ascontiguousarray(np.moveaxis(S_unique[inverse], 0, -1))
+    S = S.reshape((4, 4) + grid.spectral_shape)
+    k2 = _waves(grid).k2
+    heat_p = np.exp(-co.nu1_plus * k2 * dt)
+    heat_m = np.exp(-co.nu1_minus * k2 * dt)
     if len(_PROP_CACHE) >= _PROP_CACHE_MAX:
         _PROP_CACHE.pop(next(iter(_PROP_CACHE)))
     _PROP_CACHE[key] = (S, heat_p, heat_m)
@@ -272,155 +381,130 @@ def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
 
 
 def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) -> FieldState:
-    """Advance the linearized system exactly by ``dt`` (per-mode semigroup)."""
+    """Advance the linearized system exactly by ``dt`` (per-mode semigroup).
+
+    A per-mode multiply on the spectra; the result keeps its spectra and
+    transforms to physical space only when its fields are read.
+    """
     grid = state.grid
     S, heat_p, heat_m = _linear_propagator(grid, params, dt)
-    ks = grid.k_axes()
-    kmag = grid.k_mag()
-    inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, kmag, 1.0), 0.0)
-
+    khat = _waves(grid).khat
     sp = state.spectra()
-    out = {}
-    for tag, u_spec in (("+", sp["u+"]), ("-", sp["u-"])):
-        k_dot_u = sum(k * u_spec[d] for d, k in enumerate(ks))
-        w = 1j * k_dot_u * inv                     # compressible scalar feeding the 4x4 block
-        rem = np.stack([u_spec[d] - (-1j) * ks[d] * w * inv for d in range(grid.dim)])
-        out[tag] = (w, rem)
-
-    V = np.stack([sp["n+"].ravel(), out["+"][0].ravel(),
-                  sp["n-"].ravel(), out["-"][0].ravel()], axis=1)
-    V = np.einsum("mij,mj->mi", S, V)
-    n_p_hat = V[:, 0].reshape(grid.spectral_shape)
-    w_p = V[:, 1].reshape(grid.spectral_shape)
-    n_m_hat = V[:, 2].reshape(grid.spectral_shape)
-    w_m = V[:, 3].reshape(grid.spectral_shape)
-
-    u_p_hat = np.stack([-1j * ks[d] * w_p * inv for d in range(grid.dim)]) + heat_p * out["+"][1]
-    u_m_hat = np.stack([-1j * ks[d] * w_m * inv for d in range(grid.dim)]) + heat_m * out["-"][1]
-
-    shape = grid.shape
-    return FieldState(
-        grid,
-        _irfft(n_p_hat, shape),
-        _irfft(n_m_hat, shape),
-        np.stack([_irfft(u_p_hat[d], shape) for d in range(grid.dim)]),
-        np.stack([_irfft(u_m_hat[d], shape) for d in range(grid.dim)]),
-        state.time + dt,
-    )
+    phi_p, rem_p = hodge_split_grid(sp["u+"], grid)
+    phi_m, rem_m = hodge_split_grid(sp["u-"], grid)
+    V = (sp["n+"], phi_p, sp["n-"], phi_m)
+    new = [sum(S[i, j] * V[j] for j in range(4)) for i in range(4)]
+    return FieldState.from_spectra(grid, {
+        "n+": new[0],
+        "n-": new[2],
+        "u+": np.stack([1j * kh * new[1] for kh in khat]) + heat_p * rem_p,
+        "u-": np.stack([1j * kh * new[3] for kh in khat]) + heat_m * rem_m,
+    }, state.time + dt)
 
 
 # ---------------------------------------------------------------------------
 # nonlinear tendencies
 
 
-def _irfft(spec, shape):
-    return np.fft.irfftn(spec, s=shape, axes=range(len(shape)))
+def _viscous(u_hat, mu: float, lam: float, grid: Grid):
+    """``mu Δu + (mu+lam) ∇div u`` in physical space, one transform per component."""
+    w = _waves(grid)
+    k_dot_u = sum(k * c for k, c in zip(w.ks, u_hat))
+    return [_irfft(-(mu * w.k2 * u_hat[i] + (mu + lam) * w.ks[i] * k_dot_u), grid.shape)
+            for i in range(grid.dim)]
 
 
-def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
+def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None,
+                  spectral: bool = False):
     """Tendencies (F1, F2, F3, F4) of the reformulated system, dealiased.
 
     Derivatives are spectral, products pointwise; every assembled tendency
-    passes once through the 2/3 mask.  ``rho_guess`` warm-starts the
-    pointwise closure (the previous step's rho+ field).
+    passes once through the 2/3 mask.  Returns ``(F1, F2, F3, F4, rho_plus)``
+    with physical tendencies, or with ``spectral=True`` their masked rfft
+    spectra.  The pointwise closure is solved once; ``rho_guess`` warm-starts
+    it and ``rho_plus`` is its root at this state.
     """
     grid = state.grid
     shape = grid.shape
-    ks = grid.k_axes()
-    mask = grid.dealias_mask()
+    dim = grid.dim
+    w = _waves(grid)
     sp = state.spectra()
+    n_p, n_m, u_p, u_m = state.n_plus, state.n_minus, state.u_plus, state.u_minus
 
-    dn_p = [_irfft(1j * k * sp["n+"], shape) for k in ks]
-    dn_m = [_irfft(1j * k * sp["n-"], shape) for k in ks]
-    du_p = [[_irfft(1j * ks[j] * sp["u+"][i], shape) for j in range(grid.dim)]
-            for i in range(grid.dim)]
-    du_m = [[_irfft(1j * ks[j] * sp["u-"][i], shape) for j in range(grid.dim)]
-            for i in range(grid.dim)]
-    div_u_p = sum(du_p[d][d] for d in range(grid.dim))
-    div_u_m = sum(du_m[d][d] for d in range(grid.dim))
-    k2 = sum(k**2 for k in ks)
-    lap_u_p = [_irfft(-k2 * sp["u+"][d], shape) for d in range(grid.dim)]
-    lap_u_m = [_irfft(-k2 * sp["u-"][d], shape) for d in range(grid.dim)]
-    div_spec_p = sum(1j * ks[d] * sp["u+"][d] for d in range(grid.dim))
-    div_spec_m = sum(1j * ks[d] * sp["u-"][d] for d in range(grid.dim))
-    grad_div_p = [_irfft(1j * ks[d] * div_spec_p, shape) for d in range(grid.dim)]
-    grad_div_m = [_irfft(1j * ks[d] * div_spec_m, shape) for d in range(grid.dim)]
+    dn_p = [_irfft(ik * sp["n+"], shape) for ik in w.ik]
+    dn_m = [_irfft(ik * sp["n-"], shape) for ik in w.ik]
+    du_p = [[_irfft(ik * sp["u+"][i], shape) for ik in w.ik] for i in range(dim)]
+    du_m = [[_irfft(ik * sp["u-"][i], shape) for ik in w.ik] for i in range(dim)]
+    visc_p = _viscous(sp["u+"], params.mu_plus, params.lambda_plus, grid)
+    visc_m = _viscous(sp["u-"], params.mu_minus, params.lambda_minus, grid)
 
-    Rp = state.n_plus + params.rbar_plus
-    Rm = state.n_minus + params.rbar_minus
-    if np.min(Rp) <= 0 or np.min(Rm) <= 0:
-        bad = np.unravel_index(int(np.argmin(np.minimum(Rp, Rm))), shape)
-        raise ValueError(f"closure undefined: nonpositive fraction density at index {bad}")
-    rho_p = kernels.solve_rho_plus_batch(Rp, Rm, params.gamma_plus, params.gamma_minus,
-                                         x0=rho_guess)
-    if np.any(np.isnan(rho_p)):
-        bad = np.unravel_index(int(np.argmax(np.isnan(rho_p))), shape)
-        raise ConvergenceError(f"pointwise closure failed to converge at index {bad}")
-    st = closure_state(Rp, Rm, params, x0=rho_p)
-    nc = nonlinear_coefficients(state.n_plus, state.n_minus, params, state=st)
-
-    def dealias(f):
-        return _irfft(mask * np.fft.rfftn(f), shape)
+    Rp = n_p + params.rbar_plus
+    Rm = n_m + params.rbar_minus
+    rho_p = solve_rho_plus(Rp, Rm, params, x0=rho_guess)
+    nc = nonlinear_coefficients(n_p, n_m, params,
+                                state=closure_from_root(Rp, Rm, rho_p, params))
 
     # continuity: F = -div(n u)
-    f1_spec = -sum(1j * ks[d] * np.fft.rfftn(state.n_plus * state.u_plus[d])
-                   for d in range(grid.dim))
-    f3_spec = -sum(1j * ks[d] * np.fft.rfftn(state.n_minus * state.u_minus[d])
-                   for d in range(grid.dim))
-    F1 = _irfft(mask * f1_spec, shape)
-    F3 = _irfft(mask * f3_spec, shape)
+    F1 = -w.mask * sum(ik * _rfft(n_p * u_p[d]) for d, ik in enumerate(w.ik))
+    F3 = -w.mask * sum(ik * _rfft(n_m * u_m[d]) for d, ik in enumerate(w.ik))
 
-    mu_p, la_p = params.mu_plus, params.lambda_plus
-    mu_m, la_m = params.mu_minus, params.lambda_minus
-    F2 = np.empty_like(state.u_plus)
-    F4 = np.empty_like(state.u_minus)
-    for i in range(grid.dim):
-        conv_p = sum(state.u_plus[j] * du_p[i][j] for j in range(grid.dim))
-        cross_p = sum(nc.h_plus * dn_p[j] * (du_p[i][j] + du_p[j][i])
-                      + nc.k_plus * dn_m[j] * (du_p[i][j] + du_p[j][i])
-                      for j in range(grid.dim))
-        F2[i] = dealias(
-            -nc.g_plus * dn_p[i] - nc.gbar_plus * dn_m[i] - conv_p
-            + mu_p * cross_p
-            + la_p * (nc.h_plus * dn_p[i] + nc.k_plus * dn_m[i]) * div_u_p
-            + mu_p * nc.l_plus * lap_u_p[i]
-            + (mu_p + la_p) * nc.l_plus * grad_div_p[i])
-        conv_m = sum(state.u_minus[j] * du_m[i][j] for j in range(grid.dim))
-        cross_m = sum(nc.h_minus * dn_p[j] * (du_m[i][j] + du_m[j][i])
-                      + nc.k_minus * dn_m[j] * (du_m[i][j] + du_m[j][i])
-                      for j in range(grid.dim))
-        F4[i] = dealias(
-            -nc.g_minus * dn_m[i] - nc.gbar_minus * dn_p[i] - conv_m
-            + mu_m * cross_m
-            + la_m * (nc.h_minus * dn_p[i] + nc.k_minus * dn_m[i]) * div_u_m
-            + mu_m * nc.l_minus * lap_u_m[i]
-            + (mu_m + la_m) * nc.l_minus * grad_div_m[i])
-    return F1, F2, F3, F4, rho_p
+    def momentum(u, du, g_own, g_other, dn_own, dn_other, h, k, l, mu, lam, visc):
+        # a = h dn+ + k dn- feeds both the shear cross term and the bulk term
+        a = [h * dn_p[j] + k * dn_m[j] for j in range(dim)]
+        lam_div = lam * sum(du[d][d] for d in range(dim))
+        out = []
+        for i in range(dim):
+            f = l * visc[i]
+            f -= g_own * dn_own[i]
+            f -= g_other * dn_other[i]
+            f += lam_div * a[i]
+            for j in range(dim):
+                f -= u[j] * du[i][j]
+                f += mu * a[j] * (du[i][j] + du[j][i])
+            out.append(w.mask * _rfft(f))
+        return np.stack(out)
+
+    F2 = momentum(u_p, du_p, nc.g_plus, nc.gbar_plus, dn_p, dn_m, nc.h_plus, nc.k_plus,
+                  nc.l_plus, params.mu_plus, params.lambda_plus, visc_p)
+    F4 = momentum(u_m, du_m, nc.g_minus, nc.gbar_minus, dn_m, dn_p, nc.h_minus, nc.k_minus,
+                  nc.l_minus, params.mu_minus, params.lambda_minus, visc_m)
+    if spectral:
+        return F1, F2, F3, F4, rho_p
+    return (_irfft(F1, shape), np.stack([_irfft(c, shape) for c in F2]),
+            _irfft(F3, shape), np.stack([_irfft(c, shape) for c in F4]), rho_p)
+
+
+def _advance(base: dict, h: float, *tendencies):
+    """Spectra ``base + h * sum(tendencies)``; tendencies are (F1, F2, F3, F4)."""
+    return {key: base[key] + h * sum(t[i] for t in tendencies)
+            for i, key in enumerate(("n+", "u+", "n-", "u-"))}
 
 
 def step(state: FieldState, dt: float, params: FluidParams,
          c_cfl: float = 0.5, rho_guess=None) -> FieldState:
-    """One Strang step: half linear, RK2 nonlinear, half linear."""
+    """One Strang step: half linear, RK2 nonlinear, half linear.
+
+    The fields stay spectral between the half steps.  The returned state
+    keeps its spectra for the next step and carries ``rho_plus``, the
+    closure root of the second stage, to pass back as ``rho_guess``.
+    """
     grid = state.grid
     umax = max(np.abs(state.u_plus).max(), np.abs(state.u_minus).max())
     if umax > 0 and dt > c_cfl * grid.dx / umax:
         raise ValueError(f"dt={dt:g} violates the advective bound "
                          f"{c_cfl * grid.dx / umax:g}")
     s = linear_propagator_step(state, 0.5 * dt, params)
-    F1, F2, F3, F4, rho_p = nonlinear_rhs(s, params, rho_guess=rho_guess)
-    mid = FieldState(grid, s.n_plus + dt * F1, s.n_minus + dt * F3,
-                     s.u_plus + dt * F2, s.u_minus + dt * F4, s.time)
-    G1, G2, G3, G4, rho_p = nonlinear_rhs(mid, params, rho_guess=rho_p)
-    s = FieldState(grid,
-                   s.n_plus + 0.5 * dt * (F1 + G1),
-                   s.n_minus + 0.5 * dt * (F3 + G3),
-                   s.u_plus + 0.5 * dt * (F2 + G2),
-                   s.u_minus + 0.5 * dt * (F4 + G4),
-                   s.time)
+    base = s.spectra()
+    F = nonlinear_rhs(s, params, rho_guess=rho_guess, spectral=True)
+    mid = FieldState.from_spectra(grid, _advance(base, dt, F), s.time)
+    G = nonlinear_rhs(mid, params, rho_guess=F[4], spectral=True)
+    s = FieldState.from_spectra(grid, _advance(base, 0.5 * dt, F, G), s.time)
     s = linear_propagator_step(s, 0.5 * dt, params)
+    s.rho_plus = G[4]
     bad = not (np.isfinite(s.n_plus).all() and np.isfinite(s.n_minus).all()
                and np.isfinite(s.u_plus).all() and np.isfinite(s.u_minus).all())
-    if bad or max(np.abs(s.n_plus).max(), np.abs(s.n_minus).max()) > 0.5:
+    if (bad or np.abs(s.n_plus).max() > 0.5 * params.rbar_plus
+            or np.abs(s.n_minus).max() > 0.5 * params.rbar_minus):
         raise BlowUpError(f"solution left the small-data regime at t={s.time:g}", state=s)
     return s
 
@@ -429,25 +513,14 @@ def step(state: FieldState, dt: float, params: FluidParams,
 # diagnostics
 
 
-def _l2sq_weights(grid: Grid):
-    w = np.full(grid.spectral_shape, 2.0)
-    sl = [slice(None)] * grid.dim
-    sl[-1] = 0
-    w[tuple(sl)] = 1.0
-    if grid.n % 2 == 0:
-        sl[-1] = grid.n // 2
-        w[tuple(sl)] = 1.0
-    return w * grid.volume / float(np.prod(grid.shape)) ** 2
-
-
 def spectrum_l2sq(grid: Grid, spec):
     """Box integral of |f|^2 from the rfft spectrum (Parseval)."""
-    return float(np.sum(_l2sq_weights(grid) * np.abs(spec) ** 2))
+    return float(np.sum(_waves(grid).l2w * np.abs(spec) ** 2))
 
 
 def gradient_l2sq(grid: Grid, spec, order: int = 1):
-    kmag2 = grid.k_mag() ** (2 * order)
-    return float(np.sum(_l2sq_weights(grid) * kmag2 * np.abs(spec) ** 2))
+    w = _waves(grid)
+    return float(np.sum(w.l2w * w.k2**order * np.abs(spec) ** 2))
 
 
 def energy_report(state: FieldState, params: FluidParams) -> EnergyReport:
@@ -455,7 +528,7 @@ def energy_report(state: FieldState, params: FluidParams) -> EnergyReport:
     grid = state.grid
     co = linear_coefficients(params)
     sp = state.spectra()
-    ks = grid.k_axes()
+    ks = _waves(grid).ks
     combo = co.beta_plus * sp["n+"] + co.beta_minus * sp["n-"]
     e0 = 0.5 * (
         spectrum_l2sq(grid, combo)

@@ -75,18 +75,22 @@ class FrequencyCutoff:
             raise ValueError("cutoff radius eta must be positive")
 
     def profile(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        y = np.clip((2.0 * xi / self.eta - 1.0), 0.0, 1.0)
+        return smooth_step_down(2.0 * np.asarray(xi, dtype=float) / self.eta - 1.0)
 
-        def bump(z):
-            out = np.zeros_like(z)
-            pos = z > 0
-            out[pos] = np.exp(-1.0 / z[pos])
-            return out
 
-        a = bump(1.0 - y)
-        b = bump(y)
-        return a / (a + b)
+def smooth_step_down(x):
+    """C-infinity transition from 1 (x <= 0) to 0 (x >= 1)."""
+    x = np.asarray(x, dtype=float)
+    y = np.clip(x, 0.0, 1.0)
+
+    def bump(z):
+        out = np.zeros_like(z)
+        pos = z > 0
+        out[pos] = np.exp(-1.0 / z[pos])
+        return out
+
+    a = bump(1.0 - y)
+    return a / (a + bump(y))
 
 
 def spectral_constants(coeffs: LinearCoefficients):

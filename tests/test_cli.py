@@ -262,3 +262,69 @@ def test_every_artifact_names_config_hash(tmp_path):
     for name in ("modes.csv",):
         assert chash in (tmp_path / name).read_text().splitlines()[0]
     assert json.loads((tmp_path / "metadata.json").read_text())["config_hash"] == chash
+
+
+def _readme_config():
+    import re
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return re.search(r"```yaml\n(.*?)```", readme.read_text(encoding="utf-8"), re.S).group(1)
+
+
+def test_readme_config_parses_with_typed_fields():
+    cfg = parse_config(_readme_config())
+    assert cfg.task == "linear-decay"
+    assert cfg.decay.t_min == 100.0 and isinstance(cfg.decay.t_min, float)
+    assert cfg.decay.t_max == 1e4 and isinstance(cfg.decay.samples, int)
+    assert cfg.sim.amplitude == 1e-3 and cfg.sim.band == (1, 4)
+
+
+@pytest.mark.parametrize("task", ["linear-decay", "lower-bound"])
+def test_readme_config_runs(tmp_path, task):
+    cfg_path = tmp_path / "examples.yaml"
+    cfg_path.write_text(_readme_config(), encoding="utf-8")
+    assert main([task, "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("text,field", [
+    ("decay:\n  samples: 4.5\n", "decay.samples"),
+    ('sim:\n  n: "abc"\n', "sim.n"),
+    ("sim:\n  band: 3\n", "sim.band"),
+    ("params:\n  mu_plus: true\n", "params.mu_plus"),
+    ("modes:\n  xi_max: .inf\n", "modes.xi_max"),
+])
+def test_parse_rejects_mistyped_fields(text, field):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert f"'{field}' must be" in str(exc.value)
+
+
+def test_parse_coerces_numeric_strings():
+    cfg = parse_config("decay:\n  t_min: 1.0e2\n  samples: '12'\nmodes:\n  t_check: [1, 2.0e1]\n")
+    assert cfg.decay.t_min == 100.0 and cfg.decay.samples == 12
+    assert cfg.modes.t_check == (1.0, 20.0)
+
+
+def test_simulate_warm_starts_the_closure(tmp_path, monkeypatch):
+    from twofluid import kernels, linear_coefficients
+
+    cfg = parse_config("task: simulate\nseed: 2\nsim:\n  n: 64\n  dt: 0.05\n  t_end: 0.5\n")
+    linear_coefficients(cfg.params)  # background closure solved outside the count
+    cold = []
+    solve = kernels.solve_rho_plus_batch
+
+    def counted(Rp, Rm, gp, gm, x0=None):
+        cold.append(x0 is None)
+        return solve(Rp, Rm, gp, gm, x0=x0)
+
+    monkeypatch.setattr(kernels, "solve_rho_plus_batch", counted)
+    assert run_campaign(cfg, out_dir=tmp_path, quiet=True) == 0
+    assert len(cold) == 2 * 10 and sum(cold) == 1  # one solve per stage, one cold start
+
+
+def test_simulate_inadmissible_init_exits_2_with_checkpoint(tmp_path):
+    cfg = parse_config("task: simulate\nparams:\n  rbar_plus: 0.3\n"
+                       "sim:\n  n: 64\n  init: mode\n  amplitude: 0.4\n")
+    assert run_campaign(cfg, out_dir=tmp_path, quiet=True) == 2
+    assert (tmp_path / "state_blowup.tfck").exists()

@@ -233,3 +233,19 @@ def test_kernel_paths_agree():
     fast = kernels.solve_rho_plus_batch(Rp, Rm, 1.4, 2.6)
     slow = kernels._rho_plus_newton_np(Rp, Rm, 1.4, 2.6, Rp + Rm)
     assert np.allclose(fast, slow, rtol=1e-11, atol=0)
+
+
+def test_closure_from_root_matches_closure_state():
+    from twofluid.closure import closure_from_root
+
+    params = FluidParams(gamma_plus=1.6, gamma_minus=2.4, rbar_plus=1.3, rbar_minus=0.6)
+    rng = np.random.default_rng(4)
+    Rp = params.rbar_plus + 0.1 * rng.normal(size=500)
+    Rm = params.rbar_minus + 0.05 * rng.normal(size=500)
+    ref = closure_state(Rp, Rm, params)
+    got = closure_from_root(Rp, Rm, solve_rho_plus(Rp, Rm, params, x0=ref.rho_plus), params)
+    for name in ref.__dataclass_fields__:
+        a, b = getattr(ref, name), getattr(got, name)
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max(), name
+    scalar = closure_from_root(1.0, 1.0, solve_rho_plus(1.0, 1.0, SYM), SYM)
+    assert scalar == closure_state(1.0, 1.0, SYM)

@@ -434,3 +434,75 @@ def test_closure_cache_speedup_consistency():
     F1b, F2b, _, _, _ = nonlinear_rhs(st, SYM, rho_guess=rho)
     assert np.allclose(F1a, F1b, rtol=1e-12, atol=1e-16)
     assert np.allclose(F2a, F2b, rtol=1e-9, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_propagator_dedup_matches_full_decomposition(dim, n):
+    from twofluid.solver import _linear_propagator
+    from twofluid.spectral import decompose_batch
+
+    grid = Grid(dim=dim, n=n, length=2 * np.pi * 4)
+    dt = 0.3
+    S, heat_p, heat_m = _linear_propagator(grid, SYM, dt)
+    co = linear_coefficients(SYM)
+    full = decompose_batch(grid.k_mag().ravel(), co).semigroup(dt).real
+    sign = np.array([1.0, -1.0, 1.0, -1.0])  # the propagator acts on phi = -w
+    full = np.moveaxis(full * np.multiply.outer(sign, sign), 0, -1)
+    assert np.abs(S - full.reshape(S.shape)).max() <= 1e-14
+    assert np.abs(heat_p - np.exp(-co.nu1_plus * grid.k_mag() ** 2 * dt)).max() <= 1e-14
+
+
+def _count_ffts(monkeypatch):
+    import scipy.fft
+
+    calls = []
+    for mod in (scipy.fft, np.fft):
+        for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+            def counted(*args, _fn=getattr(mod, name), **kwargs):
+                calls.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim,budget", [(1, 40), (3, 116)])
+def test_step_fft_budget(monkeypatch, dim, budget):
+    grid = Grid(dim=dim, n=16, length=2 * np.pi)
+    st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=1, band=(1, 3)))
+    calls = _count_ffts(monkeypatch)
+    cur = step(st, 0.01, SYM)          # cold: the spectra of st are computed
+    assert len(calls) <= budget
+    del calls[:]
+    step(cur, 0.01, SYM, rho_guess=cur.rho_plus)   # warm: spectra carried over
+    assert len(calls) <= budget - 2 * (1 + dim)
+
+
+def test_stepped_state_caches_consistent_spectra():
+    grid = Grid(dim=2, n=32, length=2 * np.pi)
+    st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=6))
+    cur = step(st, 0.01, SYM)
+    assert cur.rho_plus is not None and cur.rho_plus.shape == grid.shape
+    with pytest.raises(ValueError):
+        cur.n_plus[0, 0] = 1.0   # read-only: cannot drift from the cached spectra
+    sp = cur.spectra()
+    fresh = cur.copy().spectra()
+    for key in ("n+", "n-", "u+", "u-"):
+        assert np.abs(sp[key] - fresh[key]).max() <= 1e-14 * max(1.0, np.abs(fresh[key]).max())
+    warm = step(cur, 0.01, SYM, rho_guess=cur.rho_plus)
+    cold = step(cur, 0.01, SYM)
+    assert np.abs(warm.n_plus - cold.n_plus).max() <= 1e-12 * np.abs(cold.n_plus).max()
+
+
+def test_guards_relative_to_background():
+    low = FluidParams(rbar_plus=0.3)
+    grid = Grid(dim=1, n=64, length=2 * np.pi)
+    # R+ = 0.3 + n+ dips to -0.1: rejected up front, not at the first step
+    with pytest.raises(BlowUpError):
+        init_state(grid, InitSpec(kind="mode", amplitude=0.4, mode=(1,)), low)
+    init_state(grid, InitSpec(kind="mode", amplitude=0.4, mode=(1,)))  # fine at rbar = 1
+    # the blow-up threshold scales with rbar too: |n+| = 0.2 > 0.5 * 0.3
+    st = FieldState(grid, np.full(grid.shape, 0.2), np.zeros(grid.shape),
+                    np.zeros((1,) + grid.shape), np.zeros((1,) + grid.shape))
+    with pytest.raises(BlowUpError):
+        step(st, 1e-3, low)
+    assert np.abs(step(st, 1e-3, SYM).n_plus - 0.2).max() <= 1e-15

@@ -329,3 +329,14 @@ def test_unsupported_degeneracy_raises():
                             sigma_plus=1.0, sigma_minus=1.0)
     with pytest.raises(spectral.UnsupportedDegeneracyError):
         semigroup_decomposition(build_mode_system(1.0, co))
+
+
+def test_cutoff_profile_is_the_shared_smooth_step():
+    from twofluid import linearlab
+    from twofluid.spectral import smooth_step_down
+
+    assert linearlab.smooth_step_down is smooth_step_down
+    xi = np.linspace(0, 1.5, 301)
+    prof = FrequencyCutoff(eta=0.8).profile(xi)
+    assert np.array_equal(prof, smooth_step_down(2.0 * xi / 0.8 - 1.0))
+    assert np.all(prof[xi <= 0.4] == 1.0) and np.all(prof[xi >= 0.8] == 0.0)
