@@ -11,11 +11,9 @@ check failed, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
-import os
 import sys
 import typing
 from dataclasses import asdict, dataclass, field
@@ -27,6 +25,7 @@ import yaml
 from . import __version__
 from .closure import FluidParams, linear_coefficients
 from .linearlab import (
+    VARIABLES,
     ModeEvolution,
     NormSeries,
     band_ratio,
@@ -254,14 +253,6 @@ def config_hash(config: RunConfig) -> str:
     return hashlib.sha256(serialize_config(config).encode()).hexdigest()[:12]
 
 
-def thread_count() -> int:
-    """Worker cap from TWOFLUID_THREADS (default: up to 4)."""
-    env = os.environ.get("TWOFLUID_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
 # ---------------------------------------------------------------------------
 # artifact writers
 
@@ -325,8 +316,7 @@ def _task_analyze_modes(config: RunConfig, out_dir: Path, chash: str, quiet: boo
             worst = max(worst, float(np.abs(S - E).max() / scale))
         return worst
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=thread_count()) as pool:
-        sg_res = list(pool.map(semigroup_residual, range(len(xis))))
+    sg_res = [semigroup_residual(i) for i in range(len(xis))]
 
     rows = []
     for i, xi in enumerate(xis):
@@ -376,24 +366,34 @@ def _norm_rows_and_fits(evolution, data, decay: DecaySection, variables):
     return times, table, rows, fits
 
 
-def _task_linear_decay(config: RunConfig, out_dir: Path, chash: str, quiet: bool) -> int:
-    d = config.decay
-    variables = ("n+", "n-", "phi+", "phi-", "combo", "drho+", "drho-", "heat+", "heat-")
-    evolution = ModeEvolution(config.params, t_max=d.t_max * 1.2)
-    data = make_generic_data(d.K0)
-    times, table, rows, fits = _norm_rows_and_fits(evolution, data, d, variables)
-    write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], rows, chash)
-    fit_rows = []
-    all_ok = True
+FIT_COLUMNS = ["variable", "k", "exponent", "amplitude", "residual", "status",
+               "expected_exponent"]
+
+
+def _write_fit_summary(out_dir: Path, fits: dict, chash: str, tolerance=None):
+    """``fit_summary.csv`` from {(variable, k): DecayFit}; returns its rows.
+
+    A fit passes when its exponent lies within ``tolerance`` of the
+    predicted one; without a tolerance the status is ``n/a``.
+    """
+    rows = []
     for (v, k), fit in sorted(fits.items()):
         exp = expected_exponent(v, k)
-        ok = abs(fit.exponent - exp) <= d.tolerance
-        all_ok &= ok
-        fit_rows.append((v, k, fit.exponent, fit.amplitude, fit.residual,
-                         "pass" if ok else "fail", exp))
-    write_csv(out_dir / "fit_summary.csv",
-              ["variable", "k", "exponent", "amplitude", "residual", "status",
-               "expected_exponent"], fit_rows, chash)
+        status = "n/a" if tolerance is None else (
+            "pass" if abs(fit.exponent - exp) <= tolerance else "fail")
+        rows.append((v, k, fit.exponent, fit.amplitude, fit.residual, status, exp))
+    write_csv(out_dir / "fit_summary.csv", FIT_COLUMNS, rows, chash)
+    return rows
+
+
+def _task_linear_decay(config: RunConfig, out_dir: Path, chash: str, quiet: bool) -> int:
+    d = config.decay
+    evolution = ModeEvolution(config.params, t_max=d.t_max * 1.2)
+    data = make_generic_data(d.K0)
+    times, table, rows, fits = _norm_rows_and_fits(evolution, data, d, VARIABLES)
+    write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], rows, chash)
+    fit_rows = _write_fit_summary(out_dir, fits, chash, d.tolerance)
+    all_ok = all(r[5] == "pass" for r in fit_rows)
     _write_metadata(out_dir, config, chash, {
         "eta": choose_eta(linear_coefficients(config.params)),
         "K0": d.K0,
@@ -414,23 +414,16 @@ def _task_lower_bound(config: RunConfig, out_dir: Path, chash: str, quiet: bool)
     data = make_lower_bound_data(d.K0, d.theta, d.s_exp, d.eta)
     times, table, rows, fits = _norm_rows_and_fits(evolution, data, d, variables)
     write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], rows, chash)
-    fit_rows = []
+    _write_fit_summary(out_dir, fits, chash, d.tolerance)
     band_rows = []
     all_ok = True
-    for (v, k), fit in sorted(fits.items()):
-        exp = expected_exponent(v, k)
-        ok = abs(fit.exponent - exp) <= d.tolerance
-        fit_rows.append((v, k, fit.exponent, fit.amplitude, fit.residual,
-                         "pass" if ok else "fail", exp))
-        if k == 0:
-            series = NormSeries(times=times, values=table[v][0], k=0, variable=v)
-            ratio = band_ratio(series, -exp)
-            band_ok = ratio <= BAND_GATE
-            all_ok &= band_ok
-            band_rows.append((v, -exp, ratio, "pass" if band_ok else "fail"))
-    write_csv(out_dir / "fit_summary.csv",
-              ["variable", "k", "exponent", "amplitude", "residual", "status",
-               "expected_exponent"], fit_rows, chash)
+    for v in sorted(variables):
+        exp = expected_exponent(v, 0)
+        series = NormSeries(times=times, values=table[v][0], k=0, variable=v)
+        ratio = band_ratio(series, -exp)
+        band_ok = ratio <= BAND_GATE
+        all_ok &= band_ok
+        band_rows.append((v, -exp, ratio, "pass" if band_ok else "fail"))
     write_csv(out_dir / "band_summary.csv",
               ["variable", "weight_power", "max_over_min", "status"], band_rows, chash)
     _write_metadata(out_dir, config, chash, {
@@ -452,7 +445,9 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
                     width=s.width, band=s.band, seed=config.seed or 0)
     co = linear_coefficients(config.params)
     n_steps = int(round(s.t_end / s.dt))
+    run_info = {"grid": {"dim": s.dim, "n": s.n, "length": s.length}, "steps": n_steps}
     norm_rows = []
+    energy_columns = ["t", "e0", "d0", "mass_plus", "mass_minus"]
     energy_rows = []
 
     def record(st):
@@ -479,11 +474,13 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
         if exc.state is not None:
             write_checkpoint(exc.state, config.params, out_dir / "state_blowup.tfck")
         write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], norm_rows, chash)
+        write_csv(out_dir / "energy.csv", energy_columns, energy_rows, chash)
+        _write_metadata(out_dir, config, chash, {
+            **run_info, "failure": f"blow-up: {exc}", "passed": False})
         print(f"simulate: blow-up: {exc}", file=sys.stderr)
         return 2
     write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], norm_rows, chash)
-    write_csv(out_dir / "energy.csv", ["t", "e0", "d0", "mass_plus", "mass_minus"],
-              energy_rows, chash)
+    write_csv(out_dir / "energy.csv", energy_columns, energy_rows, chash)
     write_checkpoint(state, config.params, out_dir / "state_final.tfck")
     mass_drift = max(abs(r[3] - energy_rows[0][3]) for r in energy_rows)
     # time-weighted sup functionals over the recorded history
@@ -495,8 +492,7 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
                     for key, by_t in hist.items()}
     e_k, e_0 = weighted_sup_functionals(np.array(times), norms_by_key, ell=s.k_max)
     _write_metadata(out_dir, config, chash, {
-        "grid": {"dim": s.dim, "n": s.n, "length": s.length},
-        "steps": n_steps,
+        **run_info,
         "final_time": state.time,
         "mass_drift": mass_drift,
         "weighted_functionals": {
@@ -520,7 +516,7 @@ def _task_fit(config: RunConfig, out_dir: Path, chash: str, quiet: bool) -> int:
     series_map = {}
     for t, v, k, val in rows:
         series_map.setdefault((v, k), []).append((t, val))
-    fit_rows = []
+    fits = {}
     for (v, k), pairs in sorted(series_map.items()):
         pairs.sort()
         times = np.array([p[0] for p in pairs])
@@ -531,12 +527,8 @@ def _task_fit(config: RunConfig, out_dir: Path, chash: str, quiet: bool) -> int:
         series = NormSeries(times=times[keep], values=vals[keep], k=k, variable=v)
         window = (f.t_min if f.t_min is not None else float(series.times[0]),
                   f.t_max if f.t_max is not None else float(series.times[-1]))
-        fit = fit_power_law(series, window=window)
-        fit_rows.append((v, k, fit.exponent, fit.amplitude, fit.residual, "n/a",
-                         expected_exponent(v, k)))
-    write_csv(out_dir / "fit_summary.csv",
-              ["variable", "k", "exponent", "amplitude", "residual", "status",
-               "expected_exponent"], fit_rows, chash)
+        fits[(v, k)] = fit_power_law(series, window=window)
+    fit_rows = _write_fit_summary(out_dir, fits, chash)
     _write_metadata(out_dir, config, chash, {"source": str(src), "passed": True})
     if not quiet:
         print(f"fit: {len(fit_rows)} series fitted from {src}")

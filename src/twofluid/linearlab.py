@@ -44,10 +44,11 @@ class AccuracyError(RuntimeError):
 # radial quadrature
 
 
-def _gauss_panels(edges, order):
+def _gauss_panels(lo, hi, order):
+    """Gauss-Legendre nodes and weights on panels [lo_i, hi_i], panel by panel."""
     x, w = np.polynomial.legendre.leggauss(order)
-    lo = edges[:-1, None]
-    hi = edges[1:, None]
+    lo = lo[:, None]
+    hi = hi[:, None]
     nodes = 0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)
     weights = 0.5 * (hi - lo) * np.broadcast_to(w, nodes.shape)
     return nodes.ravel(), weights.ravel()
@@ -65,7 +66,7 @@ class RadialQuadrature:
     @classmethod
     def from_edges(cls, edges, order):
         edges = np.asarray(edges, dtype=float)
-        nodes, weights = _gauss_panels(edges, order)
+        nodes, weights = _gauss_panels(edges[:-1], edges[1:], order)
         return cls(edges=edges, order=order, nodes=nodes, weights=weights)
 
     @classmethod
@@ -95,6 +96,17 @@ class RadialQuadrature:
         mid = 0.5 * (e[:-1] + e[1:])
         edges = np.sort(np.concatenate([e, mid]))
         return RadialQuadrature.from_edges(edges, self.order)
+
+    def split(self, panels):
+        """Nodes and weights of the panel-doubled rule on ``panels`` only.
+
+        Panel ``panels[i]`` owns the ``2 * order`` entries starting at
+        ``2 * order * i``; they are the nodes :meth:`refined` puts there.
+        """
+        lo, hi = self.edges[panels], self.edges[panels + 1]
+        mid = 0.5 * (lo + hi)
+        return _gauss_panels(np.stack([lo, mid], axis=1).ravel(),
+                             np.stack([mid, hi], axis=1).ravel(), self.order)
 
     def integrate(self, values):
         return float(np.sum(self.weights * values))
@@ -270,7 +282,18 @@ class ModeEvolution:
     """Exact evolution of radial data under one parameter set.
 
     Builds the per-node semigroup decomposition once; every variable and
-    derivative order reuses it.
+    derivative order reuses it.  :meth:`norms` projects the data once,
+    ``Q[n, i] = P[n, i] @ U0[n]``, so each sample time costs only the
+    weighted sum ``U(t) = sum_i w_i(t) Q_i``, and the squared moduli of
+    every variable meet the node weights ``4 pi w r^(2k+2)`` of every
+    order in one matrix product.  One time at a time keeps the working set
+    at a few node arrays.
+
+    The quadrature check doubles the panels at the last time and the
+    highest order, but only on the panels that hold more than
+    ``check_tol**2`` of some variable's squared norm.  The others keep
+    their coarse contribution: together they hold at most
+    ``n_panels * check_tol**2`` of it, far below what the check resolves.
     """
 
     def __init__(self, params: FluidParams, t_max: float = 1.2e4,
@@ -283,7 +306,6 @@ class ModeEvolution:
             r_max, t_max, omega, max(nubar, 1e-3), order=order)
         self.decomp: BatchDecomposition = decompose_batch(self.quad.nodes, self.coeffs)
         self._check_tol = check_tol
-        self._fine = None
         eq = equilibrium_state(params)
         self._drho_plus_factor = eq.c2 * np.sqrt(eq.rho_plus * eq.rho_minus) / eq.s2_plus
         self._drho_minus_factor = eq.c2 * np.sqrt(eq.rho_plus * eq.rho_minus) / eq.s2_minus
@@ -300,42 +322,64 @@ class ModeEvolution:
             "heat-": U0[:, 3] * heat_factor(nodes, co.nu1_minus, t),
         }
 
+    def _squared_moduli(self, U, U0, nodes, t, variables):
+        """``|value|^2`` per variable and node, shape (len(variables), n)."""
+        vals = self._variable_values(U, U0, nodes, t)
+        return np.stack([np.abs(vals[v]) ** 2 for v in variables])
+
     def norms(self, data: RadialProfileData, times, ks, variables=VARIABLES,
               verify: bool = True):
         """Norm tables {variable: {k: array over times}} by exact evolution."""
         times = np.asarray(times, dtype=float)
-        quad = self.quad
-        U0 = data.sampled(quad.nodes)
-        out = {v: {k: np.empty(len(times)) for k in ks} for v in variables}
+        ks = tuple(ks)
+        nodes = self.quad.nodes
+        U0 = data.sampled(nodes)
+        Q = np.einsum("nijk,nk->nij", self.decomp.projectors, U0)
+        W = _node_weights(nodes, self.quad.weights, ks)
+        sq = np.empty((len(times), len(variables), len(ks)))
         for it, t in enumerate(times):
-            U = self.decomp.apply(t, U0)
-            vals = self._variable_values(U, U0, quad.nodes, t)
-            for v in variables:
-                a2 = np.abs(vals[v]) ** 2
-                for k in ks:
-                    w = quad.weights * quad.nodes ** (2 * k + 2)
-                    out[v][k][it] = np.sqrt(4.0 * np.pi * np.sum(w * a2))
+            U = np.einsum("ni,nij->nj", self.decomp.weights(t), Q)
+            a2 = self._squared_moduli(U, U0, nodes, t, variables)
+            sq[it] = a2 @ W
+        out = {v: {k: np.sqrt(sq[:, iv, ik]) for ik, k in enumerate(ks)}
+               for iv, v in enumerate(variables)}
         if verify:
-            self._verify(data, times[-1], max(ks), out)
+            self._verify(data, times[-1], max(ks), out, a2)
         return out
 
-    def _verify(self, data, t_last, k_max, out):
+    def _verify(self, data, t_last, k_max, out, a2_last):
         """Panel-doubling check of the quadrature at the most demanding time."""
-        if self._fine is None:
-            fine_quad = self.quad.refined()
-            self._fine = (fine_quad, decompose_batch(fine_quad.nodes, self.coeffs))
-        fine_quad, fine_dec = self._fine
-        U0 = data.sampled(fine_quad.nodes)
-        U = fine_dec.apply(t_last, U0)
-        vals = self._variable_values(U, U0, fine_quad.nodes, t_last)
-        for v, table in out.items():
+        fine = np.sqrt(self._refined_squares(data, t_last, k_max, tuple(out), a2_last))
+        for (v, table), f in zip(out.items(), fine):
             coarse = table[k_max][-1]
-            w = fine_quad.weights * fine_quad.nodes ** (2 * k_max + 2)
-            fine = np.sqrt(4.0 * np.pi * np.sum(w * np.abs(vals[v]) ** 2))
-            if abs(fine - coarse) > self._check_tol * max(fine, 1e-300) + 1e-300:
+            if abs(f - coarse) > self._check_tol * max(f, 1e-300) + 1e-300:
                 raise AccuracyError(
                     f"quadrature not converged for {v} at t={t_last:g}: "
-                    f"{coarse!r} vs refined {fine!r}")
+                    f"{float(coarse)!r} vs refined {float(f)!r}")
+
+    def _refined_squares(self, data, t, k, variables, a2):
+        """Squared order-``k`` norms at ``t`` under the panel-doubled rule.
+
+        ``a2`` holds the coarse squared moduli at ``t``.  Only live panels
+        (above ``check_tol**2`` of some variable's total) are refined.
+        """
+        quad = self.quad
+        coarse = (a2 * _node_weights(quad.nodes, quad.weights, (k,))[:, 0]).reshape(
+            len(variables), -1, quad.order).sum(axis=2)
+        live = (coarse > self._check_tol**2 * coarse.sum(axis=1, keepdims=True)).any(axis=0)
+        total = coarse[:, ~live].sum(axis=1)
+        if live.any():
+            nodes, weights = quad.split(np.nonzero(live)[0])
+            U0 = data.sampled(nodes)
+            U = decompose_batch(nodes, self.coeffs).apply(t, U0)
+            total += (self._squared_moduli(U, U0, nodes, t, variables)
+                      @ _node_weights(nodes, weights, (k,))[:, 0])
+        return total
+
+
+def _node_weights(nodes, weights, ks):
+    """Columns ``4 pi w r^(2k+2)``: squared order-k norm = moduli @ column."""
+    return np.stack([4.0 * np.pi * weights * nodes ** (2 * k + 2) for k in ks], axis=1)
 
 
 def evolve_mode(decomp: SemigroupDecomposition, initial, t: float):

@@ -237,17 +237,6 @@ sim:
     assert meta["seed"] == 9
 
 
-def test_thread_count_env(monkeypatch):
-    from twofluid.cli import thread_count
-
-    monkeypatch.setenv("TWOFLUID_THREADS", "2")
-    assert thread_count() == 2
-    monkeypatch.setenv("TWOFLUID_THREADS", "0")
-    assert thread_count() == 1
-    monkeypatch.delenv("TWOFLUID_THREADS")
-    assert thread_count() >= 1
-
-
 def test_cli_help_smoke(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -328,3 +317,8 @@ def test_simulate_inadmissible_init_exits_2_with_checkpoint(tmp_path):
                        "sim:\n  n: 64\n  init: mode\n  amplitude: 0.4\n")
     assert run_campaign(cfg, out_dir=tmp_path, quiet=True) == 2
     assert (tmp_path / "state_blowup.tfck").exists()
+    # the init fails before the first record: energy.csv is header only
+    energy = (tmp_path / "energy.csv").read_text().splitlines()
+    assert energy[0].startswith("# config_hash=") and energy[1:] == ["t,e0,d0,mass_plus,mass_minus"]
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["passed"] is False and "positivity" in meta["failure"]

@@ -17,7 +17,7 @@ from twofluid.linearlab import (
     radial_norm,
     verify_rates,
 )
-from twofluid.spectral import build_mode_system, semigroup_decomposition
+from twofluid.spectral import build_mode_system, decompose_batch, semigroup_decomposition
 
 SYM = FluidParams()
 
@@ -277,3 +277,63 @@ def test_unknown_variable_rejected(sym_evolution):
     with pytest.raises(ValueError):
         linear_norm_series(data, np.array([0.0, 1.0]), 0, "vorticity", SYM,
                            evolution=sym_evolution)
+
+
+def test_norms_match_per_time_contraction(sym_evolution):
+    # reference: the semigroup applied to the data at every time, then one
+    # quadrature sum per (time, variable, order)
+    ev = sym_evolution
+    assert ev.decomp.confluent.sum() > 0  # the t*exp(mu t) weight is exercised
+    data = make_generic_data(0.5)
+    times = np.geomspace(1.0, 1e4, 12)
+    ks = range(4)
+    nodes, weights = ev.quad.nodes, ev.quad.weights
+    U0 = data.sampled(nodes)
+    table = ev.norms(data, times, ks=ks, verify=False)
+    for it, t in enumerate(times):
+        U = np.einsum("ni,nijk,nk->nj", ev.decomp.weights(t), ev.decomp.projectors,
+                      U0.astype(complex))
+        vals = ev._variable_values(U, U0, nodes, t)
+        for v in linearlab.VARIABLES:
+            for k in ks:
+                ref = np.sqrt(4.0 * np.pi * np.sum(weights * nodes ** (2 * k + 2)
+                                                   * np.abs(vals[v]) ** 2))
+                assert table[v][k][it] == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_live_panel_check_matches_full_refinement(sym_evolution, monkeypatch):
+    ev = sym_evolution
+    data = make_generic_data(0.5)
+    t, k = 1e4, 3
+    variables = linearlab.VARIABLES
+
+    def squares(nodes, weights, dec):
+        U0 = data.sampled(nodes)
+        vals = ev._variable_values(dec.apply(t, U0), U0, nodes, t)
+        a2 = np.stack([np.abs(vals[v]) ** 2 for v in variables])
+        return a2, a2 @ (4.0 * np.pi * weights * nodes ** (2 * k + 2))
+
+    fine_quad = ev.quad.refined()
+    _, full = squares(fine_quad.nodes, fine_quad.weights,
+                      decompose_batch(fine_quad.nodes, ev.coeffs))
+    a2, _ = squares(ev.quad.nodes, ev.quad.weights, ev.decomp)
+    sizes = []
+
+    def counted(nodes, coeffs):
+        sizes.append(len(nodes))
+        return decompose_batch(nodes, coeffs)
+
+    monkeypatch.setattr(linearlab, "decompose_batch", counted)
+    live = ev._refined_squares(data, t, k, variables, a2)
+    assert len(sizes) == 1 and 0 < sizes[0] < len(fine_quad.nodes) / 2
+    assert np.allclose(live, full, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(t_max=1e2),               # panels sized for a far shorter time
+    dict(t_max=1.2e4, order=8),    # too few nodes per panel
+])
+def test_norms_quadrature_check_fails_on_underresolved_rule(kwargs):
+    ev = ModeEvolution(SYM, **kwargs)
+    with pytest.raises(AccuracyError):
+        ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 40), ks=range(4))
