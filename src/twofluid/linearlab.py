@@ -25,10 +25,8 @@ import numpy as np
 from .closure import FluidParams, equilibrium_state, linear_coefficients
 from .spectral import (
     BatchDecomposition,
-    SemigroupDecomposition,
     decompose_batch,
     heat_factor,
-    semigroup_eval,
     smooth_step_down,
     spectral_constants,
 )
@@ -160,14 +158,11 @@ class RadialProfileData:
     """Four radial spectra (n+, phi+, n-, phi-) plus construction metadata.
 
     ``profile_fns`` are callables r -> value, resampled onto whatever
-    quadrature the evolution uses; ``profiles`` holds them sampled on
-    ``quad`` for direct inspection.  ``kind`` is ``"generic"`` or
+    quadrature the evolution uses.  ``kind`` is ``"generic"`` or
     ``"lower-bound"``.
     """
 
     profile_fns: tuple
-    quad: RadialQuadrature
-    profiles: np.ndarray
     kind: str
     K0: float
     eta: float
@@ -223,10 +218,7 @@ def make_generic_data(K0: float, eta: float = 1.0) -> RadialProfileData:
         size = _data_size_surrogate(base, r_max)
         scale = K0 / size
         fns = tuple(_gaussian(a * scale, w) for a, w in zip(_GENERIC_AMPS, _GENERIC_WIDTHS))
-    quad = RadialQuadrature.from_edges(np.linspace(0.0, r_max, 33), 16)
-    profiles = np.stack([fn(quad.nodes) for fn in fns], axis=1)
-    return RadialProfileData(profile_fns=fns, quad=quad, profiles=profiles,
-                             kind="generic", K0=K0, eta=eta)
+    return RadialProfileData(profile_fns=fns, kind="generic", K0=K0, eta=eta)
 
 
 def make_lower_bound_data(K0: float, theta: float, s_exp: float, eta: float) -> RadialProfileData:
@@ -252,10 +244,7 @@ def make_lower_bound_data(K0: float, theta: float, s_exp: float, eta: float) -> 
         r = np.asarray(r, dtype=float)
         return (c0 - r**s_exp) * smooth_step_down(2.0 * r / eta - 1.0)
 
-    fns = (zero, zero, zero, phi_minus)
-    quad = RadialQuadrature.from_edges(np.linspace(0.0, eta, 33), 16)
-    profiles = np.stack([fn(quad.nodes) for fn in fns], axis=1)
-    return RadialProfileData(profile_fns=fns, quad=quad, profiles=profiles,
+    return RadialProfileData(profile_fns=(zero, zero, zero, phi_minus),
                              kind="lower-bound", K0=K0, eta=eta,
                              c0=c0, s_exp=s_exp, theta=theta)
 
@@ -330,7 +319,12 @@ class ModeEvolution:
     def norms(self, data: RadialProfileData, times, ks, variables=VARIABLES,
               verify: bool = True):
         """Norm tables {variable: {k: array over times}} by exact evolution."""
+        for v in variables:
+            if v not in VARIABLES:
+                raise ValueError(f"unknown variable {v!r}; expected one of {VARIABLES}")
         times = np.asarray(times, dtype=float)
+        if np.any(times < 0):
+            raise ValueError("times must be >= 0")
         ks = tuple(ks)
         nodes = self.quad.nodes
         U0 = data.sampled(nodes)
@@ -382,27 +376,8 @@ def _node_weights(nodes, weights, ks):
     return np.stack([4.0 * np.pi * weights * nodes ** (2 * k + 2) for k in ks], axis=1)
 
 
-def evolve_mode(decomp: SemigroupDecomposition, initial, t: float):
-    """One mode forward in time: semigroup matrix applied to the 4-vector."""
-    return semigroup_eval(decomp, t) @ np.asarray(initial, dtype=complex)
-
-
-def linear_norm_series(data: RadialProfileData, times, k: int, variable: str,
-                       params: FluidParams, evolution: ModeEvolution | None = None) -> NormSeries:
-    """Norm time series of one variable at derivative order ``k``."""
-    if variable not in VARIABLES:
-        raise ValueError(f"unknown variable {variable!r}; expected one of {VARIABLES}")
-    times = np.asarray(times, dtype=float)
-    if np.any(times < 0):
-        raise ValueError("times must be >= 0")
-    if evolution is None:
-        evolution = ModeEvolution(params, t_max=max(float(times.max()), 1.0) * 1.2)
-    table = evolution.norms(data, times, ks=(k,), variables=(variable,))
-    return NormSeries(times=times, values=table[variable][k], k=k, variable=variable)
-
-
 # ---------------------------------------------------------------------------
-# fitting and verification
+# fitting and band checks
 
 
 @dataclass(frozen=True)
@@ -437,32 +412,6 @@ def expected_exponent(variable: str, k: int) -> float:
     if variable in ("n+", "n-"):
         return -(0.25 + k / 2.0)
     return -(0.75 + k / 2.0)
-
-
-@dataclass(frozen=True)
-class RateCheck:
-    variable: str
-    k: int
-    fitted: float
-    expected: float
-    tolerance: float
-    passed: bool
-    residual: float
-
-
-def verify_rates(fits: dict, tolerance: float = 0.05) -> list[RateCheck]:
-    """Compare fitted exponents against the predicted decay table.
-
-    ``fits`` maps (variable, k) -> DecayFit.
-    """
-    report = []
-    for (variable, k), fit in sorted(fits.items()):
-        exp = expected_exponent(variable, k)
-        ok = abs(fit.exponent - exp) <= tolerance
-        report.append(RateCheck(variable=variable, k=k, fitted=fit.exponent,
-                                expected=exp, tolerance=tolerance, passed=ok,
-                                residual=fit.residual))
-    return report
 
 
 def band_ratio(series: NormSeries, power: float) -> float:

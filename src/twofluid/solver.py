@@ -35,6 +35,8 @@ from .spectral import decompose_batch
 
 CHECKPOINT_MAGIC = b"TF2F"
 CHECKPOINT_VERSION = 1
+# magic, version, dim, n, box length, params digest, time; then the fields
+_CHECKPOINT_HEADER = struct.Struct("<4sIIId16sd")
 
 
 class BlowUpError(ValueError):
@@ -247,7 +249,6 @@ class EnergyReport:
     d0: float
     mass_plus: float
     mass_minus: float
-    ek_weighted: dict | None = None
 
 
 def params_digest(params: FluidParams) -> bytes:
@@ -586,38 +587,34 @@ def weighted_sup_functionals(times, norms: dict, ell: int = 3):
 def write_checkpoint(state: FieldState, params: FluidParams, path):
     grid = state.grid
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, grid.dim))
-        fh.write(struct.pack("<I", grid.n))
-        fh.write(struct.pack("<d", grid.length))
-        fh.write(params_digest(params))
-        fh.write(struct.pack("<d", state.time))
+        fh.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, grid.dim,
+                                         grid.n, grid.length, params_digest(params),
+                                         state.time))
         for arr in (state.n_plus, state.n_minus, *state.u_plus, *state.u_minus):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def read_checkpoint(path, params: FluidParams | None = None) -> FieldState:
+    """State stored by :func:`write_checkpoint`; ``ValueError`` on a malformed file."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError("not a twofluid checkpoint")
-        version, dim = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        (n,) = struct.unpack("<I", fh.read(4))
-        (length,) = struct.unpack("<d", fh.read(8))
-        digest = fh.read(16)
-        if params is not None and digest != params_digest(params):
-            raise ValueError("checkpoint was written with different physical parameters")
-        (time,) = struct.unpack("<d", fh.read(8))
-        grid = Grid(dim=dim, n=n, length=length)
-        count = int(np.prod(grid.shape))
-
-        def read_arr():
-            return np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(grid.shape).copy()
-
-        n_p = read_arr()
-        n_m = read_arr()
-        u_p = np.stack([read_arr() for _ in range(dim)])
-        u_m = np.stack([read_arr() for _ in range(dim)])
-    return FieldState(grid, n_p, n_m, u_p, u_m, time=time)
+        buf = fh.read()
+    head = _CHECKPOINT_HEADER.size
+    if len(buf) < head:
+        raise ValueError(f"truncated checkpoint header: expected at least {head} bytes, "
+                         f"got {len(buf)}")
+    magic, version, dim, n, length, digest, time = _CHECKPOINT_HEADER.unpack_from(buf)
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError("not a twofluid checkpoint")
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    if params is not None and digest != params_digest(params):
+        raise ValueError("checkpoint was written with different physical parameters")
+    grid = Grid(dim=dim, n=n, length=length)
+    nfields = 2 + 2 * dim
+    expected = head + 8 * nfields * n**dim
+    if len(buf) != expected:
+        raise ValueError(f"checkpoint size mismatch: expected {expected} bytes for a "
+                         f"{dim}D n={n} state, got {len(buf)}")
+    fields = np.frombuffer(buf, dtype="<f8", offset=head).reshape((nfields,) + grid.shape).copy()
+    return FieldState(grid, fields[0], fields[1], fields[2:2 + dim], fields[2 + dim:],
+                      time=time)

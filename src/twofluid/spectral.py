@@ -5,11 +5,11 @@ evolve mode-by-mode under a 4x4 Green matrix ``A1(|xi|)``.  This module
 builds ``A1``, computes its quartic spectrum, assembles the semigroup
 ``exp(t A1)`` from spectral projectors (with a dedicated branch for the
 near-double diffusive pair, where the Lagrange denominators degenerate and
-the semigroup picks up a ``t*exp(lambda*t)`` term), and provides the smooth
-low/high frequency splitting.
+the semigroup picks up a ``t*exp(lambda*t)`` term), and provides the
+smooth cutoff profile used to build band-limited data.
 
-Batch helpers operate on whole arrays of frequencies; the dataclass API
-wraps them one mode at a time.
+Functions of the frequency take whole arrays of magnitudes; one mode is an
+array of length one.
 """
 
 from __future__ import annotations
@@ -32,50 +32,6 @@ _I4 = np.eye(4)
 
 class UnsupportedDegeneracyError(ValueError):
     """Eigenvalue collision outside the lone diffusive-pair case."""
-
-
-@dataclass(frozen=True)
-class ModeSystem:
-    """Green matrix of one frequency magnitude, with its coefficient snapshot."""
-
-    xi: float
-    a1: np.ndarray
-    coeffs: LinearCoefficients
-
-
-@dataclass(frozen=True)
-class SemigroupDecomposition:
-    """Spectral decomposition of ``exp(t A1)`` at one frequency.
-
-    ``branch`` is ``"distinct"`` (four Lagrange projectors) or
-    ``"confluent"`` (diffusive pair collapsed: the fourth term enters the
-    semigroup weighted by ``t``).  ``ordering_fallback`` marks modes where
-    the acoustic/diffusive pair structure was ambiguous and a plain
-    magnitude sort was used.
-    """
-
-    xi: float
-    branch: str
-    eigenvalues: np.ndarray
-    projectors: np.ndarray
-    discriminant_R: complex
-    lambda_tilde3: complex
-    lambda_tilde4: complex
-    ordering_fallback: bool
-
-
-@dataclass(frozen=True)
-class FrequencyCutoff:
-    """Smooth radial symbol: 1 inside ``eta/2``, 0 outside ``eta``."""
-
-    eta: float
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("cutoff radius eta must be positive")
-
-    def profile(self, xi):
-        return smooth_step_down(2.0 * np.asarray(xi, dtype=float) / self.eta - 1.0)
 
 
 def smooth_step_down(x):
@@ -115,14 +71,8 @@ def spectral_constants(coeffs: LinearCoefficients):
     return R, lt3, lt4, acoustic, nubar
 
 
-def build_mode_system(xi: float, coeffs: LinearCoefficients) -> ModeSystem:
-    """Green matrix at frequency magnitude ``xi`` (zero matrix at xi=0)."""
-    if xi < 0:
-        raise ValueError("frequency magnitude must be >= 0")
-    return ModeSystem(xi=float(xi), a1=batch_green(np.asarray([xi]), coeffs)[0], coeffs=coeffs)
-
-
 def batch_green(xis, coeffs: LinearCoefficients):
+    """Green matrix ``A1`` per frequency, shape ``xis.shape + (4, 4)``; zero at xi = 0."""
     xis = np.asarray(xis, dtype=float)
     A = np.zeros(xis.shape + (4, 4))
     x3 = xis**3
@@ -138,13 +88,8 @@ def batch_green(xis, coeffs: LinearCoefficients):
     return A
 
 
-def characteristic_coeffs(mode: ModeSystem):
-    """Coefficients (c3, c2, c1, c0) of ``l^4 + c3 l^3 + c2 l^2 + c1 l + c0``."""
-    c3, c2, c1, c0 = batch_char_coeffs(np.asarray([mode.xi]), mode.coeffs)
-    return float(c3[0]), float(c2[0]), float(c1[0]), float(c0[0])
-
-
 def batch_char_coeffs(xis, coeffs: LinearCoefficients):
+    """Coefficients (c3, c2, c1, c0) of ``l^4 + c3 l^3 + c2 l^2 + c1 l + c0`` per frequency."""
     xis = np.asarray(xis, dtype=float)
     a2 = xis * xis
     b1, b4 = coeffs.beta1, coeffs.beta4
@@ -223,7 +168,14 @@ def _order_roots_distinct(lam):
 
 @dataclass
 class BatchDecomposition:
-    """Semigroup decompositions for an array of frequency magnitudes."""
+    """Semigroup decompositions for an array of frequency magnitudes.
+
+    Distinct rows carry four Lagrange projectors.  ``confluent`` rows have
+    the diffusive pair collapsed: the fourth term is nilpotent and enters
+    the semigroup weighted by ``t``.  ``fallback`` marks rows where the
+    acoustic/diffusive pair structure was ambiguous and a plain magnitude
+    sort ordered the roots.
+    """
 
     xis: np.ndarray
     coeffs: LinearCoefficients
@@ -360,13 +312,18 @@ def projector_residuals(batch: BatchDecomposition):
     return res
 
 
-def eigenvalues_exact(mode: ModeSystem):
-    """Ordered quartic eigenvalues of the mode's Green matrix."""
-    if mode.xi == 0.0:
-        return np.zeros(4, dtype=complex)
-    lam = batch_eigenvalues(np.asarray([mode.xi]), mode.coeffs)
-    ordered, _ = _order_roots_distinct(lam)
-    return ordered[0]
+def eigenvalues_exact(xis, coeffs: LinearCoefficients):
+    """Ordered quartic eigenvalues per frequency, shape (n, 4); zeros at xi = 0.
+
+    Acoustic pair first (descending Im), then the diffusive pair, as in the
+    distinct branch of :func:`decompose_batch`.
+    """
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    lam = np.zeros(xis.shape + (4,), dtype=complex)
+    live = xis != 0.0
+    if live.any():
+        lam[live] = _order_roots_distinct(batch_eigenvalues(xis[live], coeffs))[0]
+    return lam
 
 
 def eigenvalues_asymptotic(xi, coeffs: LinearCoefficients):
@@ -383,36 +340,6 @@ def eigenvalues_asymptotic(xi, coeffs: LinearCoefficients):
     return lam
 
 
-def semigroup_decomposition(mode: ModeSystem, eps_conf: float = EPS_CONFLUENT) -> SemigroupDecomposition:
-    """Projector (or confluent-pair) decomposition of one mode's semigroup."""
-    if mode.xi <= 0:
-        raise ValueError("semigroup decomposition requires xi > 0")
-    batch = decompose_batch(np.asarray([mode.xi]), mode.coeffs, eps_conf=eps_conf)
-    R, lt3, lt4, _, _ = spectral_constants(mode.coeffs)
-    return SemigroupDecomposition(
-        xi=mode.xi,
-        branch="confluent" if batch.confluent[0] else "distinct",
-        eigenvalues=batch.eigenvalues[0],
-        projectors=batch.projectors[0],
-        discriminant_R=complex(R),
-        lambda_tilde3=complex(lt3),
-        lambda_tilde4=complex(lt4),
-        ordering_fallback=bool(batch.fallback[0]),
-    )
-
-
-def semigroup_eval(decomp: SemigroupDecomposition, t: float):
-    """``exp(t A1)`` as a 4x4 complex matrix; identity at t = 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    lam = decomp.eigenvalues
-    w = np.exp(lam * t)
-    if decomp.branch == "confluent":
-        w = w.copy()
-        w[3] = t * np.exp(lam[2] * t)
-    return np.einsum("i,ijk->jk", w, decomp.projectors)
-
-
 def matrix_exp_oracle(M, t: float):
     """Independent check: ``exp(t M)`` by scaling-and-squaring (Pade kernel)."""
     M = np.asarray(M)
@@ -427,14 +354,6 @@ def matrix_exp_oracle(M, t: float):
 def heat_factor(xi, nu1: float, t: float):
     """Scalar decay of the incompressible (heat) channels: exp(-nu1 xi^2 t)."""
     return np.exp(-nu1 * np.asarray(xi, dtype=float) ** 2 * t)
-
-
-def frequency_split(field, xi, cutoff: FrequencyCutoff):
-    """Split a spectral field into low and high parts; low + high == field."""
-    field = np.asarray(field)
-    phi = cutoff.profile(xi)
-    low = phi * field
-    return low, field - low
 
 
 def choose_eta(coeffs: LinearCoefficients, rel_tol: float = 0.1, cap: float = 1.0) -> float:

@@ -224,17 +224,6 @@ def test_density_perturbation_ratio_is_sound_speed_ratio():
     assert dp / dm == pytest.approx(eq.s2_minus / eq.s2_plus, rel=1e-12)
 
 
-def test_kernel_paths_agree():
-    from twofluid import kernels
-
-    rng = np.random.default_rng(5)
-    Rp = rng.uniform(0.1, 3.0, 200)
-    Rm = rng.uniform(0.1, 3.0, 200)
-    fast = kernels.solve_rho_plus_batch(Rp, Rm, 1.4, 2.6)
-    slow = kernels._rho_plus_newton_np(Rp, Rm, 1.4, 2.6, Rp + Rm)
-    assert np.allclose(fast, slow, rtol=1e-11, atol=0)
-
-
 def test_closure_from_root_matches_closure_state():
     from twofluid.closure import closure_from_root
 

@@ -8,16 +8,13 @@ from twofluid.linearlab import (
     ModeEvolution,
     NormSeries,
     band_ratio,
-    evolve_mode,
     expected_exponent,
     fit_power_law,
-    linear_norm_series,
     make_generic_data,
     make_lower_bound_data,
     radial_norm,
-    verify_rates,
 )
-from twofluid.spectral import build_mode_system, decompose_batch, semigroup_decomposition
+from twofluid.spectral import batch_green, decompose_batch
 
 SYM = FluidParams()
 
@@ -58,35 +55,33 @@ def test_radial_norm_nondecaying_profile_errors():
 
 def test_evolve_mode_identity_and_eigenvector():
     co = linear_coefficients(SYM)
-    m = build_mode_system(0.7, co)
-    d = semigroup_decomposition(m)
+    d = decompose_batch([0.7], co)
     U0 = np.array([0.3, -0.1, 0.2, 0.5], dtype=complex)
-    assert np.allclose(evolve_mode(d, U0, 0.0), U0, atol=1e-12)
-    lam, vecs = np.linalg.eig(m.a1)
+    assert np.allclose(d.apply(0.0, U0[None])[0], U0, atol=1e-12)
+    lam, vecs = np.linalg.eig(batch_green([0.7], co)[0])
     v = vecs[:, 0]
-    got = evolve_mode(d, v, 1.3)
+    got = d.apply(1.3, v[None])[0]
     assert np.abs(got - np.exp(lam[0] * 1.3) * v).max() <= 1e-10
 
 
 def test_evolve_mode_vs_rk4_oracle():
     co = linear_coefficients(FluidParams(mu_plus=0.7, mu_minus=1.4, sigma_plus=0.8,
                                          sigma_minus=1.3, gamma_plus=1.6, gamma_minus=2.3))
-    m = build_mode_system(1.1, co)
-    d = semigroup_decomposition(m)
+    d = decompose_batch([1.1], co)
     rng = np.random.default_rng(0)
     U0 = rng.normal(size=4) + 1j * rng.normal(size=4)
     t_end = 1.0
     steps = 4000
     dt = t_end / steps
     U = U0.copy()
-    A = m.a1
+    A = batch_green([1.1], co)[0]
     for _ in range(steps):
         k1 = A @ U
         k2 = A @ (U + 0.5 * dt * k1)
         k3 = A @ (U + 0.5 * dt * k2)
         k4 = A @ (U + dt * k3)
         U = U + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    got = evolve_mode(d, U0, t_end)
+    got = d.apply(t_end, U0[None])[0]
     assert np.abs(got - U).max() <= 1e-7
 
 
@@ -98,17 +93,16 @@ def test_heat_variable_closed_form(sym_evolution):
     width = 0.95
     co = linear_coefficients(SYM)
     times = np.array([0.0, 0.5, 2.0, 10.0])
-    series = linear_norm_series(data, times, 0, "heat+", SYM, evolution=sym_evolution)
+    got = sym_evolution.norms(data, times, ks=(0,), variables=("heat+",))["heat+"][0]
     expect = np.abs(amp) * np.pi**0.75 * width**1.5 / (1.0 + 2 * co.nu1_plus * times * width**2) ** 0.75
-    assert np.allclose(series.values, expect, rtol=1e-8)
+    assert np.allclose(got, expect, rtol=1e-8)
 
 
 def test_norm_series_t0_matches_radial_norm(sym_evolution):
     data = make_generic_data(0.7)
-    series = linear_norm_series(data, np.array([0.0, 1.0]), 0, "n+", SYM,
-                                evolution=sym_evolution)
+    got = sym_evolution.norms(data, np.array([0.0, 1.0]), ks=(0,), variables=("n+",))["n+"][0]
     direct = radial_norm(data.profile_fns[0], 0, r_max=12.0)
-    assert series.values[0] == pytest.approx(direct, rel=1e-8)
+    assert got[0] == pytest.approx(direct, rel=1e-8)
 
 
 def test_symmetric_difference_matches_reduced_system(sym_evolution):
@@ -213,8 +207,8 @@ def test_linear_rates_generic_k0(sym_evolution):
                                                 k=0, variable=v))
     assert -0.30 <= fits[("n+", 0)].exponent <= -0.20
     assert -0.80 <= fits[("combo", 0)].exponent <= -0.70
-    report = verify_rates(fits)
-    assert all(r.passed for r in report)
+    for (v, k), fit in fits.items():
+        assert abs(fit.exponent - expected_exponent(v, k)) <= 0.05, v
     combo_fit = fits[("combo", 0)].exponent
     drho_fit = fits[("drho+", 0)].exponent
     assert abs(combo_fit - drho_fit) <= 0.03
@@ -274,9 +268,14 @@ def test_plancherel_against_cartesian_grid():
 
 def test_unknown_variable_rejected(sym_evolution):
     data = make_generic_data(1.0)
-    with pytest.raises(ValueError):
-        linear_norm_series(data, np.array([0.0, 1.0]), 0, "vorticity", SYM,
-                           evolution=sym_evolution)
+    with pytest.raises(ValueError, match="'vorticity'"):
+        sym_evolution.norms(data, np.array([0.0, 1.0]), ks=(0,), variables=("n+", "vorticity"))
+
+
+def test_negative_times_rejected(sym_evolution):
+    data = make_generic_data(1.0)
+    with pytest.raises(ValueError, match="times must be >= 0"):
+        sym_evolution.norms(data, np.array([-1.0, 1.0]), ks=(0,), variables=("n+",))
 
 
 def test_norms_match_per_time_contraction(sym_evolution):

@@ -190,8 +190,7 @@ def test_linear_propagator_identity_and_composition():
 
 
 def test_linear_propagator_matches_evolve_mode():
-    from twofluid.linearlab import evolve_mode
-    from twofluid.spectral import build_mode_system, semigroup_decomposition
+    from twofluid.spectral import decompose_batch
 
     grid = Grid(dim=1, n=64, length=2 * np.pi)
     a = 1e-4
@@ -200,10 +199,10 @@ def test_linear_propagator_matches_evolve_mode():
     out = linear_propagator_step(st, t, SYM)
     co = linear_coefficients(SYM)
     xi = 3 * 2 * np.pi / grid.length
-    d = semigroup_decomposition(build_mode_system(xi, co))
+    d = decompose_batch([xi], co)
     # the cos mode splits into +-k; track the +k spectral coefficient
     n_hat = np.fft.rfftn(st.n_plus)[3]
-    V = evolve_mode(d, np.array([n_hat, 0.0, 0.0, 0.0], dtype=complex), t)
+    V = d.apply(t, np.array([[n_hat, 0.0, 0.0, 0.0]], dtype=complex))[0]
     got = np.fft.rfftn(out.n_plus)[3]
     assert abs(got - V[0]) <= 1e-10 * abs(n_hat)
     got_u = np.fft.rfftn(out.u_plus[0])[3]
@@ -417,6 +416,22 @@ def test_checkpoint_roundtrip(tmp_path):
     assert np.array_equal(back.u_minus, st.u_minus)
     with pytest.raises(ValueError):
         read_checkpoint(path, FluidParams(mu_plus=2.0))
+
+
+@pytest.mark.parametrize("edit, expected, actual", [
+    (lambda b: b + bytes(8), "560", 568),       # trailing bytes
+    (lambda b: b[:20], "at least 48", 20),      # cut inside the header
+    (lambda b: b[:-100], "560", 460),           # cut inside the body
+], ids=["trailing-bytes", "truncated-header", "truncated-body"])
+def test_checkpoint_rejects_malformed_file(tmp_path, edit, expected, actual):
+    # 1-D n=16: a 48-byte header and four fields of 16 doubles
+    grid = Grid(dim=1, n=16, length=2 * np.pi)
+    st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=4))
+    path = tmp_path / "state.tfck"
+    write_checkpoint(st, SYM, path)
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError, match=rf"expected {expected} bytes.*got {actual}$"):
+        read_checkpoint(path, SYM)
 
 
 def test_parseval_helper():

@@ -4,18 +4,15 @@ import pytest
 from twofluid.closure import FluidParams, linear_coefficients
 from twofluid import spectral
 from twofluid.spectral import (
-    FrequencyCutoff,
-    build_mode_system,
-    characteristic_coeffs,
+    batch_char_coeffs,
+    batch_green,
     choose_eta,
     decompose_batch,
     eigenvalues_asymptotic,
     eigenvalues_exact,
-    frequency_split,
     heat_factor,
     matrix_exp_oracle,
-    semigroup_decomposition,
-    semigroup_eval,
+    smooth_step_down,
     spectral_constants,
 )
 
@@ -33,26 +30,30 @@ def random_coeffs(rng):
     return linear_coefficients(params)
 
 
+def char_coeffs(xi, co):
+    """(c3, c2, c1, c0) of one frequency as floats."""
+    return tuple(float(c[0]) for c in batch_char_coeffs([xi], co))
+
+
 def test_mode_system_zero_frequency():
-    m = build_mode_system(0.0, SYM)
-    assert np.all(m.a1 == 0.0)
+    assert np.all(batch_green([0.0], SYM)[0] == 0.0)
 
 
 def test_mode_system_symmetric_row():
-    m = build_mode_system(1.0, SYM)
-    assert np.allclose(m.a1[1], [3.0, -1.0, 2.0, 0.0])
-    assert np.allclose(m.a1[0], [0.0, -1.0, 0.0, 0.0])
+    a1 = batch_green([1.0], SYM)[0]
+    assert np.allclose(a1[1], [3.0, -1.0, 2.0, 0.0])
+    assert np.allclose(a1[0], [0.0, -1.0, 0.0, 0.0])
 
 
 def test_mode_system_trace():
-    for xi in (0.3, 1.0, 7.0):
-        m = build_mode_system(xi, SYM)
-        assert np.trace(m.a1) == pytest.approx(-(SYM.nu_plus + SYM.nu_minus) * xi**2, rel=1e-14)
+    xis = np.array([0.3, 1.0, 7.0])
+    for xi, a1 in zip(xis, batch_green(xis, SYM)):
+        assert np.trace(a1) == pytest.approx(-(SYM.nu_plus + SYM.nu_minus) * xi**2, rel=1e-14)
 
 
 def test_characteristic_coeffs_zero_and_symmetric():
-    assert characteristic_coeffs(build_mode_system(0.0, SYM)) == (0, 0, 0, 0)
-    c3, c2, c1, c0 = characteristic_coeffs(build_mode_system(1.0, SYM))
+    assert char_coeffs(0.0, SYM) == (0, 0, 0, 0)
+    c3, c2, c1, c0 = char_coeffs(1.0, SYM)
     assert c3 == pytest.approx(2.0)
     assert c0 == pytest.approx(5.0)  # beta1*sigma- + beta4*sigma+ + sigma+sigma-
 
@@ -62,10 +63,9 @@ def test_characteristic_coeffs_match_determinant():
     for _ in range(10):
         co = random_coeffs(rng)
         xi = rng.uniform(0.05, 5.0)
-        m = build_mode_system(xi, co)
-        c3, c2, c1, c0 = characteristic_coeffs(m)
+        c3, c2, c1, c0 = char_coeffs(xi, co)
         for lam in (0.37, -1.2, 2.5 + 0.3j):
-            det = np.linalg.det(lam * np.eye(4) - m.a1)
+            det = np.linalg.det(lam * np.eye(4) - batch_green([xi], co)[0])
             poly = ((lam + c3) * lam + c2) * lam**2 + c1 * lam + c0
             assert abs(det - poly) <= 1e-12 * max(1.0, abs(det))
 
@@ -75,26 +75,24 @@ def test_characteristic_coeffs_vieta_from_roots():
     for _ in range(10):
         co = random_coeffs(rng)
         xi = rng.uniform(0.01, 10.0)
-        m = build_mode_system(xi, co)
-        c3, c2, c1, c0 = characteristic_coeffs(m)
-        lam = np.linalg.eigvals(m.a1)
+        c3, c2, c1, c0 = char_coeffs(xi, co)
+        lam = np.linalg.eigvals(batch_green([xi], co)[0])
         scale = max(1.0, np.abs(lam).max() ** 4)
         assert abs(np.sum(lam) + c3) <= 1e-9 * max(1.0, abs(c3))
         assert abs(np.prod(lam) - c0) <= 1e-9 * scale
 
 
 def test_eigenvalues_exact_zero_and_sum():
-    assert np.all(eigenvalues_exact(build_mode_system(0.0, SYM)) == 0)
+    assert np.all(eigenvalues_exact([0.0], SYM) == 0)
     for xi in (1e-3, 0.3, 4.0):
-        m = build_mode_system(xi, SYM)
-        lam = eigenvalues_exact(m)
-        c3 = characteristic_coeffs(m)[0]
+        lam = eigenvalues_exact([xi], SYM)[0]
+        c3 = char_coeffs(xi, SYM)[0]
         assert abs(lam.sum() + c3) <= 1e-10 * max(1.0, abs(c3))
 
 
 def test_eigenvalues_exact_small_xi_asymptotics():
     xi = 1e-3
-    lam = eigenvalues_exact(build_mode_system(xi, SYM))
+    lam = eigenvalues_exact([xi], SYM)[0]
     # acoustic: -(b1 nu+ + b4 nu-)/(2(b1+b4)) xi^2 + i 2 xi, error O(xi^3)
     expect = -0.5 * xi**2 + 1j * 2.0 * xi
     assert abs(lam[0] - expect) <= 10 * xi**3
@@ -106,9 +104,8 @@ def test_eigenvalues_exact_vs_nproots_oracle():
     for _ in range(20):
         co = random_coeffs(rng)
         xi = 10 ** rng.uniform(-4, 2)
-        m = build_mode_system(xi, co)
-        got = list(eigenvalues_exact(m))
-        ref = np.roots([1.0, *characteristic_coeffs(m)])
+        got = list(eigenvalues_exact([xi], co)[0])
+        ref = np.roots([1.0, *char_coeffs(xi, co)])
         scale = np.abs(ref).max()
         for r in ref:  # nearest-match the two unordered root sets
             j = int(np.argmin([abs(g - r) for g in got]))
@@ -132,8 +129,7 @@ def test_asymptotic_remainder_slopes():
     co = random_coeffs(rng)
     xis = np.geomspace(1e-4, 1e-2, 25)
     gap_ac, gap_di = [], []
-    for xi in xis:
-        ex = eigenvalues_exact(build_mode_system(xi, co))
+    for xi, ex in zip(xis, eigenvalues_exact(xis, co)):
         ay = eigenvalues_asymptotic(xi, co)
         gap_ac.append(abs(ex[0] - ay[0]))
         gap_di.append(abs(ex[2] - ay[2]))
@@ -148,13 +144,13 @@ def test_semigroup_distinct_identities():
     for _ in range(5):
         co = random_coeffs(rng)
         for xi in (1e-3, 0.7, 20.0):
-            d = semigroup_decomposition(build_mode_system(xi, co))
-            if d.branch != "distinct":
+            d = decompose_batch([xi], co)
+            if d.confluent[0]:
                 continue
-            P = d.projectors
+            P = d.projectors[0]
             assert np.abs(P.sum(axis=0) - np.eye(4)).max() <= 1e-10
-            recon = np.einsum("i,ijk->jk", d.eigenvalues, P)
-            A = build_mode_system(xi, co).a1
+            recon = np.einsum("i,ijk->jk", d.eigenvalues[0], P)
+            A = batch_green([xi], co)[0]
             assert np.abs(recon - A).max() <= 1e-10 * (1 + np.abs(A).max())
             for i in range(4):
                 assert np.abs(P[i] @ P[i] - P[i]).max() <= 1e-10 * (1 + np.abs(P[i]).max())
@@ -175,16 +171,16 @@ def test_projector_leading_order_structure():
     b1, b2, b4 = co.beta1, co.beta2, co.beta4
     S = b1 + b4
     xi = 1e-5
-    d = semigroup_decomposition(build_mode_system(xi, co))
+    P = decompose_batch([xi], co).projectors[0]
     lead = np.array([
         [b1 / (2 * S), 1j * b1 / (2 * S**1.5), b2 / (2 * S), 1j * b2 / (2 * S**1.5)],
         [-1j * b1 / (2 * S**0.5), b1 / (2 * S), -1j * b2 / (2 * S**0.5), b2 / (2 * S)],
         [b2 / (2 * S), 1j * b2 / (2 * S**1.5), b4 / (2 * S), 1j * b4 / (2 * S**1.5)],
         [-1j * b2 / (2 * S**0.5), b2 / (2 * S), -1j * b4 / (2 * S**0.5), b4 / (2 * S)],
     ])
-    assert np.abs(d.projectors[0] - lead).max() <= 10 * xi
+    assert np.abs(P[0] - lead).max() <= 10 * xi
     R = spectral_constants(co)[0]
-    P3 = d.projectors[2]
+    P3 = P[2]
     assert abs(P3[0, 1] - (-b4 / (R * xi))) <= 10 * xi * abs(b4 / (R * xi))
     assert abs(P3[0, 3] - (b2 / (R * xi))) <= 10 * xi * abs(b2 / (R * xi))
 
@@ -208,16 +204,16 @@ def test_confluent_branch_matches_oracle():
     assert abs(R) <= 1e-7
     hit = False
     for xi in np.geomspace(1e-4, 1.0, 60):
-        m = build_mode_system(xi, co)
-        d = semigroup_decomposition(m)
-        if d.branch != "confluent":
+        d = decompose_batch([xi], co)
+        if not d.confluent[0]:
             continue
         hit = True
         for t in (0.1, 1.0, 10.0):
-            S = semigroup_eval(d, t)
-            E = matrix_exp_oracle(m.a1, t)
+            S = d.semigroup(t)[0]
+            E = matrix_exp_oracle(batch_green([xi], co)[0], t)
             assert np.abs(S - E).max() <= 1e-8 * max(np.abs(E).max(), 1e-30)
-        assert np.abs(d.projectors[0] + d.projectors[1] + d.projectors[2] - np.eye(4)).max() <= 1e-9
+        P = d.projectors[0]
+        assert np.abs(P[0] + P[1] + P[2] - np.eye(4)).max() <= 1e-9
     assert hit, "no confluent mode found on the scan grid"
 
 
@@ -226,22 +222,20 @@ def test_semigroup_eval_identity_and_oracle():
     for _ in range(5):
         co = random_coeffs(rng)
         xi = 10 ** rng.uniform(-3, 1)
-        m = build_mode_system(xi, co)
-        d = semigroup_decomposition(m)
-        assert np.abs(semigroup_eval(d, 0.0) - np.eye(4)).max() <= 1e-10
+        d = decompose_batch([xi], co)
+        assert np.abs(d.semigroup(0.0)[0] - np.eye(4)).max() <= 1e-10
         for t in (0.5, 5.0):
-            S = semigroup_eval(d, t)
-            E = matrix_exp_oracle(m.a1, t)
+            S = d.semigroup(t)[0]
+            E = matrix_exp_oracle(batch_green([xi], co)[0], t)
             assert np.abs(S - E).max() <= 1e-9 * max(np.abs(E).max(), 1e-30)
 
 
 def test_semigroup_property():
     co = SYM
-    m = build_mode_system(0.4, co)
-    d = semigroup_decomposition(m)
-    S1 = semigroup_eval(d, 0.7)
-    S2 = semigroup_eval(d, 1.9)
-    S12 = semigroup_eval(d, 2.6)
+    d = decompose_batch([0.4], co)
+    S1 = d.semigroup(0.7)[0]
+    S2 = d.semigroup(1.9)[0]
+    S12 = d.semigroup(2.6)[0]
     assert np.abs(S1 @ S2 - S12).max() <= 1e-8 * max(np.abs(S12).max(), 1e-30)
 
 
@@ -265,30 +259,6 @@ def test_heat_factor():
     assert heat_factor(3.0, 0.5, 0.0) == 1.0
     assert heat_factor(0.0, 0.5, 100.0) == 1.0
     assert heat_factor(2.0, 0.5, 1.0) == pytest.approx(np.exp(-2.0), rel=1e-14)
-
-
-def test_frequency_split_partition():
-    cut = FrequencyCutoff(eta=1.0)
-    xi = np.linspace(0, 2, 101)
-    rng = np.random.default_rng(6)
-    field = rng.normal(size=101) + 1j * rng.normal(size=101)
-    low, high = frequency_split(field, xi, cut)
-    assert np.all(low + high == field)
-    assert np.all(np.abs(low[xi >= 1.0]) == 0)
-    assert np.all(np.abs(high[xi <= 0.5]) == 0)
-    prof = cut.profile(xi)
-    assert np.all((prof >= 0) & (prof <= 1))
-
-
-def test_frequency_split_supported_fields():
-    cut = FrequencyCutoff(eta=1.0)
-    xi = np.linspace(0, 2, 101)
-    low_supported = np.where(xi <= 0.5, 1.0, 0.0)
-    low, high = frequency_split(low_supported, xi, cut)
-    assert np.all(high == 0)
-    high_supported = np.where(xi >= 1.0, 1.0, 0.0)
-    low, high = frequency_split(high_supported, xi, cut)
-    assert np.all(low == 0)
 
 
 def test_stability_and_decay_envelope():
@@ -328,15 +298,16 @@ def test_unsupported_degeneracy_raises():
                             rhobar_plus=2.0, rhobar_minus=2.0,
                             sigma_plus=1.0, sigma_minus=1.0)
     with pytest.raises(spectral.UnsupportedDegeneracyError):
-        semigroup_decomposition(build_mode_system(1.0, co))
+        decompose_batch([1.0], co)
 
 
 def test_cutoff_profile_is_the_shared_smooth_step():
     from twofluid import linearlab
-    from twofluid.spectral import smooth_step_down
 
     assert linearlab.smooth_step_down is smooth_step_down
     xi = np.linspace(0, 1.5, 301)
-    prof = FrequencyCutoff(eta=0.8).profile(xi)
-    assert np.array_equal(prof, smooth_step_down(2.0 * xi / 0.8 - 1.0))
+    data = linearlab.make_lower_bound_data(0.5, 0.0, 2.0, 0.8)  # c0 = 1
+    prof = smooth_step_down(2.0 * xi / 0.8 - 1.0)
+    assert np.array_equal(data.profile_fns[3](xi), (1.0 - xi**2) * prof)
+    assert np.all((prof >= 0) & (prof <= 1))
     assert np.all(prof[xi <= 0.4] == 1.0) and np.all(prof[xi >= 0.8] == 0.0)
