@@ -193,16 +193,26 @@ def _build_section(name, cls, payload, errors):
         return None
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML config; collects every violation."""
+def _load_mapping(text: str) -> dict:
+    """Top-level mapping of a YAML config (empty text gives ``{}``)."""
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError([f"not valid YAML: {exc}"])
     if raw is None:
-        raw = {}
+        return {}
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a mapping"])
+    return raw
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a YAML config; collects every violation."""
+    return _validate(_load_mapping(text))
+
+
+def _validate(raw: dict) -> RunConfig:
+    """Typed config from a loaded mapping; collects every violation."""
     errors = []
     top_known = {"task", "seed", "output"} | set(_SECTION_TYPES)
     for key in raw:
@@ -447,6 +457,8 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
     n_steps = int(round(s.t_end / s.dt))
     run_info = {"grid": {"dim": s.dim, "n": s.n, "length": s.length}, "steps": n_steps}
     norm_rows = []
+    times = []
+    history = {}  # (variable, k) -> norm at each of ``times``
     energy_columns = ["t", "e0", "d0", "mass_plus", "mass_minus"]
     energy_rows = []
 
@@ -460,6 +472,8 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
             for k in range(k_hi + 1):
                 val = np.sqrt(sum(gradient_l2sq(grid, c, order=k) for c in comps))
                 norm_rows.append((st.time, v, k, val))
+                history.setdefault((v, k), []).append(val)
+        times.append(st.time)
         rep = energy_report(st, config.params)
         energy_rows.append((st.time, rep.e0, rep.d0, rep.mass_plus, rep.mass_minus))
 
@@ -467,7 +481,7 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
         state = init_state(grid, spec, config.params)
         record(state)
         for i in range(n_steps):
-            state = step(state, s.dt, config.params, c_cfl=s.c_cfl, rho_guess=state.rho_plus)
+            state = step(state, s.dt, config.params, c_cfl=s.c_cfl)
             if (i + 1) % s.out_every == 0 or i == n_steps - 1:
                 record(state)
     except BlowUpError as exc:
@@ -483,14 +497,7 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
     write_csv(out_dir / "energy.csv", energy_columns, energy_rows, chash)
     write_checkpoint(state, config.params, out_dir / "state_final.tfck")
     mass_drift = max(abs(r[3] - energy_rows[0][3]) for r in energy_rows)
-    # time-weighted sup functionals over the recorded history
-    times = sorted({r[0] for r in norm_rows})
-    hist = {}
-    for t, v, k, val in norm_rows:
-        hist.setdefault((v, k), {})[t] = val
-    norms_by_key = {key: np.array([by_t[t] for t in times])
-                    for key, by_t in hist.items()}
-    e_k, e_0 = weighted_sup_functionals(np.array(times), norms_by_key, ell=s.k_max)
+    e_k, e_0 = weighted_sup_functionals(times, history, ell=s.k_max)
     _write_metadata(out_dir, config, chash, {
         **run_info,
         "final_time": state.time,
@@ -570,18 +577,12 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
     args = parser.parse_args(argv)
 
-    text = args.config.read_text(encoding="utf-8") if args.config else "{}"
     try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        print(f"invalid config:\n  not valid YAML: {exc}", file=sys.stderr)
-        return 2
-    raw = raw if isinstance(raw, dict) else {}
-    raw["task"] = args.task  # the subcommand owns the task
-    if args.seed is not None:
-        raw["seed"] = args.seed
-    try:
-        config = parse_config(yaml.safe_dump(raw))
+        raw = _load_mapping(args.config.read_text(encoding="utf-8") if args.config else "")
+        raw["task"] = args.task  # the subcommand owns the task
+        if args.seed is not None:
+            raw["seed"] = args.seed
+        config = _validate(raw)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

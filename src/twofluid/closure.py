@@ -240,9 +240,10 @@ def linearized_density_perturbation(n_plus, n_minus, params: FluidParams):
 
     Returns ``(C^2 sqrt(rhobar+ rhobar-) / s_pm^2) * (beta+ n+ + beta- n-)``
     for each phase; both are exact multiples of the same combination.
+    The inputs may be real fields or complex spectra.
     """
     eq = equilibrium_state(params)
     co = linear_coefficients(params)
-    combo = co.beta_plus * np.asarray(n_plus, dtype=float) + co.beta_minus * np.asarray(n_minus, dtype=float)
+    combo = co.beta_plus * np.asarray(n_plus) + co.beta_minus * np.asarray(n_minus)
     factor = eq.c2 * np.sqrt(eq.rho_plus * eq.rho_minus)
     return factor / eq.s2_plus * combo, factor / eq.s2_minus * combo

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .closure import FluidParams, equilibrium_state, linear_coefficients
+from .closure import FluidParams, linear_coefficients, linearized_density_perturbation
 from .spectral import (
     BatchDecomposition,
     decompose_batch,
@@ -158,14 +158,10 @@ class RadialProfileData:
     """Four radial spectra (n+, phi+, n-, phi-) plus construction metadata.
 
     ``profile_fns`` are callables r -> value, resampled onto whatever
-    quadrature the evolution uses.  ``kind`` is ``"generic"`` or
-    ``"lower-bound"``.
+    quadrature the evolution uses.
     """
 
     profile_fns: tuple
-    kind: str
-    K0: float
-    eta: float
     c0: float = 0.0
     s_exp: float = 0.0
     theta: float = 0.0
@@ -205,7 +201,7 @@ def _data_size_surrogate(fns, r_max) -> float:
     return total
 
 
-def make_generic_data(K0: float, eta: float = 1.0) -> RadialProfileData:
+def make_generic_data(K0: float) -> RadialProfileData:
     """Gaussian data in all four channels, scaled to overall size ``K0``."""
     if K0 < 0:
         raise ValueError("K0 must be >= 0")
@@ -218,7 +214,7 @@ def make_generic_data(K0: float, eta: float = 1.0) -> RadialProfileData:
         size = _data_size_surrogate(base, r_max)
         scale = K0 / size
         fns = tuple(_gaussian(a * scale, w) for a, w in zip(_GENERIC_AMPS, _GENERIC_WIDTHS))
-    return RadialProfileData(profile_fns=fns, kind="generic", K0=K0, eta=eta)
+    return RadialProfileData(profile_fns=fns)
 
 
 def make_lower_bound_data(K0: float, theta: float, s_exp: float, eta: float) -> RadialProfileData:
@@ -245,7 +241,6 @@ def make_lower_bound_data(K0: float, theta: float, s_exp: float, eta: float) -> 
         return (c0 - r**s_exp) * smooth_step_down(2.0 * r / eta - 1.0)
 
     return RadialProfileData(profile_fns=(zero, zero, zero, phi_minus),
-                             kind="lower-bound", K0=K0, eta=eta,
                              c0=c0, s_exp=s_exp, theta=theta)
 
 
@@ -295,18 +290,15 @@ class ModeEvolution:
             r_max, t_max, omega, max(nubar, 1e-3), order=order)
         self.decomp: BatchDecomposition = decompose_batch(self.quad.nodes, self.coeffs)
         self._check_tol = check_tol
-        eq = equilibrium_state(params)
-        self._drho_plus_factor = eq.c2 * np.sqrt(eq.rho_plus * eq.rho_minus) / eq.s2_plus
-        self._drho_minus_factor = eq.c2 * np.sqrt(eq.rho_plus * eq.rho_minus) / eq.s2_minus
 
     def _variable_values(self, U, U0, nodes, t):
         co = self.coeffs
-        combo = co.beta_plus * U[:, 0] + co.beta_minus * U[:, 2]
+        drho_p, drho_m = linearized_density_perturbation(U[:, 0], U[:, 2], self.params)
         return {
             "n+": U[:, 0], "n-": U[:, 2], "phi+": U[:, 1], "phi-": U[:, 3],
-            "combo": combo,
-            "drho+": self._drho_plus_factor * combo,
-            "drho-": self._drho_minus_factor * combo,
+            "combo": co.beta_plus * U[:, 0] + co.beta_minus * U[:, 2],
+            "drho+": drho_p,
+            "drho-": drho_m,
             "heat+": U0[:, 1] * heat_factor(nodes, co.nu1_plus, t),
             "heat-": U0[:, 3] * heat_factor(nodes, co.nu1_minus, t),
         }
@@ -384,7 +376,6 @@ def _node_weights(nodes, weights, ks):
 class DecayFit:
     exponent: float
     amplitude: float
-    window: tuple
     residual: float
 
 
@@ -403,8 +394,7 @@ def fit_power_law(series: NormSeries, window: tuple | None = None) -> DecayFit:
     z = np.log(y[mask])
     slope, intercept = np.polyfit(x, z, 1)
     resid = float(np.abs(z - (slope * x + intercept)).max())
-    return DecayFit(exponent=float(slope), amplitude=float(np.exp(intercept)),
-                    window=(float(window[0]), float(window[1])), residual=resid)
+    return DecayFit(exponent=float(slope), amplitude=float(np.exp(intercept)), residual=resid)
 
 
 def expected_exponent(variable: str, k: int) -> float:

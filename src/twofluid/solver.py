@@ -139,9 +139,14 @@ def _waves(grid: Grid) -> _Waves:
     waves = _Waves(ks=ks, ik=[1j * k for k in ks], khat=[k * inv for k in ks],
                    k2=sum(k**2 for k in ks), mask=grid.dealias_mask().astype(float),
                    l2w=l2w * grid.volume / float(np.prod(grid.shape)) ** 2)
-    for arr in (*waves.ks, *waves.ik, *waves.khat, waves.k2, waves.mask, waves.l2w):
-        arr.flags.writeable = False  # shared by every caller
+    _freeze(*waves.ks, *waves.ik, *waves.khat, waves.k2, waves.mask, waves.l2w)
     return waves
+
+
+def _freeze(*arrays):
+    """Make arrays read-only: whoever shares them cannot change them."""
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 # scipy.fft is imported on first use: its import costs ~0.1 s, which the
@@ -160,36 +165,44 @@ def _field(key, doc):
     return property(lambda self: self._physical()[key], doc=doc)
 
 
-class FieldState:
-    """Perturbation fields on a grid, held physically, spectrally or both.
+def _per_field(fn, fields: dict) -> dict:
+    """``fn`` applied to each density and to each velocity component."""
+    return {key: fn(arr) if key[0] == "n" else np.stack([fn(c) for c in arr])
+            for key, arr in fields.items()}
 
-    The constructor takes physical arrays; ``spectra()`` transforms them on
-    every call, so in-place edits stay visible.  The solver builds states
-    with ``from_spectra``: they keep their rfft spectra and produce the
-    physical arrays once, on first access, read-only so the two forms
-    cannot drift apart.  ``rho_plus`` is the closure root of the nonlinear
-    stage that produced the state (a warm start for the next one), or None.
+
+class FieldState:
+    """Perturbation fields on a grid, held as their rfft spectra.
+
+    A state never changes: every array it holds is read-only and ``time``
+    is fixed at construction.  The constructor takes physical arrays; it
+    copies them and transforms them once.  The solver builds states with
+    ``from_spectra``: they produce their physical arrays once, on first
+    access.  ``rho_plus`` is the closure root of the nonlinear stage that
+    produced the state, from which the next step warm-starts, or None.
     """
 
     def __init__(self, grid: Grid, n_plus, n_minus, u_plus, u_minus, time: float = 0.0):
-        self.grid = grid
-        self.time = time
-        self.rho_plus = None
-        self._phys = {"n+": n_plus, "n-": n_minus, "u+": u_plus, "u-": u_minus}
-        self._spec = None
+        phys = {"n+": n_plus, "n-": n_minus, "u+": u_plus, "u-": u_minus}
+        phys = {key: np.array(arr, dtype=float) for key, arr in phys.items()}
+        _freeze(*phys.values())
+        self._hold(grid, _per_field(_rfft, phys), time)
+        self._phys = phys
 
     @classmethod
     def from_spectra(cls, grid: Grid, spectra: dict, time: float):
         """State held by its spectra ``{"n+", "n-", "u+", "u-"}`` (rfft layout)."""
         state = cls.__new__(cls)
-        state.grid = grid
-        state.time = time
-        state.rho_plus = None
-        state._phys = None
-        state._spec = dict(spectra)
-        for arr in state._spec.values():
-            arr.flags.writeable = False
+        state._hold(grid, spectra, time)
         return state
+
+    def _hold(self, grid, spectra, time):
+        self.grid = grid
+        self.time = time
+        self.rho_plus = None
+        self._phys = None
+        self._spec = dict(spectra)
+        _freeze(*self._spec.values())
 
     n_plus = _field("n+", "Fraction-density perturbation of the + phase.")
     n_minus = _field("n-", "Fraction-density perturbation of the - phase.")
@@ -199,27 +212,13 @@ class FieldState:
     def _physical(self):
         if self._phys is None:
             shape = self.grid.shape
-            sp = self._spec
-            phys = {"n+": _irfft(sp["n+"], shape), "n-": _irfft(sp["n-"], shape),
-                    "u+": np.stack([_irfft(c, shape) for c in sp["u+"]]),
-                    "u-": np.stack([_irfft(c, shape) for c in sp["u-"]])}
-            for arr in phys.values():
-                arr.flags.writeable = False
-            self._phys = phys
+            self._phys = _per_field(lambda c: _irfft(c, shape), self._spec)
+            _freeze(*self._phys.values())
         return self._phys
 
-    def copy(self):
-        return FieldState(self.grid, self.n_plus.copy(), self.n_minus.copy(),
-                          self.u_plus.copy(), self.u_minus.copy(), self.time)
-
     def spectra(self):
-        """Spectral twin of every field (rfft layout, Hermitian by reality)."""
-        if self._spec is not None:
-            return dict(self._spec)
-        ph = self._phys
-        return {"n+": _rfft(ph["n+"]), "n-": _rfft(ph["n-"]),
-                "u+": np.stack([_rfft(c) for c in ph["u+"]]),
-                "u-": np.stack([_rfft(c) for c in ph["u-"]])}
+        """Spectrum of every field (rfft layout, Hermitian by reality), read-only."""
+        return dict(self._spec)
 
     def check_positivity(self, params: FluidParams):
         """Reject ``n± <= -rbar±``: the fraction densities must stay positive."""
@@ -313,15 +312,9 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
         raise ValueError(f"unknown init kind {spec.kind!r}")
     # keep every field inside the 2/3 band so products never alias back
     mask = _waves(grid).mask
-
-    def truncate(f):
-        return _irfft(mask * _rfft(f), shape)
-
-    n_p = truncate(n_p)
-    n_m = truncate(n_m)
-    u_p = np.stack([truncate(c) for c in u_p])
-    u_m = np.stack([truncate(c) for c in u_m])
-    state = FieldState(grid, n_p, n_m, u_p, u_m, time=0.0)
+    fields = _per_field(lambda f: _irfft(mask * _rfft(f), shape),
+                        {"n+": n_p, "n-": n_m, "u+": u_p, "u-": u_m})
+    state = FieldState(grid, *fields.values(), time=0.0)
     state.check_positivity(params if params is not None else FluidParams())
     return state
 
@@ -346,25 +339,20 @@ def hodge_split_grid(u_spec: np.ndarray, grid: Grid):
 # ---------------------------------------------------------------------------
 # exact linear propagation
 
-_PROP_CACHE: dict = {}
-_PROP_CACHE_MAX = 8
-
 # (n+, phi+, n-, phi-) = D (n+, w+, n-, w-) with w = i (k . u)/|k|, the
 # scalar of the 4x4 block; D S D carries the semigroup over to phi.
 _PHI_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 
 
+@functools.lru_cache(maxsize=8)
 def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
     """Per-mode semigroup on ``(n+, phi+, n-, phi-)`` and the heat factors.
 
     The semigroup depends on |k| only, so it is decomposed once per distinct
     integer wave-index norm ``m^2`` and scattered back to every mode.
-    Returns ``S`` with shape ``(4, 4) + spectral_shape``.
+    Returns ``S`` with shape ``(4, 4) + spectral_shape``, built once per
+    ``(grid, params, dt)`` and read-only.
     """
-    key = (grid, params, float(dt))
-    hit = _PROP_CACHE.get(key)
-    if hit is not None:
-        return hit
     co = linear_coefficients(params)
     m2 = sum(m**2 for m in grid.index_axes()).ravel()
     _, first, inverse = np.unique(m2, return_index=True, return_inverse=True)
@@ -375,9 +363,7 @@ def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
     k2 = _waves(grid).k2
     heat_p = np.exp(-co.nu1_plus * k2 * dt)
     heat_m = np.exp(-co.nu1_minus * k2 * dt)
-    if len(_PROP_CACHE) >= _PROP_CACHE_MAX:
-        _PROP_CACHE.pop(next(iter(_PROP_CACHE)))
-    _PROP_CACHE[key] = (S, heat_p, heat_m)
+    _freeze(S, heat_p, heat_m)
     return S, heat_p, heat_m
 
 
@@ -415,15 +401,14 @@ def _viscous(u_hat, mu: float, lam: float, grid: Grid):
             for i in range(grid.dim)]
 
 
-def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None,
-                  spectral: bool = False):
+def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
     """Tendencies (F1, F2, F3, F4) of the reformulated system, dealiased.
 
     Derivatives are spectral, products pointwise; every assembled tendency
     passes once through the 2/3 mask.  Returns ``(F1, F2, F3, F4, rho_plus)``
-    with physical tendencies, or with ``spectral=True`` their masked rfft
-    spectra.  The pointwise closure is solved once; ``rho_guess`` warm-starts
-    it and ``rho_plus`` is its root at this state.
+    with the tendencies as masked rfft spectra.  The pointwise closure is
+    solved once; ``rho_guess`` warm-starts it and ``rho_plus`` is its root
+    at this state.
     """
     grid = state.grid
     shape = grid.shape
@@ -469,10 +454,7 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None,
                   nc.l_plus, params.mu_plus, params.lambda_plus, visc_p)
     F4 = momentum(u_m, du_m, nc.g_minus, nc.gbar_minus, dn_m, dn_p, nc.h_minus, nc.k_minus,
                   nc.l_minus, params.mu_minus, params.lambda_minus, visc_m)
-    if spectral:
-        return F1, F2, F3, F4, rho_p
-    return (_irfft(F1, shape), np.stack([_irfft(c, shape) for c in F2]),
-            _irfft(F3, shape), np.stack([_irfft(c, shape) for c in F4]), rho_p)
+    return F1, F2, F3, F4, rho_p
 
 
 def _advance(base: dict, h: float, *tendencies):
@@ -482,12 +464,12 @@ def _advance(base: dict, h: float, *tendencies):
 
 
 def step(state: FieldState, dt: float, params: FluidParams,
-         c_cfl: float = 0.5, rho_guess=None) -> FieldState:
+         c_cfl: float = 0.5) -> FieldState:
     """One Strang step: half linear, RK2 nonlinear, half linear.
 
-    The fields stay spectral between the half steps.  The returned state
-    keeps its spectra for the next step and carries ``rho_plus``, the
-    closure root of the second stage, to pass back as ``rho_guess``.
+    The fields stay spectral between the half steps.  The first stage's
+    closure solve warm-starts from ``state.rho_plus`` (cold when None); the
+    returned state carries the second stage's root as its ``rho_plus``.
     """
     grid = state.grid
     umax = max(np.abs(state.u_plus).max(), np.abs(state.u_minus).max())
@@ -496,9 +478,9 @@ def step(state: FieldState, dt: float, params: FluidParams,
                          f"{c_cfl * grid.dx / umax:g}")
     s = linear_propagator_step(state, 0.5 * dt, params)
     base = s.spectra()
-    F = nonlinear_rhs(s, params, rho_guess=rho_guess, spectral=True)
+    F = nonlinear_rhs(s, params, rho_guess=state.rho_plus)
     mid = FieldState.from_spectra(grid, _advance(base, dt, F), s.time)
-    G = nonlinear_rhs(mid, params, rho_guess=F[4], spectral=True)
+    G = nonlinear_rhs(mid, params, rho_guess=F[4])
     s = FieldState.from_spectra(grid, _advance(base, 0.5 * dt, F, G), s.time)
     s = linear_propagator_step(s, 0.5 * dt, params)
     s.rho_plus = G[4]
@@ -514,12 +496,8 @@ def step(state: FieldState, dt: float, params: FluidParams,
 # diagnostics
 
 
-def spectrum_l2sq(grid: Grid, spec):
-    """Box integral of |f|^2 from the rfft spectrum (Parseval)."""
-    return float(np.sum(_waves(grid).l2w * np.abs(spec) ** 2))
-
-
 def gradient_l2sq(grid: Grid, spec, order: int = 1):
+    """Box integral of ``|grad^order f|^2`` from the rfft spectrum (Parseval)."""
     w = _waves(grid)
     return float(np.sum(w.l2w * w.k2**order * np.abs(spec) ** 2))
 
@@ -532,19 +510,19 @@ def energy_report(state: FieldState, params: FluidParams) -> EnergyReport:
     ks = _waves(grid).ks
     combo = co.beta_plus * sp["n+"] + co.beta_minus * sp["n-"]
     e0 = 0.5 * (
-        spectrum_l2sq(grid, combo)
+        gradient_l2sq(grid, combo, 0)
         + co.sigma_plus / co.beta2 * gradient_l2sq(grid, sp["n+"])
         + co.sigma_minus / co.beta3 * gradient_l2sq(grid, sp["n-"])
-        + sum(spectrum_l2sq(grid, sp["u+"][d]) for d in range(grid.dim)) / co.beta2
-        + sum(spectrum_l2sq(grid, sp["u-"][d]) for d in range(grid.dim)) / co.beta3
+        + sum(gradient_l2sq(grid, sp["u+"][d], 0) for d in range(grid.dim)) / co.beta2
+        + sum(gradient_l2sq(grid, sp["u-"][d], 0) for d in range(grid.dim)) / co.beta3
     )
     div_p = sum(1j * ks[d] * sp["u+"][d] for d in range(grid.dim))
     div_m = sum(1j * ks[d] * sp["u-"][d] for d in range(grid.dim))
     d0 = (
         (co.nu1_plus * sum(gradient_l2sq(grid, sp["u+"][d]) for d in range(grid.dim))
-         + co.nu2_plus * spectrum_l2sq(grid, div_p)) / co.beta2
+         + co.nu2_plus * gradient_l2sq(grid, div_p, 0)) / co.beta2
         + (co.nu1_minus * sum(gradient_l2sq(grid, sp["u-"][d]) for d in range(grid.dim))
-           + co.nu2_minus * spectrum_l2sq(grid, div_m)) / co.beta3
+           + co.nu2_minus * gradient_l2sq(grid, div_m, 0)) / co.beta3
     )
     return EnergyReport(
         e0=e0, d0=d0,
@@ -615,6 +593,6 @@ def read_checkpoint(path, params: FluidParams | None = None) -> FieldState:
     if len(buf) != expected:
         raise ValueError(f"checkpoint size mismatch: expected {expected} bytes for a "
                          f"{dim}D n={n} state, got {len(buf)}")
-    fields = np.frombuffer(buf, dtype="<f8", offset=head).reshape((nfields,) + grid.shape).copy()
+    fields = np.frombuffer(buf, dtype="<f8", offset=head).reshape((nfields,) + grid.shape)
     return FieldState(grid, fields[0], fields[1], fields[2:2 + dim], fields[2 + dim:],
                       time=time)

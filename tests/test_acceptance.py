@@ -246,7 +246,7 @@ def test_criterion_8_nonlinear_solver():
     # (a) linear-limit fidelity on the desk-scale box
     grid = Grid(dim=1, n=128, length=2 * np.pi * 32)
     st0 = init_state(grid, InitSpec(kind="random", amplitude=1e-6, seed=11, band=(1, 4)))
-    cur = st0.copy()
+    cur = st0
     for _ in range(200):
         cur = step(cur, 0.05, SYM)
     ref = linear_propagator_step(st0, 10.0, SYM)
@@ -259,7 +259,7 @@ def test_criterion_8_nonlinear_solver():
     base = init_state(grid2, InitSpec(kind="random", amplitude=0.02, seed=3, band=(1, 3)))
 
     def run(dt, t_end=0.5):
-        s = base.copy()
+        s = base
         for _ in range(int(round(t_end / dt))):
             s = step(s, dt, SYM)
         return s

@@ -215,6 +215,20 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert "mu_plus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("- task\n- simulate\n", "top level must be a mapping"),
+    ("42\n", "top level must be a mapping"),
+    ("params: [1, 2\n", "not valid YAML"),
+], ids=["list", "scalar", "malformed"])
+def test_main_rejects_config_it_cannot_load(tmp_path, capsys, text, message):
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert main(["analyze-modes", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_main_seed_override(tmp_path):
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text("""

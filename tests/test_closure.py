@@ -206,6 +206,19 @@ def test_density_perturbation_trivial_and_symmetric():
     assert dm == pytest.approx(0.02, abs=1e-14)
 
 
+def test_density_perturbation_keeps_complex_spectra():
+    # the linear lab feeds complex spectra: the map is linear over C
+    params = FluidParams(rbar_plus=1.3, rbar_minus=0.8, gamma_plus=1.7, gamma_minus=2.4)
+    n_p = np.array([0.02 + 0.01j, -0.03j])
+    n_m = np.array([0.005 - 0.02j, 0.01 + 0.0j])
+    dp, dm = linearized_density_perturbation(n_p, n_m, params)
+    re_p, re_m = linearized_density_perturbation(n_p.real, n_m.real, params)
+    im_p, im_m = linearized_density_perturbation(n_p.imag, n_m.imag, params)
+    assert np.abs(dp - (re_p + 1j * im_p)).max() <= 1e-16
+    assert np.abs(dm - (re_m + 1j * im_m)).max() <= 1e-16
+    assert np.abs(dp.imag).min() > 0
+
+
 def test_density_perturbation_kernel_of_combination():
     params = FluidParams(rbar_plus=1.3, rbar_minus=0.8, gamma_plus=1.7, gamma_minus=2.4)
     co = linear_coefficients(params)

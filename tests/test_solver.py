@@ -12,14 +12,21 @@ from twofluid.solver import (
     init_state,
     linear_propagator_step,
     nonlinear_rhs,
+    gradient_l2sq,
     read_checkpoint,
-    spectrum_l2sq,
     step,
     weighted_sup_functionals,
     write_checkpoint,
 )
 
 SYM = FluidParams()
+
+
+def physical_rhs(state, params, **kwargs):
+    """``nonlinear_rhs`` with the tendencies transformed to physical space."""
+    *F, rho = nonlinear_rhs(state, params, **kwargs)
+    shape = state.grid.shape
+    return (*(np.fft.irfftn(f, s=shape, axes=range(-state.grid.dim, 0)) for f in F), rho)
 
 
 def test_grid_validation():
@@ -89,14 +96,14 @@ def test_hodge_split_divergence_free_remainder():
 def test_nonlinear_rhs_zero_and_constant():
     grid = Grid(dim=1, n=64, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="zero"))
-    F1, F2, F3, F4, _ = nonlinear_rhs(st, SYM)
+    F1, F2, F3, F4, _ = physical_rhs(st, SYM)
     for F in (F1, F2, F3, F4):
         assert np.abs(F).max() == 0.0
     # constant n+ perturbation, everything else zero: every term carries a
     # derivative of the constant or a factor of u
     st = FieldState(grid, np.full(grid.shape, 0.05), np.zeros(grid.shape),
                     np.zeros((1,) + grid.shape), np.zeros((1,) + grid.shape))
-    F1, F2, F3, F4, _ = nonlinear_rhs(st, SYM)
+    F1, F2, F3, F4, _ = physical_rhs(st, SYM)
     assert np.abs(F1).max() <= 1e-15
     assert np.abs(F2).max() <= 1e-15
     assert np.abs(F3).max() <= 1e-15
@@ -127,7 +134,7 @@ def test_nonlinear_rhs_matches_finite_differences():
         np.stack([a * np.sin(X + 2 * Y), a * np.cos(X)]),
         np.stack([a * np.cos(Y), a * np.sin(2 * X)]),
     )
-    F1, F2, F3, F4, _ = nonlinear_rhs(st, params)
+    F1, F2, F3, F4, _ = physical_rhs(st, params)
 
     dx = grid.dx
     from twofluid.closure import nonlinear_coefficients
@@ -216,7 +223,7 @@ def test_step_linear_limit_matches_semigroup():
     grid = Grid(dim=1, n=128, length=2 * np.pi * 32)
     st = init_state(grid, InitSpec(kind="random", amplitude=1e-6, seed=11, band=(1, 4)))
     t_end, dt = 10.0, 0.05
-    cur = st.copy()
+    cur = st
     for _ in range(int(round(t_end / dt))):
         cur = step(cur, dt, SYM)
     ref = linear_propagator_step(st, t_end, SYM)
@@ -235,7 +242,7 @@ def test_step_temporal_self_convergence():
     t_end = 0.5
 
     def run(dt):
-        cur = st.copy()
+        cur = st
         for _ in range(int(round(t_end / dt))):
             cur = step(cur, dt, SYM)
         return cur
@@ -291,8 +298,8 @@ def test_step_mass_conservation_and_reality():
 
 def test_step_cfl_guard():
     grid = Grid(dim=1, n=64, length=2 * np.pi)
-    st = init_state(grid, InitSpec(kind="zero"))
-    st.u_plus[0, :] = 0.5
+    zero = np.zeros(grid.shape)
+    st = FieldState(grid, zero, zero, np.full((1,) + grid.shape, 0.5), zero[None])
     with pytest.raises(ValueError):
         step(st, 1.0, SYM)
 
@@ -313,7 +320,8 @@ def test_energy_report_equilibrium_and_single_mode():
     # unit-amplitude solenoidal mode in u+: D0 = nu1+ |k|^2 V / (2 beta2)
     x = grid.axes()
     X, Y = np.meshgrid(*x, indexing="ij")
-    st.u_plus[1] = np.cos(X)  # div-free, |k| = 1
+    u_plus = np.stack([np.zeros(grid.shape), np.cos(X)])  # div-free, |k| = 1
+    st = FieldState(grid, st.n_plus, st.n_minus, u_plus, st.u_minus)
     rep = energy_report(st, SYM)
     co = linear_coefficients(SYM)
     expect = co.nu1_plus * 1.0 * grid.volume / (2 * co.beta2)
@@ -389,7 +397,7 @@ def test_general_background_pipeline():
                          gamma_minus=2.2, sigma_plus=0.8, sigma_minus=1.2)
     grid = Grid(dim=1, n=128, length=2 * np.pi * 8)
     st = init_state(grid, InitSpec(kind="random", amplitude=1e-6, seed=2, band=(1, 4)))
-    cur = st.copy()
+    cur = st
     for _ in range(40):
         cur = step(cur, 0.05, params)
     ref = linear_propagator_step(st, 2.0, params)
@@ -407,7 +415,7 @@ def test_general_background_pipeline():
 def test_checkpoint_roundtrip(tmp_path):
     grid = Grid(dim=2, n=32, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=4))
-    st.time = 1.75
+    st = FieldState(grid, st.n_plus, st.n_minus, st.u_plus, st.u_minus, time=1.75)
     path = tmp_path / "state.tfck"
     write_checkpoint(st, SYM, path)
     back = read_checkpoint(path, SYM)
@@ -438,15 +446,15 @@ def test_parseval_helper():
     grid = Grid(dim=1, n=64, length=2 * np.pi)
     x = grid.axes()[0]
     f = np.cos(3 * x)
-    assert spectrum_l2sq(grid, np.fft.rfftn(f)) == pytest.approx(grid.volume / 2, rel=1e-12)
+    assert gradient_l2sq(grid, np.fft.rfftn(f), 0) == pytest.approx(grid.volume / 2, rel=1e-12)
 
 
 def test_closure_cache_speedup_consistency():
     # warm-started rhs must agree with cold evaluation
     grid = Grid(dim=1, n=256, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="random", amplitude=0.05, seed=8))
-    F1a, F2a, _, _, rho = nonlinear_rhs(st, SYM)
-    F1b, F2b, _, _, _ = nonlinear_rhs(st, SYM, rho_guess=rho)
+    F1a, F2a, _, _, rho = physical_rhs(st, SYM)
+    F1b, F2b, _, _, _ = physical_rhs(st, SYM, rho_guess=rho)
     assert np.allclose(F1a, F1b, rtol=1e-12, atol=1e-16)
     assert np.allclose(F2a, F2b, rtol=1e-9, atol=1e-14)
 
@@ -485,10 +493,11 @@ def test_step_fft_budget(monkeypatch, dim, budget):
     grid = Grid(dim=dim, n=16, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=1, band=(1, 3)))
     calls = _count_ffts(monkeypatch)
-    cur = step(st, 0.01, SYM)          # cold: the spectra of st are computed
+    # cold: a freshly constructed state transforms its fields
+    cur = step(FieldState(grid, st.n_plus, st.n_minus, st.u_plus, st.u_minus), 0.01, SYM)
     assert len(calls) <= budget
     del calls[:]
-    step(cur, 0.01, SYM, rho_guess=cur.rho_plus)   # warm: spectra carried over
+    step(cur, 0.01, SYM)   # warm: a stepped state carries its spectra
     assert len(calls) <= budget - 2 * (1 + dim)
 
 
@@ -500,11 +509,12 @@ def test_stepped_state_caches_consistent_spectra():
     with pytest.raises(ValueError):
         cur.n_plus[0, 0] = 1.0   # read-only: cannot drift from the cached spectra
     sp = cur.spectra()
-    fresh = cur.copy().spectra()
+    rebuilt = FieldState(grid, cur.n_plus, cur.n_minus, cur.u_plus, cur.u_minus, cur.time)
+    fresh = rebuilt.spectra()
     for key in ("n+", "n-", "u+", "u-"):
         assert np.abs(sp[key] - fresh[key]).max() <= 1e-14 * max(1.0, np.abs(fresh[key]).max())
-    warm = step(cur, 0.01, SYM, rho_guess=cur.rho_plus)
-    cold = step(cur, 0.01, SYM)
+    warm = step(cur, 0.01, SYM)
+    cold = step(rebuilt, 0.01, SYM)
     assert np.abs(warm.n_plus - cold.n_plus).max() <= 1e-12 * np.abs(cold.n_plus).max()
 
 
@@ -521,3 +531,45 @@ def test_guards_relative_to_background():
     with pytest.raises(BlowUpError):
         step(st, 1e-3, low)
     assert np.abs(step(st, 1e-3, SYM).n_plus - 0.2).max() <= 1e-15
+
+
+def test_states_are_read_only_and_own_their_arrays(tmp_path):
+    grid = Grid(dim=2, n=16, length=2 * np.pi)
+    rng = np.random.default_rng(3)
+    n_p, n_m = 1e-3 * rng.normal(size=(2,) + grid.shape)
+    u_p, u_m = 1e-3 * rng.normal(size=(2, 2) + grid.shape)
+    built = FieldState(grid, n_p, n_m, u_p, u_m, time=0.5)
+    path = tmp_path / "state.tfck"
+    write_checkpoint(built, SYM, path)
+    states = (built, init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=4)),
+              read_checkpoint(path, SYM))
+    for st in states:
+        fields = (st.n_plus, st.n_minus, st.u_plus, st.u_minus, *st.spectra().values())
+        assert not any(arr.flags.writeable for arr in fields)
+    # the caller's arrays stay writable and are not shared with the state
+    for given, held in ((n_p, built.n_plus), (n_m, built.n_minus),
+                        (u_p, built.u_plus), (u_m, built.u_minus)):
+        assert given.flags.writeable and not np.shares_memory(given, held)
+    n_p[...] = 0.0
+    assert np.abs(built.n_plus).max() > 0.0 and built.time == 0.5
+
+
+def test_consecutive_steps_warm_start_the_closure(monkeypatch):
+    from twofluid import kernels
+
+    grid = Grid(dim=1, n=64, length=2 * np.pi)
+    st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=8))
+    linear_coefficients(SYM)  # background closure solved outside the count
+    cold = []
+    solve = kernels.solve_rho_plus_batch
+
+    def counted(Rp, Rm, gp, gm, x0=None):
+        cold.append(x0 is None)
+        return solve(Rp, Rm, gp, gm, x0=x0)
+
+    monkeypatch.setattr(kernels, "solve_rho_plus_batch", counted)
+    first = step(st, 0.01, SYM)
+    assert cold == [True, False]
+    del cold[:]
+    step(first, 0.01, SYM)
+    assert cold == [False, False]
