@@ -2,11 +2,13 @@
 
 After the Hodge split, the compressible unknowns ``(n+, phi+, n-, phi-)``
 evolve mode-by-mode under a 4x4 Green matrix ``A1(|xi|)``.  This module
-builds ``A1``, computes its quartic spectrum, assembles the semigroup
-``exp(t A1)`` from spectral projectors (with a dedicated branch for the
-near-double diffusive pair, where the Lagrange denominators degenerate and
-the semigroup picks up a ``t*exp(lambda*t)`` term), and provides the
-smooth cutoff profile used to build band-limited data.
+builds ``A1``, computes its quartic spectrum (a real eigensolve polished on
+the quartic), assembles the semigroup ``exp(t A1)`` from spectral projectors
+(the adjugate of ``lambda I - A1`` at each simple root, from Cayley-Hamilton;
+a dedicated branch covers the near-double diffusive pair, where the
+denominators ``prod_{j != i} (lambda_i - lambda_j)`` degenerate and the
+semigroup picks up a ``t*exp(lambda*t)`` term), and provides the smooth
+cutoff profile used to build band-limited data.
 
 Functions of the frequency take whole arrays of magnitudes; one mode is an
 array of length one.
@@ -22,8 +24,9 @@ import scipy.linalg
 from .closure import LinearCoefficients
 
 # Relative gap below which the diffusive pair is treated as confluent.  At
-# the window edge the distinct-branch projectors carry ~1/gap cancellation,
-# so the switch must happen well before the gap reaches sqrt(eps).
+# the window edge the distinct-branch projectors carry ~1/gap cancellation
+# through their denominators prod_{j != i} (lambda_i - lambda_j), so the
+# switch must happen well before the gap reaches sqrt(eps).
 EPS_CONFLUENT = 2e-6
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -126,8 +129,9 @@ def _polish_roots(lam, c3, c2, c1, c0, steps: int = 2):
 def batch_eigenvalues(xis, coeffs: LinearCoefficients):
     """Eigenvalues of the Green matrix for an array of frequencies."""
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    A = batch_green(xis, coeffs).astype(complex)
-    lam = np.linalg.eigvals(A)
+    # the real eigensolve returns complex roots as exact conjugate pairs, and
+    # the polish keeps them exact (its arithmetic is conjugation-symmetric)
+    lam = np.linalg.eigvals(batch_green(xis, coeffs)).astype(complex)
     c3, c2, c1, c0 = batch_char_coeffs(xis, coeffs)
     return _polish_roots(lam, c3, c2, c1, c0)
 
@@ -170,7 +174,7 @@ def _order_roots_distinct(lam):
 class BatchDecomposition:
     """Semigroup decompositions for an array of frequency magnitudes.
 
-    Distinct rows carry four Lagrange projectors.  ``confluent`` rows have
+    Distinct rows carry the four spectral projectors.  ``confluent`` rows have
     the diffusive pair collapsed: the fourth term is nilpotent and enters
     the semigroup weighted by ``t``.  ``fallback`` marks rows where the
     acoustic/diffusive pair structure was ambiguous and a plain magnitude
@@ -203,7 +207,7 @@ class BatchDecomposition:
 def decompose_batch(xis, coeffs: LinearCoefficients, eps_conf: float = EPS_CONFLUENT) -> BatchDecomposition:
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     n = xis.shape[0]
-    A = batch_green(xis, coeffs).astype(complex)
+    A = batch_green(xis, coeffs)
     c3, c2, c1, c0 = batch_char_coeffs(xis, coeffs)
     lam = batch_eigenvalues(xis, coeffs)
     scale = np.abs(lam).max(axis=1)
@@ -226,17 +230,23 @@ def decompose_batch(xis, coeffs: LinearCoefficients, eps_conf: float = EPS_CONFL
         ld, fb = _order_roots_distinct(lam[dist])
         lam_o[dist] = ld
         fallback[dist] = fb
+        # For a simple root, the resolvent expansion
+        #   adj(l I - A) = p(l) (l I - A)^-1 = sum_k p(l) / (l - l_k) P_k,
+        # with p(l) = det(l I - A) = l^4 + c3 l^3 + c2 l^2 + c1 l + c0,
+        # gives adj(l_i I - A) = prod_{j != i} (l_i - l_j) P_i.  The adjugate
+        # is cubic in l: writing adj(l I - A) = l^3 I + l^2 B2 + l B1 + B0 and
+        # matching powers of l in adj(l I - A) (l I - A) = p(l) I yields
+        #   B2 = A + c3 I,  B1 = A B2 + c2 I,  B0 = A B1 + c1 I
+        # (the constant term, -B0 A = c0 I, is Cayley-Hamilton).  The B are
+        # real: two real stacked matmuls, then one Horner pass per root.
         Ad = A[dist]
+        B2 = Ad + c3[dist, None, None] * _I4
+        B1 = Ad @ B2 + c2[dist, None, None] * _I4
+        B0 = Ad @ B1 + c1[dist, None, None] * _I4
         for i in range(4):
-            others = [j for j in range(4) if j != i]
-            li = ld[:, i]
-            M = np.broadcast_to(_I4, Ad.shape).astype(complex)
-            den = np.ones(Ad.shape[0], dtype=complex)
-            for j in others:
-                lj = ld[:, j]
-                M = M @ (lj[:, None, None] * _I4 - Ad)
-                den = den * (lj - li)
-            P[dist, i] = M / den[:, None, None]
+            li = ld[:, i, None, None]
+            den = np.prod([ld[:, i] - ld[:, j] for j in range(4) if j != i], axis=0)
+            P[dist, i] = (((li * _I4 + B2) * li + B1) * li + B0) / den[:, None, None]
 
     if conf.any():
         rows = np.nonzero(conf)[0]
@@ -341,7 +351,11 @@ def eigenvalues_asymptotic(xi, coeffs: LinearCoefficients):
 
 
 def matrix_exp_oracle(M, t: float):
-    """Independent check: ``exp(t M)`` by scaling-and-squaring (Pade kernel)."""
+    """Independent check: ``exp(t M)`` by scaling-and-squaring (Pade kernel).
+
+    ``M`` is one square matrix or a stack ``(..., m, m)``; a stack gives the
+    same bits as one call per matrix.
+    """
     M = np.asarray(M)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")

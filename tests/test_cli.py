@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,8 @@ from twofluid.cli import (
     run_campaign,
     serialize_config,
 )
+from twofluid.closure import linear_coefficients
+from twofluid.spectral import batch_green, decompose_batch, matrix_exp_oracle
 
 MINIMAL = """
 params:
@@ -86,6 +89,29 @@ def test_analyze_modes_campaign(tmp_path):
     assert meta["max_projector_residual"] < 1e-10
     assert 0 < meta["eta"] <= 1.0
     assert "combination_ratio" in meta
+
+
+def test_analyze_modes_semigroup_residual_matches_per_mode_loop(tmp_path):
+    from test_acceptance import tuned_confluent_params
+
+    cfg = replace(parse_config("task: analyze-modes\nmodes:\n  count: 60\n"),
+                  params=tuned_confluent_params())
+    assert run_campaign(cfg, out_dir=tmp_path, quiet=True) == 0
+    rows = (tmp_path / "modes.csv").read_text().splitlines()[2:]
+    co = linear_coefficients(cfg.params)
+    xis = np.geomspace(cfg.modes.xi_min, cfg.modes.xi_max, cfg.modes.count)
+    dec = decompose_batch(xis, co)
+    assert any(r.split(",")[9] == "confluent" for r in rows)
+    want = []
+    for i, xi in enumerate(xis):
+        A = batch_green([xi], co)[0]
+        worst = 0.0
+        for t in cfg.modes.t_check:
+            S = np.einsum("i,ijk->jk", dec.weights(t)[i], dec.projectors[i])
+            E = matrix_exp_oracle(A, t)
+            worst = max(worst, float(np.abs(S - E).max() / max(np.abs(E).max(), 1e-290)))
+        want.append(worst)
+    assert [float(r.split(",")[-1]) for r in rows] == want
 
 
 def test_linear_decay_campaign_small(tmp_path):
@@ -227,6 +253,24 @@ def test_main_rejects_config_it_cannot_load(tmp_path, capsys, text, message):
     assert main(["analyze-modes", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,message", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("binary", "is not UTF-8 text"),
+])
+def test_main_rejects_config_it_cannot_read(tmp_path, capsys, kind, message):
+    cfg_path = tmp_path / "cfg.yaml"
+    if kind == "directory":
+        cfg_path.mkdir()
+    elif kind == "binary":
+        cfg_path.write_bytes(b"\xff\xfe\x00modes")
+    out = tmp_path / "out"
+    assert main(["analyze-modes", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and message in err
 
 
 def test_main_seed_override(tmp_path):

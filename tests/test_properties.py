@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twofluid.cli import (
+    PROJECTOR_GATE,
     TASKS,
     DecaySection,
     FitSection,
@@ -20,7 +21,12 @@ from twofluid.cli import (
 )
 from twofluid.closure import FluidParams, linear_coefficients
 from twofluid.kernels import TOL_PHI, solve_rho_plus_batch
-from twofluid.spectral import batch_green, decompose_batch, matrix_exp_oracle
+from twofluid.spectral import (
+    batch_green,
+    decompose_batch,
+    matrix_exp_oracle,
+    projector_residuals,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 EPS = np.finfo(float).eps
@@ -81,6 +87,14 @@ def test_semigroup_matches_expm_oracle(params, log_xis, t):
     for Si, A in zip(S, batch_green(xis, co)):
         E = matrix_exp_oracle(A, t)
         assert np.abs(Si - E).max() <= 1e-8 * max(np.abs(E).max(), 1e-290)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(fluid_params(), st.lists(st.floats(-4.0, 2.0), min_size=1, max_size=32))
+def test_projector_residuals_within_gate(params, log_xis):
+    # the analyze-modes gate, on either branch
+    dec = decompose_batch(10.0 ** np.array(log_xis), linear_coefficients(params))
+    assert projector_residuals(dec).max() <= PROJECTOR_GATE
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

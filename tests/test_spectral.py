@@ -160,6 +160,44 @@ def test_semigroup_distinct_identities():
                         assert np.abs(P[i] @ P[j]).max() <= 1e-10 * denom
 
 
+def _lagrange_projectors(A, lam):
+    """Reference: ``P_i = prod_{j != i} (lam_j I - A) / (lam_j - lam_i)``."""
+    eye = np.eye(4)
+    P = np.empty(lam.shape + (4, 4), dtype=complex)
+    for i in range(4):
+        M = np.broadcast_to(eye, A.shape).astype(complex)
+        den = np.ones(len(lam), dtype=complex)
+        for j in range(4):
+            if j != i:
+                M = M @ (lam[:, j, None, None] * eye - A)
+                den = den * (lam[:, j] - lam[:, i])
+        P[:, i] = M / den[:, None, None]
+    return P
+
+
+def test_distinct_projectors_match_lagrange_products():
+    from test_acceptance import XI_GRID, acceptance_draws
+
+    worst = 0.0
+    for params in acceptance_draws():
+        co = linear_coefficients(params)
+        d = decompose_batch(XI_GRID, co)
+        dist = ~d.confluent
+        P = d.projectors[dist]
+        ref = _lagrange_projectors(batch_green(XI_GRID[dist], co), d.eigenvalues[dist])
+        err = np.abs(P - ref).max(axis=(1, 2, 3)) / (1.0 + np.abs(P).max(axis=(1, 2, 3)))
+        worst = max(worst, float(err.max()))
+    assert worst <= 1e-12
+
+
+def test_acoustic_pair_is_exactly_conjugate():
+    # a real Green matrix has its complex roots in exact conjugate pairs
+    d = decompose_batch(np.geomspace(1e-4, 1e2, 400), linear_coefficients(FluidParams()))
+    lam = d.eigenvalues[~d.confluent]
+    assert len(lam) == 400
+    assert np.array_equal(lam[:, 1], np.conj(lam[:, 0]))
+
+
 def test_projector_leading_order_structure():
     # as xi -> 0 the wave projector P1 tends to an explicit matrix built from
     # the beta's alone, and P3 develops 1/xi entries in the velocity columns
@@ -246,6 +284,13 @@ def test_matrix_exp_oracle_trivials():
     N = np.zeros((4, 4))
     N[0, 1] = 1.0
     assert np.abs(matrix_exp_oracle(N, 0.37) - (np.eye(4) + 0.37 * N)).max() <= 1e-14
+
+
+def test_matrix_exp_oracle_stack_is_bitwise_per_matrix():
+    A = batch_green(np.geomspace(1e-4, 1e2, 50), confluent_coeffs())
+    for t in (0.1, 1.0, 10.0, 100.0):
+        E = matrix_exp_oracle(A, t)
+        assert np.array_equal(E, np.stack([matrix_exp_oracle(a, t) for a in A]))
 
 
 def test_matrix_exp_oracle_rejects_nonfinite():
