@@ -5,7 +5,6 @@ from .closure import (
     ConvergenceError,
     FluidParams,
     LinearCoefficients,
-    closure_from_root,
     closure_state,
     linear_coefficients,
     linearized_density_perturbation,
@@ -21,7 +20,6 @@ __all__ = [
     "ConvergenceError",
     "FluidParams",
     "LinearCoefficients",
-    "closure_from_root",
     "closure_state",
     "linear_coefficients",
     "linearized_density_perturbation",

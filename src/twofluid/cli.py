@@ -36,6 +36,7 @@ from .linearlab import (
 )
 from .solver import (
     BlowUpError,
+    FieldState,
     Grid,
     InitSpec,
     energy_report,
@@ -471,14 +472,13 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
     energy_rows = []
 
     def record(st):
-        sp = st.spectra()
-        combo = co.beta_plus * sp["n+"] + co.beta_minus * sp["n-"]
-        fields = {"n+": [sp["n+"]], "n-": [sp["n-"]],
-                  "u+": list(sp["u+"]), "u-": list(sp["u-"]), "combo": [combo]}
-        for v, comps in fields.items():
+        n_p, n_m, u_p, u_m = FieldState.split(st.spectra)
+        combo = co.beta_plus * n_p + co.beta_minus * n_m
+        fields = {"n+": n_p, "n-": n_m, "u+": u_p, "u-": u_m, "combo": combo}
+        for v, spec in fields.items():
             k_hi = s.k_max + 1 if v in ("n+", "n-") else s.k_max
             for k in range(k_hi + 1):
-                val = np.sqrt(sum(gradient_l2sq(grid, c, order=k) for c in comps))
+                val = np.sqrt(gradient_l2sq(grid, spec, order=k))
                 norm_rows.append((st.time, v, k, val))
                 history.setdefault((v, k), []).append(val)
         times.append(st.time)

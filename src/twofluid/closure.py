@@ -65,6 +65,8 @@ class FluidParams:
 class ClosureState:
     """Everything the pressure-equilibrium constraint determines at (R+, R-)."""
 
+    R_plus: float
+    R_minus: float
     rho_plus: float
     rho_minus: float
     alpha_plus: float
@@ -149,19 +151,12 @@ def solve_rho_plus(R_plus, R_minus, params: FluidParams, x0=None):
 
 
 def closure_state(R_plus, R_minus, params: FluidParams, x0=None) -> ClosureState:
-    """Full closure at (R+, R-): densities, fractions, sound speeds, C^2."""
-    return closure_from_root(R_plus, R_minus, solve_rho_plus(R_plus, R_minus, params, x0=x0),
-                             params)
+    """Full closure at (R+, R-): densities, fractions, sound speeds, C^2.
 
-
-def closure_from_root(R_plus, R_minus, rho_plus, params: FluidParams) -> ClosureState:
-    """Closure at (R+, R-) from its pressure-equilibrium root ``rho+``.
-
-    Derives rho-, the volume fractions, the sound speeds and C^2 without
-    solving again; ``rho_plus`` comes from :func:`solve_rho_plus`, which
-    also runs the vacuum check.
+    Solves for the pressure-equilibrium root ``rho+`` once (warm-started from
+    ``x0`` when given, with the vacuum check) and derives the rest from it.
     """
-    rho_p = rho_plus
+    rho_p = solve_rho_plus(R_plus, R_minus, params, x0=x0)
     Rp = np.asarray(R_plus, dtype=float)
     Rm = np.asarray(R_minus, dtype=float)
     rho_m = Rm * rho_p / (rho_p - Rp)
@@ -171,9 +166,9 @@ def closure_from_root(R_plus, R_minus, rho_plus, params: FluidParams) -> Closure
     _, s2m = pressure_and_sound_speed(rho_m, params.gamma_minus)
     c2 = s2p * s2m / (a_m * rho_p * s2p + a_p * rho_m * s2m)
     if np.isscalar(R_plus) and np.isscalar(R_minus):
-        return ClosureState(float(rho_p), float(rho_m), float(a_p), float(a_m),
-                            float(s2p), float(s2m), float(c2))
-    return ClosureState(rho_p, rho_m, a_p, np.asarray(a_m), np.asarray(s2p),
+        return ClosureState(float(Rp), float(Rm), float(rho_p), float(rho_m), float(a_p),
+                            float(a_m), float(s2p), float(s2m), float(c2))
+    return ClosureState(Rp, Rm, rho_p, rho_m, a_p, np.asarray(a_m), np.asarray(s2p),
                         np.asarray(s2m), c2)
 
 
@@ -207,29 +202,23 @@ def linear_coefficients(params: FluidParams) -> LinearCoefficients:
     )
 
 
-def nonlinear_coefficients(n_plus, n_minus, params: FluidParams, state: ClosureState | None = None) -> NonlinearCoefficients:
-    """The ten coefficient functions at perturbations (n+, n-).
+def nonlinear_coefficients(closure: ClosureState, params: FluidParams) -> NonlinearCoefficients:
+    """The ten coefficient functions at perturbations ``n± = R± - rbar±``.
 
-    Evaluated by re-running the closure at the perturbed fraction densities
-    rather than by stored expansions.  ``state`` may pass a precomputed
-    closure at those arguments (the solver caches it per step).
+    Evaluated from the closure at the perturbed fraction densities
+    (:func:`closure_state`) rather than from stored expansions.
     """
-    Rp = np.asarray(n_plus, dtype=float) + params.rbar_plus
-    Rm = np.asarray(n_minus, dtype=float) + params.rbar_minus
-    if np.any(Rp <= 0) or np.any(Rm <= 0):
-        raise ValueError("perturbation leaves the positive fraction-density regime")
-    if state is None:
-        state = closure_state(Rp, Rm, params)
+    Rp, Rm = closure.R_plus, closure.R_minus
     eq = equilibrium_state(params)
-    g_p = state.c2 * state.rho_minus / state.rho_plus - eq.c2 * eq.rho_minus / eq.rho_plus
-    g_m = state.c2 * state.rho_plus / state.rho_minus - eq.c2 * eq.rho_plus / eq.rho_minus
-    gbar = state.c2 - eq.c2
-    h_p = state.c2 * state.alpha_minus / (Rp * state.s2_minus)
-    h_m = -state.c2 / (state.rho_minus * state.s2_minus)
-    k_p = -state.c2 / (Rp * state.s2_plus * state.rho_plus)
-    k_m = -state.alpha_plus * state.c2 / (Rm * state.s2_plus)
-    l_p = 1.0 / state.rho_plus - 1.0 / eq.rho_plus
-    l_m = 1.0 / state.rho_minus - 1.0 / eq.rho_minus
+    g_p = closure.c2 * closure.rho_minus / closure.rho_plus - eq.c2 * eq.rho_minus / eq.rho_plus
+    g_m = closure.c2 * closure.rho_plus / closure.rho_minus - eq.c2 * eq.rho_plus / eq.rho_minus
+    gbar = closure.c2 - eq.c2
+    h_p = closure.c2 * closure.alpha_minus / (Rp * closure.s2_minus)
+    h_m = -closure.c2 / (closure.rho_minus * closure.s2_minus)
+    k_p = -closure.c2 / (Rp * closure.s2_plus * closure.rho_plus)
+    k_m = -closure.alpha_plus * closure.c2 / (Rm * closure.s2_plus)
+    l_p = 1.0 / closure.rho_plus - 1.0 / eq.rho_plus
+    l_m = 1.0 / closure.rho_minus - 1.0 / eq.rho_minus
     return NonlinearCoefficients(g_plus=g_p, g_minus=g_m, gbar_plus=gbar,
                                  gbar_minus=gbar, h_plus=h_p, h_minus=h_m,
                                  k_plus=k_p, k_minus=k_m, l_plus=l_p, l_minus=l_m)

@@ -5,13 +5,13 @@ Strang splitting: the stiff linear part (pressure coupling, viscosity and
 the third-order capillary term) advances exactly per mode through the
 semigroup decomposition, and the nonlinear terms advance with explicit RK2.
 
-The fields stay spectral through a step: the linear half-steps are per-mode
-multiplies, the tendencies are assembled as masked spectra, and physical
-arrays are produced only where products and the guards need them.  The
-cost of a run is the FFTs of the nonlinear stages plus a one-off
-propagator build, which decomposes the 4x4 semigroup once per distinct
-integer wave-index norm (a few thousand on a 64^3 grid) rather than once
-per mode.
+A state is one stack of rfft spectra, rows n+, n-, u+ and u- (dim rows
+each), as are its tendencies and checkpoints.  The fields stay spectral
+through a step: the linear half-steps are per-mode multiplies, the
+tendencies are masked spectra, and physical arrays are made only where
+products and the guards need them.  A run costs the FFTs of the nonlinear
+stages plus a one-off propagator build, which decomposes the 4x4 semigroup
+once per distinct integer wave-index norm (a few thousand on a 64^3 grid).
 """
 
 from __future__ import annotations
@@ -24,13 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closure import (
-    FluidParams,
-    closure_from_root,
-    linear_coefficients,
-    nonlinear_coefficients,
-    solve_rho_plus,
-)
+from .closure import FluidParams, closure_state, linear_coefficients, nonlinear_coefficients
 from .spectral import decompose_batch
 
 CHECKPOINT_MAGIC = b"TF2F"
@@ -120,8 +114,7 @@ class Grid:
 
 class _Waves(NamedTuple):
     ks: list          # k_d, broadcastable
-    ik: list          # i k_d, broadcastable
-    khat: list        # k_d / |k| (0 at k = 0), spectral shape
+    khat: np.ndarray  # k_d / |k| (0 at k = 0), shape (dim,) + spectral shape
     k2: np.ndarray    # |k|^2, spectral shape
     mask: np.ndarray  # 2/3-rule mask as 0.0 / 1.0, spectral shape
     l2w: np.ndarray   # Parseval weights of the rfft layout
@@ -136,10 +129,10 @@ def _waves(grid: Grid) -> _Waves:
     l2w = np.full(grid.spectral_shape, 2.0)
     l2w[..., 0] = 1.0
     l2w[..., grid.n // 2] = 1.0
-    waves = _Waves(ks=ks, ik=[1j * k for k in ks], khat=[k * inv for k in ks],
+    waves = _Waves(ks=ks, khat=np.stack([k * inv for k in ks]),
                    k2=sum(k**2 for k in ks), mask=grid.dealias_mask().astype(float),
                    l2w=l2w * grid.volume / float(np.prod(grid.shape)) ** 2)
-    _freeze(*waves.ks, *waves.ik, *waves.khat, waves.k2, waves.mask, waves.l2w)
+    _freeze(*waves.ks, waves.khat, waves.k2, waves.mask, waves.l2w)
     return waves
 
 
@@ -161,37 +154,39 @@ def _irfft(spec, shape):
     return scipy.fft.irfftn(spec, s=shape)
 
 
-def _field(key, doc):
-    return property(lambda self: self._physical()[key], doc=doc)
-
-
-def _per_field(fn, fields: dict) -> dict:
-    """``fn`` applied to each density and to each velocity component."""
-    return {key: fn(arr) if key[0] == "n" else np.stack([fn(c) for c in arr])
-            for key, arr in fields.items()}
+def _irfft_rows(spectra, count: int, shape):
+    """Stack of the inverse transforms of ``count`` spectra, one at a time."""
+    out = np.empty((count,) + shape)
+    for row, spec in zip(out, spectra):
+        row[...] = _irfft(spec, shape)
+    return out
 
 
 class FieldState:
-    """Perturbation fields on a grid, held as their rfft spectra.
+    """Perturbation fields on a grid, held as one stack of rfft spectra.
+
+    ``spectra`` has shape ``(2 + 2 dim,) + spectral_shape``, rows n+, n-, u+
+    (dim rows) and u- (dim rows); ``physical`` is its twin in physical space.
+    The class owns that row order: :meth:`stack` and :meth:`split` build and
+    cut arrays in it, and the field properties are views of ``physical``.
 
     A state never changes: every array it holds is read-only and ``time``
-    is fixed at construction.  The constructor takes physical arrays; it
-    copies them and transforms them once.  The solver builds states with
-    ``from_spectra``: they produce their physical arrays once, on first
-    access.  ``rho_plus`` is the closure root of the nonlinear stage that
-    produced the state, from which the next step warm-starts, or None.
+    is fixed at construction.  The constructor copies physical arrays and
+    transforms them once; states from ``from_spectra`` make their physical
+    twin once, on first read.  ``rho_plus`` is the closure root of the
+    nonlinear stage that produced the state (the next step warm-starts from
+    it), or None.
     """
 
     def __init__(self, grid: Grid, n_plus, n_minus, u_plus, u_minus, time: float = 0.0):
-        phys = {"n+": n_plus, "n-": n_minus, "u+": u_plus, "u-": u_minus}
-        phys = {key: np.array(arr, dtype=float) for key, arr in phys.items()}
-        _freeze(*phys.values())
-        self._hold(grid, _per_field(_rfft, phys), time)
-        self._phys = phys
+        physical = self.stack(n_plus, n_minus, u_plus, u_minus).astype(float, copy=False)
+        self._hold(grid, np.stack([_rfft(f) for f in physical]), time)
+        _freeze(physical)
+        self.physical = physical
 
     @classmethod
-    def from_spectra(cls, grid: Grid, spectra: dict, time: float):
-        """State held by its spectra ``{"n+", "n-", "u+", "u-"}`` (rfft layout)."""
+    def from_spectra(cls, grid: Grid, spectra: np.ndarray, time: float):
+        """State held by its stacked spectra (rfft layout, rows as in ``split``)."""
         state = cls.__new__(cls)
         state._hold(grid, spectra, time)
         return state
@@ -200,25 +195,36 @@ class FieldState:
         self.grid = grid
         self.time = time
         self.rho_plus = None
-        self._phys = None
-        self._spec = dict(spectra)
-        _freeze(*self._spec.values())
+        _freeze(spectra)
+        self.spectra = spectra
 
-    n_plus = _field("n+", "Fraction-density perturbation of the + phase.")
-    n_minus = _field("n-", "Fraction-density perturbation of the - phase.")
-    u_plus = _field("u+", "Velocity of the + phase, shape (dim,) + grid shape.")
-    u_minus = _field("u-", "Velocity of the - phase, shape (dim,) + grid shape.")
+    @staticmethod
+    def stack(n_plus, n_minus, u_plus, u_minus):
+        """A new array holding the four blocks in the state's row order."""
+        return np.concatenate([np.asarray(n_plus)[None], np.asarray(n_minus)[None],
+                               u_plus, u_minus])
 
-    def _physical(self):
-        if self._phys is None:
-            shape = self.grid.shape
-            self._phys = _per_field(lambda c: _irfft(c, shape), self._spec)
-            _freeze(*self._phys.values())
-        return self._phys
+    @staticmethod
+    def split(stack):
+        """Views ``(n+, n-, u+, u-)`` of an array stacked in the state's row order."""
+        dim = (len(stack) - 2) // 2
+        return stack[0], stack[1], stack[2:2 + dim], stack[2 + dim:]
 
-    def spectra(self):
-        """Spectrum of every field (rfft layout, Hermitian by reality), read-only."""
-        return dict(self._spec)
+    @functools.cached_property
+    def physical(self):
+        """The fields in physical space, stacked like ``spectra``; read-only."""
+        physical = _irfft_rows(self.spectra, len(self.spectra), self.grid.shape)
+        _freeze(physical)
+        return physical
+
+    n_plus = property(lambda self: self.split(self.physical)[0],
+                      doc="Fraction-density perturbation of the + phase.")
+    n_minus = property(lambda self: self.split(self.physical)[1],
+                       doc="Fraction-density perturbation of the - phase.")
+    u_plus = property(lambda self: self.split(self.physical)[2],
+                      doc="Velocity of the + phase, shape (dim,) + grid shape.")
+    u_minus = property(lambda self: self.split(self.physical)[3],
+                       doc="Velocity of the - phase, shape (dim,) + grid shape.")
 
     def check_positivity(self, params: FluidParams):
         """Reject ``n± <= -rbar±``: the fraction densities must stay positive."""
@@ -269,10 +275,8 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
     supplies the background (default :class:`FluidParams`).
     """
     shape = grid.shape
-    n_p = np.zeros(shape)
-    n_m = np.zeros(shape)
-    u_p = np.zeros((grid.dim,) + shape)
-    u_m = np.zeros((grid.dim,) + shape)
+    physical = np.zeros((2 + 2 * grid.dim,) + shape)
+    n_p, n_m, u_p, u_m = FieldState.split(physical)
     if spec.kind == "zero" or spec.amplitude == 0.0:
         pass
     elif spec.kind == "mode":
@@ -312,9 +316,7 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
         raise ValueError(f"unknown init kind {spec.kind!r}")
     # keep every field inside the 2/3 band so products never alias back
     mask = _waves(grid).mask
-    fields = _per_field(lambda f: _irfft(mask * _rfft(f), shape),
-                        {"n+": n_p, "n-": n_m, "u+": u_p, "u-": u_m})
-    state = FieldState(grid, *fields.values(), time=0.0)
+    state = FieldState.from_spectra(grid, np.stack([mask * _rfft(f) for f in physical]), 0.0)
     state.check_positivity(params if params is not None else FluidParams())
     return state
 
@@ -331,9 +333,8 @@ def hodge_split_grid(u_spec: np.ndarray, grid: Grid):
     is divergence free.
     """
     khat = _waves(grid).khat
-    phi = -1j * sum(kh * u_spec[d] for d, kh in enumerate(khat))
-    remainder = np.stack([u_spec[d] - 1j * kh * phi for d, kh in enumerate(khat)])
-    return phi, remainder
+    phi = -1j * sum(kh * c for kh, c in zip(khat, u_spec))
+    return phi, u_spec - 1j * khat * phi
 
 
 # ---------------------------------------------------------------------------
@@ -376,91 +377,70 @@ def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) ->
     grid = state.grid
     S, heat_p, heat_m = _linear_propagator(grid, params, dt)
     khat = _waves(grid).khat
-    sp = state.spectra()
-    phi_p, rem_p = hodge_split_grid(sp["u+"], grid)
-    phi_m, rem_m = hodge_split_grid(sp["u-"], grid)
-    V = (sp["n+"], phi_p, sp["n-"], phi_m)
+    n_p, n_m, u_p, u_m = FieldState.split(state.spectra)
+    phi_p, rem_p = hodge_split_grid(u_p, grid)
+    phi_m, rem_m = hodge_split_grid(u_m, grid)
+    V = (n_p, phi_p, n_m, phi_m)
     new = [sum(S[i, j] * V[j] for j in range(4)) for i in range(4)]
-    return FieldState.from_spectra(grid, {
-        "n+": new[0],
-        "n-": new[2],
-        "u+": np.stack([1j * kh * new[1] for kh in khat]) + heat_p * rem_p,
-        "u-": np.stack([1j * kh * new[3] for kh in khat]) + heat_m * rem_m,
-    }, state.time + dt)
+    return FieldState.from_spectra(grid, FieldState.stack(
+        new[0], new[2], 1j * khat * new[1] + heat_p * rem_p,
+        1j * khat * new[3] + heat_m * rem_m), state.time + dt)
 
 
 # ---------------------------------------------------------------------------
 # nonlinear tendencies
 
 
-def _viscous(u_hat, mu: float, lam: float, grid: Grid):
-    """``mu Δu + (mu+lam) ∇div u`` in physical space, one transform per component."""
-    w = _waves(grid)
-    k_dot_u = sum(k * c for k, c in zip(w.ks, u_hat))
-    return [_irfft(-(mu * w.k2 * u_hat[i] + (mu + lam) * w.ks[i] * k_dot_u), grid.shape)
-            for i in range(grid.dim)]
-
-
 def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
-    """Tendencies (F1, F2, F3, F4) of the reformulated system, dealiased.
+    """Tendencies of the reformulated system, dealiased, in the state's rows.
 
     Derivatives are spectral, products pointwise; every assembled tendency
-    passes once through the 2/3 mask.  Returns ``(F1, F2, F3, F4, rho_plus)``
-    with the tendencies as masked rfft spectra.  The pointwise closure is
-    solved once; ``rho_guess`` warm-starts it and ``rho_plus`` is its root
-    at this state.
+    passes once through the 2/3 mask.  Returns ``(F, rho_plus)``: ``F`` is
+    stacked like ``state.spectra`` and holds the masked rfft spectra of the
+    tendencies of n+, n-, u+ and u-.  The pointwise closure is solved once;
+    ``rho_guess`` warm-starts it and ``rho_plus`` is its root at this state.
     """
     grid = state.grid
-    shape = grid.shape
-    dim = grid.dim
+    shape, dim = grid.shape, grid.dim
     w = _waves(grid)
-    sp = state.spectra()
-    n_p, n_m, u_p, u_m = state.n_plus, state.n_minus, state.u_plus, state.u_minus
+    spec = state.spectra
+    n_p, n_m, u_p, u_m = FieldState.split(state.physical)
+    # grad[r, j] is d_j of row r, built one transform at a time so that no
+    # (rows x dim) stack of complex derivatives is ever held
+    grad = _irfft_rows((1j * kd * row for row in spec for kd in w.ks), len(spec) * dim, shape)
+    dn_p, dn_m, Du_p, Du_m = FieldState.split(grad.reshape((len(spec), dim) + shape))
 
-    dn_p = [_irfft(ik * sp["n+"], shape) for ik in w.ik]
-    dn_m = [_irfft(ik * sp["n-"], shape) for ik in w.ik]
-    du_p = [[_irfft(ik * sp["u+"][i], shape) for ik in w.ik] for i in range(dim)]
-    du_m = [[_irfft(ik * sp["u-"][i], shape) for ik in w.ik] for i in range(dim)]
-    visc_p = _viscous(sp["u+"], params.mu_plus, params.lambda_plus, grid)
-    visc_m = _viscous(sp["u-"], params.mu_minus, params.lambda_minus, grid)
+    closure = closure_state(n_p + params.rbar_plus, n_m + params.rbar_minus, params,
+                            x0=rho_guess)
+    nc, rho_plus = nonlinear_coefficients(closure, params), closure.rho_plus
+    del closure  # the rest of the closure is dead: free it before the assembly
+    F = np.empty_like(spec)
+    Fn_p, Fn_m, Fu_p, Fu_m = FieldState.split(F)
 
-    Rp = n_p + params.rbar_plus
-    Rm = n_m + params.rbar_minus
-    rho_p = solve_rho_plus(Rp, Rm, params, x0=rho_guess)
-    nc = nonlinear_coefficients(n_p, n_m, params,
-                                state=closure_from_root(Rp, Rm, rho_p, params))
+    def phase(n, u, Du, u_hat, g_p, g_m, h, k, l, mu, lam, Fn, Fu):
+        # continuity: F = -div(n u)
+        Fn[...] = -w.mask * sum(1j * kd * _rfft(n * u[d]) for d, kd in enumerate(w.ks))
+        # viscous term mu Lap u + (mu + lam) grad div u
+        k_dot_u = sum(kd * c for kd, c in zip(w.ks, u_hat))
+        visc = _irfft_rows((-(mu * w.k2 * c + (mu + lam) * kd * k_dot_u)
+                            for kd, c in zip(w.ks, u_hat)), dim, shape)
+        # momentum, with Du[i, j] = d_j u_i; a = h dn+ + k dn- feeds both the
+        # shear cross term and the bulk term
+        a = h * dn_p + k * dn_m
+        f = l * visc
+        f -= g_p * dn_p + g_m * dn_m
+        f += lam * np.einsum("ii...->...", Du) * a
+        f += np.einsum("j...,ij...->i...", mu * a - u, Du)
+        f += mu * np.einsum("j...,ji...->i...", a, Du)
+        for Fi, fi in zip(Fu, f):
+            Fi[...] = w.mask * _rfft(fi)
 
-    # continuity: F = -div(n u)
-    F1 = -w.mask * sum(ik * _rfft(n_p * u_p[d]) for d, ik in enumerate(w.ik))
-    F3 = -w.mask * sum(ik * _rfft(n_m * u_m[d]) for d, ik in enumerate(w.ik))
-
-    def momentum(u, du, g_own, g_other, dn_own, dn_other, h, k, l, mu, lam, visc):
-        # a = h dn+ + k dn- feeds both the shear cross term and the bulk term
-        a = [h * dn_p[j] + k * dn_m[j] for j in range(dim)]
-        lam_div = lam * sum(du[d][d] for d in range(dim))
-        out = []
-        for i in range(dim):
-            f = l * visc[i]
-            f -= g_own * dn_own[i]
-            f -= g_other * dn_other[i]
-            f += lam_div * a[i]
-            for j in range(dim):
-                f -= u[j] * du[i][j]
-                f += mu * a[j] * (du[i][j] + du[j][i])
-            out.append(w.mask * _rfft(f))
-        return np.stack(out)
-
-    F2 = momentum(u_p, du_p, nc.g_plus, nc.gbar_plus, dn_p, dn_m, nc.h_plus, nc.k_plus,
-                  nc.l_plus, params.mu_plus, params.lambda_plus, visc_p)
-    F4 = momentum(u_m, du_m, nc.g_minus, nc.gbar_minus, dn_m, dn_p, nc.h_minus, nc.k_minus,
-                  nc.l_minus, params.mu_minus, params.lambda_minus, visc_m)
-    return F1, F2, F3, F4, rho_p
-
-
-def _advance(base: dict, h: float, *tendencies):
-    """Spectra ``base + h * sum(tendencies)``; tendencies are (F1, F2, F3, F4)."""
-    return {key: base[key] + h * sum(t[i] for t in tendencies)
-            for i, key in enumerate(("n+", "u+", "n-", "u-"))}
+    u_hat_p, u_hat_m = FieldState.split(spec)[2:]
+    phase(n_p, u_p, Du_p, u_hat_p, nc.g_plus, nc.gbar_plus, nc.h_plus, nc.k_plus,
+          nc.l_plus, params.mu_plus, params.lambda_plus, Fn_p, Fu_p)
+    phase(n_m, u_m, Du_m, u_hat_m, nc.gbar_minus, nc.g_minus, nc.h_minus, nc.k_minus,
+          nc.l_minus, params.mu_minus, params.lambda_minus, Fn_m, Fu_m)
+    return F, rho_plus
 
 
 def step(state: FieldState, dt: float, params: FluidParams,
@@ -477,16 +457,14 @@ def step(state: FieldState, dt: float, params: FluidParams,
         raise ValueError(f"dt={dt:g} violates the advective bound "
                          f"{c_cfl * grid.dx / umax:g}")
     s = linear_propagator_step(state, 0.5 * dt, params)
-    base = s.spectra()
-    F = nonlinear_rhs(s, params, rho_guess=state.rho_plus)
-    mid = FieldState.from_spectra(grid, _advance(base, dt, F), s.time)
-    G = nonlinear_rhs(mid, params, rho_guess=F[4])
-    s = FieldState.from_spectra(grid, _advance(base, 0.5 * dt, F, G), s.time)
+    F, rho = nonlinear_rhs(s, params, rho_guess=state.rho_plus)
+    mid = FieldState.from_spectra(grid, s.spectra + dt * F, s.time)
+    G, rho = nonlinear_rhs(mid, params, rho_guess=rho)
+    s = FieldState.from_spectra(grid, s.spectra + 0.5 * dt * (F + G), s.time)
     s = linear_propagator_step(s, 0.5 * dt, params)
-    s.rho_plus = G[4]
-    bad = not (np.isfinite(s.n_plus).all() and np.isfinite(s.n_minus).all()
-               and np.isfinite(s.u_plus).all() and np.isfinite(s.u_minus).all())
-    if (bad or np.abs(s.n_plus).max() > 0.5 * params.rbar_plus
+    s.rho_plus = rho
+    if (not np.isfinite(s.physical).all()
+            or np.abs(s.n_plus).max() > 0.5 * params.rbar_plus
             or np.abs(s.n_minus).max() > 0.5 * params.rbar_minus):
         raise BlowUpError(f"solution left the small-data regime at t={s.time:g}", state=s)
     return s
@@ -497,7 +475,10 @@ def step(state: FieldState, dt: float, params: FluidParams,
 
 
 def gradient_l2sq(grid: Grid, spec, order: int = 1):
-    """Box integral of ``|grad^order f|^2`` from the rfft spectrum (Parseval)."""
+    """Box integral of ``|grad^order f|^2`` from the rfft spectrum (Parseval).
+
+    ``spec`` may be a stack of spectra (a vector field): the integrals add.
+    """
     w = _waves(grid)
     return float(np.sum(w.l2w * w.k2**order * np.abs(spec) ** 2))
 
@@ -506,22 +487,22 @@ def energy_report(state: FieldState, params: FluidParams) -> EnergyReport:
     """Natural energy, dissipation and phase masses, evaluated spectrally."""
     grid = state.grid
     co = linear_coefficients(params)
-    sp = state.spectra()
+    n_p, n_m, u_p, u_m = FieldState.split(state.spectra)
     ks = _waves(grid).ks
-    combo = co.beta_plus * sp["n+"] + co.beta_minus * sp["n-"]
+    combo = co.beta_plus * n_p + co.beta_minus * n_m
     e0 = 0.5 * (
         gradient_l2sq(grid, combo, 0)
-        + co.sigma_plus / co.beta2 * gradient_l2sq(grid, sp["n+"])
-        + co.sigma_minus / co.beta3 * gradient_l2sq(grid, sp["n-"])
-        + sum(gradient_l2sq(grid, sp["u+"][d], 0) for d in range(grid.dim)) / co.beta2
-        + sum(gradient_l2sq(grid, sp["u-"][d], 0) for d in range(grid.dim)) / co.beta3
+        + co.sigma_plus / co.beta2 * gradient_l2sq(grid, n_p)
+        + co.sigma_minus / co.beta3 * gradient_l2sq(grid, n_m)
+        + gradient_l2sq(grid, u_p, 0) / co.beta2
+        + gradient_l2sq(grid, u_m, 0) / co.beta3
     )
-    div_p = sum(1j * ks[d] * sp["u+"][d] for d in range(grid.dim))
-    div_m = sum(1j * ks[d] * sp["u-"][d] for d in range(grid.dim))
+    div_p = sum(1j * k * c for k, c in zip(ks, u_p))
+    div_m = sum(1j * k * c for k, c in zip(ks, u_m))
     d0 = (
-        (co.nu1_plus * sum(gradient_l2sq(grid, sp["u+"][d]) for d in range(grid.dim))
-         + co.nu2_plus * gradient_l2sq(grid, div_p, 0)) / co.beta2
-        + (co.nu1_minus * sum(gradient_l2sq(grid, sp["u-"][d]) for d in range(grid.dim))
+        (co.nu1_plus * gradient_l2sq(grid, u_p) + co.nu2_plus * gradient_l2sq(grid, div_p, 0))
+        / co.beta2
+        + (co.nu1_minus * gradient_l2sq(grid, u_m)
            + co.nu2_minus * gradient_l2sq(grid, div_m, 0)) / co.beta3
     )
     return EnergyReport(
@@ -563,13 +544,13 @@ def weighted_sup_functionals(times, norms: dict, ell: int = 3):
 
 
 def write_checkpoint(state: FieldState, params: FluidParams, path):
+    """Header, then the stacked physical fields as '<f8', rows n+, n-, u+, u-."""
     grid = state.grid
     with open(path, "wb") as fh:
         fh.write(_CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, grid.dim,
                                          grid.n, grid.length, params_digest(params),
                                          state.time))
-        for arr in (state.n_plus, state.n_minus, *state.u_plus, *state.u_minus):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(state.physical, dtype="<f8").data)
 
 
 def read_checkpoint(path, params: FluidParams | None = None) -> FieldState:
@@ -594,5 +575,4 @@ def read_checkpoint(path, params: FluidParams | None = None) -> FieldState:
         raise ValueError(f"checkpoint size mismatch: expected {expected} bytes for a "
                          f"{dim}D n={n} state, got {len(buf)}")
     fields = np.frombuffer(buf, dtype="<f8", offset=head).reshape((nfields,) + grid.shape)
-    return FieldState(grid, fields[0], fields[1], fields[2:2 + dim], fields[2 + dim:],
-                      time=time)
+    return FieldState(grid, *FieldState.split(fields), time=time)

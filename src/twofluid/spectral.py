@@ -129,11 +129,14 @@ def _polish_roots(lam, c3, c2, c1, c0, steps: int = 2):
 def batch_eigenvalues(xis, coeffs: LinearCoefficients):
     """Eigenvalues of the Green matrix for an array of frequencies."""
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    return _eigenvalues(batch_green(xis, coeffs), batch_char_coeffs(xis, coeffs))
+
+
+def _eigenvalues(A, char):
+    """Eigenvalues of the Green matrices ``A``, polished on their quartics ``char``."""
     # the real eigensolve returns complex roots as exact conjugate pairs, and
     # the polish keeps them exact (its arithmetic is conjugation-symmetric)
-    lam = np.linalg.eigvals(batch_green(xis, coeffs)).astype(complex)
-    c3, c2, c1, c0 = batch_char_coeffs(xis, coeffs)
-    return _polish_roots(lam, c3, c2, c1, c0)
+    return _polish_roots(np.linalg.eigvals(A).astype(complex), *char)
 
 
 def _order_roots_distinct(lam):
@@ -208,8 +211,9 @@ def decompose_batch(xis, coeffs: LinearCoefficients, eps_conf: float = EPS_CONFL
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     n = xis.shape[0]
     A = batch_green(xis, coeffs)
-    c3, c2, c1, c0 = batch_char_coeffs(xis, coeffs)
-    lam = batch_eigenvalues(xis, coeffs)
+    char = batch_char_coeffs(xis, coeffs)
+    c3, c2, c1, c0 = char
+    lam = _eigenvalues(A, char)
     scale = np.abs(lam).max(axis=1)
 
     d = np.stack([np.abs(lam[:, i] - lam[:, j]) for i, j in _PAIRS], axis=1)

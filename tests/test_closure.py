@@ -171,7 +171,7 @@ def test_params_validation():
 
 
 def test_nonlinear_coefficients_vanish_at_equilibrium():
-    nc = nonlinear_coefficients(0.0, 0.0, SYM)
+    nc = nonlinear_coefficients(closure_state(1.0, 1.0, SYM), SYM)
     assert nc.g_plus == 0.0
     assert nc.g_minus == 0.0
     assert nc.gbar_plus == 0.0
@@ -181,7 +181,7 @@ def test_nonlinear_coefficients_vanish_at_equilibrium():
 
 
 def test_nonlinear_coefficients_symmetric_values():
-    nc = nonlinear_coefficients(0.0, 0.0, SYM)
+    nc = nonlinear_coefficients(closure_state(1.0, 1.0, SYM), SYM)
     assert nc.h_plus == pytest.approx(0.25, abs=1e-13)   # C^2 alpha- / s-^2
     assert nc.h_minus == pytest.approx(-0.25, abs=1e-13)
     assert nc.k_plus == pytest.approx(-0.25, abs=1e-13)
@@ -190,8 +190,8 @@ def test_nonlinear_coefficients_symmetric_values():
 
 def test_nonlinear_coefficients_consistency_with_direct_closure():
     np_, nm_ = 0.05, -0.03
-    nc = nonlinear_coefficients(np_, nm_, SYM)
     st = closure_state(1.0 + np_, 1.0 + nm_, SYM)
+    nc = nonlinear_coefficients(st, SYM)
     eq = closure_state(1.0, 1.0, SYM)
     g_p = st.c2 * st.rho_minus / st.rho_plus - eq.c2 * eq.rho_minus / eq.rho_plus
     assert nc.g_plus == pytest.approx(g_p, abs=1e-8)
@@ -235,19 +235,3 @@ def test_density_perturbation_ratio_is_sound_speed_ratio():
     dp, dm = linearized_density_perturbation(0.01, 0.004, params)
     eq = equilibrium_state(params)
     assert dp / dm == pytest.approx(eq.s2_minus / eq.s2_plus, rel=1e-12)
-
-
-def test_closure_from_root_matches_closure_state():
-    from twofluid.closure import closure_from_root
-
-    params = FluidParams(gamma_plus=1.6, gamma_minus=2.4, rbar_plus=1.3, rbar_minus=0.6)
-    rng = np.random.default_rng(4)
-    Rp = params.rbar_plus + 0.1 * rng.normal(size=500)
-    Rm = params.rbar_minus + 0.05 * rng.normal(size=500)
-    ref = closure_state(Rp, Rm, params)
-    got = closure_from_root(Rp, Rm, solve_rho_plus(Rp, Rm, params, x0=ref.rho_plus), params)
-    for name in ref.__dataclass_fields__:
-        a, b = getattr(ref, name), getattr(got, name)
-        assert np.abs(a - b).max() <= 1e-14 * np.abs(a).max(), name
-    scalar = closure_from_root(1.0, 1.0, solve_rho_plus(1.0, 1.0, SYM), SYM)
-    assert scalar == closure_state(1.0, 1.0, SYM)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from twofluid.closure import FluidParams, closure_state, linear_coefficients
+from twofluid.closure import (
+    FluidParams,
+    closure_state,
+    linear_coefficients,
+    nonlinear_coefficients,
+)
 from twofluid.solver import (
     BlowUpError,
     FieldState,
@@ -23,10 +28,10 @@ SYM = FluidParams()
 
 
 def physical_rhs(state, params, **kwargs):
-    """``nonlinear_rhs`` with the tendencies transformed to physical space."""
-    *F, rho = nonlinear_rhs(state, params, **kwargs)
-    shape = state.grid.shape
-    return (*(np.fft.irfftn(f, s=shape, axes=range(-state.grid.dim, 0)) for f in F), rho)
+    """``nonlinear_rhs`` in physical space: the tendencies of n+, n-, u+, u- and the root."""
+    F, rho = nonlinear_rhs(state, params, **kwargs)
+    F = np.fft.irfftn(F, s=state.grid.shape, axes=range(-state.grid.dim, 0))
+    return (*FieldState.split(F), rho)
 
 
 def test_grid_validation():
@@ -96,14 +101,14 @@ def test_hodge_split_divergence_free_remainder():
 def test_nonlinear_rhs_zero_and_constant():
     grid = Grid(dim=1, n=64, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="zero"))
-    F1, F2, F3, F4, _ = physical_rhs(st, SYM)
+    F1, F3, F2, F4, _ = physical_rhs(st, SYM)
     for F in (F1, F2, F3, F4):
         assert np.abs(F).max() == 0.0
     # constant n+ perturbation, everything else zero: every term carries a
     # derivative of the constant or a factor of u
     st = FieldState(grid, np.full(grid.shape, 0.05), np.zeros(grid.shape),
                     np.zeros((1,) + grid.shape), np.zeros((1,) + grid.shape))
-    F1, F2, F3, F4, _ = physical_rhs(st, SYM)
+    F1, F3, F2, F4, _ = physical_rhs(st, SYM)
     assert np.abs(F1).max() <= 1e-15
     assert np.abs(F2).max() <= 1e-15
     assert np.abs(F3).max() <= 1e-15
@@ -120,62 +125,64 @@ def fd_derivative(f, axis, dx):
     return out / dx
 
 
-def test_nonlinear_rhs_matches_finite_differences():
+@pytest.mark.parametrize("dim, n", [(2, 128), (3, 32)], ids=["2d", "3d"])
+def test_nonlinear_rhs_matches_finite_differences(dim, n):
     params = FluidParams(mu_plus=0.8, mu_minus=1.3, lambda_plus=0.4, lambda_minus=0.1,
                          sigma_plus=0.9, sigma_minus=1.2, gamma_plus=1.6, gamma_minus=2.2)
-    grid = Grid(dim=2, n=128, length=2 * np.pi)
-    x = grid.axes()
-    X, Y = np.meshgrid(*x, indexing="ij")
+    grid = Grid(dim=dim, n=n, length=2 * np.pi)
     a = 0.01
-    st = FieldState(
-        grid,
-        a * np.cos(2 * X + Y),
-        a * np.sin(X - Y),
-        np.stack([a * np.sin(X + 2 * Y), a * np.cos(X)]),
-        np.stack([a * np.cos(Y), a * np.sin(2 * X)]),
-    )
-    F1, F2, F3, F4, _ = physical_rhs(st, params)
+    if dim == 2:
+        X, Y = np.meshgrid(*grid.axes(), indexing="ij")
+        fields = (a * np.cos(2 * X + Y), a * np.sin(X - Y),
+                  np.stack([a * np.sin(X + 2 * Y), a * np.cos(X)]),
+                  np.stack([a * np.cos(Y), a * np.sin(2 * X)]))
+    else:
+        # unit wave indices on every axis keep the products resolved at n = 32
+        X, Y, Z = np.meshgrid(*grid.axes(), indexing="ij")
+        fields = (a * np.cos(X + Y - Z), a * np.sin(X - Y + Z),
+                  np.stack([a * np.sin(Y + Z), a * np.cos(X - Z), a * np.sin(X + Y)]),
+                  np.stack([a * np.cos(Y - Z), a * np.sin(X + Z), a * np.cos(X - Y)]))
+    st = FieldState(grid, *fields)
+    F1, F3, F2, F4, _ = physical_rhs(st, params)
 
     dx = grid.dx
-    from twofluid.closure import nonlinear_coefficients
+    nc = nonlinear_coefficients(closure_state(st.n_plus + params.rbar_plus,
+                                              st.n_minus + params.rbar_minus, params), params)
+    dims = range(dim)
+    dn_p = [fd_derivative(st.n_plus, d, dx) for d in dims]
+    dn_m = [fd_derivative(st.n_minus, d, dx) for d in dims]
+    du_p = [[fd_derivative(st.u_plus[i], j, dx) for j in dims] for i in dims]
+    du_m = [[fd_derivative(st.u_minus[i], j, dx) for j in dims] for i in dims]
+    div_p = sum(du_p[d][d] for d in dims)
+    div_m = sum(du_m[d][d] for d in dims)
+    lap_u_p = [sum(fd_derivative(fd_derivative(st.u_plus[i], j, dx), j, dx) for j in dims)
+               for i in dims]
+    lap_u_m = [sum(fd_derivative(fd_derivative(st.u_minus[i], j, dx), j, dx) for j in dims)
+               for i in dims]
+    grad_div_p = [fd_derivative(div_p, i, dx) for i in dims]
+    grad_div_m = [fd_derivative(div_m, i, dx) for i in dims]
 
-    nc = nonlinear_coefficients(st.n_plus, st.n_minus, params)
-    dn_p = [fd_derivative(st.n_plus, d, dx) for d in range(2)]
-    dn_m = [fd_derivative(st.n_minus, d, dx) for d in range(2)]
-    du_p = [[fd_derivative(st.u_plus[i], j, dx) for j in range(2)] for i in range(2)]
-    du_m = [[fd_derivative(st.u_minus[i], j, dx) for j in range(2)] for i in range(2)]
-    div_p = du_p[0][0] + du_p[1][1]
-    div_m = du_m[0][0] + du_m[1][1]
-    lap_u_p = [sum(fd_derivative(fd_derivative(st.u_plus[i], j, dx), j, dx) for j in range(2))
-               for i in range(2)]
-    lap_u_m = [sum(fd_derivative(fd_derivative(st.u_minus[i], j, dx), j, dx) for j in range(2))
-               for i in range(2)]
-    grad_div_p = [fd_derivative(div_p, i, dx) for i in range(2)]
-    grad_div_m = [fd_derivative(div_m, i, dx) for i in range(2)]
-
-    ref1 = -(fd_derivative(st.n_plus * st.u_plus[0], 0, dx)
-             + fd_derivative(st.n_plus * st.u_plus[1], 1, dx))
-    ref3 = -(fd_derivative(st.n_minus * st.u_minus[0], 0, dx)
-             + fd_derivative(st.n_minus * st.u_minus[1], 1, dx))
+    ref1 = -sum(fd_derivative(st.n_plus * st.u_plus[d], d, dx) for d in dims)
+    ref3 = -sum(fd_derivative(st.n_minus * st.u_minus[d], d, dx) for d in dims)
     scale = max(np.abs(F1).max(), np.abs(F2).max(), np.abs(F4).max())
     assert np.abs(F1 - ref1).max() <= 1e-6 * scale
     assert np.abs(F3 - ref3).max() <= 1e-6 * scale
 
     mu_p, la_p = params.mu_plus, params.lambda_plus
     mu_m, la_m = params.mu_minus, params.lambda_minus
-    for i in range(2):
-        conv = st.u_plus[0] * du_p[i][0] + st.u_plus[1] * du_p[i][1]
+    for i in dims:
+        conv = sum(st.u_plus[j] * du_p[i][j] for j in dims)
         cross = sum(nc.h_plus * dn_p[j] * (du_p[i][j] + du_p[j][i])
-                    + nc.k_plus * dn_m[j] * (du_p[i][j] + du_p[j][i]) for j in range(2))
+                    + nc.k_plus * dn_m[j] * (du_p[i][j] + du_p[j][i]) for j in dims)
         ref = (-nc.g_plus * dn_p[i] - nc.gbar_plus * dn_m[i] - conv
                + mu_p * cross
                + la_p * (nc.h_plus * dn_p[i] + nc.k_plus * dn_m[i]) * div_p
                + mu_p * nc.l_plus * lap_u_p[i]
                + (mu_p + la_p) * nc.l_plus * grad_div_p[i])
         assert np.abs(F2[i] - ref).max() <= 1e-6 * scale
-        conv = st.u_minus[0] * du_m[i][0] + st.u_minus[1] * du_m[i][1]
+        conv = sum(st.u_minus[j] * du_m[i][j] for j in dims)
         cross = sum(nc.h_minus * dn_p[j] * (du_m[i][j] + du_m[j][i])
-                    + nc.k_minus * dn_m[j] * (du_m[i][j] + du_m[j][i]) for j in range(2))
+                    + nc.k_minus * dn_m[j] * (du_m[i][j] + du_m[j][i]) for j in dims)
         ref = (-nc.g_minus * dn_m[i] - nc.gbar_minus * dn_p[i] - conv
                + mu_m * cross
                + la_m * (nc.h_minus * dn_p[i] + nc.k_minus * dn_m[i]) * div_m
@@ -292,8 +299,8 @@ def test_step_mass_conservation_and_reality():
     assert abs(cur.n_plus.mean() * grid.volume - m0p) <= 1e-8
     assert abs(cur.n_minus.mean() * grid.volume - m0m) <= 1e-8
     assert cur.n_plus.dtype == np.float64  # irfftn output: real by construction
-    spec = cur.spectra()
-    assert np.abs(spec["n+"][0, 0].imag) <= 1e-12
+    n_plus_hat = FieldState.split(cur.spectra)[0]
+    assert np.abs(n_plus_hat[0, 0].imag) <= 1e-12
 
 
 def test_step_cfl_guard():
@@ -453,8 +460,8 @@ def test_closure_cache_speedup_consistency():
     # warm-started rhs must agree with cold evaluation
     grid = Grid(dim=1, n=256, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="random", amplitude=0.05, seed=8))
-    F1a, F2a, _, _, rho = physical_rhs(st, SYM)
-    F1b, F2b, _, _, _ = physical_rhs(st, SYM, rho_guess=rho)
+    F1a, _, F2a, _, rho = physical_rhs(st, SYM)
+    F1b, _, F2b, _, _ = physical_rhs(st, SYM, rho_guess=rho)
     assert np.allclose(F1a, F1b, rtol=1e-12, atol=1e-16)
     assert np.allclose(F2a, F2b, rtol=1e-9, atol=1e-14)
 
@@ -508,11 +515,9 @@ def test_stepped_state_caches_consistent_spectra():
     assert cur.rho_plus is not None and cur.rho_plus.shape == grid.shape
     with pytest.raises(ValueError):
         cur.n_plus[0, 0] = 1.0   # read-only: cannot drift from the cached spectra
-    sp = cur.spectra()
     rebuilt = FieldState(grid, cur.n_plus, cur.n_minus, cur.u_plus, cur.u_minus, cur.time)
-    fresh = rebuilt.spectra()
-    for key in ("n+", "n-", "u+", "u-"):
-        assert np.abs(sp[key] - fresh[key]).max() <= 1e-14 * max(1.0, np.abs(fresh[key]).max())
+    for sp, fresh in zip(FieldState.split(cur.spectra), FieldState.split(rebuilt.spectra)):
+        assert np.abs(sp - fresh).max() <= 1e-14 * max(1.0, np.abs(fresh).max())
     warm = step(cur, 0.01, SYM)
     cold = step(rebuilt, 0.01, SYM)
     assert np.abs(warm.n_plus - cold.n_plus).max() <= 1e-12 * np.abs(cold.n_plus).max()
@@ -544,7 +549,7 @@ def test_states_are_read_only_and_own_their_arrays(tmp_path):
     states = (built, init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=4)),
               read_checkpoint(path, SYM))
     for st in states:
-        fields = (st.n_plus, st.n_minus, st.u_plus, st.u_minus, *st.spectra().values())
+        fields = (st.n_plus, st.n_minus, st.u_plus, st.u_minus, st.physical, st.spectra)
         assert not any(arr.flags.writeable for arr in fields)
     # the caller's arrays stay writable and are not shared with the state
     for given, held in ((n_p, built.n_plus), (n_m, built.n_minus),
@@ -573,3 +578,25 @@ def test_consecutive_steps_warm_start_the_closure(monkeypatch):
     del cold[:]
     step(first, 0.01, SYM)
     assert cold == [False, False]
+
+
+def test_checkpoint_byte_layout(tmp_path):
+    # the header, then n+, n-, the u+ rows and the u- rows as '<f8'
+    from twofluid.solver import (
+        _CHECKPOINT_HEADER,
+        CHECKPOINT_MAGIC,
+        CHECKPOINT_VERSION,
+        params_digest,
+    )
+
+    grid = Grid(dim=2, n=8, length=3.0)
+    rng = np.random.default_rng(5)
+    n_p, n_m = 1e-3 * rng.normal(size=(2,) + grid.shape)
+    u_p, u_m = 1e-3 * rng.normal(size=(2, 2) + grid.shape)
+    path = tmp_path / "state.tfck"
+    write_checkpoint(FieldState(grid, n_p, n_m, u_p, u_m, time=0.25), SYM, path)
+    expected = _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, 2, 8, 3.0,
+                                       params_digest(SYM), 0.25)
+    for field in (n_p, n_m, u_p[0], u_p[1], u_m[0], u_m[1]):
+        expected += field.astype("<f8").tobytes()
+    assert path.read_bytes() == expected
