@@ -47,7 +47,6 @@ from .solver import (
     write_checkpoint,
 )
 from .spectral import (
-    batch_green,
     choose_eta,
     decompose_batch,
     matrix_exp_oracle,
@@ -330,10 +329,9 @@ def _task_analyze_modes(config: RunConfig, out_dir: Path, chash: str, quiet: boo
     residuals = projector_residuals(dec)
 
     # worst relative distance to the oracle per mode over the check times
-    A = batch_green(xis, co)
     sg_res = np.zeros(len(xis))
     for t in m.t_check:
-        E = matrix_exp_oracle(A, t)
+        E = matrix_exp_oracle(dec.green, t)
         scale = np.maximum(np.abs(E).max(axis=(1, 2)), 1e-290)
         sg_res = np.maximum(sg_res, np.abs(dec.semigroup(t) - E).max(axis=(1, 2)) / scale)
 

@@ -267,11 +267,12 @@ class ModeEvolution:
 
     Builds the per-node semigroup decomposition once; every variable and
     derivative order reuses it.  :meth:`norms` projects the data once,
-    ``Q[n, i] = P[n, i] @ U0[n]``, so each sample time costs only the
-    weighted sum ``U(t) = sum_i w_i(t) Q_i``, and the squared moduli of
-    every variable meet the node weights ``4 pi w r^(2k+2)`` of every
-    order in one matrix product.  One time at a time keeps the working set
-    at a few node arrays.
+    ``Q[n, i] = P[n, i] @ U0[n]``, through the adjugate, never building the
+    projector matrices.  Each sample time costs only the real sum ``U(t) =
+    sum_i w_i(t) Q_i`` (one exponential per conjugate pair), and the squared
+    moduli of every variable meet the node weights ``4 pi w r^(2k+2)`` of
+    every order in one matrix product.  One time at a time keeps the
+    working set at a few node arrays.
 
     The quadrature check doubles the panels at the last time and the
     highest order, but only on the panels that hold more than
@@ -320,12 +321,11 @@ class ModeEvolution:
         ks = tuple(ks)
         nodes = self.quad.nodes
         U0 = data.sampled(nodes)
-        Q = np.einsum("nijk,nk->nij", self.decomp.projectors, U0)
+        evolve = self.decomp.evolution(U0)
         W = _node_weights(nodes, self.quad.weights, ks)
         sq = np.empty((len(times), len(variables), len(ks)))
         for it, t in enumerate(times):
-            U = np.einsum("ni,nij->nj", self.decomp.weights(t), Q)
-            a2 = self._squared_moduli(U, U0, nodes, t, variables)
+            a2 = self._squared_moduli(evolve(t), U0, nodes, t, variables)
             sq[it] = a2 @ W
         out = {v: {k: np.sqrt(sq[:, iv, ik]) for ik, k in enumerate(ks)}
                for iv, v in enumerate(variables)}

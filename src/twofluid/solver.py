@@ -272,7 +272,10 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
     """Initial fields, truncated to the 2/3 band.
 
     Raises :class:`BlowUpError` when ``n± <= -rbar±`` anywhere; ``params``
-    supplies the background (default :class:`FluidParams`).
+    supplies the background (default :class:`FluidParams`).  ``kind="random"``
+    draws from ``default_rng(seed)`` one band of complex normals per field in
+    the order n+, n-, then (u+[d], u-[d]) for each axis d, and scales each
+    field to ``max |f| = amplitude``.
     """
     shape = grid.shape
     physical = np.zeros((2 + 2 * grid.dim,) + shape)

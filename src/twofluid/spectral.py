@@ -8,7 +8,9 @@ the quartic), assembles the semigroup ``exp(t A1)`` from spectral projectors
 a dedicated branch covers the near-double diffusive pair, where the
 denominators ``prod_{j != i} (lambda_i - lambda_j)`` degenerate and the
 semigroup picks up a ``t*exp(lambda*t)`` term), and provides the smooth
-cutoff profile used to build band-limited data.
+cutoff profile used to build band-limited data.  The projector matrices are
+built on demand; evolving data projects it through the adjugate instead and,
+for real data, takes one exponential per conjugate pair.
 
 Functions of the frequency take whole arrays of magnitudes; one mode is an
 array of length one.
@@ -17,6 +19,7 @@ array of length one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -173,38 +176,111 @@ def _order_roots_distinct(lam):
     return out, fallback
 
 
+def _weights(lam, nilpotent, t: float):
+    """``exp(lam t)``, times ``t`` where ``nilpotent`` (the confluent t*exp(mu t) term)."""
+    return np.where(nilpotent, t, 1.0) * np.exp(lam * t)
+
+
 @dataclass
 class BatchDecomposition:
-    """Semigroup decompositions for an array of frequency magnitudes.
+    """Semigroup decompositions ``exp(t A1) = sum_i w_i(t) P_i`` per frequency.
 
-    Distinct rows carry the four spectral projectors.  ``confluent`` rows have
-    the diffusive pair collapsed: the fourth term is nilpotent and enters
-    the semigroup weighted by ``t``.  ``fallback`` marks rows where the
-    acoustic/diffusive pair structure was ambiguous and a plain magnitude
-    sort ordered the roots.
+    :attr:`projectors` is built on first read; :meth:`project` and
+    :meth:`evolution` apply them to data without it.  ``special`` rows (xi = 0,
+    confluent) store theirs.  On ``confluent`` rows the fourth term is
+    nilpotent, weighted by ``t``.  ``fallback`` rows were ordered by magnitude.
     """
 
     xis: np.ndarray
     coeffs: LinearCoefficients
     eigenvalues: np.ndarray   # (n, 4); confluent rows hold (l1, l2, mu, mu)
-    projectors: np.ndarray    # (n, 4, 4, 4) complex
     confluent: np.ndarray     # (n,) bool
     fallback: np.ndarray      # (n,) bool
+    green: np.ndarray         # (n, 4, 4) real Green matrices
+    char: tuple               # quartic coefficients (c3, c2, c1, c0), each (n,)
+    special: np.ndarray       # (n,) bool: xi = 0 or confluent
+    special_projectors: np.ndarray  # (special.sum(), 4, 4, 4) complex
+
+    def _adjugate(self):
+        """Distinct rows: their roots, ``(B2, B1, B0)`` and ``prod_{j != i} (l_i - l_j)``.
+
+        At a simple root adj(l_i I - A) = prod_{j != i} (l_i - l_j) P_i, and
+        matching powers of l in adj(l I - A) (l I - A) = p(l) I (p the quartic)
+        gives adj(l I - A) = l^3 I + l^2 B2 + l B1 + B0 with real B2 = A + c3 I,
+        B1 = A B2 + c2 I, B0 = A B1 + c1 I (-B0 A = c0 I is Cayley-Hamilton):
+        two real stacked matmuls, then one Horner pass per root.
+        """
+        d = ~self.special
+        A, ld = self.green[d], self.eigenvalues[d]
+        c3, c2, c1 = (c[d, None, None] for c in self.char[:3])
+        B2 = A + c3 * _I4
+        B1 = A @ B2 + c2 * _I4
+        den = [np.prod([ld[:, i] - ld[:, j] for j in range(4) if j != i], axis=0) for i in range(4)]
+        return ld, (B2, B1, A @ B1 + c1 * _I4), den
+
+    @cached_property
+    def projectors(self):
+        """Spectral projectors, (n, 4, 4, 4) complex, built on first read."""
+        P = np.zeros(self.eigenvalues.shape + (4, 4), dtype=complex)
+        P[self.special] = self.special_projectors
+        ld, (B2, B1, B0), den = self._adjugate()
+        for i, li in enumerate(ld.T[:, :, None, None]):
+            P[~self.special, i] = (((li * _I4 + B2) * li + B1) * li + B0) / den[i][:, None, None]
+        return P
 
     def weights(self, t: float):
-        w = np.exp(self.eigenvalues * t)
-        if self.confluent.any():
-            w[self.confluent, 3] = t * np.exp(self.eigenvalues[self.confluent, 2] * t)
-        return w
+        return _weights(self.eigenvalues, self.confluent[:, None] & (np.arange(4) == 3), t)
 
     def semigroup(self, t: float):
         """``exp(t A1)`` for every mode, shape (n, 4, 4)."""
         return np.einsum("ni,nijk->njk", self.weights(t), self.projectors)
 
+    def project(self, U0):
+        """``Q[n, i] = P_i U0[n]``, shape (n, 4, 4) complex, without the projector array."""
+        U0 = np.asarray(U0)
+        Q = np.zeros(U0.shape[:1] + (4, 4), dtype=complex)
+        Q[self.special] = np.einsum("nijk,nk->nij", self.special_projectors, U0[self.special])
+        ld, Bs, den = self._adjugate()
+        u = U0[~self.special]
+        V2, V1, V0 = (np.einsum("mij,mj->im", B, u) for B in Bs)  # nodes last: long loops
+        for i, li in enumerate(ld.T):
+            Q[~self.special, i] = ((((li * u.T + V2) * li + V1) * li + V0) / den[i]).T
+        return Q
+
+    def evolution(self, U0):
+        """``t -> exp(t A1) U0`` for mode vectors ``U0`` (n, 4), projected once.
+
+        Data evolve in real arithmetic (complex data as two real parts): an
+        exact, non-real conjugate pair of roots (l0, l1) or (l2, l3) folds into
+        ``2 Re(w Q)`` of its first root, one complex exponential per pair.  At
+        xi = 0 all roots are 0 and nothing folds.
+        """
+        if np.iscomplexobj(U0):
+            re, im = self.evolution(np.real(U0)), self.evolution(np.imag(U0))
+            return lambda t: re(t) + 1j * im(t)
+        lam = self.eigenvalues
+        fold = (lam[:, 1::2] == lam[:, ::2].conj()) & (lam[:, ::2].imag != 0)
+        scale = np.stack([1.0 + fold, 1.0 - fold], axis=2).reshape(-1, 4)  # 2, 0 if folded
+        Q = scale[..., None] * self.project(U0)
+        keep = scale != 0
+        dense = keep.all(axis=0)  # one block of the columns every row keeps, one per other
+        extra = np.nonzero(keep.any(axis=0) & ~dense)[0]
+        blocks = [(slice(None), dense)] + [(keep[:, i], np.arange(4) == i) for i in extra]
+        arrays = (lam, self.confluent[:, None] & (np.arange(4) == 3), Q.real, Q.imag)
+        terms = [(rows, *(a[rows][:, cols] for a in arrays)) for rows, cols in blocks]
+
+        def at(t: float):
+            U = np.zeros(np.shape(U0))
+            for rows, l, nil, qr, qi in terms:
+                w = _weights(l, nil, t)
+                U[rows] += np.einsum("ni,nij->nj", w.real, qr) - np.einsum("ni,nij->nj", w.imag, qi)
+            return U
+
+        return at
+
     def apply(self, t: float, U0):
-        """Evolve mode vectors: shape (n, 4) -> (n, 4)."""
-        return np.einsum("ni,nijk,nk->nj", self.weights(t), self.projectors,
-                         np.asarray(U0, dtype=complex))
+        """Evolve mode vectors: shape (n, 4) -> (n, 4), real for real data."""
+        return self.evolution(U0)(t)
 
 
 def decompose_batch(xis, coeffs: LinearCoefficients, eps_conf: float = EPS_CONFLUENT) -> BatchDecomposition:
@@ -212,7 +288,6 @@ def decompose_batch(xis, coeffs: LinearCoefficients, eps_conf: float = EPS_CONFL
     n = xis.shape[0]
     A = batch_green(xis, coeffs)
     char = batch_char_coeffs(xis, coeffs)
-    c3, c2, c1, c0 = char
     lam = _eigenvalues(A, char)
     scale = np.abs(lam).max(axis=1)
 
@@ -222,66 +297,39 @@ def decompose_batch(xis, coeffs: LinearCoefficients, eps_conf: float = EPS_CONFL
     zero = scale == 0.0
     conf = (~zero) & (dmin <= eps_conf * scale)
 
+    special = zero | conf
     lam_o = np.zeros((n, 4), dtype=complex)
-    P = np.zeros((n, 4, 4, 4), dtype=complex)
     fallback = np.zeros(n, dtype=bool)
+    if not special.all():
+        lam_o[~special], fallback[~special] = _order_roots_distinct(lam[~special])
 
-    if zero.any():
-        P[zero, 0] = _I4
+    Ps = np.zeros((special.sum(), 4, 4, 4), dtype=complex)
+    Ps[zero[special], 0] = _I4
+    for s, r in zip(np.nonzero(conf[special])[0], np.nonzero(conf)[0]):
+        l1, l2 = (lam[r, k] for k in range(4) if k not in _PAIRS[imin[r]])
+        if l1.imag < l2.imag:
+            l1, l2 = l2, l1
+        if abs(l1 - l2) <= eps_conf * scale[r]:
+            raise UnsupportedDegeneracyError(
+                f"more than one eigenvalue collision at xi={xis[r]:.6g}")
+        mu = -(char[0][r] + l1 + l2) / 2.0  # pair midpoint via the trace (stable)
+        if min(abs(l1 - mu), abs(l2 - mu)) <= eps_conf * scale[r]:
+            raise UnsupportedDegeneracyError(
+                f"acoustic/diffusive eigenvalue collision at xi={xis[r]:.6g}")
+        Am = A[r]
+        B2 = (mu * _I4 - Am) @ (mu * _I4 - Am)
+        P1 = (l2 * _I4 - Am) @ B2 / ((l2 - l1) * (mu - l1) ** 2)
+        P2 = (l1 * _I4 - Am) @ B2 / ((l1 - l2) * (mu - l2) ** 2)
+        den = (l1 - mu) * (l2 - mu)
+        C12 = (l1 * _I4 - Am) @ (l2 * _I4 - Am)
+        P4 = -C12 @ (mu * _I4 - Am) / den
+        P3 = C12 / den + (l1 + l2 - 2.0 * mu) / den * P4
+        lam_o[r] = (l1, l2, mu, mu)
+        Ps[s] = P1, P2, P3, P4
 
-    dist = (~zero) & (~conf)
-    if dist.any():
-        ld, fb = _order_roots_distinct(lam[dist])
-        lam_o[dist] = ld
-        fallback[dist] = fb
-        # For a simple root, the resolvent expansion
-        #   adj(l I - A) = p(l) (l I - A)^-1 = sum_k p(l) / (l - l_k) P_k,
-        # with p(l) = det(l I - A) = l^4 + c3 l^3 + c2 l^2 + c1 l + c0,
-        # gives adj(l_i I - A) = prod_{j != i} (l_i - l_j) P_i.  The adjugate
-        # is cubic in l: writing adj(l I - A) = l^3 I + l^2 B2 + l B1 + B0 and
-        # matching powers of l in adj(l I - A) (l I - A) = p(l) I yields
-        #   B2 = A + c3 I,  B1 = A B2 + c2 I,  B0 = A B1 + c1 I
-        # (the constant term, -B0 A = c0 I, is Cayley-Hamilton).  The B are
-        # real: two real stacked matmuls, then one Horner pass per root.
-        Ad = A[dist]
-        B2 = Ad + c3[dist, None, None] * _I4
-        B1 = Ad @ B2 + c2[dist, None, None] * _I4
-        B0 = Ad @ B1 + c1[dist, None, None] * _I4
-        for i in range(4):
-            li = ld[:, i, None, None]
-            den = np.prod([ld[:, i] - ld[:, j] for j in range(4) if j != i], axis=0)
-            P[dist, i] = (((li * _I4 + B2) * li + B1) * li + B0) / den[:, None, None]
-
-    if conf.any():
-        rows = np.nonzero(conf)[0]
-        for r in rows:
-            l = lam[r]
-            i3, i4 = _PAIRS[imin[r]]
-            rest = [k for k in range(4) if k not in (i3, i4)]
-            l1, l2 = l[rest[0]], l[rest[1]]
-            if l1.imag < l2.imag:
-                l1, l2 = l2, l1
-            mx = scale[r]
-            if abs(l1 - l2) <= eps_conf * mx:
-                raise UnsupportedDegeneracyError(
-                    f"more than one eigenvalue collision at xi={xis[r]:.6g}")
-            mu = -(c3[r] + l1 + l2) / 2.0  # pair midpoint via the trace (stable)
-            if min(abs(l1 - mu), abs(l2 - mu)) <= eps_conf * mx:
-                raise UnsupportedDegeneracyError(
-                    f"acoustic/diffusive eigenvalue collision at xi={xis[r]:.6g}")
-            Am = A[r]
-            B2 = (mu * _I4 - Am) @ (mu * _I4 - Am)
-            P1 = (l2 * _I4 - Am) @ B2 / ((l2 - l1) * (mu - l1) ** 2)
-            P2 = (l1 * _I4 - Am) @ B2 / ((l1 - l2) * (mu - l2) ** 2)
-            den = (l1 - mu) * (l2 - mu)
-            C12 = (l1 * _I4 - Am) @ (l2 * _I4 - Am)
-            P4 = -C12 @ (mu * _I4 - Am) / den
-            P3 = C12 / den + (l1 + l2 - 2.0 * mu) / den * P4
-            lam_o[r] = (l1, l2, mu, mu)
-            P[r, 0], P[r, 1], P[r, 2], P[r, 3] = P1, P2, P3, P4
-
-    return BatchDecomposition(xis=xis, coeffs=coeffs, eigenvalues=lam_o,
-                              projectors=P, confluent=conf, fallback=fallback)
+    return BatchDecomposition(xis=xis, coeffs=coeffs, eigenvalues=lam_o, confluent=conf,
+                              fallback=fallback, green=A, char=char, special=special,
+                              special_projectors=Ps)
 
 
 def projector_residuals(batch: BatchDecomposition):
@@ -295,7 +343,7 @@ def projector_residuals(batch: BatchDecomposition):
     """
     P = batch.projectors
     lam = batch.eigenvalues
-    A = batch_green(batch.xis, batch.coeffs)
+    A = batch.green
     n = batch.xis.shape[0]
     res = np.zeros(n)
     pmax = np.abs(P).max(axis=(2, 3))

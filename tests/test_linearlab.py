@@ -328,6 +328,21 @@ def test_live_panel_check_matches_full_refinement(sym_evolution, monkeypatch):
     assert np.allclose(live, full, rtol=1e-12, atol=0.0)
 
 
+def test_norms_never_build_the_projector_array(monkeypatch):
+    # the linear lab projects data through the adjugate; the (n, 4, 4, 4)
+    # projector array is only built when read, and norms never reads it
+    built = []
+
+    def recorded(nodes, coeffs):
+        built.append(decompose_batch(nodes, coeffs))
+        return built[-1]
+
+    monkeypatch.setattr(linearlab, "decompose_batch", recorded)
+    ev = ModeEvolution(FluidParams())
+    ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 40), range(4), verify=True)
+    assert len(built) == 2  # the evolution's and the quadrature check's
+    assert all("projectors" not in vars(d) for d in built)
+
 @pytest.mark.parametrize("kwargs", [
     dict(t_max=1e2),               # panels sized for a far shorter time
     dict(t_max=1.2e4, order=8),    # too few nodes per panel

@@ -2,16 +2,21 @@
 
 import importlib
 import importlib.util
+import os
 from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def load_layertrace():
-    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_layertrace():
+    return load_perfbench("layertrace")
 
 
 def test_layertrace_specs_resolve():
@@ -28,3 +33,21 @@ def test_layertrace_specs_resolve():
                                  for value in vars(importlib.import_module(only_in)).values()):
             unresolved.append(f"{module_name}.{path} in {only_in}")
     assert unresolved == []
+
+
+def test_traced_tiny_linear_lab_sample(tmp_path):
+    # one cold traced sample: every hook runs (the decomposition hook reads
+    # the lazily built projectors), no traced name is missing, and every
+    # campaign passes its output checks
+    run = load_perfbench("run")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = run.run_sample(run.campaigns("linear-lab", 1, "tiny"), tmp_path, 0, env,
+                            spans=tmp_path / "spans.jsonl")
+    assert result.get("errors") == []
+    assert result["hook_errors"] == {}
+    assert result["absent"] == []
+    assert result["codes"] == [0] * 4
+    assert [problems for _, problems, _ in result["checks"]] == [[]] * 4
+    assert result["layers"]["spectral.decompose.projector_mb"] > 0

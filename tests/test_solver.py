@@ -61,6 +61,36 @@ def test_init_random_deterministic():
     assert not np.array_equal(a.n_plus, c.n_plus)
 
 
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_init_random_pins_the_draw_order(dim):
+    # rebuild the documented draw: one band of complex normals per field in
+    # the order n+, n-, then (u+[d], u-[d]) for each axis d; each field scaled
+    # to max |f| = amplitude; the 2/3 mask applied to the spectra
+    import scipy.fft
+
+    grid = Grid(dim=dim, n=16, length=2 * np.pi)
+    spec = InitSpec(kind="random", amplitude=1e-3, seed=23, band=(1, 3))
+    rng = np.random.default_rng(spec.seed)
+    kidx = np.zeros(grid.spectral_shape)
+    for m in grid.index_axes():
+        kidx = np.maximum(kidx, np.abs(m))
+    band = (kidx >= spec.band[0]) & (kidx <= spec.band[1])
+
+    def draw():
+        hat = np.zeros(grid.spectral_shape, dtype=complex)
+        hat[band] = rng.normal(size=band.sum()) + 1j * rng.normal(size=band.sum())
+        f = scipy.fft.irfftn(hat, s=grid.shape)
+        return f * (spec.amplitude / np.abs(f).max())
+
+    n_p, n_m = draw(), draw()
+    u = [(draw(), draw()) for _ in range(dim)]
+    rows = [n_p, n_m] + [up for up, _ in u] + [um for _, um in u]
+    mask = grid.dealias_mask()
+    expect = np.stack([mask * scipy.fft.rfftn(f) for f in rows])
+    got = init_state(grid, spec).spectra
+    assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
+
 def test_init_positivity_guard():
     grid = Grid(dim=1, n=64, length=2 * np.pi)
     with pytest.raises(ValueError):

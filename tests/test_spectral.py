@@ -198,6 +198,57 @@ def test_acoustic_pair_is_exactly_conjugate():
     assert np.array_equal(lam[:, 1], np.conj(lam[:, 0]))
 
 
+
+def test_project_matches_projector_contraction():
+    from test_acceptance import XI_GRID, acceptance_draws
+
+    xis = np.concatenate([[0.0], XI_GRID])
+    rng = np.random.default_rng(11)
+    worst, confluent = 0.0, 0
+    for params in acceptance_draws():
+        d = decompose_batch(xis, linear_coefficients(params))
+        real = rng.normal(size=(len(xis), 4))
+        for U0 in (real, real + 1j * rng.normal(size=(len(xis), 4))):
+            Q = d.project(U0)
+            P = d.projectors
+            err = np.abs(Q - np.einsum("nijk,nk->nij", P, U0)).max(axis=(1, 2))
+            worst = max(worst, float((err / (1.0 + np.abs(P).max(axis=(1, 2, 3)))).max()))
+        confluent += int(d.confluent.sum())
+    assert confluent > 0  # the stored confluent projectors are exercised
+    assert worst <= 1e-12
+
+
+def _eager_horner_projectors(xis, co, lam):
+    """Distinct-row projectors as ``decompose_batch`` once built them eagerly."""
+    A = batch_green(xis, co)
+    c3, c2, c1, _ = batch_char_coeffs(xis, co)
+    eye = np.eye(4)
+    B2 = A + c3[:, None, None] * eye
+    B1 = A @ B2 + c2[:, None, None] * eye
+    B0 = A @ B1 + c1[:, None, None] * eye
+    P = np.empty(lam.shape + (4, 4), dtype=complex)
+    for i in range(4):
+        li = lam[:, i, None, None]
+        den = np.prod([lam[:, i] - lam[:, j] for j in range(4) if j != i], axis=0)
+        P[:, i] = (((li * eye + B2) * li + B1) * li + B0) / den[:, None, None]
+    return P
+
+
+def test_lazy_projectors_are_the_eager_build_bit_for_bit():
+    from test_acceptance import XI_GRID, acceptance_draws
+
+    xis = np.concatenate([[0.0], XI_GRID])
+    for params in acceptance_draws():
+        co = linear_coefficients(params)
+        d = decompose_batch(xis, co)
+        assert "projectors" not in vars(d)
+        P = d.projectors
+        dist = ~d.special
+        ref = _eager_horner_projectors(xis[dist], co, d.eigenvalues[dist])
+        assert np.array_equal(P[dist], ref)
+        assert np.array_equal(P[0], np.stack([np.eye(4)] + [np.zeros((4, 4))] * 3))
+
+
 def test_projector_leading_order_structure():
     # as xi -> 0 the wave projector P1 tends to an explicit matrix built from
     # the beta's alone, and P3 develops 1/xi entries in the velocity columns
@@ -235,6 +286,36 @@ def confluent_coeffs():
     assert sp > 0
     return linear_coefficients(FluidParams(sigma_plus=sp, **base))
 
+
+def real_diffusive_coeffs():
+    """Weak capillarity: ``X^2 > 4 S Y``, so the diffusive pair is real at every xi."""
+    co = linear_coefficients(FluidParams(sigma_plus=0.1, sigma_minus=0.1))
+    assert spectral_constants(co)[0].imag == 0.0
+    return co
+
+
+@pytest.mark.parametrize("make_coeffs", [lambda: SYM, confluent_coeffs, real_diffusive_coeffs],
+                         ids=["symmetric", "confluent", "real-diffusive"])
+def test_real_evolution_matches_projector_sum(make_coeffs):
+    xis = np.concatenate([[0.0], np.geomspace(1e-4, 1e2, 300)])
+    d = decompose_batch(xis, make_coeffs())
+    if make_coeffs is confluent_coeffs:
+        assert d.confluent.any()
+    U0 = np.random.default_rng(12).normal(size=(len(xis), 4))
+    evolve = d.evolution(U0)
+    pmax = 1.0 + np.abs(d.projectors).max(axis=(2, 3))
+    for t in (0.0, 0.3, 10.0, 1e3):
+        got = evolve(t)
+        w = d.weights(t)
+        ref = np.einsum("ni,nijk,nk->nj", w, d.projectors, U0).real
+        # relative to the terms summed, as for the projection (small xi
+        # cancels 1/xi parts); weights that underflow to subnormals keep
+        # no relative accuracy, hence the absolute floor
+        size = (np.abs(w) * pmax).sum(axis=1) * np.abs(U0).max(axis=1)
+        assert got.dtype == float
+        assert (np.abs(got - ref).max(axis=1) <= 1e-12 * size + 1e-300).all()
+        # xi = 0: all four roots are 0 and nothing may fold (no doubled Q0)
+        assert np.array_equal(got[0], U0[0])
 
 def test_confluent_branch_matches_oracle():
     co = confluent_coeffs()
