@@ -44,6 +44,7 @@ from .solver import (
     init_state,
     step,
     weighted_sup_functionals,
+    workers,
     write_checkpoint,
 )
 from .spectral import (
@@ -462,7 +463,8 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
                     width=s.width, band=s.band, seed=config.seed or 0)
     co = linear_coefficients(config.params)
     n_steps = int(round(s.t_end / s.dt))
-    run_info = {"grid": {"dim": s.dim, "n": s.n, "length": s.length}, "steps": n_steps}
+    run_info = {"grid": {"dim": s.dim, "n": s.n, "length": s.length}, "steps": n_steps,
+                "solver_workers": workers(grid)}
     norm_rows = []
     times = []
     history = {}  # (variable, k) -> norm at each of ``times``

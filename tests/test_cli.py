@@ -353,6 +353,24 @@ def test_parse_coerces_numeric_strings():
     assert cfg.modes.t_check == (1.0, 20.0)
 
 
+def test_simulate_records_solver_workers_and_threads_keep_bits(tmp_path, monkeypatch):
+    from twofluid import solver
+
+    cfg = parse_config("task: simulate\nseed: 3\nsim:\n  dim: 3\n  n: 16\n  dt: 0.02\n"
+                       "  t_end: 0.1\n  amplitude: 1.0e-3\n")
+    runs = []
+    # one CPU; two threads at every size; two CPUs on a grid below the threshold
+    for cpus, threshold, used in ((1, 0, 1), (2, 0, 2), (2, 2**30, 1)):
+        monkeypatch.setattr(solver, "_CPUS", cpus)
+        monkeypatch.setattr(solver, "_PARALLEL_POINTS", threshold)
+        out = tmp_path / f"{cpus}-{threshold}"
+        assert run_campaign(cfg, out_dir=out, quiet=True) == 0
+        assert json.loads((out / "metadata.json").read_text())["solver_workers"] == used
+        runs.append([(out / name).read_bytes()
+                     for name in ("norms.csv", "energy.csv", "state_final.tfck")])
+    assert runs[0] == runs[1] == runs[2]
+
+
 def test_simulate_warm_starts_the_closure(tmp_path, monkeypatch):
     from twofluid import kernels, linear_coefficients
 

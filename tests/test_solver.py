@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -525,7 +527,7 @@ def _count_ffts(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("dim,budget", [(1, 40), (3, 116)])
+@pytest.mark.parametrize("dim,budget", [(1, 40), (2, 68), (3, 116), (3, 108)])
 def test_step_fft_budget(monkeypatch, dim, budget):
     grid = Grid(dim=dim, n=16, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=1, band=(1, 3)))
@@ -630,3 +632,83 @@ def test_checkpoint_byte_layout(tmp_path):
     for field in (n_p, n_m, u_p[0], u_p[1], u_m[0], u_m[1]):
         expected += field.astype("<f8").tobytes()
     assert path.read_bytes() == expected
+
+
+def _solver_threads(monkeypatch, cpus):
+    """Run the solver on ``cpus`` threads at every grid size."""
+    from twofluid import solver
+
+    monkeypatch.setattr(solver, "_CPUS", cpus)
+    monkeypatch.setattr(solver, "_PARALLEL_POINTS", 0)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_pool_and_inline_give_the_same_bits(monkeypatch, dim, n):
+    params = FluidParams(mu_plus=0.8, mu_minus=1.3, lambda_plus=0.4, lambda_minus=0.1,
+                         gamma_plus=1.6, gamma_minus=2.2)
+    grid = Grid(dim=dim, n=n, length=2 * np.pi)
+    st = init_state(grid, InitSpec(kind="random", amplitude=1e-2, seed=9, band=(1, 3)), params)
+    results = []
+    switch = sys.getswitchinterval()
+    try:
+        # 5 threads on fewer cores, switching often: uneven shares and slabs
+        sys.setswitchinterval(1e-5)
+        for cpus in (1, 2, 5):
+            _solver_threads(monkeypatch, cpus)
+            F, rho = nonlinear_rhs(st, params)
+            warm_F, _ = nonlinear_rhs(st, params, rho_guess=rho)
+            nxt = step(st, 0.01, params)
+            results.append((F, rho, warm_F, nxt.spectra, nxt.rho_plus, nxt.physical))
+    finally:
+        sys.setswitchinterval(switch)
+    for inline, *pooled in zip(*results):
+        for arr in pooled:
+            assert np.array_equal(inline, arr)
+
+
+def test_one_cpu_creates_no_pool(monkeypatch):
+    from twofluid import solver
+
+    def refuse(size):
+        raise AssertionError("a one-CPU solver must not create a pool")
+
+    _solver_threads(monkeypatch, 1)
+    monkeypatch.setattr(solver, "_pool", refuse)
+    grid = Grid(dim=3, n=16, length=2 * np.pi)
+    assert solver.workers(grid) == 1
+    step(init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=2)), 0.01, SYM)
+
+
+def test_pool_tasks_never_submit_to_the_pool(monkeypatch):
+    # with two threads, a task that waits on work it queued can deadlock the
+    # pool; the step runs in a joined thread so a hang fails instead
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    from twofluid import solver
+
+    nested = []
+    spare = ThreadPoolExecutor(2)
+    pool = solver._pool
+
+    def guarded(size):
+        if threading.current_thread().name.startswith("twofluid-solver"):
+            nested.append(threading.current_thread().name)
+            return spare  # record the nested submission and run it elsewhere
+        return pool(size)
+
+    _solver_threads(monkeypatch, 2)
+    monkeypatch.setattr(solver, "_pool", guarded)
+    grid = Grid(dim=3, n=16, length=2 * np.pi)
+    st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=3))
+    done = []
+    runner = threading.Thread(target=lambda: done.append(step(step(st, 0.01, SYM), 0.01, SYM)),
+                              daemon=True)
+    try:
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "step did not finish: the pool deadlocked"
+        assert len(done) == 1 and np.isfinite(done[0].physical).all()
+        assert nested == []
+    finally:
+        spare.shutdown()
