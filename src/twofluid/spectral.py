@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .closure import LinearCoefficients
 
@@ -402,19 +401,73 @@ def eigenvalues_asymptotic(xi, coeffs: LinearCoefficients):
     return lam
 
 
+# Degree-13 Pade coefficients b_0..b_13 and the largest ||2^-s A||_1 for which
+# that approximant is accurate to double precision (Al-Mohy & Higham, SIAM J.
+# Matrix Anal. Appl. 31:970-989, 2009).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _norm1(X):
+    """Matrix 1-norm (largest column sum) of each matrix in a stack."""
+    return np.abs(X).sum(axis=-2).max(axis=-1)
+
+
+def _pade13_expm(A):
+    """``exp(A)`` for a stack of square matrices ``(n, m, m)``, one squaring count each.
+
+    Scaling and squaring with the degree-13 Pade approximant.  The scaling
+    comes from ``max(||A^8||^(1/8), ||A^10||^(1/10))``, which is at most
+    ``||A||`` and can be far smaller for non-normal matrices, so fewer
+    squarings amplify the rounding; ``||A||`` caps it, because a power that
+    overflowed reads as inf or nan.
+    """
+    b = _PADE13
+    I = np.eye(A.shape[-1])
+    A2 = A @ A
+    A8 = (A2 @ A2) @ (A2 @ A2)
+    eta = np.fmin(_norm1(A), np.fmax(_norm1(A8) ** (1 / 8), _norm1(A8 @ A2) ** (1 / 10)))
+    s = np.ceil(np.log2(np.maximum(eta / _THETA13, 1.0))).astype(int)
+    A = A * np.ldexp(1.0, -s)[:, None, None]
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+             + b[1] * I)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
+    E = np.linalg.solve(V - U, V + U)
+    for k in set(s[s > 0].tolist()):
+        rows = s == k
+        R = E[rows]
+        for _ in range(k):
+            R = R @ R
+        E[rows] = R
+    return E
+
+
 def matrix_exp_oracle(M, t: float):
-    """Independent check: ``exp(t M)`` by scaling-and-squaring (Pade kernel).
+    """Independent check: ``exp(t M)`` by scaling and squaring (degree-13 Pade).
 
     ``M`` is one square matrix or a stack ``(..., m, m)``; a stack gives the
-    same bits as one call per matrix.
+    same bits as one call per matrix.  Diagonal matrices exponentiate
+    entrywise: squaring cannot keep a small entry next to a huge one.
     """
     M = np.asarray(M)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
-    E = scipy.linalg.expm(t * M)
-    if not np.all(np.isfinite(E)):
+    m = M.shape[-1]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        A = (t * M).reshape((-1, m, m))
+        finite = np.all(np.isfinite(A))
+        E = np.exp(np.diagonal(A, axis1=1, axis2=2))[..., None] * np.eye(m)
+        full = A[:, ~np.eye(m, dtype=bool)].any(axis=1)
+        if finite and full.any():
+            E[full] = _pade13_expm(A[full])
+    if not (finite and np.all(np.isfinite(E))):
         raise OverflowError("matrix exponential overflowed; ||tM|| too extreme")
-    return E
+    return E.reshape(M.shape)
 
 
 def heat_factor(xi, nu1: float, t: float):

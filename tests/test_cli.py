@@ -359,13 +359,16 @@ def test_simulate_records_solver_workers_and_threads_keep_bits(tmp_path, monkeyp
     cfg = parse_config("task: simulate\nseed: 3\nsim:\n  dim: 3\n  n: 16\n  dt: 0.02\n"
                        "  t_end: 0.1\n  amplitude: 1.0e-3\n")
     runs = []
-    # one CPU; two threads at every size; two CPUs on a grid below the threshold
-    for cpus, threshold, used in ((1, 0, 1), (2, 0, 2), (2, 2**30, 1)):
+    # one CPU; two threads at every size; two CPUs on a grid below the
+    # threshold.  Inline runs transform with numpy.fft, pooled ones with scipy.fft
+    for cpus, threshold, used, fft in ((1, 0, 1, "numpy.fft"), (2, 0, 2, "scipy.fft"),
+                                       (2, 2**30, 1, "numpy.fft")):
         monkeypatch.setattr(solver, "_CPUS", cpus)
         monkeypatch.setattr(solver, "_PARALLEL_POINTS", threshold)
         out = tmp_path / f"{cpus}-{threshold}"
         assert run_campaign(cfg, out_dir=out, quiet=True) == 0
-        assert json.loads((out / "metadata.json").read_text())["solver_workers"] == used
+        meta = json.loads((out / "metadata.json").read_text())
+        assert (meta["solver_workers"], meta["solver_fft"]) == (used, fft)
         runs.append([(out / name).read_bytes()
                      for name in ("norms.csv", "energy.csv", "state_final.tfck")])
     assert runs[0] == runs[1] == runs[2]
@@ -398,3 +401,48 @@ def test_simulate_inadmissible_init_exits_2_with_checkpoint(tmp_path):
     assert energy[0].startswith("# config_hash=") and energy[1:] == ["t,e0,d0,mass_plus,mass_minus"]
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["passed"] is False and "positivity" in meta["failure"]
+
+
+_IMPORT_PROBE = """
+import json
+import sys
+from twofluid import solver
+from twofluid.cli import parse_config, run_campaign
+
+if sys.argv[1] == "pooled":
+    solver._CPUS, solver._PARALLEL_POINTS = 2, 0
+configs = [
+    "task: analyze-modes\\nmodes:\\n  count: 10\\n",
+    "task: linear-decay\\ndecay:\\n  samples: 8\\n  k_max: 0\\n",
+    "task: lower-bound\\ndecay:\\n  eta: 0.4\\n  samples: 8\\n  k_max: 0\\n",
+    "task: simulate\\nseed: 1\\nsim:\\n  n: 64\\n  dt: 0.1\\n  t_end: 0.2\\n",
+    "task: simulate\\nseed: 1\\nsim:\\n  dim: 3\\n  n: 16\\n  dt: 0.1\\n  t_end: 0.2\\n",
+]
+codes = [run_campaign(parse_config(text), out_dir=sys.argv[2] + str(i), quiet=True)
+         for i, text in enumerate(configs)]
+print(json.dumps([codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]))
+"""
+
+
+def test_campaigns_import_scipy_fft_only_for_pooled_steps(tmp_path):
+    # every check of the paper's claims is a fresh process; the inline path
+    # must not pay the scipy import, and no campaign needs scipy.linalg
+    import os
+    import subprocess
+    import sys
+
+    import twofluid
+
+    src = str(Path(twofluid.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = {}
+    for mode in ("inline", "pooled"):
+        proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, mode, str(tmp_path / mode)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        codes, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * 5
+        loaded[mode] = set(modules)
+    assert loaded["inline"] == set()
+    assert "scipy.fft" in loaded["pooled"] and "scipy.linalg" not in loaded["pooled"]

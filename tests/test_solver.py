@@ -514,6 +514,20 @@ def test_propagator_dedup_matches_full_decomposition(dim, n):
     assert np.abs(heat_p - np.exp(-co.nu1_plus * grid.k_mag() ** 2 * dt)).max() <= 1e-14
 
 
+@pytest.mark.parametrize("shape", [(1024,), (256, 256), (16, 16, 16), (64, 64, 64)])
+def test_inline_transforms_match_scipy_bitwise(shape):
+    # inline grids transform with numpy.fft, pooled ones with scipy.fft; the
+    # two must agree to the bit, or artifacts would depend on the CPU count
+    import scipy.fft
+
+    from twofluid.solver import _irfft, _rfft
+
+    f = np.random.default_rng(len(shape)).standard_normal(shape)
+    spec = scipy.fft.rfftn(f)
+    assert np.array_equal(_rfft(f, 1), spec)
+    assert np.array_equal(_irfft(spec, shape, 1), scipy.fft.irfftn(spec, s=shape))
+
+
 def _count_ffts(monkeypatch):
     import scipy.fft
 

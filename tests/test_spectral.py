@@ -381,6 +381,53 @@ def test_matrix_exp_oracle_rejects_nonfinite():
         matrix_exp_oracle(M, 1.0)
 
 
+def test_matrix_exp_oracle_matches_scipy_over_the_acceptance_sweep():
+    # scipy.linalg.expm runs the same algorithm; its own distance to a
+    # 40-digit expm reaches 6.3e-11 on these matrices (draw 9, xi 3.33,
+    # t 100), where the oracle stays under 1e-11, hence the 1e-10 bound
+    import scipy.linalg
+    from test_acceptance import T_CHECK, XI_GRID, acceptance_draws
+
+    for params in acceptance_draws():
+        A = batch_green(XI_GRID, linear_coefficients(params))
+        for t in T_CHECK:
+            E, ref = matrix_exp_oracle(A, t), scipy.linalg.expm(t * A)
+            scale = np.maximum(np.abs(ref).max(axis=(1, 2)), 1e-290)
+            assert (np.abs(E - ref).max(axis=(1, 2)) <= 1e-10 * scale).all()
+
+
+@pytest.mark.parametrize("i", [-2, -1])  # xi = 93.3 and 100 on the README modes grid
+def test_matrix_exp_oracle_matches_40_digit_expm(i):
+    mpmath = pytest.importorskip("mpmath")
+    xi = np.geomspace(1e-4, 1e2, 200)[i]
+    tA = 0.1 * batch_green([xi], SYM)[0]
+    with mpmath.workdps(40):
+        ref = np.array(mpmath.expm(mpmath.matrix(tA.tolist())).tolist(), dtype=float)
+    E = matrix_exp_oracle(batch_green([xi], SYM)[0], 0.1)
+    assert np.abs(E - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_matrix_exp_oracle_keeps_small_entries_next_to_huge_ones():
+    E = matrix_exp_oracle(np.diag([-1e40, -1.0, 0.0, 0.0]), 1.0)
+    assert np.array_equal(E, np.diag([0.0, np.exp(-1.0), 1.0, 1.0]))
+    # A^8 overflows here; the scaling stays capped by ||A||_1 and the
+    # decaying exponential underflows to zero
+    M = -1e40 * (np.eye(4) + np.diag(np.ones(3), 1))
+    assert np.array_equal(matrix_exp_oracle(M, 1.0), np.zeros((4, 4)))
+
+
+def test_matrix_exp_oracle_overflow_raises_without_warnings():
+    import warnings
+
+    full = np.diag([800.0, 0.0, 0.0, 0.0])
+    full[0, 1] = 1.0
+    for M in (np.diag([800.0, 0.0, 0.0, 0.0]), full):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                matrix_exp_oracle(M, 1.0)
+
+
 def test_heat_factor():
     assert heat_factor(3.0, 0.5, 0.0) == 1.0
     assert heat_factor(0.0, 0.5, 100.0) == 1.0
