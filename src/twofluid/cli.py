@@ -40,7 +40,6 @@ from .solver import (
     Grid,
     InitSpec,
     energy_report,
-    fft_library,
     gradient_l2sq,
     init_state,
     step,
@@ -464,9 +463,8 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
                     width=s.width, band=s.band, seed=config.seed or 0)
     co = linear_coefficients(config.params)
     n_steps = int(round(s.t_end / s.dt))
-    size = workers(grid)
     run_info = {"grid": {"dim": s.dim, "n": s.n, "length": s.length}, "steps": n_steps,
-                "solver_workers": size, "solver_fft": fft_library(size)}
+                "solver_workers": workers(grid)}
     norm_rows = []
     times = []
     history = {}  # (variable, k) -> norm at each of ``times``

@@ -19,9 +19,7 @@ pool sized to the CPUs the process may use (``os.sched_getaffinity``, so
 gradients, the closure and the linear half-steps in slabs of the first axis,
 and the two phases' tendencies.  The threads split independent work and
 never change its arithmetic, so the results are bitwise the same whatever
-the number of CPUs.  Smaller grids run inline.  Pooled steps transform with
-scipy.fft, the faster library on large grids, and inline ones with numpy.fft,
-which spares them the scipy import; both give the same bits.
+the number of CPUs.  Smaller grids run inline.
 """
 
 from __future__ import annotations
@@ -160,34 +158,17 @@ def _freeze(*arrays):
         arr.flags.writeable = False
 
 
-def fft_library(size: int) -> str:
-    """The transform module of a grid stepped on ``size`` threads (see :func:`workers`).
-
-    Inline steps call numpy.fft.  Pooled steps call scipy.fft, imported on the
-    first pooled transform.  Measured on a 2-vCPU x86-64 host: a pooled 64^3
-    step took 459 ms with scipy.fft and 547 ms with numpy.fft (a 64^3
-    ``irfftn`` 4.5 against 5.2 ms; both libraries run concurrently on the
-    pool), while importing scipy.fft costs 0.37-0.40 s that an inline run
-    need not pay.  With the axis orders below both give the same bits.
-    """
-    return "numpy.fft" if size == 1 else "scipy.fft"
-
-
-def _rfft(f, size: int):
-    if size > 1:
-        import scipy.fft
-        return scipy.fft.rfftn(f)
-    # scipy transforms the last axis, then the others first to last; numpy
-    # takes the others from the back of ``axes``
+# numpy.fft rather than scipy.fft: a campaign process then never imports
+# scipy (0.3-0.4 s).  scipy transforms the last axis, then the others first to
+# last; numpy takes the others from the back of ``axes``, so this order gives
+# scipy's bits.  With ``out`` every axis pass reuses one buffer.
+def _rfft(f):
     d = f.ndim
     out = np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), dtype=complex)
     return np.fft.rfftn(f, axes=(*range(d - 2, -1, -1), d - 1), out=out)
 
 
-def _irfft(spec, shape, size: int):
-    if size > 1:
-        import scipy.fft
-        return scipy.fft.irfftn(spec, s=shape)
+def _irfft(spec, shape):
     return np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
 
 
@@ -256,7 +237,7 @@ def _irfft_rows(spectrum, count: int, shape, size: int):
     out = np.empty((count,) + shape)
 
     def row(r):
-        out[r] = _irfft(spectrum(r), shape, size)
+        out[r] = _irfft(spectrum(r), shape)
 
     _each(row, count, size)
     return out
@@ -280,8 +261,7 @@ class FieldState:
 
     def __init__(self, grid: Grid, n_plus, n_minus, u_plus, u_minus, time: float = 0.0):
         physical = self.stack(n_plus, n_minus, u_plus, u_minus).astype(float, copy=False)
-        size = workers(grid)
-        self._hold(grid, np.stack([_rfft(f, size) for f in physical]), time)
+        self._hold(grid, np.stack([_rfft(f) for f in physical]), time)
         _freeze(physical)
         self.physical = physical
 
@@ -379,7 +359,7 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
     the order n+, n-, then (u+[d], u-[d]) for each axis d, and scales each
     field to ``max |f| = amplitude``.
     """
-    shape, size = grid.shape, workers(grid)
+    shape = grid.shape
     physical = np.zeros((2 + 2 * grid.dim,) + shape)
     n_p, n_m, u_p, u_m = FieldState.split(physical)
     if spec.kind == "zero" or spec.amplitude == 0.0:
@@ -408,7 +388,7 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
             spec_arr = np.zeros(grid.spectral_shape, dtype=complex)
             vals = rng.normal(size=band.sum()) + 1j * rng.normal(size=band.sum())
             spec_arr[band] = vals
-            f = _irfft(spec_arr, shape, size)
+            f = _irfft(spec_arr, shape)
             m = np.abs(f).max()
             return f * (spec.amplitude / m) if m > 0 else f
 
@@ -421,8 +401,7 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
         raise ValueError(f"unknown init kind {spec.kind!r}")
     # keep every field inside the 2/3 band so products never alias back
     mask = _waves(grid).mask
-    state = FieldState.from_spectra(grid, np.stack([mask * _rfft(f, size) for f in physical]),
-                                    0.0)
+    state = FieldState.from_spectra(grid, np.stack([mask * _rfft(f) for f in physical]), 0.0)
     state.check_positivity(params if params is not None else FluidParams())
     return state
 
@@ -552,7 +531,7 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
         # continuity by the product rule: -div(n u) = -(u . grad n + n div u)
         flux_div = np.einsum("i...,i...->...", u, dn)
         flux_div += n * div
-        np.multiply(-w.mask, _rfft(flux_div, size), out=Fn)
+        np.multiply(-w.mask, _rfft(flux_div), out=Fn)
         del flux_div
         # momentum, with Du[i, j] = d_j u_i and the viscous term
         # mu Lap u + (mu + lam) grad div u; a = h dn+ + k dn- feeds both the
@@ -562,13 +541,13 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
         b = mu * a - u
         div *= lam
         for i in range(dim):
-            f = _irfft(-(mu * w.k2 * u_hat[i] + (mu + lam) * w.ks[i] * k_dot_u), shape, size)
+            f = _irfft(-(mu * w.k2 * u_hat[i] + (mu + lam) * w.ks[i] * k_dot_u), shape)
             f *= l
             f -= g_p * dn_p[i] + g_m * dn_m[i]
             f += div * a[i]
             f += np.einsum("j...,j...->...", b, Du[i])
             f += mu * np.einsum("j...,j...->...", a, Du[:, i])
-            np.multiply(w.mask, _rfft(f, size), out=Fu[i])
+            np.multiply(w.mask, _rfft(f), out=Fu[i])
 
     phases = ((n_p, dn_p, u_p, Du_p, u_hat_p, nc.g_plus, nc.gbar_plus, nc.h_plus, nc.k_plus,
                nc.l_plus, params.mu_plus, params.lambda_plus, Fn_p, Fu_p),

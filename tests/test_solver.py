@@ -515,17 +515,17 @@ def test_propagator_dedup_matches_full_decomposition(dim, n):
 
 
 @pytest.mark.parametrize("shape", [(1024,), (256, 256), (16, 16, 16), (64, 64, 64)])
-def test_inline_transforms_match_scipy_bitwise(shape):
-    # inline grids transform with numpy.fft, pooled ones with scipy.fft; the
-    # two must agree to the bit, or artifacts would depend on the CPU count
+def test_transforms_match_scipy_bitwise(shape):
+    # the solver transforms with numpy.fft; its axis order pins scipy.fft's
+    # bits, so artifacts match those written with scipy.fft
     import scipy.fft
 
     from twofluid.solver import _irfft, _rfft
 
     f = np.random.default_rng(len(shape)).standard_normal(shape)
     spec = scipy.fft.rfftn(f)
-    assert np.array_equal(_rfft(f, 1), spec)
-    assert np.array_equal(_irfft(spec, shape, 1), scipy.fft.irfftn(spec, s=shape))
+    assert np.array_equal(_rfft(f), spec)
+    assert np.array_equal(_irfft(spec, shape), scipy.fft.irfftn(spec, s=shape))
 
 
 def _count_ffts(monkeypatch):
