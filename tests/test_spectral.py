@@ -382,7 +382,7 @@ def test_matrix_exp_oracle_rejects_nonfinite():
 
 
 def test_matrix_exp_oracle_matches_scipy_over_the_acceptance_sweep():
-    # scipy.linalg.expm runs the same algorithm; its own distance to a
+    # scipy.linalg.expm runs the full Algorithm 5.1 the oracle trims; its own distance to a
     # 40-digit expm reaches 6.3e-11 on these matrices (draw 9, xi 3.33,
     # t 100), where the oracle stays under 1e-11, hence the 1e-10 bound
     import scipy.linalg
