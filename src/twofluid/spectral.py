@@ -2,9 +2,11 @@
 
 After the Hodge split, the compressible unknowns ``(n+, phi+, n-, phi-)``
 evolve mode-by-mode under a 4x4 Green matrix ``A1(|xi|)``.  This module
-builds ``A1``, computes its quartic spectrum (a real eigensolve polished on
-the quartic), assembles the semigroup ``exp(t A1)`` from spectral projectors
-(the adjugate of ``lambda I - A1`` at each simple root, from Cayley-Hamilton;
+builds ``A1``, computes its quartic spectrum (the characteristic quartic
+factored into two real quadratics by Ferrari's resolvent and Newton on the
+factors, after Strobach 2010, then one guarded Newton step on
+``det(lambda I - A1)``), assembles the semigroup ``exp(t A1)`` from spectral
+projectors (the adjugate of ``lambda I - A1`` at each simple root, from Cayley-Hamilton;
 a dedicated branch covers the near-double diffusive pair, where the
 denominators ``prod_{j != i} (lambda_i - lambda_j)`` degenerate and the
 semigroup picks up a ``t*exp(lambda*t)`` term), and provides the smooth
@@ -107,14 +109,125 @@ def batch_char_coeffs(xis, coeffs: LinearCoefficients):
     return c3, c2, c1, c0
 
 
+def _resolvent_root(p, q, r):
+    """Largest real root of Ferrari's resolvent ``m^3 + p m^2 + (p^2/4 - r) m - q^2/8``.
+
+    Closed form (Cardano with one real root, else the trigonometric form),
+    then two Newton steps, which restore the relative accuracy of a root far
+    below ``|p|`` (small frequencies).  Clipped at 0: the cubic is
+    ``-q^2/8 <= 0`` at ``m = 0``, so its largest root is not negative.
+    """
+    C, D = p * p / 4.0 - r, -q * q / 8.0
+    # depressed in u = m + p/3; powers as products (libm pow has slow paths)
+    P = C - p * p / 3.0
+    Q = ((2.0 / 27.0) * p * p - C / 3.0) * p + D
+    P3, Q2 = P / 3.0, Q / 2.0
+    disc = Q2 * Q2 + P3 * P3 * P3
+    w = np.cbrt(-Q2 - np.copysign(np.sqrt(np.abs(disc)), Q))  # larger Cardano term
+    one = w - P3 / w
+    rt = np.sqrt(np.maximum(-P3, 0.0))
+    three = 2.0 * rt * np.cos(np.arccos(np.clip(-Q2 / (rt * rt * rt), -1.0, 1.0)) / 3.0)
+    m = np.where(disc > 0, one, three) - p / 3.0
+    for _ in range(2):
+        slope = (3.0 * m + 2.0 * p) * m + C
+        m = np.where(slope != 0, m - (((m + p) * m + C) * m + D) / slope, m)
+    return np.maximum(m, 0.0)
+
+
+def _quadratic_roots(c, d):
+    """Roots of ``l^2 + c l + d``: an exact conjugate pair, or two real roots, stably."""
+    disc = c * c - 4.0 * d
+    sq = np.sqrt(np.abs(disc))
+    big = -0.5 * (c + np.copysign(sq, c))
+    pair = disc < 0
+    z = np.empty(c.shape + (2,), dtype=complex)
+    z.real[..., 0] = np.where(pair, -0.5 * c, big)
+    z.real[..., 1] = np.where(pair, -0.5 * c, np.where(big != 0, d / big, 0.0))
+    z.imag[..., 0] = np.where(pair, 0.5 * sq, 0.0)
+    z.imag[..., 1] = -z.imag[..., 0]
+    return z
+
+
+def _quartic_roots(c3, c2, c1, c0):
+    """Roots of ``l^4 + c3 l^3 + c2 l^2 + c1 l + c0`` per row, from two real quadratics.
+
+    Returns the roots ``(n, 4)`` and a per-row ``converged`` flag.  The
+    quartic is factored as ``(l^2 + a l + b)(l^2 + c l + d)``, after
+    Strobach, "The fast quartic solver", J. Comput. Appl. Math. 234 (2010):
+
+    - start: Ferrari's depressed quartic ``y^4 + p y^2 + q y + r`` (``l = y -
+      c3/4``) splits as ``(y^2 + s y + t)(y^2 - s y + v)`` with ``s^2 = 2m``
+      (``m`` the resolvent root) and ``t, v`` the roots of ``z^2 - (p + 2m) z
+      + r``, ``t - v = -q/s``.  Taking ``t, v`` from that quadratic, with
+      ``q`` only choosing which is which, stays finite on biquadratic rows
+      (``m = q = 0``: all four roots share one real part, as on the
+      symmetric parameters), where ``q/s`` is 0/0.
+    - refinement: three Newton steps on the factor with the smaller constant
+      term ``(c, d)``, the diffusive one at small frequencies (``d ~ xi^4``
+      against ``b ~ xi^2``), with ``a = c3 - c`` and ``b = c2 - d - a c``
+      eliminated, so the tiny roots keep their relative accuracy; the 2x2
+      Jacobian is solved in closed form.
+    - roots: each factor by the stable quadratic formula, so complex roots
+      come as exact conjugate pairs.
+
+    A row converged when the residuals ``c1 - (a d + b c)`` and ``c0 - b d``
+    are within 4 times their evaluation noise (the rounding of ``a``, ``b``
+    and of the products; converged rows measure at most 0.6 of it).  Rows
+    whose coefficients are all zero (xi = 0) give four zero roots.
+    """
+    c3, c2, c1, c0 = (np.atleast_1d(np.asarray(c, dtype=float)) for c in (c3, c2, c1, c0))
+    eps = np.finfo(float).eps
+    with np.errstate(all="ignore"):
+        s3 = c3 / 4.0
+        s3sq = s3 * s3
+        p = c2 - 6.0 * s3sq
+        q = c1 - 2.0 * c2 * s3 + 8.0 * s3sq * s3
+        r = c0 - c1 * s3 + c2 * s3sq - 3.0 * s3sq * s3sq
+        m = _resolvent_root(p, q, r)
+        s = np.sqrt(2.0 * m)
+        h = p / 2.0 + m
+        big = h + np.copysign(np.sqrt(np.maximum(h * h - r, 0.0)), h)
+        other = np.where(big != 0, r / big, 0.0)
+        t, v = np.minimum(big, other), np.maximum(big, other)
+        t, v = np.where(q >= 0, t, v), np.where(q >= 0, v, t)
+        d1, d2 = s3sq + s * s3 + t, s3sq - s * s3 + v
+        first = np.abs(d1) < np.abs(d2)
+        c = np.where(first, 2.0 * s3 + s, 2.0 * s3 - s)
+        d = np.where(first, d1, d2)
+        for _ in range(3):
+            a = c3 - c
+            b = c2 - d - a * c
+            f1, f2 = c1 - (a * d + b * c), c0 - b * d
+            j11, j12, j21, j22 = b - d + (c - a) * c, a - c, (c - a) * d, b - d
+            det = j11 * j22 - j12 * j21
+            c = c + (f1 * j22 - j12 * f2) / det
+            d = d + (j11 * f2 - j21 * f1) / det
+        a = c3 - c
+        b = c2 - d - a * c
+        err_a = eps * (np.abs(c3) + np.abs(c))
+        err_b = eps * (np.abs(c2) + np.abs(d) + 2.0 * np.abs(a * c)) + np.abs(c) * err_a
+        noise1 = (eps * (np.abs(c1) + np.abs(a * d) + np.abs(b * c))
+                  + np.abs(d) * err_a + np.abs(c) * err_b)
+        noise2 = eps * (np.abs(c0) + np.abs(b * d)) + np.abs(d) * err_b
+        converged = (np.isfinite(a) & np.isfinite(b) & np.isfinite(c) & np.isfinite(d)
+                     & (np.abs(c1 - (a * d + b * c)) <= 4.0 * noise1)
+                     & (np.abs(c0 - b * d) <= 4.0 * noise2))
+        lam = np.concatenate([_quadratic_roots(a, b), _quadratic_roots(c, d)], axis=-1)
+    zero = (c3 == 0) & (c2 == 0) & (c1 == 0) & (c0 == 0)
+    lam[zero] = 0.0
+    return lam, converged | zero
+
+
 def _polish_roots(lam, c3, c2, c1, c0, steps: int = 2):
     """Guarded Newton refinement of eigenvalues on the quartic.
 
-    The direct eigensolve is well conditioned near clustered pairs but its
-    absolute error scales with the matrix norm, which drowns the tiny
-    diffusive eigenvalues at small frequencies.  Newton on the quartic fixes
-    those (its coefficients scale out), and is skipped whenever the
-    polynomial value is at the level of its own evaluation noise.
+    Used on the rows :func:`_quartic_roots` did not converge on, after a
+    real eigensolve.  That eigensolve is well conditioned near clustered
+    pairs but its absolute error scales with the matrix norm, which drowns
+    the tiny diffusive eigenvalues at small frequencies.  Newton on the
+    quartic fixes those (its coefficients scale out), and is skipped
+    whenever the polynomial value is at the level of its own evaluation
+    noise.
     """
     c3e, c2e, c1e, c0e = (np.atleast_1d(c)[:, None] for c in (c3, c2, c1, c0))
     for _ in range(steps):
@@ -134,11 +247,58 @@ def batch_eigenvalues(xis, coeffs: LinearCoefficients):
     return _eigenvalues(batch_green(xis, coeffs), batch_char_coeffs(xis, coeffs))
 
 
+def _polish_on_green(lam, A):
+    """One guarded Newton step of roots ``lam`` (n, k) on ``det(l I - A)`` of Green matrices.
+
+    With ``A``'s pattern the determinant is ``D1 D2 - A01 A23 A12 A30``, where
+    ``D1 = l^2 - A11 l - A01 A10`` and ``D2 = l^2 - A33 l - A23 A32`` are the
+    two phases' blocks.  Where the phases are alike (the symmetric
+    parameters at large xi) the two complex pairs come within a relative
+    2.7e-4 of each other: the quartic's roots then move by eps/2.7e-4 under
+    the rounding of its coefficients, while the eigenvalues of ``A`` stay
+    well conditioned, and the projectors, built from ``A``, want the latter.
+    The step is skipped wherever the determinant is within its own
+    evaluation noise, which covers the small frequencies, where the
+    cancelling block products leave the quartic the better conditioned.
+    """
+    u1, u2 = -A[:, 1, 1, None], -A[:, 3, 3, None]
+    w1, w2 = -(A[:, 0, 1] * A[:, 1, 0])[:, None], -(A[:, 2, 3] * A[:, 3, 2])[:, None]
+    kappa = (A[:, 0, 1] * A[:, 2, 3] * A[:, 1, 2] * A[:, 3, 0])[:, None]
+    D1, D2 = (lam + u1) * lam + w1, (lam + u2) * lam + w2
+    det = D1 * D2 - kappa
+    r = np.abs(lam)
+    noise = np.finfo(float).eps * (np.abs(D2) * ((r + np.abs(u1)) * r + np.abs(w1))
+                                   + np.abs(D1) * ((r + np.abs(u2)) * r + np.abs(w2))
+                                   + np.abs(kappa))
+    slope = (2.0 * lam + u1) * D2 + D1 * (2.0 * lam + u2)
+    ok = (np.abs(det) > 4.0 * noise) & (slope != 0)
+    return np.where(ok, lam - det / np.where(ok, slope, 1.0), lam)
+
+
 def _eigenvalues(A, char):
-    """Eigenvalues of the Green matrices ``A``, polished on their quartics ``char``."""
-    # the real eigensolve returns complex roots as exact conjugate pairs, and
-    # the polish keeps them exact (its arithmetic is conjugation-symmetric)
-    return _polish_roots(np.linalg.eigvals(A).astype(complex), *char)
+    """Eigenvalues of the Green matrices ``A``, from the roots of their quartics ``char``.
+
+    The factored roots take one guarded Newton step on ``det(l I - A)``.
+    Rows the factorisation did not converge on fall back to a real
+    eigensolve of ``A`` polished on the quartic.  Either way complex roots
+    are exact conjugate pairs: by construction on factored rows, and on the
+    others because the eigensolve is real and the polish's arithmetic is
+    conjugation-symmetric.
+    """
+    lam, converged = _quartic_roots(*char)
+    g = ~converged
+    lam[g] = 0.0  # finite placeholders until the fallback below
+    # columns (0, 1) and (2, 3) are the two factors' roots: step the first of
+    # each, then the second where the factor's roots are real; a complex
+    # second root is the conjugate of the first
+    real = lam.imag[:, 1::2] == 0
+    lam[:, ::2] = _polish_on_green(lam[:, ::2], A)
+    rows = real.any(axis=1)
+    lam[rows, 1::2] = _polish_on_green(lam[rows, 1::2], A[rows])
+    lam[:, 1::2] = np.where(real, lam[:, 1::2], lam[:, ::2].conj())
+    if g.any():
+        lam[g] = _polish_roots(np.linalg.eigvals(A[g]).astype(complex), *(c[g] for c in char))
+    return lam
 
 
 def _order_roots_distinct(lam):

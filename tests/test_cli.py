@@ -114,6 +114,23 @@ def test_analyze_modes_semigroup_residual_matches_per_mode_loop(tmp_path):
     assert [float(r.split(",")[-1]) for r in rows] == want
 
 
+def test_analyze_modes_labels_the_fallback_rows(tmp_path):
+    from test_spectral import FALLBACK_PARAMS
+
+    cfg = replace(parse_config("task: analyze-modes\n"), params=FALLBACK_PARAMS)
+    assert run_campaign(cfg, out_dir=tmp_path, quiet=True) == 0
+    rows = [r.split(",") for r in (tmp_path / "modes.csv").read_text().splitlines()[2:]]
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    fallback = [r for r in rows if r[9] == "distinct-fallback"]
+    assert len(fallback) >= 50 and meta["branch_counts"]["fallback"] == len(fallback)
+    # four real roots, by descending magnitude
+    for r in fallback:
+        re = [float(r[k]) for k in (1, 3, 5, 7)]
+        assert [float(r[k]) for k in (2, 4, 6, 8)] == [0.0] * 4
+        assert [abs(x) for x in re] == sorted((abs(x) for x in re), reverse=True)
+    assert meta["passed"] is True
+
+
 def test_linear_decay_campaign_small(tmp_path):
     cfg = parse_config("""
 task: linear-decay

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,147 @@ def test_eigenvalues_exact_vs_nproots_oracle():
             got.pop(j)
 
 
+# Pinned draws over the validity domain (mu in [0.05, 5], lambda in (-2 mu/3, 3],
+# sigma in [0.01, 10], rbar in [0.1, 10], gamma in [1, 3]).  The first and
+# third have all-real spectra at large xi, which decompose_batch orders by
+# magnitude (``distinct-fallback``).
+VALIDITY_DRAWS = (
+    FluidParams(mu_plus=2.3, mu_minus=2.0, lambda_plus=-0.47, lambda_minus=1.9, sigma_plus=0.85,
+                sigma_minus=1.5, gamma_plus=2.04, gamma_minus=1.85, rbar_plus=0.15, rbar_minus=0.5),
+    FluidParams(mu_plus=0.06, mu_minus=4.2, lambda_plus=-0.039, lambda_minus=0.4, sigma_plus=8.0,
+                sigma_minus=0.012, gamma_plus=1.1, gamma_minus=2.9, rbar_plus=8.5, rbar_minus=0.12),
+    FluidParams(mu_plus=0.62, mu_minus=0.62, lambda_plus=2.5, lambda_minus=0.0, sigma_plus=0.02,
+                sigma_minus=0.03, gamma_plus=1.4, gamma_minus=1.4, rbar_plus=0.83, rbar_minus=0.13),
+    FluidParams(mu_plus=4.9, mu_minus=0.3, lambda_plus=-3.2, lambda_minus=2.8, sigma_plus=0.3,
+                sigma_minus=6.0, gamma_plus=3.0, gamma_minus=1.0, rbar_plus=0.4, rbar_minus=9.0),
+)
+FALLBACK_PARAMS = VALIDITY_DRAWS[0]
+FALLBACK_PARAMS_CO = linear_coefficients(FALLBACK_PARAMS)
+
+
+def _polyroots40(mpmath, char_row):
+    with mpmath.workdps(40):
+        roots = mpmath.polyroots([1.0, *char_row], maxsteps=200, extraprec=60)
+    return np.array([complex(z) for z in roots])
+
+
+def _worst_rel_err(got, ref):
+    """Worst per-root relative error after nearest-matching the two root sets."""
+    got, worst = list(got), 0.0
+    for r in ref:
+        j = int(np.argmin([abs(g - r) for g in got]))
+        worst = max(worst, abs(got.pop(j) - r) / abs(r))
+    return worst
+
+
+@functools.cache
+def _first_panel():
+    """Nodes of the linear lab quadrature's first panel, from xi ~ 1.7e-9."""
+    from twofluid.linearlab import ModeEvolution
+
+    quad = ModeEvolution(FluidParams()).quad
+    return quad.nodes[:quad.order]
+
+
+@pytest.mark.parametrize("case", ["readme", "confluent", "draw0", "draw1", "draw2", "draw3"])
+def test_quartic_roots_match_40_digit_polyroots(case):
+    mpmath = pytest.importorskip("mpmath")
+    from test_acceptance import XI_GRID, tuned_confluent_params
+
+    params = {"readme": FluidParams(), "confluent": tuned_confluent_params(),
+              **{f"draw{i}": p for i, p in enumerate(VALIDITY_DRAWS)}}[case]
+    co = linear_coefficients(params)
+    xis = np.concatenate([[0.0], _first_panel()[[0, -1]], XI_GRID[::25]])
+    char = batch_char_coeffs(xis, co)
+    with np.errstate(all="raise"):
+        lam = spectral._eigenvalues(batch_green(xis, co), char)
+        assert spectral._quartic_roots(*char)[1].all()  # no row needs the eigensolve
+    assert np.all(lam[0] == 0)
+    pair = lam[:, ::2].imag != 0
+    assert np.array_equal(lam[:, 1::2][pair], lam[:, ::2][pair].conj())
+    assert np.all(lam[:, 1::2][~pair].imag == 0)
+    eps = np.finfo(float).eps
+    for row, got in zip(np.stack(char, axis=1)[1:], lam[1:]):
+        ref = _polyroots40(mpmath, row)
+        # relative condition number of each root in the rounded coefficients:
+        # far below 1e-12 / eps except at a near-double pair (the confluent
+        # draw), where the 40-digit roots of the quartic itself move by up to
+        # ~1e-8 under a one-ulp change of one coefficient
+        size = sum(np.abs(c) * np.abs(ref) ** k for k, c in enumerate(row[::-1]))
+        slope = np.prod(ref[:, None] - ref[None, :] + np.eye(4), axis=1)
+        tol = np.maximum(1e-12, 8.0 * eps * size / np.abs(slope * ref))
+        got = list(got)
+        for r, t in zip(ref, tol):
+            j = int(np.argmin([abs(g - r) for g in got]))
+            assert abs(got.pop(j) - r) <= t * abs(r)
+
+
+def test_roots_keep_exact_zeros_at_xi_zero_without_warnings():
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, converged = spectral._quartic_roots(*batch_char_coeffs([0.0, 0.0, 1.0], SYM))
+        d = decompose_batch([0.0, 1.0], SYM)
+    assert converged.all() and np.all(lam[:2] == 0)
+    assert d.special[0] and np.all(d.eigenvalues[0] == 0)
+
+
+def test_nonfinite_row_is_flagged_for_the_eigensolve():
+    c3, c2, c1, c0 = batch_char_coeffs([0.5, 1.0, 2.0], SYM)
+    c0[1] = np.nan
+    assert spectral._quartic_roots(c3, c2, c1, c0)[1].tolist() == [True, False, True]
+
+
+def test_guard_row_gets_the_polished_eigensolve(monkeypatch):
+    # a row the factorisation did not converge on gets a real eigensolve
+    # polished on the quartic; the other rows keep the factored roots
+    xis = np.geomspace(1e-3, 1e2, 9)
+    A, char = batch_green(xis, FALLBACK_PARAMS_CO), batch_char_coeffs(xis, FALLBACK_PARAMS_CO)
+    free = spectral._eigenvalues(A, char)
+    factor = spectral._quartic_roots
+
+    def one_unconverged(*c):
+        lam, converged = factor(*c)
+        converged[4] = False
+        return lam, converged
+
+    monkeypatch.setattr(spectral, "_quartic_roots", one_unconverged)
+    got = spectral._eigenvalues(A, char)
+    eigensolve = spectral._polish_roots(np.linalg.eigvals(A[4:5]).astype(complex),
+                                        *(c[4:5] for c in char))
+    assert np.array_equal(got[4:5], eigensolve)
+    keep = np.arange(9) != 4
+    assert np.array_equal(got[keep], free[keep])
+    assert _worst_rel_err(got[4], free[4]) <= 1e-12
+
+
+def test_linear_lab_campaigns_never_reach_the_eigensolve(tmp_path, monkeypatch):
+    # the benchmark's four linear-lab campaigns at full size: every quartic
+    # row converges, so np.linalg.eigvals never runs
+    from test_perfbench import load_perfbench
+    from twofluid.cli import parse_config, run_campaign
+
+    rows, unconverged, eigvals_calls = [], [], []
+    factor, eigvals = spectral._quartic_roots, np.linalg.eigvals
+
+    def counted(*c):
+        lam, converged = factor(*c)
+        rows.append(len(converged))
+        unconverged.append(int((~converged).sum()))
+        return lam, converged
+
+    def counted_eigvals(a):
+        eigvals_calls.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(spectral, "_quartic_roots", counted)
+    monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
+    for name, _, text in load_perfbench("run").campaigns("linear-lab", 0, "full"):
+        assert run_campaign(parse_config(text), out_dir=tmp_path / name, quiet=True) == 0
+    assert sum(rows) > 2 * 11328 and sum(unconverged) == 0 and eigvals_calls == []
+
+
 def test_eigenvalues_asymptotic_symmetric_R():
     co = SYM
     R, lt3, lt4, acoustic, nubar = spectral_constants(co)
@@ -216,6 +359,30 @@ def test_project_matches_projector_contraction():
         confluent += int(d.confluent.sum())
     assert confluent > 0  # the stored confluent projectors are exercised
     assert worst <= 1e-12
+
+
+def test_fallback_rows_evolve_and_project_like_the_projectors():
+    # all-real spectra (ordered by magnitude, ``fallback``) fold nothing,
+    # while the other distinct rows fold their conjugate pairs, so evolution
+    # runs its per-column blocks next to the dense one
+    xis = np.concatenate([[0.0], np.geomspace(1e-4, 1e2, 300)])
+    d = decompose_batch(xis, FALLBACK_PARAMS_CO)
+    fb = d.fallback
+    assert fb.sum() >= 50 and (~fb & ~d.special).sum() >= 50
+    assert np.all(d.eigenvalues[fb].imag == 0)
+    assert np.all(d.eigenvalues[~fb & ~d.special, 0].imag != 0)
+    rng = np.random.default_rng(13)
+    U0 = rng.normal(size=(len(xis), 4))
+    evolve = d.evolution(U0)
+    pmax = 1.0 + np.abs(d.projectors).max(axis=(2, 3))
+    for t in (0.0, 0.3, 10.0, 1e3):
+        got = evolve(t)
+        ref = np.einsum("njk,nk->nj", d.semigroup(t), U0).real
+        size = (np.abs(d.weights(t)) * pmax).sum(axis=1) * np.abs(U0).max(axis=1)
+        assert (np.abs(got - ref).max(axis=1) <= 1e-12 * size + 1e-300).all()
+    for U in (U0, U0 + 1j * rng.normal(size=U0.shape)):
+        err = np.abs(d.project(U) - np.einsum("nijk,nk->nij", d.projectors, U)).max(axis=(1, 2))
+        assert (err / pmax.max(axis=1) <= 1e-12).all()
 
 
 def _eager_horner_projectors(xis, co, lam):
