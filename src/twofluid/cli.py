@@ -59,6 +59,7 @@ TASKS = ("analyze-modes", "linear-decay", "lower-bound", "simulate", "fit")
 PROJECTOR_GATE = 1e-10
 SEMIGROUP_GATE = 1e-8
 BAND_GATE = 3.0
+MASS_DRIFT_GATE = 1e-10  # absolute, on either phase's mass
 
 
 class ConfigError(ValueError):
@@ -258,18 +259,8 @@ def _validate(raw: dict) -> RunConfig:
 
 
 def serialize_config(config: RunConfig) -> str:
-    doc = {
-        "task": config.task,
-        "seed": config.seed,
-        "output": config.output,
-        "params": asdict(config.params),
-        "modes": {**asdict(config.modes), "t_check": list(config.modes.t_check)},
-        "decay": asdict(config.decay),
-        "sim": {**asdict(config.sim), "mode": list(config.sim.mode),
-                "band": list(config.sim.band)},
-        "fit": asdict(config.fit),
-    }
-    return yaml.safe_dump(doc, sort_keys=True)
+    # the JSON round trip turns tuples into the lists YAML writes plainly
+    return yaml.safe_dump(json.loads(json.dumps(asdict(config))), sort_keys=True)
 
 
 def config_hash(config: RunConfig) -> str:
@@ -504,7 +495,13 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
     write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], norm_rows, chash)
     write_csv(out_dir / "energy.csv", energy_columns, energy_rows, chash)
     write_checkpoint(state, config.params, out_dir / "state_final.tfck")
-    mass_drift = max(abs(r[3] - energy_rows[0][3]) for r in energy_rows)
+    mass_drift = max(abs(r[c] - energy_rows[0][c]) for r in energy_rows for c in (3, 4))
+    failures = []
+    if not mass_drift <= MASS_DRIFT_GATE:
+        failures.append(f"mass drift {mass_drift:.3e} above {MASS_DRIFT_GATE:g}")
+    rises = [b[0] for a, b in zip(energy_rows, energy_rows[1:]) if b[1] > a[1]]
+    if rises:
+        failures.append(f"e0 rises between records, first at t={rises[0]:g}")
     e_k, e_0 = weighted_sup_functionals(times, history, ell=s.k_max)
     _write_metadata(out_dir, config, chash, {
         **run_info,
@@ -514,12 +511,13 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
             "E_k": {str(k): float(arr[-1]) for k, arr in e_k.items()},
             "E_0": float(e_0[-1]),
         },
-        "passed": True,
+        **({"failure": "; ".join(failures)} if failures else {}),
+        "passed": not failures,
     })
     if not quiet:
         print(f"simulate: {n_steps} steps to t={state.time:g}, "
               f"mass drift {mass_drift:.3e}")
-    return 0
+    return 1 if failures else 0
 
 
 def _task_fit(config: RunConfig, out_dir: Path, chash: str, quiet: bool) -> int:
@@ -564,9 +562,7 @@ def run_campaign(config: RunConfig, out_dir=None, quiet: bool = False) -> int:
             "fit": _task_fit,
         }[config.task]
         return task(config, out, chash, quiet)
-    except BlowUpError:
-        raise
-    except ConfigError:
+    except (BlowUpError, ConfigError):
         raise
     except Exception as exc:  # runtime failure contract: exit 2 with message
         print(f"{config.task}: error: {exc}", file=sys.stderr)

@@ -121,11 +121,7 @@ def pressure_and_sound_speed(rho, gamma):
         raise ValueError("density must be positive")
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
-    P = rho**gamma
-    s2 = gamma * rho ** (gamma - 1.0)
-    if rho.ndim == 0:
-        return float(P), float(s2)
-    return P, s2
+    return rho**gamma, gamma * rho ** (gamma - 1.0)
 
 
 def _check_fraction_densities(R_plus, R_minus):
@@ -136,18 +132,17 @@ def _check_fraction_densities(R_plus, R_minus):
 def solve_rho_plus(R_plus, R_minus, params: FluidParams, x0=None):
     """Phase density ``rho+`` solving pressure equilibrium at given (R+, R-).
 
-    Accepts scalars or arrays.  Newton with the analytic slope
-    ``s+^2 + s-^2 R- R+ / (rho+ - R+)^2``, safeguarded by bisection on a
-    bracket where the residual changes sign.
+    Accepts scalars (giving an ``np.float64``) or arrays.  Newton with the
+    analytic slope ``s+^2 + s-^2 R- R+ / (rho+ - R+)^2``, safeguarded by
+    bisection on a bracket where the residual changes sign.
     """
     _check_fraction_densities(R_plus, R_minus)
-    scalar = np.isscalar(R_plus) and np.isscalar(R_minus)
     Rp = np.asarray(R_plus, dtype=float)
     Rm = np.broadcast_to(np.asarray(R_minus, dtype=float), Rp.shape)
     out = kernels.solve_rho_plus_batch(Rp, Rm, params.gamma_plus, params.gamma_minus, x0=x0)
     if np.any(np.isnan(out)):
         raise ConvergenceError("pressure-equilibrium root solve did not converge")
-    return float(out) if scalar else out
+    return out[()]
 
 
 def closure_state(R_plus, R_minus, params: FluidParams, x0=None) -> ClosureState:
@@ -157,19 +152,15 @@ def closure_state(R_plus, R_minus, params: FluidParams, x0=None) -> ClosureState
     ``x0`` when given, with the vacuum check) and derives the rest from it.
     """
     rho_p = solve_rho_plus(R_plus, R_minus, params, x0=x0)
-    Rp = np.asarray(R_plus, dtype=float)
-    Rm = np.asarray(R_minus, dtype=float)
+    Rp = np.asarray(R_plus, dtype=float)[()]  # np.float64 for scalars, as rho_p
+    Rm = np.asarray(R_minus, dtype=float)[()]
     rho_m = Rm * rho_p / (rho_p - Rp)
     a_p = Rp / rho_p
     a_m = 1.0 - a_p
     _, s2p = pressure_and_sound_speed(rho_p, params.gamma_plus)
     _, s2m = pressure_and_sound_speed(rho_m, params.gamma_minus)
     c2 = s2p * s2m / (a_m * rho_p * s2p + a_p * rho_m * s2m)
-    if np.isscalar(R_plus) and np.isscalar(R_minus):
-        return ClosureState(float(Rp), float(Rm), float(rho_p), float(rho_m), float(a_p),
-                            float(a_m), float(s2p), float(s2m), float(c2))
-    return ClosureState(Rp, Rm, rho_p, rho_m, a_p, np.asarray(a_m), np.asarray(s2p),
-                        np.asarray(s2m), c2)
+    return ClosureState(Rp, Rm, rho_p, rho_m, a_p, a_m, s2p, s2m, c2)
 
 
 @lru_cache(maxsize=64)

@@ -32,6 +32,7 @@ from .spectral import (
 )
 
 VARIABLES = ("n+", "n-", "phi+", "phi-", "combo", "drho+", "drho-", "heat+", "heat-")
+_CHECK_TOL = 1e-8  # relative tolerance of ModeEvolution's quadrature check
 
 
 class AccuracyError(RuntimeError):
@@ -110,23 +111,23 @@ class RadialQuadrature:
         return float(np.sum(self.weights * values))
 
 
-def _find_r_max(profile: Callable, floor: float = 1e-16) -> float:
+def _find_r_max(profile: Callable) -> float:
     r_max = 1.0
     for _ in range(40):
         vals = np.abs(profile(np.linspace(0.75 * r_max, r_max, 16)))
-        if np.max(vals) < floor:
+        if np.max(vals) < 1e-16:
             return r_max
         r_max *= 2.0
     raise AccuracyError("profile does not decay below 1e-16 within a reasonable radius")
 
 
 def radial_norm(profile: Callable, k: int, r_max: float | None = None,
-                tol: float = 1e-8, max_doublings: int = 12) -> float:
+                tol: float = 1e-8) -> float:
     """Sobolev seminorm of order ``k`` of a radially symmetric spectrum.
 
     ``profile`` maps radii to spectral values; ``k = -1`` gives the
     norm weighted by the inverse frequency magnitude.  Converged by panel
-    doubling to relative tolerance ``tol``.
+    doubling (at most 12 times) to relative tolerance ``tol``.
     """
     if k < -1:
         raise ValueError("derivative order must be >= -1")
@@ -140,7 +141,7 @@ def radial_norm(profile: Callable, k: int, r_max: float | None = None,
         return 4.0 * np.pi * q.integrate(integrand)
 
     prev = value(quad)
-    for _ in range(max_doublings):
+    for _ in range(12):
         quad = quad.refined()
         cur = value(quad)
         if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
@@ -263,7 +264,7 @@ class NormSeries:
 
 
 class ModeEvolution:
-    """Exact evolution of radial data under one parameter set.
+    """Exact evolution of radial data under one parameter set, on radii up to 12.
 
     Builds the per-node semigroup decomposition once; every variable and
     derivative order reuses it.  :meth:`norms` projects the data once,
@@ -275,22 +276,20 @@ class ModeEvolution:
     working set at a few node arrays.
 
     The quadrature check doubles the panels at the last time and the
-    highest order, but only on the panels that hold more than
-    ``check_tol**2`` of some variable's squared norm.  The others keep
-    their coarse contribution: together they hold at most
-    ``n_panels * check_tol**2`` of it, far below what the check resolves.
+    highest order, to relative tolerance ``_CHECK_TOL``, but only on the panels
+    that hold more than ``_CHECK_TOL**2`` of some variable's squared norm.  The
+    others keep their coarse contribution: together they hold at most
+    ``n_panels * _CHECK_TOL**2`` of it, far below what the check resolves.
     """
 
-    def __init__(self, params: FluidParams, t_max: float = 1.2e4,
-                 r_max: float = 12.0, order: int = 24, check_tol: float = 1e-8):
+    def __init__(self, params: FluidParams, t_max: float = 1.2e4, order: int = 24):
         self.params = params
         self.coeffs = linear_coefficients(params)
         R, lt3, lt4, acoustic, nubar = spectral_constants(self.coeffs)
         omega = np.sqrt(self.coeffs.beta1 + self.coeffs.beta4)
         self.quad = RadialQuadrature.oscillation_aware(
-            r_max, t_max, omega, max(nubar, 1e-3), order=order)
+            12.0, t_max, omega, max(nubar, 1e-3), order=order)
         self.decomp: BatchDecomposition = decompose_batch(self.quad.nodes, self.coeffs)
-        self._check_tol = check_tol
 
     def _variable_values(self, U, U0, nodes, t):
         co = self.coeffs
@@ -338,7 +337,7 @@ class ModeEvolution:
         fine = np.sqrt(self._refined_squares(data, t_last, k_max, tuple(out), a2_last))
         for (v, table), f in zip(out.items(), fine):
             coarse = table[k_max][-1]
-            if abs(f - coarse) > self._check_tol * max(f, 1e-300) + 1e-300:
+            if abs(f - coarse) > _CHECK_TOL * max(f, 1e-300) + 1e-300:
                 raise AccuracyError(
                     f"quadrature not converged for {v} at t={t_last:g}: "
                     f"{float(coarse)!r} vs refined {float(f)!r}")
@@ -347,12 +346,12 @@ class ModeEvolution:
         """Squared order-``k`` norms at ``t`` under the panel-doubled rule.
 
         ``a2`` holds the coarse squared moduli at ``t``.  Only live panels
-        (above ``check_tol**2`` of some variable's total) are refined.
+        (above ``_CHECK_TOL**2`` of some variable's total) are refined.
         """
         quad = self.quad
         coarse = (a2 * _node_weights(quad.nodes, quad.weights, (k,))[:, 0]).reshape(
             len(variables), -1, quad.order).sum(axis=2)
-        live = (coarse > self._check_tol**2 * coarse.sum(axis=1, keepdims=True)).any(axis=0)
+        live = (coarse > _CHECK_TOL**2 * coarse.sum(axis=1, keepdims=True)).any(axis=0)
         total = coarse[:, ~live].sum(axis=1)
         if live.any():
             nodes, weights = quad.split(np.nonzero(live)[0])

@@ -410,17 +410,8 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
 # Hodge split on the grid
 
 
-def hodge_split_grid(u_spec: np.ndarray, grid: Grid):
-    """Split a spectral velocity into compressible scalar and solenoidal rest.
-
-    Returns ``(phi_hat, remainder_hat)`` with ``phi_hat = -i (k . u_hat)/|k|``
-    (zero at k = 0) and ``remainder_hat = u_hat - i k phi_hat / |k|``, which
-    is divergence free.
-    """
-    return _hodge(u_spec, _waves(grid).khat)
-
-
 def _hodge(u_spec, khat):
+    """``(phi_hat, remainder_hat)``: ``-i khat . u_hat`` and the divergence-free rest."""
     phi = -1j * sum(kh * c for kh, c in zip(khat, u_spec))
     return phi, u_spec - 1j * khat * phi
 

@@ -218,8 +218,8 @@ def _quartic_roots(c3, c2, c1, c0):
     return lam, converged | zero
 
 
-def _polish_roots(lam, c3, c2, c1, c0, steps: int = 2):
-    """Guarded Newton refinement of eigenvalues on the quartic.
+def _polish_roots(lam, c3, c2, c1, c0):
+    """Two guarded Newton steps refining eigenvalues on the quartic.
 
     Used on the rows :func:`_quartic_roots` did not converge on, after a
     real eigensolve.  That eigensolve is well conditioned near clustered
@@ -230,7 +230,7 @@ def _polish_roots(lam, c3, c2, c1, c0, steps: int = 2):
     noise.
     """
     c3e, c2e, c1e, c0e = (np.atleast_1d(c)[:, None] for c in (c3, c2, c1, c0))
-    for _ in range(steps):
+    for _ in range(2):
         p = (((lam + c3e) * lam + c2e) * lam + c1e) * lam + c0e
         noise = np.finfo(float).eps * (
             np.abs(lam) ** 4 + np.abs(c3e * lam**3) + np.abs(c2e * lam**2)
@@ -304,35 +304,20 @@ def _eigenvalues(A, char):
 def _order_roots_distinct(lam):
     """Acoustic pair first (by descending Im), then the remaining pair by Re.
 
-    Returns (ordered roots, fallback flag); fallback = plain magnitude sort
-    when no pair stands out by imaginary part.
+    Returns (ordered roots, fallback flag).  Rows sort by descending |Im|, Im,
+    then Re, so each pair leads with its +Im root, and two real roots go by
+    descending Re.  Fallback rows, whose 2nd and 3rd largest |Im| agree to
+    1e-9 of the largest magnitude (as when all roots are real), sort by
+    descending magnitude, then Re, then Im.
     """
-    n = lam.shape[0]
+    by_im = np.take_along_axis(lam, np.lexsort((-lam.real, -lam.imag, -np.abs(lam.imag)),
+                                               axis=-1), axis=-1)
+    by_mag = np.take_along_axis(lam, np.lexsort((-lam.imag, -lam.real, -np.abs(lam)),
+                                                axis=-1), axis=-1)
+    a_im = np.abs(by_im.imag)
     scale = np.abs(lam).max(axis=1)
-    aim = np.abs(lam.imag)
-    order = np.argsort(-aim, axis=1, kind="stable")
-    a_im = np.take_along_axis(aim, order, axis=1)
-    # ambiguous when the 2nd and 3rd largest |Im| are indistinguishable,
-    # including the all-real case
     fallback = (a_im[:, 1] - a_im[:, 2]) <= 1e-9 * np.maximum(scale, 1e-300)
-    out = np.empty_like(lam)
-    idx_a = order[:, :2]
-    la = np.take_along_axis(lam, idx_a, axis=1)
-    swap = la[:, 0].imag < la[:, 1].imag
-    la[swap] = la[swap][:, ::-1]
-    lb = np.take_along_axis(lam, order[:, 2:], axis=1)
-    # conjugate pairs carry eps-level real-part differences; compare with a
-    # relative tolerance so the tie-break by imaginary part stays stable
-    pair_mag = np.maximum(np.abs(lb[:, 0]), np.abs(lb[:, 1]))
-    near = np.abs(lb[:, 0].real - lb[:, 1].real) <= 1e-7 * pair_mag
-    swap_b = np.where(near, lb[:, 0].imag < lb[:, 1].imag,
-                      lb[:, 0].real < lb[:, 1].real)
-    lb[swap_b] = lb[swap_b][:, ::-1]
-    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = la[:, 0], la[:, 1], lb[:, 0], lb[:, 1]
-    if fallback.any():
-        for r in np.nonzero(fallback)[0]:
-            out[r] = sorted(lam[r], key=lambda z: (-abs(z), -z.real, -z.imag))
-    return out, fallback
+    return np.where(fallback[:, None], by_mag, by_im), fallback
 
 
 def _weights(lam, nilpotent, t: float):
@@ -442,7 +427,18 @@ class BatchDecomposition:
         return self.evolution(U0)(t)
 
 
-def decompose_batch(xis, coeffs: LinearCoefficients, eps_conf: float = EPS_CONFLUENT) -> BatchDecomposition:
+def decompose_batch(xis, coeffs: LinearCoefficients) -> BatchDecomposition:
+    """Eigenvalues and semigroup decomposition of ``A1`` per frequency.
+
+    Each row takes one branch: zero (xi = 0: four zero roots); confluent (two
+    roots within ``EPS_CONFLUENT`` times the largest magnitude: the row holds
+    ``(l1, l2, mu, mu)``, the other two roots by descending Im and then the
+    pair's midpoint twice; a second collision raises
+    :class:`UnsupportedDegeneracyError`); distinct (acoustic pair first, by
+    descending Im, then the other pair by descending Re, ties by descending
+    Im); or distinct-fallback (``fallback``: no pair stands out by |Im|, as
+    when all four roots are real; by descending magnitude, then Re, then Im).
+    """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     n = xis.shape[0]
     A = batch_green(xis, coeffs)
@@ -454,13 +450,12 @@ def decompose_batch(xis, coeffs: LinearCoefficients, eps_conf: float = EPS_CONFL
     imin = d.argmin(axis=1)
     dmin = d[np.arange(n), imin]
     zero = scale == 0.0
-    conf = (~zero) & (dmin <= eps_conf * scale)
+    conf = (~zero) & (dmin <= EPS_CONFLUENT * scale)
 
     special = zero | conf
     lam_o = np.zeros((n, 4), dtype=complex)
     fallback = np.zeros(n, dtype=bool)
-    if not special.all():
-        lam_o[~special], fallback[~special] = _order_roots_distinct(lam[~special])
+    lam_o[~special], fallback[~special] = _order_roots_distinct(lam[~special])
 
     Ps = np.zeros((special.sum(), 4, 4, 4), dtype=complex)
     Ps[zero[special], 0] = _I4
@@ -468,11 +463,11 @@ def decompose_batch(xis, coeffs: LinearCoefficients, eps_conf: float = EPS_CONFL
         l1, l2 = (lam[r, k] for k in range(4) if k not in _PAIRS[imin[r]])
         if l1.imag < l2.imag:
             l1, l2 = l2, l1
-        if abs(l1 - l2) <= eps_conf * scale[r]:
+        if abs(l1 - l2) <= EPS_CONFLUENT * scale[r]:
             raise UnsupportedDegeneracyError(
                 f"more than one eigenvalue collision at xi={xis[r]:.6g}")
         mu = -(char[0][r] + l1 + l2) / 2.0  # pair midpoint via the trace (stable)
-        if min(abs(l1 - mu), abs(l2 - mu)) <= eps_conf * scale[r]:
+        if min(abs(l1 - mu), abs(l2 - mu)) <= EPS_CONFLUENT * scale[r]:
             raise UnsupportedDegeneracyError(
                 f"acoustic/diffusive eigenvalue collision at xi={xis[r]:.6g}")
         Am = A[r]
@@ -536,15 +531,10 @@ def projector_residuals(batch: BatchDecomposition):
 def eigenvalues_exact(xis, coeffs: LinearCoefficients):
     """Ordered quartic eigenvalues per frequency, shape (n, 4); zeros at xi = 0.
 
-    Acoustic pair first (descending Im), then the diffusive pair, as in the
-    distinct branch of :func:`decompose_batch`.
+    Ordered as :func:`decompose_batch` orders its distinct and
+    distinct-fallback rows, on every row, near-confluent ones included.
     """
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    lam = np.zeros(xis.shape + (4,), dtype=complex)
-    live = xis != 0.0
-    if live.any():
-        lam[live] = _order_roots_distinct(batch_eigenvalues(xis[live], coeffs))[0]
-    return lam
+    return _order_roots_distinct(batch_eigenvalues(xis, coeffs))[0]
 
 
 def eigenvalues_asymptotic(xi, coeffs: LinearCoefficients):
@@ -649,11 +639,11 @@ def heat_factor(xi, nu1: float, t: float):
     return np.exp(-nu1 * np.asarray(xi, dtype=float) ** 2 * t)
 
 
-def choose_eta(coeffs: LinearCoefficients, rel_tol: float = 0.1, cap: float = 1.0) -> float:
-    """Largest cutoff radius where the eigenvalue asymptotics hold to ``rel_tol``."""
+def choose_eta(coeffs: LinearCoefficients) -> float:
+    """Largest cutoff radius up to 1 where the eigenvalue asymptotics hold to 10%."""
     from itertools import permutations
 
-    xis = np.geomspace(1e-4, cap, 160)
+    xis = np.geomspace(1e-4, 1.0, 160)
     ex = batch_eigenvalues(xis, coeffs)
     ay = eigenvalues_asymptotic(xis, coeffs)
     # match exact to asymptotic roots by minimum total distance (the two
@@ -663,10 +653,10 @@ def choose_eta(coeffs: LinearCoefficients, rel_tol: float = 0.1, cap: float = 1.
     best = cost.argmin(axis=1)
     matched = ex[np.arange(len(xis))[:, None], perms[best]]
     rel = np.abs(matched - ay) / np.maximum(np.abs(matched), 1e-300)
-    ok = (rel < rel_tol).all(axis=1)
+    ok = (rel < 0.1).all(axis=1)
     bad = np.nonzero(~ok)[0]
     if bad.size == 0:
-        return cap
+        return 1.0
     if bad[0] == 0:
         return float(xis[0])
     return float(xis[bad[0] - 1])

@@ -405,6 +405,45 @@ def test_simulate_warm_starts_the_closure(tmp_path, monkeypatch):
     assert len(cold) == 2 * 10 and sum(cold) == 1  # one solve per stage, one cold start
 
 
+SMALL_SIM = "task: simulate\nseed: 4\nsim:\n  n: 32\n  dt: 0.05\n  t_end: 0.3\n  out_every: 2\n"
+
+
+def _drift(monkeypatch, field, rate):
+    """Make ``simulate`` record ``field`` drifting by ``rate`` per unit time."""
+    from twofluid import cli
+
+    report = cli.energy_report
+
+    def drifting(state, params):
+        rep = report(state, params)
+        return replace(rep, **{field: getattr(rep, field) + rate * state.time})
+
+    monkeypatch.setattr(cli, "energy_report", drifting)
+
+
+def test_simulate_mass_drift_covers_both_phases(tmp_path, monkeypatch):
+    _drift(monkeypatch, "mass_minus", 1e-12)  # below the gate
+    assert run_campaign(parse_config(SMALL_SIM), out_dir=tmp_path, quiet=True) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "energy.csv").read_text().splitlines()[2:]]
+    drift = max(abs(float(r[c]) - float(rows[0][c])) for r in rows for c in (3, 4))
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["mass_drift"] == drift and drift >= 0.29e-12
+    assert meta["passed"] is True and "failure" not in meta
+
+
+@pytest.mark.parametrize("field, rate, reason", [
+    ("mass_minus", 1e-9, "mass drift"),  # reaches 3e-10 at t = 0.3, gate 1e-10
+    ("e0", 1.0, "e0 rises"),
+])
+def test_simulate_fails_its_mass_and_energy_gate(tmp_path, monkeypatch, field, rate, reason):
+    _drift(monkeypatch, field, rate)
+    assert run_campaign(parse_config(SMALL_SIM), out_dir=tmp_path, quiet=True) == 1
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["passed"] is False
+    assert meta["failure"].startswith(reason) and ";" not in meta["failure"]
+    assert (tmp_path / "state_final.tfck").exists()
+
+
 def test_simulate_inadmissible_init_exits_2_with_checkpoint(tmp_path):
     cfg = parse_config("task: simulate\nparams:\n  rbar_plus: 0.3\n"
                        "sim:\n  n: 64\n  init: mode\n  amplitude: 0.4\n")

@@ -385,6 +385,37 @@ def test_fallback_rows_evolve_and_project_like_the_projectors():
         assert (err / pmax.max(axis=1) <= 1e-12).all()
 
 
+def _documented_order(row):
+    """Per-row reference of the root order ``decompose_batch`` documents."""
+    row = [complex(z) for z in row]
+    im = sorted((abs(z.imag) for z in row), reverse=True)
+    if im[1] - im[2] <= 1e-9 * max(max(abs(z) for z in row), 1e-300):
+        return sorted(row, key=lambda z: (-abs(z), -z.real, -z.imag)), True
+    ranked = sorted(row, key=lambda z: -abs(z.imag))
+    acoustic = sorted(ranked[:2], key=lambda z: -z.imag)
+    return acoustic + sorted(ranked[2:], key=lambda z: (-z.real, -z.imag)), False
+
+
+@pytest.mark.parametrize("case", ["readme", "confluent", "draw0", "draw1", "draw2", "draw3"])
+def test_distinct_rows_follow_the_documented_root_order(case):
+    from test_acceptance import XI_GRID, tuned_confluent_params
+
+    params = {"readme": FluidParams(), "confluent": tuned_confluent_params(),
+              **{f"draw{i}": p for i, p in enumerate(VALIDITY_DRAWS)}}[case]
+    co = linear_coefficients(params)
+    xis = np.concatenate([XI_GRID, np.geomspace(1e2, 1e3, 50)[1:]])
+    d = decompose_batch(xis, co)
+    roots = spectral._eigenvalues(batch_green(xis, co), batch_char_coeffs(xis, co))
+    rows = np.nonzero(~d.special)[0]
+    assert rows.size >= 150
+    for r in rows:
+        order, fallback = _documented_order(roots[r])
+        assert d.fallback[r] == fallback
+        assert np.array_equal(d.eigenvalues[r], order)
+    if case == "draw0":
+        assert d.fallback[:200].sum() == 75
+
+
 def _eager_horner_projectors(xis, co, lam):
     """Distinct-row projectors as ``decompose_batch`` once built them eagerly."""
     A = batch_green(xis, co)
@@ -623,6 +654,15 @@ def test_stability_and_decay_envelope():
 def test_choose_eta_reasonable():
     eta = choose_eta(SYM)
     assert 1e-4 < eta <= 1.0
+
+
+def test_choose_eta_matches_roots_to_asymptotics_by_distance():
+    # the acoustic and diffusive |Im| come within 10% near xi ~ 1 here, so
+    # matching through the shared root order would stop at eta = 0.529
+    params = FluidParams(mu_plus=2.36, mu_minus=4.96, lambda_plus=1.43, lambda_minus=1.73,
+                         sigma_plus=0.29, sigma_minus=8.5, gamma_plus=2.08, gamma_minus=1.08,
+                         rbar_plus=7.14, rbar_minus=0.88)
+    assert choose_eta(linear_coefficients(params)) == 1.0
 
 
 def test_unsupported_degeneracy_raises():
