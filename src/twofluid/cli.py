@@ -468,8 +468,8 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
         fields = {"n+": n_p, "n-": n_m, "u+": u_p, "u-": u_m, "combo": combo}
         for v, spec in fields.items():
             k_hi = s.k_max + 1 if v in ("n+", "n-") else s.k_max
-            for k in range(k_hi + 1):
-                val = np.sqrt(gradient_l2sq(grid, spec, order=k))
+            for k, sq in enumerate(gradient_l2sq(grid, spec, order=range(k_hi + 1))):
+                val = np.sqrt(sq)
                 norm_rows.append((st.time, v, k, val))
                 history.setdefault((v, k), []).append(val)
         times.append(st.time)

@@ -6,9 +6,12 @@ the third-order capillary term) advances exactly per mode through the
 semigroup decomposition, and the nonlinear terms advance with explicit RK2.
 
 A state is one stack of rfft spectra, rows n+, n-, u+ and u- (dim rows
-each), as are its tendencies and checkpoints.  The fields stay spectral
-through a step: the linear half-steps are per-mode multiplies, the
-tendencies are masked spectra, and physical arrays are made only where
+each), as are its tendencies and checkpoints.  Every spectrum a state holds
+vanishes outside the 2/3 band, and the solver's one forward and one inverse
+transform keep and use that: they skip the Fourier lines that hold only
+zeros there, and give scipy.fft's bits on the band.  The fields stay
+spectral through a step: the linear half-steps are per-mode multiplies, the
+tendencies are band-limited spectra, and physical arrays are made only where
 products and the guards need them.  A run costs the FFTs of the nonlinear
 stages plus a one-off propagator build, which decomposes the 4x4 semigroup
 once per distinct integer wave-index norm (a few thousand on a 64^3 grid).
@@ -59,6 +62,11 @@ class BlowUpError(ValueError):
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
+
+
+def _cut(n: int) -> int:
+    """Highest wave-index modulus the 2/3 rule keeps on an axis of ``n`` points."""
+    return n // 3
 
 
 @dataclass(frozen=True)
@@ -121,7 +129,8 @@ class Grid:
         return np.sqrt(k2)
 
     def dealias_mask(self):
-        cut = self.n // 3
+        """True on the 2/3 band: every wave index at most ``n // 3`` in modulus."""
+        cut = _cut(self.n)
         mask = np.ones(self.spectral_shape, dtype=bool)
         for m in self.index_axes():
             mask &= np.abs(m) <= cut
@@ -132,7 +141,6 @@ class _Waves(NamedTuple):
     ks: list          # k_d, broadcastable
     khat: np.ndarray  # k_d / |k| (0 at k = 0), shape (dim,) + spectral shape
     k2: np.ndarray    # |k|^2, spectral shape
-    mask: np.ndarray  # 2/3-rule mask as 0.0 / 1.0, spectral shape
     l2w: np.ndarray   # Parseval weights of the rfft layout
 
 
@@ -146,9 +154,9 @@ def _waves(grid: Grid) -> _Waves:
     l2w[..., 0] = 1.0
     l2w[..., grid.n // 2] = 1.0
     waves = _Waves(ks=ks, khat=np.stack([k * inv for k in ks]),
-                   k2=sum(k**2 for k in ks), mask=grid.dealias_mask().astype(float),
+                   k2=sum(k**2 for k in ks),
                    l2w=l2w * grid.volume / float(np.prod(grid.shape)) ** 2)
-    _freeze(*waves.ks, waves.khat, waves.k2, waves.mask, waves.l2w)
+    _freeze(*waves.ks, waves.khat, waves.k2, waves.l2w)
     return waves
 
 
@@ -158,28 +166,57 @@ def _freeze(*arrays):
         arr.flags.writeable = False
 
 
-# numpy.fft rather than scipy.fft: a campaign process then never imports
-# scipy (0.3-0.4 s).  scipy transforms the last axis, then the others first to
-# last; numpy takes the others from the back of ``axes``, so this order gives
-# scipy's bits.  With ``out`` every axis pass reuses one buffer.
-def _rfft(f):
-    d = f.ndim
-    out = np.empty(f.shape[:-1] + (f.shape[-1] // 2 + 1,), dtype=complex)
-    return np.fft.rfftn(f, axes=(*range(d - 2, -1, -1), d - 1), out=out)
+# Transforms on the 2/3 band (``Grid.dealias_mask``): with cut = n//3, each
+# fft axis keeps the indices 0..cut and n-cut..n-1, the rfft axis 0..cut.
+# Every spectrum the solver inverts vanishes outside the band, so the Fourier
+# lines that hold only zeros there are skipped.  The line transforms are
+# numpy.fft's 1-D ones (pocketfft, as scipy.fft), taken in scipy's axis order:
+# forward the last axis first, then the others first to last; inverse the
+# reverse.  Every in-band value is therefore scipy's bits, and a campaign
+# never imports scipy.
+def _rfft(f, out=None):
+    """rfft spectrum of the real array ``f``, zeroed outside the 2/3 band."""
+    n = f.shape[-1]
+    cut = _cut(n)
+    out = np.fft.rfft(f, out=out)
+    out[..., cut + 1:] = 0
+    if f.ndim > 1:
+        band = out[..., :cut + 1]
+        np.fft.fft(band, axis=0, out=band)
+        band[cut + 1:n - cut] = 0
+        if f.ndim == 3:
+            for rows in (band[:cut + 1], band[n - cut:]):
+                np.fft.fft(rows, axis=1, out=rows)
+                rows[:, cut + 1:n - cut] = 0
+    return out
 
 
-def _irfft(spec, shape):
-    return np.fft.irfftn(spec, s=shape, axes=tuple(range(len(shape))))
+def _irfft(spec, shape, out=None):
+    """Real field of ``shape`` whose rfft is ``spec``, which must vanish outside the band."""
+    n = shape[-1]
+    cut = _cut(n)
+    band = spec[..., :cut + 1]
+    if len(shape) == 3:
+        work = np.empty(shape[:-1] + (cut + 1,), dtype=complex)
+        for cols in (slice(0, cut + 1), slice(n - cut, n)):
+            np.fft.ifft(band[:, cols], axis=0, out=work[:, cols])
+        work[:, cut + 1:n - cut] = 0
+        band = np.fft.ifft(work, axis=1, out=work)
+    elif len(shape) == 2:
+        band = np.fft.ifft(band, axis=0)
+    return np.fft.irfft(band, n, out=out)  # pads the columns above the band with zeros
 
 
 # The CPUs this process may run on; ``taskset`` narrows them.
 _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
          else os.cpu_count() or 1)
-# Grids with fewer points run inline.  Measured on a 2-vCPU x86-64 host, a
-# step on the pool took 0.70-0.88 of the inline time at 2**18 points (3D 64^3,
-# 2D 512^2) but 0.99-1.65 at 2**14-2**16 (2D 128^2, 3D 32^3, 2D 256^2), where
-# the hand-offs weigh more than the second core gains.
-_PARALLEL_POINTS = 2**17
+# Grids with fewer points run inline.  Measured with the band-limited
+# transforms on a 2-vCPU x86-64 host (warm steps in process, and cold simulate
+# campaigns), a step on the pool took 0.56-0.58 of the inline time at 2**18
+# points (2D 512^2, 3D 64^3), 0.67-0.84 at 2**15-2**16 (3D 32^3, 2D 256^2) and
+# 0.93-1.01 at 2**14 (2D 128^2), where the hand-offs weigh as much as the
+# second core gains.
+_PARALLEL_POINTS = 2**15
 
 
 def workers(grid: Grid) -> int:
@@ -237,10 +274,18 @@ def _irfft_rows(spectrum, count: int, shape, size: int):
     out = np.empty((count,) + shape)
 
     def row(r):
-        out[r] = _irfft(spectrum(r), shape)
+        _irfft(spectrum(r), shape, out=out[r])
 
     _each(row, count, size)
     return out
+
+
+def _rfft_rows(grid: Grid, physical):
+    """Stack of the band-limited spectra of the rows of ``physical``."""
+    spectra = np.empty((len(physical),) + grid.spectral_shape, dtype=complex)
+    for f, row in zip(physical, spectra):
+        _rfft(f, out=row)
+    return spectra
 
 
 class FieldState:
@@ -251,23 +296,29 @@ class FieldState:
     The class owns that row order: :meth:`stack` and :meth:`split` build and
     cut arrays in it, and the field properties are views of ``physical``.
 
-    A state never changes: every array it holds is read-only and ``time``
-    is fixed at construction.  The constructor copies physical arrays and
-    transforms them once; states from ``from_spectra`` make their physical
-    twin once, on first read.  ``rho_plus`` is the closure root of the
+    The spectra vanish outside the 2/3 band (``Grid.dealias_mask``), which
+    the solver's transforms rely on.  A state never changes: every array it
+    holds is read-only and ``time`` is fixed at construction.  The
+    constructor copies physical arrays, keeps them as ``physical`` and
+    transforms them once, keeping the band; states from ``from_spectra``
+    (whose spectra must already vanish outside it) make their physical twin
+    once, on first read.  ``rho_plus`` is the closure root of the
     nonlinear stage that produced the state (the next step warm-starts from
     it), or None.
     """
 
     def __init__(self, grid: Grid, n_plus, n_minus, u_plus, u_minus, time: float = 0.0):
         physical = self.stack(n_plus, n_minus, u_plus, u_minus).astype(float, copy=False)
-        self._hold(grid, np.stack([_rfft(f) for f in physical]), time)
+        self._hold(grid, _rfft_rows(grid, physical), time)
         _freeze(physical)
         self.physical = physical
 
     @classmethod
     def from_spectra(cls, grid: Grid, spectra: np.ndarray, time: float):
-        """State held by its stacked spectra (rfft layout, rows as in ``split``)."""
+        """State held by its stacked spectra (rfft layout, rows as in ``split``).
+
+        The spectra must vanish outside the 2/3 band.
+        """
         state = cls.__new__(cls)
         state._hold(grid, spectra, time)
         return state
@@ -356,8 +407,9 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
     Raises :class:`BlowUpError` when ``n± <= -rbar±`` anywhere; ``params``
     supplies the background (default :class:`FluidParams`).  ``kind="random"``
     draws from ``default_rng(seed)`` one band of complex normals per field in
-    the order n+, n-, then (u+[d], u-[d]) for each axis d, and scales each
-    field to ``max |f| = amplitude``.
+    the order n+, n-, then (u+[d], u-[d]) for each axis d, drops the modes
+    above the 2/3 band (index n//3) and scales each field to
+    ``max |f| = amplitude``.
     """
     shape = grid.shape
     physical = np.zeros((2 + 2 * grid.dim,) + shape)
@@ -388,6 +440,7 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
             spec_arr = np.zeros(grid.spectral_shape, dtype=complex)
             vals = rng.normal(size=band.sum()) + 1j * rng.normal(size=band.sum())
             spec_arr[band] = vals
+            spec_arr[kidx > _cut(grid.n)] = 0
             f = _irfft(spec_arr, shape)
             m = np.abs(f).max()
             return f * (spec.amplitude / m) if m > 0 else f
@@ -400,8 +453,7 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
     else:
         raise ValueError(f"unknown init kind {spec.kind!r}")
     # keep every field inside the 2/3 band so products never alias back
-    mask = _waves(grid).mask
-    state = FieldState.from_spectra(grid, np.stack([mask * _rfft(f) for f in physical]), 0.0)
+    state = FieldState.from_spectra(grid, _rfft_rows(grid, physical), 0.0)
     state.check_positivity(params if params is not None else FluidParams())
     return state
 
@@ -483,11 +535,11 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
     """Tendencies of the reformulated system, dealiased, in the state's rows.
 
     Derivatives are spectral, products pointwise; every assembled tendency
-    passes once through the 2/3 mask.  Returns ``(F, rho_plus)``: ``F`` is
-    stacked like ``state.spectra`` and holds the masked rfft spectra of the
-    tendencies of n+, n-, u+ and u-.  The pointwise closure is solved once;
-    ``rho_guess`` warm-starts it and ``rho_plus`` is its root at this state.
-    The gradient rows, the closure's slabs and the two phases run on
+    is transformed once, onto the 2/3 band.  Returns ``(F, rho_plus)``: ``F``
+    is stacked like ``state.spectra`` and holds the band-limited rfft spectra
+    of the tendencies of n+, n-, u+ and u-.  The pointwise closure is solved
+    once; ``rho_guess`` warm-starts it and ``rho_plus`` is its root at this
+    state.  The gradient rows, the closure's slabs and the two phases run on
     :func:`workers` threads; each does the same arithmetic whatever the
     count, so the results are bitwise the same.
     """
@@ -522,7 +574,7 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
         # continuity by the product rule: -div(n u) = -(u . grad n + n div u)
         flux_div = np.einsum("i...,i...->...", u, dn)
         flux_div += n * div
-        np.multiply(-w.mask, _rfft(flux_div), out=Fn)
+        np.negative(_rfft(flux_div, out=Fn), out=Fn)
         del flux_div
         # momentum, with Du[i, j] = d_j u_i and the viscous term
         # mu Lap u + (mu + lam) grad div u; a = h dn+ + k dn- feeds both the
@@ -538,7 +590,7 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
             f += div * a[i]
             f += np.einsum("j...,j...->...", b, Du[i])
             f += mu * np.einsum("j...,j...->...", a, Du[:, i])
-            np.multiply(w.mask, _rfft(f), out=Fu[i])
+            _rfft(f, out=Fu[i])
 
     phases = ((n_p, dn_p, u_p, Du_p, u_hat_p, nc.g_plus, nc.gbar_plus, nc.h_plus, nc.k_plus,
                nc.l_plus, params.mu_plus, params.lambda_plus, Fn_p, Fu_p),
@@ -581,13 +633,17 @@ def step(state: FieldState, dt: float, params: FluidParams,
 # diagnostics
 
 
-def gradient_l2sq(grid: Grid, spec, order: int = 1):
+def gradient_l2sq(grid: Grid, spec, order=1):
     """Box integral of ``|grad^order f|^2`` from the rfft spectrum (Parseval).
 
     ``spec`` may be a stack of spectra (a vector field): the integrals add.
+    For a sequence of orders the result is a list, one integral per order,
+    and ``|spec|^2`` is formed once.
     """
     w = _waves(grid)
-    return float(np.sum(w.l2w * w.k2**order * np.abs(spec) ** 2))
+    power = np.abs(spec) ** 2
+    sums = [float(np.sum(w.l2w * w.k2**int(k) * power)) for k in np.atleast_1d(order)]
+    return sums if np.ndim(order) else sums[0]
 
 
 def energy_report(state: FieldState, params: FluidParams) -> EnergyReport:

@@ -94,6 +94,17 @@ def test_init_random_pins_the_draw_order(dim):
     got = init_state(grid, spec).spectra
     assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
+
+def test_init_random_drops_modes_above_the_band():
+    # band (1, 4) reaches above n/3 = 2 on an 8-point grid: those modes are
+    # dropped before each field is scaled, so max |f| is the amplitude
+    grid = Grid(dim=2, n=8, length=2 * np.pi)
+    st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=5, band=(1, 4)))
+    assert np.all(st.spectra[:, ~grid.dealias_mask()] == 0)
+    for f in st.physical:
+        assert np.abs(f).max() == pytest.approx(1e-3, rel=1e-12)
+
+
 def test_init_positivity_guard():
     grid = Grid(dim=1, n=64, length=2 * np.pi)
     with pytest.raises(ValueError):
@@ -487,6 +498,19 @@ def test_parseval_helper():
     x = grid.axes()[0]
     f = np.cos(3 * x)
     assert gradient_l2sq(grid, np.fft.rfftn(f), 0) == pytest.approx(grid.volume / 2, rel=1e-12)
+    assert gradient_l2sq(grid, np.fft.rfftn(f), 2) == pytest.approx(3**4 * grid.volume / 2,
+                                                                    rel=1e-12)
+
+
+def test_parseval_orders_are_bitwise_the_single_order_sums():
+    # a sequence of orders forms |spec|^2 once; each integral keeps the
+    # operation order of l2w * k2**k * |spec|^2
+    grid = Grid(dim=2, n=16, length=3.0)
+    u = np.fft.rfftn(np.random.default_rng(2).standard_normal((2,) + grid.shape), axes=(1, 2))
+    w = _waves(grid)
+    expect = [float(np.sum(w.l2w * w.k2**k * np.abs(u) ** 2)) for k in range(5)]
+    assert gradient_l2sq(grid, u, range(5)) == expect
+    assert [gradient_l2sq(grid, u, k) for k in range(5)] == expect
 
 
 def test_closure_cache_speedup_consistency():
@@ -515,30 +539,41 @@ def test_propagator_dedup_matches_full_decomposition(dim, n):
     assert np.abs(heat_p - np.exp(-co.nu1_plus * grid.k_mag() ** 2 * dt)).max() <= 1e-14
 
 
-@pytest.mark.parametrize("shape", [(1024,), (256, 256), (16, 16, 16), (64, 64, 64)])
+@pytest.mark.parametrize("shape", [(1024,), (256, 256), (16, 16, 16), (64, 64, 64),
+                                   (4, 4), (4, 4, 4)])
 def test_transforms_match_scipy_bitwise(shape):
-    # the solver transforms with numpy.fft; its axis order pins scipy.fft's
-    # bits, so artifacts match those written with scipy.fft
+    # the solver transforms with numpy.fft on the 2/3 band only; its axis
+    # order pins scipy.fft's bits there, so artifacts match those written with
+    # scipy.fft and a mask; n = 4 puts the band edges next to each other
     import scipy.fft
 
     from twofluid.solver import _irfft, _rfft
 
+    mask = Grid(dim=len(shape), n=shape[0], length=1.0).dealias_mask()
     f = np.random.default_rng(len(shape)).standard_normal(shape)
-    spec = scipy.fft.rfftn(f)
-    assert np.array_equal(_rfft(f), spec)
-    assert np.array_equal(_irfft(spec, shape), scipy.fft.irfftn(spec, s=shape))
+    band = scipy.fft.rfftn(f) * mask
+    # into an array holding garbage: the band-limited spectrum, exact zeros off it
+    spec = np.full(mask.shape, np.nan, dtype=complex)
+    assert _rfft(f, out=spec) is spec
+    assert np.array_equal(spec, band)
+    assert np.all(spec[~mask] == 0)
+    assert np.array_equal(_rfft(f), band)
+    field = np.full(shape, np.nan)
+    assert _irfft(band, shape, out=field) is field
+    assert np.array_equal(field, scipy.fft.irfftn(band, s=shape))
+    assert np.array_equal(_irfft(band, shape), field)
 
 
 def _count_ffts(monkeypatch):
-    import scipy.fft
+    """Calls of the solver's forward and inverse transforms, appended as they happen."""
+    from twofluid import solver
 
     calls = []
-    for mod in (scipy.fft, np.fft):
-        for name in ("rfftn", "irfftn", "fftn", "ifftn"):
-            def counted(*args, _fn=getattr(mod, name), **kwargs):
-                calls.append(_fn)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(mod, name, counted)
+    for name in ("_rfft", "_irfft"):
+        def counted(*args, _fn=getattr(solver, name), **kwargs):
+            calls.append(_fn)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(solver, name, counted)
     return calls
 
 
@@ -549,10 +584,33 @@ def test_step_fft_budget(monkeypatch, dim, budget):
     calls = _count_ffts(monkeypatch)
     # cold: a freshly constructed state transforms its fields
     cur = step(FieldState(grid, st.n_plus, st.n_minus, st.u_plus, st.u_minus), 0.01, SYM)
-    assert len(calls) <= budget
+    assert 0 < len(calls) <= budget
     del calls[:]
     step(cur, 0.01, SYM)   # warm: a stepped state carries its spectra
-    assert len(calls) <= budget - 2 * (1 + dim)
+    assert 0 < len(calls) <= budget - 2 * (1 + dim)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_constructed_state_is_band_limited(tmp_path, dim):
+    # fields with content up to the grid's Nyquist index: the state keeps the
+    # band of their transforms and the arrays it was given
+    import scipy.fft
+
+    grid = Grid(dim=dim, n=16, length=2 * np.pi)
+    rows = np.random.default_rng(dim).standard_normal((2 + 2 * dim,) + grid.shape)
+    assert np.abs(scipy.fft.rfftn(rows[0])[~grid.dealias_mask()]).max() > 1.0
+    st = FieldState(grid, *FieldState.split(rows), time=0.5)
+    mask = grid.dealias_mask()
+    for row, spec in zip(rows, st.spectra):
+        assert np.all(spec[~mask] == 0)
+        assert np.array_equal(spec, scipy.fft.rfftn(row) * mask)
+    assert np.array_equal(st.physical, rows)
+    path = tmp_path / "state.tfck"
+    write_checkpoint(st, SYM, path)
+    back = read_checkpoint(path, SYM)
+    assert back.time == st.time
+    assert np.array_equal(back.physical, st.physical)
+    assert np.array_equal(back.spectra, st.spectra)
 
 
 def test_stepped_state_caches_consistent_spectra():
