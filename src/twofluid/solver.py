@@ -5,16 +5,18 @@ Strang splitting: the stiff linear part (pressure coupling, viscosity and
 the third-order capillary term) advances exactly per mode through the
 semigroup decomposition, and the nonlinear terms advance with explicit RK2.
 
-A state is one stack of rfft spectra, rows n+, n-, u+ and u- (dim rows
-each), as are its tendencies and checkpoints.  Every spectrum a state holds
-vanishes outside the 2/3 band, and the solver's one forward and one inverse
-transform keep and use that: they skip the Fourier lines that hold only
-zeros there, and give scipy.fft's bits on the band.  The fields stay
-spectral through a step: the linear half-steps are per-mode multiplies, the
-tendencies are band-limited spectra, and physical arrays are made only where
-products and the guards need them.  A run costs the FFTs of the nonlinear
-stages plus a one-off propagator build, which decomposes the 4x4 semigroup
-once per distinct integer wave-index norm (a few thousand on a 64^3 grid).
+A state is one stack of spectra, rows n+, n-, u+ and u- (dim rows each),
+as are its tendencies and checkpoints.  Spectra hold the 2/3 band only
+(``Grid.band_shape``; 30% of the rfft modes in 3D): everything outside it is
+zero, so the solver's one spectral layout leaves it out.  The one forward
+and one inverse transform move between that layout and physical space,
+transform only the Fourier lines that cross the band and give scipy.fft's
+bits on it.  The fields stay spectral through a step: the linear half-steps
+are per-mode multiplies, the tendencies are band spectra, and physical
+arrays are made only where products and the guards need them.  A run costs
+the FFTs of the nonlinear stages plus a one-off propagator build, which
+decomposes the 4x4 semigroup once per distinct integer wave-index norm on
+the band (803 on a 64^3 grid).
 
 On grids of at least ``_PARALLEL_POINTS`` points a step runs on a thread
 pool sized to the CPUs the process may use (``os.sched_getaffinity``, so
@@ -67,6 +69,21 @@ class BlowUpError(ValueError):
 def _cut(n: int) -> int:
     """Highest wave-index modulus the 2/3 rule keeps on an axis of ``n`` points."""
     return n // 3
+
+
+def _keep_band(a, axis: int):
+    """The band rows 0..cut and n-cut..n-1 of ``a`` along its fft ``axis`` of n points."""
+    n, pre = a.shape[axis], (slice(None),) * (axis % a.ndim)
+    head, tail = a[pre + (slice(_cut(n) + 1),)], a[pre + (slice(n - _cut(n), n),)]
+    return np.concatenate([head, tail], axis=axis)
+
+
+def _spread_band(spec, axis: int, n: int):
+    """The band rows of ``spec`` along ``axis`` put back among ``n`` rows, zeros between."""
+    cut, pre = _cut(n), (slice(None),) * axis
+    gap = np.zeros(spec.shape[:axis] + (n - 2 * cut - 1,) + spec.shape[axis + 1:], dtype=complex)
+    head, tail = spec[pre + (slice(cut + 1),)], spec[pre + (slice(cut + 1, None),)]
+    return np.concatenate([head, gap, tail], axis=axis)
 
 
 @dataclass(frozen=True)
@@ -128,33 +145,40 @@ class Grid:
         k2 = sum(k**2 for k in self.k_axes())
         return np.sqrt(k2)
 
-    def dealias_mask(self):
-        """True on the 2/3 band: every wave index at most ``n // 3`` in modulus."""
+    @property
+    def band_shape(self):
+        """Shape of a spectrum on the 2/3 band, the solver's spectral layout."""
         cut = _cut(self.n)
-        mask = np.ones(self.spectral_shape, dtype=bool)
-        for m in self.index_axes():
-            mask &= np.abs(m) <= cut
-        return mask
+        return (2 * cut + 1,) * (self.dim - 1) + (cut + 1,)
+
+    def band(self, a):
+        """The 2/3 band of ``a``, whose last ``dim`` axes are in the rfft layout.
+
+        Axes of length 1 broadcast and are kept as they are.
+        """
+        for axis in range(-self.dim, -1):
+            if a.shape[axis] > 1:
+                a = _keep_band(a, axis)
+        return a[..., :_cut(self.n) + 1]
 
 
 class _Waves(NamedTuple):
     ks: list          # k_d, broadcastable
-    khat: np.ndarray  # k_d / |k| (0 at k = 0), shape (dim,) + spectral shape
-    k2: np.ndarray    # |k|^2, spectral shape
-    l2w: np.ndarray   # Parseval weights of the rfft layout
+    khat: np.ndarray  # k_d / |k| (0 at k = 0), shape (dim,) + band shape
+    k2: np.ndarray    # |k|^2, band shape
+    l2w: np.ndarray   # Parseval weights of the band
 
 
 @functools.lru_cache(maxsize=8)
 def _waves(grid: Grid) -> _Waves:
-    """Spectral symbols of a grid, built once per grid."""
-    ks = grid.k_axes()
-    kmag = grid.k_mag()
+    """Spectral symbols of a grid on its band, built once per grid."""
+    ks = [grid.band(k) for k in grid.k_axes()]
+    k2 = sum(k**2 for k in ks)
+    kmag = np.sqrt(k2)
     inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, kmag, 1.0), 0.0)
-    l2w = np.full(grid.spectral_shape, 2.0)
-    l2w[..., 0] = 1.0
-    l2w[..., grid.n // 2] = 1.0
-    waves = _Waves(ks=ks, khat=np.stack([k * inv for k in ks]),
-                   k2=sum(k**2 for k in ks),
+    l2w = np.full(grid.band_shape, 2.0)
+    l2w[..., 0] = 1.0  # the band stops below the Nyquist column, the other unpaired one
+    waves = _Waves(ks=ks, khat=np.stack([k * inv for k in ks]), k2=k2,
                    l2w=l2w * grid.volume / float(np.prod(grid.shape)) ** 2)
     _freeze(*waves.ks, waves.khat, waves.k2, waves.l2w)
     return waves
@@ -166,45 +190,34 @@ def _freeze(*arrays):
         arr.flags.writeable = False
 
 
-# Transforms on the 2/3 band (``Grid.dealias_mask``): with cut = n//3, each
-# fft axis keeps the indices 0..cut and n-cut..n-1, the rfft axis 0..cut.
-# Every spectrum the solver inverts vanishes outside the band, so the Fourier
-# lines that hold only zeros there are skipped.  The line transforms are
-# numpy.fft's 1-D ones (pocketfft, as scipy.fft), taken in scipy's axis order:
-# forward the last axis first, then the others first to last; inverse the
-# reverse.  Every in-band value is therefore scipy's bits, and a campaign
-# never imports scipy.
+# Spectra live on the 2/3 band only (``Grid.band_shape``): with cut = n//3,
+# each fft axis holds the indices 0..cut and n-cut..n-1 in that order, the
+# rfft axis 0..cut.  The transforms run numpy.fft's 1-D line transforms
+# (pocketfft, as scipy.fft) in scipy's axis order, forward the last axis first,
+# then the others first to last, inverse the reverse, and only on the Fourier
+# lines that cross the band: the forward keeps the band rows after each pass,
+# the inverse spreads them among zeros before each.  Every band value is
+# therefore scipy's bits, and a campaign never imports scipy.
 def _rfft(f, out=None):
-    """rfft spectrum of the real array ``f``, zeroed outside the 2/3 band."""
+    """Band spectrum of the real array ``f``."""
     n = f.shape[-1]
-    cut = _cut(n)
-    out = np.fft.rfft(f, out=out)
-    out[..., cut + 1:] = 0
-    if f.ndim > 1:
-        band = out[..., :cut + 1]
-        np.fft.fft(band, axis=0, out=band)
-        band[cut + 1:n - cut] = 0
-        if f.ndim == 3:
-            for rows in (band[:cut + 1], band[n - cut:]):
-                np.fft.fft(rows, axis=1, out=rows)
-                rows[:, cut + 1:n - cut] = 0
+    spec = np.fft.rfft(f)[..., :_cut(n) + 1]
+    for axis in range(f.ndim - 1):
+        np.fft.fft(spec, axis=axis, out=spec)
+        spec = _keep_band(spec, axis)
+    if out is None:
+        return spec
+    out[...] = spec
     return out
 
 
 def _irfft(spec, shape, out=None):
-    """Real field of ``shape`` whose rfft is ``spec``, which must vanish outside the band."""
+    """Real field of ``shape`` whose band spectrum is ``spec``."""
     n = shape[-1]
-    cut = _cut(n)
-    band = spec[..., :cut + 1]
-    if len(shape) == 3:
-        work = np.empty(shape[:-1] + (cut + 1,), dtype=complex)
-        for cols in (slice(0, cut + 1), slice(n - cut, n)):
-            np.fft.ifft(band[:, cols], axis=0, out=work[:, cols])
-        work[:, cut + 1:n - cut] = 0
-        band = np.fft.ifft(work, axis=1, out=work)
-    elif len(shape) == 2:
-        band = np.fft.ifft(band, axis=0)
-    return np.fft.irfft(band, n, out=out)  # pads the columns above the band with zeros
+    for axis in range(len(shape) - 1):
+        full = _spread_band(spec, axis, n)
+        spec = np.fft.ifft(full, axis=axis, out=full)
+    return np.fft.irfft(spec, n, out=out)  # pads the columns above the band with zeros
 
 
 # The CPUs this process may run on; ``taskset`` narrows them.
@@ -281,30 +294,28 @@ def _irfft_rows(spectrum, count: int, shape, size: int):
 
 
 def _rfft_rows(grid: Grid, physical):
-    """Stack of the band-limited spectra of the rows of ``physical``."""
-    spectra = np.empty((len(physical),) + grid.spectral_shape, dtype=complex)
+    """Stack of the band spectra of the rows of ``physical``."""
+    spectra = np.empty((len(physical),) + grid.band_shape, dtype=complex)
     for f, row in zip(physical, spectra):
         _rfft(f, out=row)
     return spectra
 
 
 class FieldState:
-    """Perturbation fields on a grid, held as one stack of rfft spectra.
+    """Perturbation fields on a grid, held as one stack of spectra on the 2/3 band.
 
-    ``spectra`` has shape ``(2 + 2 dim,) + spectral_shape``, rows n+, n-, u+
+    ``spectra`` has shape ``(2 + 2 dim,) + grid.band_shape``, rows n+, n-, u+
     (dim rows) and u- (dim rows); ``physical`` is its twin in physical space.
     The class owns that row order: :meth:`stack` and :meth:`split` build and
     cut arrays in it, and the field properties are views of ``physical``.
 
-    The spectra vanish outside the 2/3 band (``Grid.dealias_mask``), which
-    the solver's transforms rely on.  A state never changes: every array it
-    holds is read-only and ``time`` is fixed at construction.  The
-    constructor copies physical arrays, keeps them as ``physical`` and
-    transforms them once, keeping the band; states from ``from_spectra``
-    (whose spectra must already vanish outside it) make their physical twin
-    once, on first read.  ``rho_plus`` is the closure root of the
-    nonlinear stage that produced the state (the next step warm-starts from
-    it), or None.
+    Only the band is held (``Grid.band``); every mode outside it is zero.  A
+    state never changes: every array it holds is read-only and ``time`` is
+    fixed at construction.  The constructor copies physical arrays, keeps
+    them as ``physical`` and transforms them once onto the band; states from
+    ``from_spectra`` make their physical twin once, on first read.
+    ``rho_plus`` is the closure root of the nonlinear stage that produced
+    the state (the next step warm-starts from it), or None.
     """
 
     def __init__(self, grid: Grid, n_plus, n_minus, u_plus, u_minus, time: float = 0.0):
@@ -315,10 +326,15 @@ class FieldState:
 
     @classmethod
     def from_spectra(cls, grid: Grid, spectra: np.ndarray, time: float):
-        """State held by its stacked spectra (rfft layout, rows as in ``split``).
+        """State held by its stacked band spectra (rows as in ``split``).
 
-        The spectra must vanish outside the 2/3 band.
+        Raises ``ValueError`` unless ``spectra`` has shape
+        ``(2 + 2 dim,) + grid.band_shape``.
         """
+        expected = (2 + 2 * grid.dim,) + grid.band_shape
+        if np.shape(spectra) != expected:
+            raise ValueError(f"spectra must have shape {expected} (rows n+, n-, u+, u- on "
+                             f"the 2/3 band), got {np.shape(spectra)}")
         state = cls.__new__(cls)
         state._hold(grid, spectra, time)
         return state
@@ -434,13 +450,13 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
         kidx = np.zeros(grid.spectral_shape)
         for m in grid.index_axes():
             kidx = np.maximum(kidx, np.abs(m))
-        band = (kidx >= spec.band[0]) & (kidx <= spec.band[1])
+        # the draw covers the rfft layout in ravel order, which the band keeps
+        drawn = (kidx >= spec.band[0]) & (kidx <= spec.band[1])
+        count, kept, at = drawn.sum(), (kidx <= _cut(grid.n))[drawn], grid.band(drawn)
 
         def rand_field():
-            spec_arr = np.zeros(grid.spectral_shape, dtype=complex)
-            vals = rng.normal(size=band.sum()) + 1j * rng.normal(size=band.sum())
-            spec_arr[band] = vals
-            spec_arr[kidx > _cut(grid.n)] = 0
+            spec_arr = np.zeros(grid.band_shape, dtype=complex)
+            spec_arr[at] = (rng.normal(size=count) + 1j * rng.normal(size=count))[kept]
             f = _irfft(spec_arr, shape)
             m = np.abs(f).max()
             return f * (spec.amplitude / m) if m > 0 else f
@@ -481,17 +497,22 @@ def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
     """Per-mode semigroup on ``(n+, phi+, n-, phi-)`` and the heat factors.
 
     The semigroup depends on |k| only, so it is decomposed once per distinct
-    integer wave-index norm ``m^2`` and scattered back to every mode.
-    Returns ``S`` with shape ``(4, 4) + spectral_shape``, built once per
-    ``(grid, params, dt)`` and read-only.
+    integer wave-index norm ``m^2`` on the band and scattered to its modes.
+    Each norm's |k| is that of its first mode in the ravel order of the
+    whole rfft layout, in or out of the band.  Returns ``(S, heat_p,
+    heat_m)``: ``S`` with shape ``(4, 4) + grid.band_shape``, the heat
+    factors with the band shape; built once per ``(grid, params, dt)`` and
+    read-only.
     """
     co = linear_coefficients(params)
-    m2 = sum(m**2 for m in grid.index_axes()).ravel()
-    _, first, inverse = np.unique(m2, return_index=True, return_inverse=True)
-    dec = decompose_batch(grid.k_mag().ravel()[first], co)
-    S_unique = dec.semigroup(dt).real * np.multiply.outer(_PHI_SIGN, _PHI_SIGN)
-    S = np.ascontiguousarray(np.moveaxis(S_unique[inverse], 0, -1))
-    S = S.reshape((4, 4) + grid.spectral_shape)
+    m2 = sum(m**2 for m in grid.index_axes())
+    norms, first = np.unique(m2.ravel(), return_index=True)
+    band_m2 = grid.band(m2).ravel()
+    used = np.unique(band_m2, return_index=True)[0]
+    dec = decompose_batch(grid.k_mag().ravel()[first[np.searchsorted(norms, used)]], co)
+    S_used = dec.semigroup(dt).real * np.multiply.outer(_PHI_SIGN, _PHI_SIGN)
+    S = np.ascontiguousarray(np.moveaxis(S_used[np.searchsorted(used, band_m2)], 0, -1))
+    S = S.reshape((4, 4) + grid.band_shape)
     k2 = _waves(grid).k2
     heat_p = np.exp(-co.nu1_plus * k2 * dt)
     heat_m = np.exp(-co.nu1_minus * k2 * dt)
@@ -520,7 +541,7 @@ def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) ->
         return FieldState.stack(new[0], new[2], 1j * kh * new[1] + heat_p[s] * rem_p,
                                 1j * kh * new[3] + heat_m[s] * rem_m)
 
-    out = _join(_slabs(slab, grid.spectral_shape[0], workers(grid)), axis=1)
+    out = _join(_slabs(slab, grid.band_shape[0], workers(grid)), axis=1)
     return FieldState.from_spectra(grid, out, state.time + dt)
 
 
@@ -536,7 +557,7 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
 
     Derivatives are spectral, products pointwise; every assembled tendency
     is transformed once, onto the 2/3 band.  Returns ``(F, rho_plus)``: ``F``
-    is stacked like ``state.spectra`` and holds the band-limited rfft spectra
+    is stacked like ``state.spectra`` and holds the band spectra
     of the tendencies of n+, n-, u+ and u-.  The pointwise closure is solved
     once; ``rho_guess`` warm-starts it and ``rho_plus`` is its root at this
     state.  The gradient rows, the closure's slabs and the two phases run on
@@ -634,9 +655,10 @@ def step(state: FieldState, dt: float, params: FluidParams,
 
 
 def gradient_l2sq(grid: Grid, spec, order=1):
-    """Box integral of ``|grad^order f|^2`` from the rfft spectrum (Parseval).
+    """Box integral of ``|grad^order f|^2`` from the band spectrum (Parseval).
 
-    ``spec`` may be a stack of spectra (a vector field): the integrals add.
+    ``spec`` has the grid's band shape, or is a stack of band spectra (a
+    vector field), whose integrals add.  The sums run over the band only.
     For a sequence of orders the result is a list, one integral per order,
     and ``|spec|^2`` is formed once.
     """

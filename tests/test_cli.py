@@ -473,13 +473,16 @@ configs = [
 ]
 codes = [run_campaign(parse_config(text), out_dir=sys.argv[2] + str(i), quiet=True)
          for i, text in enumerate(configs)]
-print(json.dumps([codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy")]))
+heavy = [name for name in sys.modules
+         if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"]]
+print(json.dumps([codes, sorted(heavy)]))
 """
 
 
 def test_campaigns_never_import_scipy(tmp_path):
     # every check of the paper's claims is a fresh process, which should not
-    # pay the 0.3-0.4 s scipy import, inline or on the solver's pool
+    # pay the 0.3-0.4 s scipy import, inline or on the solver's pool, nor
+    # numpy.ma's 13 ms (plain np.unique and np.isin import it)
     import os
     import subprocess
     import sys

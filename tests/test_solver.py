@@ -1,3 +1,4 @@
+import re
 import sys
 
 import numpy as np
@@ -30,10 +31,26 @@ from twofluid.solver import (
 SYM = FluidParams()
 
 
+def dealias_mask(grid):
+    """True on the 2/3 band of the full rfft layout: every wave index at most n // 3."""
+    mask = np.ones(grid.spectral_shape, dtype=bool)
+    for m in grid.index_axes():
+        mask &= np.abs(m) <= grid.n // 3
+    return mask
+
+
+def unband(grid, spec):
+    """The band spectra ``spec`` in the full rfft layout, zeros off the band."""
+    lead = spec.shape[:spec.ndim - grid.dim]
+    full = np.zeros(lead + grid.spectral_shape, dtype=spec.dtype)
+    full[..., dealias_mask(grid)] = spec.reshape(lead + (-1,))
+    return full
+
+
 def physical_rhs(state, params, **kwargs):
     """``nonlinear_rhs`` in physical space: the tendencies of n+, n-, u+, u- and the root."""
     F, rho = nonlinear_rhs(state, params, **kwargs)
-    F = np.fft.irfftn(F, s=state.grid.shape, axes=range(-state.grid.dim, 0))
+    F = np.fft.irfftn(unband(state.grid, F), s=state.grid.shape, axes=range(-state.grid.dim, 0))
     return (*FieldState.split(F), rho)
 
 
@@ -65,32 +82,34 @@ def test_init_random_deterministic():
 
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_init_random_pins_the_draw_order(dim):
-    # rebuild the documented draw: one band of complex normals per field in
-    # the order n+, n-, then (u+[d], u-[d]) for each axis d; each field scaled
-    # to max |f| = amplitude; the 2/3 mask applied to the spectra
+@pytest.mark.parametrize("dim, n, band", [(2, 16, (1, 3)), (3, 16, (1, 3)), (2, 8, (1, 4))],
+                         ids=["2", "3", "2-above-the-band"])
+def test_init_random_pins_the_draw_order(dim, n, band):
+    # rebuild the documented draw on the full rfft layout: one band of complex
+    # normals per field in the order n+, n-, then (u+[d], u-[d]) for each axis
+    # d; the modes above n/3 dropped; each field scaled to max |f| = amplitude.
+    # On the 8-point grid the draw reaches above n/3 = 2: those values are
+    # drawn and dropped
     import scipy.fft
 
-    grid = Grid(dim=dim, n=16, length=2 * np.pi)
-    spec = InitSpec(kind="random", amplitude=1e-3, seed=23, band=(1, 3))
+    grid = Grid(dim=dim, n=n, length=2 * np.pi)
+    spec = InitSpec(kind="random", amplitude=1e-3, seed=23, band=band)
     rng = np.random.default_rng(spec.seed)
     kidx = np.zeros(grid.spectral_shape)
     for m in grid.index_axes():
         kidx = np.maximum(kidx, np.abs(m))
-    band = (kidx >= spec.band[0]) & (kidx <= spec.band[1])
+    drawn = (kidx >= spec.band[0]) & (kidx <= spec.band[1])
 
     def draw():
         hat = np.zeros(grid.spectral_shape, dtype=complex)
-        hat[band] = rng.normal(size=band.sum()) + 1j * rng.normal(size=band.sum())
-        f = scipy.fft.irfftn(hat, s=grid.shape)
+        hat[drawn] = rng.normal(size=drawn.sum()) + 1j * rng.normal(size=drawn.sum())
+        f = scipy.fft.irfftn(hat * dealias_mask(grid), s=grid.shape)
         return f * (spec.amplitude / np.abs(f).max())
 
     n_p, n_m = draw(), draw()
     u = [(draw(), draw()) for _ in range(dim)]
     rows = [n_p, n_m] + [up for up, _ in u] + [um for _, um in u]
-    mask = grid.dealias_mask()
-    expect = np.stack([mask * scipy.fft.rfftn(f) for f in rows])
+    expect = np.stack([grid.band(scipy.fft.rfftn(f)) for f in rows])
     got = init_state(grid, spec).spectra
     assert np.abs(got - expect).max() <= 1e-15 * np.abs(expect).max()
 
@@ -100,8 +119,10 @@ def test_init_random_drops_modes_above_the_band():
     # dropped before each field is scaled, so max |f| is the amplitude
     grid = Grid(dim=2, n=8, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=5, band=(1, 4)))
-    assert np.all(st.spectra[:, ~grid.dealias_mask()] == 0)
+    assert st.spectra.shape == (6,) + grid.band_shape
     for f in st.physical:
+        # off the band the transform holds only the rounding of its sums, < 1e-15 sum |f|
+        assert np.abs(np.fft.rfftn(f)[~dealias_mask(grid)]).max() <= 1e-15 * np.abs(f).sum()
         assert np.abs(f).max() == pytest.approx(1e-3, rel=1e-12)
 
 
@@ -113,10 +134,10 @@ def test_init_positivity_guard():
 
 def test_hodge_split_gradient_and_solenoidal():
     grid = Grid(dim=2, n=32, length=2 * np.pi)
-    ks = grid.k_axes()
+    ks = _waves(grid).ks
     rng = np.random.default_rng(0)
     psi = rng.normal(size=grid.shape)
-    psi_hat = np.fft.rfftn(psi)
+    psi_hat = grid.band(np.fft.rfftn(psi))
     grad = np.stack([1j * ks[d] * psi_hat for d in range(2)])
     phi, rem = _hodge(grad, _waves(grid).khat)
     assert np.abs(rem).max() <= 1e-12 * max(1.0, np.abs(grad).max())
@@ -124,7 +145,7 @@ def test_hodge_split_gradient_and_solenoidal():
     x = grid.axes()
     X, Y = np.meshgrid(*x, indexing="ij")
     u = np.stack([np.cos(Y), np.zeros(grid.shape)])
-    u_hat = np.stack([np.fft.rfftn(c) for c in u])
+    u_hat = np.stack([grid.band(np.fft.rfftn(c)) for c in u])
     phi, rem = _hodge(u_hat, _waves(grid).khat)
     assert np.abs(phi).max() <= 1e-12 * np.abs(u_hat).max()
 
@@ -133,12 +154,14 @@ def test_hodge_split_divergence_free_remainder():
     grid = Grid(dim=3, n=16, length=2 * np.pi)
     rng = np.random.default_rng(1)
     u = rng.normal(size=(3,) + grid.shape)
-    u_hat = np.stack([np.fft.rfftn(c) for c in u])
+    u_hat = np.stack([grid.band(np.fft.rfftn(c)) for c in u])
     phi, rem = _hodge(u_hat, _waves(grid).khat)
-    ks = grid.k_axes()
+    ks = _waves(grid).ks
     div = sum(1j * ks[d] * rem[d] for d in range(3))
     assert np.abs(div).max() <= 1e-12 * np.abs(u_hat).max()
-    back = np.stack([1j * ks[d] * phi * np.where(grid.k_mag() > 0, 1 / np.where(grid.k_mag() > 0, grid.k_mag(), 1), 0) for d in range(3)]) + rem
+    kmag = grid.band(grid.k_mag())
+    inv = np.where(kmag > 0, 1 / np.where(kmag > 0, kmag, 1), 0)
+    back = np.stack([1j * ks[d] * phi * inv for d in range(3)]) + rem
     assert np.abs(back - u_hat).max() <= 1e-11 * np.abs(u_hat).max()
 
 
@@ -496,17 +519,17 @@ def test_checkpoint_rejects_malformed_file(tmp_path, edit, expected, actual):
 def test_parseval_helper():
     grid = Grid(dim=1, n=64, length=2 * np.pi)
     x = grid.axes()[0]
-    f = np.cos(3 * x)
-    assert gradient_l2sq(grid, np.fft.rfftn(f), 0) == pytest.approx(grid.volume / 2, rel=1e-12)
-    assert gradient_l2sq(grid, np.fft.rfftn(f), 2) == pytest.approx(3**4 * grid.volume / 2,
-                                                                    rel=1e-12)
+    f_hat = grid.band(np.fft.rfftn(np.cos(3 * x)))
+    assert gradient_l2sq(grid, f_hat, 0) == pytest.approx(grid.volume / 2, rel=1e-12)
+    assert gradient_l2sq(grid, f_hat, 2) == pytest.approx(3**4 * grid.volume / 2, rel=1e-12)
 
 
 def test_parseval_orders_are_bitwise_the_single_order_sums():
     # a sequence of orders forms |spec|^2 once; each integral keeps the
     # operation order of l2w * k2**k * |spec|^2
     grid = Grid(dim=2, n=16, length=3.0)
-    u = np.fft.rfftn(np.random.default_rng(2).standard_normal((2,) + grid.shape), axes=(1, 2))
+    u = grid.band(np.fft.rfftn(np.random.default_rng(2).standard_normal((2,) + grid.shape),
+                               axes=(1, 2)))
     w = _waves(grid)
     expect = [float(np.sum(w.l2w * w.k2**k * np.abs(u) ** 2)) for k in range(5)]
     assert gradient_l2sq(grid, u, range(5)) == expect
@@ -535,8 +558,36 @@ def test_propagator_dedup_matches_full_decomposition(dim, n):
     full = decompose_batch(grid.k_mag().ravel(), co).semigroup(dt).real
     sign = np.array([1.0, -1.0, 1.0, -1.0])  # the propagator acts on phi = -w
     full = np.moveaxis(full * np.multiply.outer(sign, sign), 0, -1)
-    assert np.abs(S - full.reshape(S.shape)).max() <= 1e-14
-    assert np.abs(heat_p - np.exp(-co.nu1_plus * grid.k_mag() ** 2 * dt)).max() <= 1e-14
+    assert np.abs(S - grid.band(full.reshape((4, 4) + grid.spectral_shape))).max() <= 1e-14
+    assert np.abs(heat_p - np.exp(-co.nu1_plus * grid.band(grid.k_mag()) ** 2 * dt)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+def test_band_propagator_is_the_full_grid_build_on_the_band(dim, n):
+    # the full-grid build: one decomposition per wave-index norm at the |k|
+    # of its first mode in ravel order, scattered to every mode.  The band
+    # build must give its bits.  A representative taken inside the band moves
+    # the |k| bits of one norm at 2D n = 32 (200 = 2^2 + 14^2 = 10^2 + 10^2)
+    # and of five at 3D n = 16
+    from twofluid.solver import _PHI_SIGN, _linear_propagator
+    from twofluid.spectral import decompose_batch
+
+    grid = Grid(dim=dim, n=n, length=2 * np.pi * 4)
+    params = FluidParams(mu_plus=0.8, mu_minus=1.3, lambda_plus=0.4, lambda_minus=0.1,
+                         gamma_plus=1.6, gamma_minus=2.2, rbar_plus=1.4, rbar_minus=0.7)
+    dt = 0.3
+    co = linear_coefficients(params)
+    m2 = sum(m**2 for m in grid.index_axes()).ravel()
+    _, first, inverse = np.unique(m2, return_index=True, return_inverse=True)
+    S_unique = (decompose_batch(grid.k_mag().ravel()[first], co).semigroup(dt).real
+                * np.multiply.outer(_PHI_SIGN, _PHI_SIGN))
+    full = np.moveaxis(S_unique[inverse], 0, -1).reshape((4, 4) + grid.spectral_shape)
+    S, heat_p, heat_m = _linear_propagator(grid, params, dt)
+    assert S.shape == (4, 4) + grid.band_shape
+    assert np.array_equal(S, grid.band(full))
+    k2 = grid.band(sum(k**2 for k in grid.k_axes()))
+    assert np.array_equal(heat_p, np.exp(-co.nu1_plus * k2 * dt))
+    assert np.array_equal(heat_m, np.exp(-co.nu1_minus * k2 * dt))
 
 
 @pytest.mark.parametrize("shape", [(1024,), (256, 256), (16, 16, 16), (64, 64, 64),
@@ -549,18 +600,23 @@ def test_transforms_match_scipy_bitwise(shape):
 
     from twofluid.solver import _irfft, _rfft
 
-    mask = Grid(dim=len(shape), n=shape[0], length=1.0).dealias_mask()
+    grid = Grid(dim=len(shape), n=shape[0], length=1.0)
+    mask = dealias_mask(grid)
     f = np.random.default_rng(len(shape)).standard_normal(shape)
-    band = scipy.fft.rfftn(f) * mask
-    # into an array holding garbage: the band-limited spectrum, exact zeros off it
-    spec = np.full(mask.shape, np.nan, dtype=complex)
+    full = scipy.fft.rfftn(f)
+    band = grid.band(full)
+    # the band layout: the masked modes in ravel order
+    assert band.shape == grid.band_shape
+    assert np.array_equal(band.ravel(), full[mask])
+    assert np.array_equal(unband(grid, band), full * mask)
+    # into an array holding garbage
+    spec = np.full(grid.band_shape, np.nan, dtype=complex)
     assert _rfft(f, out=spec) is spec
     assert np.array_equal(spec, band)
-    assert np.all(spec[~mask] == 0)
     assert np.array_equal(_rfft(f), band)
     field = np.full(shape, np.nan)
     assert _irfft(band, shape, out=field) is field
-    assert np.array_equal(field, scipy.fft.irfftn(band, s=shape))
+    assert np.array_equal(field, scipy.fft.irfftn(full * mask, s=shape))
     assert np.array_equal(_irfft(band, shape), field)
 
 
@@ -598,12 +654,11 @@ def test_constructed_state_is_band_limited(tmp_path, dim):
 
     grid = Grid(dim=dim, n=16, length=2 * np.pi)
     rows = np.random.default_rng(dim).standard_normal((2 + 2 * dim,) + grid.shape)
-    assert np.abs(scipy.fft.rfftn(rows[0])[~grid.dealias_mask()]).max() > 1.0
+    assert np.abs(scipy.fft.rfftn(rows[0])[~dealias_mask(grid)]).max() > 1.0
     st = FieldState(grid, *FieldState.split(rows), time=0.5)
-    mask = grid.dealias_mask()
+    assert st.spectra.shape == (2 + 2 * dim,) + grid.band_shape
     for row, spec in zip(rows, st.spectra):
-        assert np.all(spec[~mask] == 0)
-        assert np.array_equal(spec, scipy.fft.rfftn(row) * mask)
+        assert np.array_equal(spec, grid.band(scipy.fft.rfftn(row)))
     assert np.array_equal(st.physical, rows)
     path = tmp_path / "state.tfck"
     write_checkpoint(st, SYM, path)
@@ -611,6 +666,21 @@ def test_constructed_state_is_band_limited(tmp_path, dim):
     assert back.time == st.time
     assert np.array_equal(back.physical, st.physical)
     assert np.array_equal(back.spectra, st.spectra)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_from_spectra_rejects_a_layout_other_than_the_band(dim):
+    # a full rfft-layout stack would broadcast wrongly or fail deep in a step
+    grid = Grid(dim=dim, n=16, length=2 * np.pi)
+    rows = 2 + 2 * dim
+    full = np.zeros((rows,) + grid.spectral_shape, dtype=complex)
+    expected = (rows,) + grid.band_shape
+    with pytest.raises(ValueError, match=rf"^spectra must have shape {re.escape(str(expected))}"
+                                         rf".*got {re.escape(str(full.shape))}$"):
+        FieldState.from_spectra(grid, full, 0.0)
+    with pytest.raises(ValueError, match="spectra"):
+        FieldState.from_spectra(grid, np.zeros(expected[1:], dtype=complex), 0.0)
+    assert FieldState.from_spectra(grid, np.zeros(expected, dtype=complex), 0.0).time == 0.0
 
 
 def test_stepped_state_caches_consistent_spectra():
