@@ -150,6 +150,7 @@ def closure_state(R_plus, R_minus, params: FluidParams, x0=None) -> ClosureState
 
     Solves for the pressure-equilibrium root ``rho+`` once (warm-started from
     ``x0`` when given, with the vacuum check) and derives the rest from it.
+    The root lies above ``R+``, so both densities are positive.
     """
     rho_p = solve_rho_plus(R_plus, R_minus, params, x0=x0)
     Rp = np.asarray(R_plus, dtype=float)[()]  # np.float64 for scalars, as rho_p
@@ -157,8 +158,8 @@ def closure_state(R_plus, R_minus, params: FluidParams, x0=None) -> ClosureState
     rho_m = Rm * rho_p / (rho_p - Rp)
     a_p = Rp / rho_p
     a_m = 1.0 - a_p
-    _, s2p = pressure_and_sound_speed(rho_p, params.gamma_plus)
-    _, s2m = pressure_and_sound_speed(rho_m, params.gamma_minus)
+    s2p = params.gamma_plus * rho_p ** (params.gamma_plus - 1.0)
+    s2m = params.gamma_minus * rho_m ** (params.gamma_minus - 1.0)
     c2 = s2p * s2m / (a_m * rho_p * s2p + a_p * rho_m * s2m)
     return ClosureState(Rp, Rm, rho_p, rho_m, a_p, a_m, s2p, s2m, c2)
 

@@ -1,12 +1,15 @@
 """Batched Newton/bisection kernel for the pressure-equilibrium root.
 
 The nonlinear right-hand side solves the closure at every grid point once
-per stage, warm-started from the previous stage's root.  The kernel is a
-masked synchronous numpy iteration over the whole batch.
+per stage, warm-started from the previous stage's density ratio
+``rho+ / (R+ + R-)``.  The kernel is a masked synchronous numpy iteration
+over the whole batch.
 
 The root ``rho+`` of ``phi(x) = x**gp - (Rm*x/(x - Rp))**gm`` is bracketed by
 ``(Rp*(1+1e-12), Rp + Rm + 10*max(Rp, Rm))``; ``phi`` is strictly increasing
 in ``x`` on that interval, so bisection is always a safe fallback for Newton.
+A root with ``alpha-`` below ~1e-12 lies under that lower end; the points
+Newton leaves unconverged are therefore bisected from the double after ``Rp``.
 For strongly mismatched exponents the nominal upper end may not yet have a
 positive ``phi``; the bracket is then widened geometrically.
 """
@@ -62,4 +65,26 @@ def solve_rho_plus_batch(Rp, Rm, gamma_plus, gamma_minus, x0=None):
         bisect = (xn <= lo) | (xn >= hi)
         xn = np.where(bisect, 0.5 * (lo + hi), xn)
         x = np.where(active, xn, x)
-    return np.where(active, np.nan, x).reshape(shape)
+    else:
+        x[active] = _bisect(Rp[active], Rm[active], gp, gm, hi[active])
+    return x.reshape(shape)
+
+
+def _bisect(Rp, Rm, gp, gm, hi):
+    """Root on ``(next double after Rp, hi)`` within an ulp, by bisection.
+
+    The lower end is the first double with a finite ``rho-``; a root without a
+    double of its own above ``Rp`` (``alpha-`` below an ulp) gives a point
+    within two ulps of ``Rp``.  NaN where ``MAX_ITER`` halvings leave the
+    bracket wider than adjacent doubles.
+    """
+    lo = np.nextafter(Rp, np.inf)
+    for _ in range(MAX_ITER):
+        mid = 0.5 * (lo + hi)
+        done = (mid == lo) | (mid == hi)
+        if done.all():
+            break
+        up = mid**gp > (Rm * mid / (mid - Rp)) ** gm
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return np.where(done, hi, np.nan)

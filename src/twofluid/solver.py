@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -80,6 +81,7 @@ def _keep_band(a, axis: int):
 
 def _spread_band(spec, axis: int, n: int):
     """The band rows of ``spec`` along ``axis`` put back among ``n`` rows, zeros between."""
+    axis %= spec.ndim
     cut, pre = _cut(n), (slice(None),) * axis
     gap = np.zeros(spec.shape[:axis] + (n - 2 * cut - 1,) + spec.shape[axis + 1:], dtype=complex)
     head, tail = spec[pre + (slice(cut + 1),)], spec[pre + (slice(cut + 1, None),)]
@@ -197,12 +199,14 @@ def _freeze(*arrays):
 # then the others first to last, inverse the reverse, and only on the Fourier
 # lines that cross the band: the forward keeps the band rows after each pass,
 # the inverse spreads them among zeros before each.  Every band value is
-# therefore scipy's bits, and a campaign never imports scipy.
-def _rfft(f, out=None):
-    """Band spectrum of the real array ``f``."""
+# therefore scipy's bits, and a campaign never imports scipy.  Leading axes
+# beyond the field's are rows, each transformed by its own line transforms,
+# so a stack of rows in one call gives each row's bits.
+def _rfft(f, out=None, dim=None):
+    """Band spectrum of the real array ``f`` over its last ``dim`` axes (all by default)."""
     n = f.shape[-1]
     spec = np.fft.rfft(f)[..., :_cut(n) + 1]
-    for axis in range(f.ndim - 1):
+    for axis in range(-(f.ndim if dim is None else dim), -1):
         np.fft.fft(spec, axis=axis, out=spec)
         spec = _keep_band(spec, axis)
     if out is None:
@@ -212,9 +216,9 @@ def _rfft(f, out=None):
 
 
 def _irfft(spec, shape, out=None):
-    """Real field of ``shape`` whose band spectrum is ``spec``."""
+    """Real field of ``shape`` whose band spectrum is ``spec``, per leading row."""
     n = shape[-1]
-    for axis in range(len(shape) - 1):
+    for axis in range(-len(shape), -1):
         full = _spread_band(spec, axis, n)
         spec = np.fft.ifft(full, axis=axis, out=full)
     return np.fft.irfft(spec, n, out=out)  # pads the columns above the band with zeros
@@ -230,6 +234,19 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # 0.93-1.01 at 2**14 (2D 128^2), where the hand-offs weigh as much as the
 # second core gains.
 _PARALLEL_POINTS = 2**15
+# Transform rows go through numpy.fft in blocks of at most this many points,
+# one call per block and axis pass: on small grids that saves numpy's per-call
+# cost (a 1D n = 1024 step makes 17 transform calls, not one per row, 32).
+# A row of more points is its own block, so large grids keep one row per call
+# and per pool task, and their temporaries stay one row deep.
+_BLOCK_POINTS = 2**15
+
+
+@functools.lru_cache(maxsize=16)
+def _blocks(count: int, shape: tuple) -> tuple:
+    """Slices that cut ``range(count)`` rows of ``shape`` into blocks (see ``_BLOCK_POINTS``)."""
+    rows = max(1, _BLOCK_POINTS // math.prod(shape))
+    return tuple(slice(first, min(first + rows, count)) for first in range(0, count, rows))
 
 
 def workers(grid: Grid) -> int:
@@ -279,25 +296,28 @@ def _join(parts, axis: int = 0):
 
 
 def _irfft_rows(spectrum, count: int, shape, size: int):
-    """Stack of the inverse transforms of ``spectrum(r)`` for ``r < count``.
+    """Stack of the inverse transforms of the rows ``r < count``.
 
-    Each row builds its own spectrum, so no stack of them is ever held; the
-    rows run on ``size`` threads (see :func:`_each`).
+    ``spectrum(s)`` gives the stacked spectra of the rows in the slice ``s``.
+    Rows go in blocks (:func:`_blocks`), each block builds its own spectra, so
+    no stack of all of them is ever held; the blocks run on ``size`` threads
+    (see :func:`_each`).
     """
     out = np.empty((count,) + shape)
+    blocks = _blocks(count, shape)
 
-    def row(r):
-        _irfft(spectrum(r), shape, out=out[r])
+    def block(b):
+        _irfft(spectrum(blocks[b]), shape, out=out[blocks[b]])
 
-    _each(row, count, size)
+    _each(block, len(blocks), size)
     return out
 
 
 def _rfft_rows(grid: Grid, physical):
-    """Stack of the band spectra of the rows of ``physical``."""
+    """Stack of the band spectra of the rows of ``physical``, a block at a time."""
     spectra = np.empty((len(physical),) + grid.band_shape, dtype=complex)
-    for f, row in zip(physical, spectra):
-        _rfft(f, out=row)
+    for s in _blocks(len(physical), grid.shape):
+        _rfft(physical[s], out=spectra[s], dim=grid.dim)
     return spectra
 
 
@@ -314,8 +334,8 @@ class FieldState:
     fixed at construction.  The constructor copies physical arrays, keeps
     them as ``physical`` and transforms them once onto the band; states from
     ``from_spectra`` make their physical twin once, on first read.
-    ``rho_plus`` is the closure root of the nonlinear stage that produced
-    the state (the next step warm-starts from it), or None.
+    ``rho_ratio`` is ``rho+ / (R+ + R-)`` at the closure root of the nonlinear
+    stage that produced the state (the next step warm-starts from it), or None.
     """
 
     def __init__(self, grid: Grid, n_plus, n_minus, u_plus, u_minus, time: float = 0.0):
@@ -342,7 +362,7 @@ class FieldState:
     def _hold(self, grid, spectra, time):
         self.grid = grid
         self.time = time
-        self.rho_plus = None
+        self.rho_ratio = None
         _freeze(spectra)
         self.spectra = spectra
 
@@ -552,15 +572,18 @@ def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) ->
 _COEFFICIENTS = tuple(f.name for f in fields(NonlinearCoefficients))
 
 
-def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
+def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
     """Tendencies of the reformulated system, dealiased, in the state's rows.
 
     Derivatives are spectral, products pointwise; every assembled tendency
-    is transformed once, onto the 2/3 band.  Returns ``(F, rho_plus)``: ``F``
+    is transformed once, onto the 2/3 band.  Returns ``(F, rho_ratio)``: ``F``
     is stacked like ``state.spectra`` and holds the band spectra
     of the tendencies of n+, n-, u+ and u-.  The pointwise closure is solved
-    once; ``rho_guess`` warm-starts it and ``rho_plus`` is its root at this
-    state.  The gradient rows, the closure's slabs and the two phases run on
+    once.  ``rho_ratio`` is ``rho+ / (R+ + R-)`` at its root: a given one
+    warm-starts the solve at ``rho_ratio * (R+ + R-)``, and the one returned
+    is this state's.  The ratio moves less than the root from stage to stage,
+    and at ``gamma+ = gamma-``, where the root is ``R+ + R-``, it is exactly 1.
+    The gradient rows, the closure's slabs and the two phases run on
     :func:`workers` threads; each does the same arithmetic whatever the
     count, so the results are bitwise the same.
     """
@@ -570,20 +593,23 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
     w = _waves(grid)
     spec = state.spectra
     n_p, n_m, u_p, u_m = FieldState.split(state.physical)
-    # grad[r, j] is d_j of row r, built one transform at a time so that no
-    # (rows x dim) stack of complex derivatives is ever held
-    grad = _irfft_rows(lambda r: 1j * w.ks[r % dim] * spec[r // dim], len(spec) * dim,
-                       shape, size)
+    # grad[r, j] is d_j of row r, built a block of transforms at a time so that
+    # no (rows x dim) stack of complex derivatives is held on large grids
+    grad = _irfft_rows(lambda s: _join([(1j * w.ks[r % dim] * spec[r // dim])[None]
+                                        for r in range(s.start, s.stop)]),
+                       len(spec) * dim, shape, size)
     dn_p, dn_m, Du_p, Du_m = FieldState.split(grad.reshape((len(spec), dim) + shape))
 
     # the closure and its coefficients, pointwise, in slabs of the first axis
     def closure_slab(s):
-        closure = closure_state(n_p[s] + params.rbar_plus, n_m[s] + params.rbar_minus, params,
-                                x0=None if rho_guess is None else rho_guess[s])
+        R_p, R_m = n_p[s] + params.rbar_plus, n_m[s] + params.rbar_minus
+        total = R_p + R_m
+        closure = closure_state(R_p, R_m, params,
+                                x0=None if rho_ratio is None else rho_ratio[s] * total)
         nc = nonlinear_coefficients(closure, params)
-        return (closure.rho_plus, *(getattr(nc, name) for name in _COEFFICIENTS))
+        return (closure.rho_plus / total, *(getattr(nc, name) for name in _COEFFICIENTS))
 
-    rho_plus, *coeffs = (_join(part) for part in zip(*_slabs(closure_slab, grid.n, size)))
+    ratio, *coeffs = (_join(part) for part in zip(*_slabs(closure_slab, grid.n, size)))
     nc = NonlinearCoefficients(*coeffs)
     F = np.empty_like(spec)
     Fn_p, Fn_m, Fu_p, Fu_m = FieldState.split(F)
@@ -618,7 +644,7 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_guess=None):
               (n_m, dn_m, u_m, Du_m, u_hat_m, nc.gbar_minus, nc.g_minus, nc.h_minus,
                nc.k_minus, nc.l_minus, params.mu_minus, params.lambda_minus, Fn_m, Fu_m))
     _each(lambda i: phase(*phases[i]), len(phases), size)
-    return F, rho_plus
+    return F, ratio
 
 
 def step(state: FieldState, dt: float, params: FluidParams,
@@ -626,8 +652,9 @@ def step(state: FieldState, dt: float, params: FluidParams,
     """One Strang step: half linear, RK2 nonlinear, half linear.
 
     The fields stay spectral between the half steps.  The first stage's
-    closure solve warm-starts from ``state.rho_plus`` (cold when None); the
-    returned state carries the second stage's root as its ``rho_plus``.
+    closure solve warm-starts from ``state.rho_ratio`` (cold when None), the
+    second from the first's; the returned state carries the second stage's
+    ratio as its ``rho_ratio`` (see :func:`nonlinear_rhs`).
     """
     grid = state.grid
     umax = max(np.abs(state.u_plus).max(), np.abs(state.u_minus).max())
@@ -635,14 +662,14 @@ def step(state: FieldState, dt: float, params: FluidParams,
         raise ValueError(f"dt={dt:g} violates the advective bound "
                          f"{c_cfl * grid.dx / umax:g}")
     s = linear_propagator_step(state, 0.5 * dt, params)
-    F, rho = nonlinear_rhs(s, params, rho_guess=state.rho_plus)
+    F, ratio = nonlinear_rhs(s, params, rho_ratio=state.rho_ratio)
     base, t = s.spectra, s.time
     del s  # frees its physical twin before the second stage makes one
-    G, rho = nonlinear_rhs(FieldState.from_spectra(grid, base + dt * F, t), params,
-                           rho_guess=rho)
+    G, ratio = nonlinear_rhs(FieldState.from_spectra(grid, base + dt * F, t), params,
+                             rho_ratio=ratio)
     s = FieldState.from_spectra(grid, base + 0.5 * dt * (F + G), t)
     s = linear_propagator_step(s, 0.5 * dt, params)
-    s.rho_plus = rho
+    s.rho_ratio = ratio
     if (not np.isfinite(s.physical).all()
             or np.abs(s.n_plus).max() > 0.5 * params.rbar_plus
             or np.abs(s.n_minus).max() > 0.5 * params.rbar_minus):

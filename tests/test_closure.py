@@ -90,6 +90,29 @@ def test_solve_rho_plus_rejects_vacuum():
         solve_rho_plus(1.0, -0.5, SYM)
 
 
+@pytest.mark.parametrize("Rp, Rm", [(100.0, 1e-3), (1e3, 1.0), (1e3, 1e-3)])
+def test_solve_rho_plus_alpha_minus_below_the_first_bracket(Rp, Rm):
+    # gamma = (5, 1): alpha- at the root is about R-/R+^5 (1e-13, 1e-15, 1e-18),
+    # under the first bracket's lower end R+ (1 + 1e-12); these once gave NaN
+    # and a ConvergenceError.  At 1e-18 no double lies between R+ and the root.
+    import mpmath
+
+    params = FluidParams(gamma_plus=5.0, gamma_minus=1.0)
+    x = solve_rho_plus(Rp, Rm, params)
+    # the root is R+ + e with (R+ + e)^4 e = R-: bisected on e in 200-bit arithmetic
+    with mpmath.workprec(200):
+        a, b = mpmath.mpf(Rp), mpmath.mpf(Rm)
+        lo, hi = mpmath.mpf(0), b / a**4
+        for _ in range(300):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if (a + mid) ** 4 * mid > b else (mid, hi)
+        root = a + lo
+    assert Rp < x and abs(x - root) <= 2 * np.spacing(Rp)
+    st = closure_state(Rp, Rm, params)
+    assert st.rho_plus == x and st.rho_minus > 0 and st.alpha_minus >= 0
+    assert all(np.isfinite(v) for v in (st.rho_minus, st.s2_plus, st.s2_minus, st.c2))
+
+
 def test_closure_state_symmetric_constants():
     st = closure_state(1.0, 1.0, SYM)
     assert st.rho_plus == pytest.approx(2.0, abs=1e-12)

@@ -35,19 +35,36 @@ def test_layertrace_specs_resolve():
     assert unresolved == []
 
 
-def test_traced_tiny_linear_lab_sample(tmp_path):
-    # one cold traced sample: every hook runs (the decomposition hook reads
-    # the lazily built projectors), no traced name is missing, and every
-    # campaign passes its output checks
+def traced_tiny_sample(workload, tmp_path):
+    """One cold traced sample of ``workload`` at smoke-test size, on this tree's ``src``."""
     run = load_perfbench("run")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    result = run.run_sample(run.campaigns("linear-lab", 1, "tiny"), tmp_path, 0, env,
-                            spans=tmp_path / "spans.jsonl")
+    return run.run_sample(run.campaigns(workload, 1, "tiny"), tmp_path, 0, env,
+                          spans=tmp_path / "spans.jsonl")
+
+
+def test_traced_tiny_linear_lab_sample(tmp_path):
+    # one cold traced sample: every hook runs (the decomposition hook reads
+    # the lazily built projectors), no traced name is missing, and every
+    # campaign passes its output checks
+    result = traced_tiny_sample("linear-lab", tmp_path)
     assert result.get("errors") == []
     assert result["hook_errors"] == {}
     assert result["absent"] == []
     assert result["codes"] == [0] * 4
     assert [problems for _, problems, _ in result["checks"]] == [[]] * 4
     assert result["layers"]["spectral.decompose.projector_mb"] > 0
+
+
+def test_traced_tiny_sim_1d_sample_sees_the_warm_starts(tmp_path):
+    # the tracer tells cold solves from warm ones by the kernel's x0: only the
+    # background closure and the run's first stage start cold, every later
+    # stage from the ratio its state carries, and every point converges
+    result = traced_tiny_sample("sim-1d", tmp_path)
+    assert result.get("errors") == []
+    assert result["absent"] == []
+    assert result["codes"] == [0]
+    assert result["layers"]["kernels.solve.cold_calls"] == 2
+    assert result["layers"]["kernels.solve.unconverged_points"] == 0

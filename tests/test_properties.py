@@ -33,8 +33,8 @@ EPS = np.finfo(float).eps
 
 # Fraction densities over six decades and the acceptance suite's exponents.
 # Beyond these, states with alpha- below 1e-12 (e.g. gamma = (5, 1),
-# R+ = 1e3, R- = 1e-3) have their root inside the bracket's 1e-12 relative
-# offset from R+ and are reported unconverged by design.
+# R+ = 1e3, R- = 1e-3) have their root under the first bracket's lower end;
+# test_closure pins the bisection that finds them.
 densities = st.floats(1e-3, 1e3)
 exponents = st.floats(1.0, 3.0)
 

@@ -48,10 +48,10 @@ def unband(grid, spec):
 
 
 def physical_rhs(state, params, **kwargs):
-    """``nonlinear_rhs`` in physical space: the tendencies of n+, n-, u+, u- and the root."""
-    F, rho = nonlinear_rhs(state, params, **kwargs)
+    """``nonlinear_rhs`` in physical space: the tendencies of n+, n-, u+, u- and the ratio."""
+    F, ratio = nonlinear_rhs(state, params, **kwargs)
     F = np.fft.irfftn(unband(state.grid, F), s=state.grid.shape, axes=range(-state.grid.dim, 0))
-    return (*FieldState.split(F), rho)
+    return (*FieldState.split(F), ratio)
 
 
 def test_grid_validation():
@@ -540,8 +540,8 @@ def test_closure_cache_speedup_consistency():
     # warm-started rhs must agree with cold evaluation
     grid = Grid(dim=1, n=256, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="random", amplitude=0.05, seed=8))
-    F1a, _, F2a, _, rho = physical_rhs(st, SYM)
-    F1b, _, F2b, _, _ = physical_rhs(st, SYM, rho_guess=rho)
+    F1a, _, F2a, _, ratio = physical_rhs(st, SYM)
+    F1b, _, F2b, _, _ = physical_rhs(st, SYM, rho_ratio=ratio)
     assert np.allclose(F1a, F1b, rtol=1e-12, atol=1e-16)
     assert np.allclose(F2a, F2b, rtol=1e-9, atol=1e-14)
 
@@ -620,15 +620,19 @@ def test_transforms_match_scipy_bitwise(shape):
     assert np.array_equal(_irfft(band, shape), field)
 
 
-def _count_ffts(monkeypatch):
-    """Calls of the solver's forward and inverse transforms, appended as they happen."""
+def _count_ffts(monkeypatch, grid):
+    """Rows through the solver's forward and inverse transforms, appended as they happen.
+
+    A call on a stack of rows counts each of its rows.
+    """
     from twofluid import solver
 
     calls = []
-    for name in ("_rfft", "_irfft"):
-        def counted(*args, _fn=getattr(solver, name), **kwargs):
-            calls.append(_fn)
-            return _fn(*args, **kwargs)
+    for name, points in (("_rfft", np.prod(grid.band_shape)), ("_irfft", np.prod(grid.shape))):
+        def counted(*args, _fn=getattr(solver, name), _points=points, **kwargs):
+            out = _fn(*args, **kwargs)
+            calls.extend([_fn] * (out.size // _points))
+            return out
         monkeypatch.setattr(solver, name, counted)
     return calls
 
@@ -637,13 +641,54 @@ def _count_ffts(monkeypatch):
 def test_step_fft_budget(monkeypatch, dim, budget):
     grid = Grid(dim=dim, n=16, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=1, band=(1, 3)))
-    calls = _count_ffts(monkeypatch)
+    calls = _count_ffts(monkeypatch, grid)
     # cold: a freshly constructed state transforms its fields
     cur = step(FieldState(grid, st.n_plus, st.n_minus, st.u_plus, st.u_minus), 0.01, SYM)
     assert 0 < len(calls) <= budget
     del calls[:]
     step(cur, 0.01, SYM)   # warm: a stepped state carries its spectra
     assert 0 < len(calls) <= budget - 2 * (1 + dim)
+
+
+@pytest.mark.parametrize("shape, count", [((1024,), 70), ((128, 128), 5), ((16, 16, 16), 11)])
+def test_grouped_rows_are_row_by_row_bits(shape, count):
+    # blocks of rows go through numpy.fft in one call per axis pass, each row
+    # by its own line transforms; the last block here is a partial one
+    from twofluid.solver import _blocks, _irfft, _irfft_rows, _rfft, _rfft_rows
+
+    grid = Grid(dim=len(shape), n=shape[0], length=1.0)
+    blocks = _blocks(count, shape)
+    assert len(blocks) > 1 and count % (blocks[0].stop - blocks[0].start) != 0
+    rows = np.random.default_rng(count).standard_normal((count,) + shape)
+    spectra = _rfft_rows(grid, rows)
+    assert np.array_equal(spectra, np.stack([_rfft(f) for f in rows]))
+    per_row = np.stack([_irfft(spec, shape) for spec in spectra])
+    for size in (1, 2):
+        assert np.array_equal(_irfft_rows(spectra.__getitem__, count, shape, size), per_row)
+
+
+def test_rows_larger_than_a_block_go_one_per_call(monkeypatch):
+    # a 64^3 row exceeds the block: every numpy.fft call, inline or on the
+    # pool, transforms one row, so the temporaries stay one row deep
+    from twofluid.solver import _irfft, _irfft_rows, _rfft, _rfft_rows
+
+    grid = Grid(dim=3, n=64, length=1.0)
+    rows = np.random.default_rng(64).standard_normal((3,) + grid.shape)
+    calls = []
+    for name in ("rfft", "fft", "ifft", "irfft"):
+        def counted(a, *args, _fn=getattr(np.fft, name), **kwargs):
+            calls.append(a.shape)
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    spectra = _rfft_rows(grid, rows)
+    assert len(calls) == 3 * 3 and all(np.prod(shape[:-3]) == 1 for shape in calls)
+    for size in (1, 2):
+        del calls[:]
+        back = _irfft_rows(spectra.__getitem__, 3, grid.shape, size)
+        assert len(calls) == 3 * 3 and all(np.prod(shape[:-3]) == 1 for shape in calls)
+    monkeypatch.undo()
+    assert np.array_equal(spectra, np.stack([_rfft(f) for f in rows]))
+    assert np.array_equal(back, np.stack([_irfft(spec, grid.shape) for spec in spectra]))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -687,7 +732,7 @@ def test_stepped_state_caches_consistent_spectra():
     grid = Grid(dim=2, n=32, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=6))
     cur = step(st, 0.01, SYM)
-    assert cur.rho_plus is not None and cur.rho_plus.shape == grid.shape
+    assert cur.rho_ratio is not None and cur.rho_ratio.shape == grid.shape
     with pytest.raises(ValueError):
         cur.n_plus[0, 0] = 1.0   # read-only: cannot drift from the cached spectra
     rebuilt = FieldState(grid, cur.n_plus, cur.n_minus, cur.u_plus, cur.u_minus, cur.time)
@@ -755,6 +800,25 @@ def test_consecutive_steps_warm_start_the_closure(monkeypatch):
     assert cold == [False, False]
 
 
+@pytest.mark.parametrize("draw", [None, 2], ids=["readme", "validity-draw-2"])
+def test_warm_stages_converge_at_once(monkeypatch, draw):
+    # at gamma+ = gamma- the root is R+ + R-, so the carried ratio
+    # rho+/(R+ + R-) is exactly 1 and every warm stage starts on its root: one
+    # residual pass suffices.  A start from the previous stage's root needs 2-3
+    from test_spectral import VALIDITY_DRAWS
+    from twofluid import kernels
+
+    params = SYM if draw is None else VALIDITY_DRAWS[draw]
+    assert params.gamma_plus == params.gamma_minus
+    grid = Grid(dim=1, n=64, length=2 * np.pi * 4)
+    st = step(init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=8), params),
+              0.01, params)  # the first stage solves cold
+    monkeypatch.setattr(kernels, "MAX_ITER", 1)
+    for _ in range(2):
+        st = step(st, 0.01, params)
+    assert np.isfinite(st.physical).all() and np.all(st.rho_ratio == 1.0)
+
+
 def test_checkpoint_byte_layout(tmp_path):
     # the header, then n+, n-, the u+ rows and the u- rows as '<f8'
     from twofluid.solver import (
@@ -798,10 +862,10 @@ def test_pool_and_inline_give_the_same_bits(monkeypatch, dim, n):
         sys.setswitchinterval(1e-5)
         for cpus in (1, 2, 5):
             _solver_threads(monkeypatch, cpus)
-            F, rho = nonlinear_rhs(st, params)
-            warm_F, _ = nonlinear_rhs(st, params, rho_guess=rho)
+            F, ratio = nonlinear_rhs(st, params)
+            warm_F, _ = nonlinear_rhs(st, params, rho_ratio=ratio)
             nxt = step(st, 0.01, params)
-            results.append((F, rho, warm_F, nxt.spectra, nxt.rho_plus, nxt.physical))
+            results.append((F, ratio, warm_F, nxt.spectra, nxt.rho_ratio, nxt.physical))
     finally:
         sys.setswitchinterval(switch)
     for inline, *pooled in zip(*results):
