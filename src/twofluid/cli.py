@@ -248,6 +248,11 @@ def _validate(raw: dict) -> RunConfig:
         sim_raw = raw.get("sim") or {}
         if sim_raw.get("init", SimSection().init) == "random" and seed is None:
             errors.append("seed is required when sim.init is 'random'")
+        sim = sections["sim"]
+        for key, ok, domain in (("dt", sim.dt > 0, "> 0"), ("t_end", sim.t_end >= 0, ">= 0"),
+                                ("out_every", sim.out_every >= 1, ">= 1")):
+            if not ok:
+                errors.append(f"'sim.{key}' must be {domain}, got {getattr(sim, key)!r}")
     if task == "lower-bound" and "decay" in sections and not 0.0 < sections["decay"].K0 < 1.0:
         errors.append("decay.K0 must lie in (0, 1) for the lower-bound task")
     if errors:

@@ -6,15 +6,16 @@ the third-order capillary term) advances exactly per mode through the
 semigroup decomposition, and the nonlinear terms advance with explicit RK2.
 
 A state is one stack of spectra, rows n+, n-, u+ and u- (dim rows each),
-as are its tendencies and checkpoints.  Spectra hold the 2/3 band only
-(``Grid.band_shape``; 30% of the rfft modes in 3D): everything outside it is
-zero, so the solver's one spectral layout leaves it out.  The one forward
-and one inverse transform move between that layout and physical space,
-transform only the Fourier lines that cross the band and give scipy.fft's
-bits on it.  The fields stay spectral through a step: the linear half-steps
-are per-mode multiplies, the tendencies are band spectra, and physical
-arrays are made only where products and the guards need them.  A run costs
-the FFTs of the nonlinear stages plus a one-off propagator build, which
+as are its tendencies and checkpoints; the solver reads them on a phase axis
+(``FieldState.phases``) and writes each term once for both phases.  Spectra
+hold the 2/3 band only (``Grid.band_shape``; 30% of the rfft modes in 3D):
+everything outside it is zero, so the solver's one spectral layout leaves it
+out.  The one forward and one inverse transform move between that layout and
+physical space, transform only the Fourier lines that cross the band and give
+scipy.fft's bits on it.  The fields stay spectral through a step: the linear
+half-steps are per-mode multiplies, the tendencies are band spectra, and
+physical arrays are made only where products and the guards need them.  A run
+costs the FFTs of the nonlinear stages plus a one-off propagator build, which
 decomposes the 4x4 semigroup once per distinct integer wave-index norm on
 the band (803 on a 64^3 grid).
 
@@ -22,8 +23,8 @@ On grids of at least ``_PARALLEL_POINTS`` points a step runs on a thread
 pool sized to the CPUs the process may use (``os.sched_getaffinity``, so
 ``taskset`` narrows it): the transforms of the physical twin and of the
 gradients, the closure and the linear half-steps in slabs of the first axis,
-and the two phases' tendencies.  The threads split independent work and
-never change its arithmetic, so the results are bitwise the same whatever
+and the tendencies one phase per task.  The threads split independent work
+and never change its arithmetic, so the results are bitwise the same whatever
 the number of CPUs.  Smaller grids run inline.
 """
 
@@ -35,18 +36,12 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .closure import (
-    FluidParams,
-    NonlinearCoefficients,
-    closure_state,
-    linear_coefficients,
-    nonlinear_coefficients,
-)
+from .closure import FluidParams, closure_state, linear_coefficients, nonlinear_coefficients
 from .spectral import decompose_batch
 
 CHECKPOINT_MAGIC = b"TF2F"
@@ -326,8 +321,9 @@ class FieldState:
 
     ``spectra`` has shape ``(2 + 2 dim,) + grid.band_shape``, rows n+, n-, u+
     (dim rows) and u- (dim rows); ``physical`` is its twin in physical space.
-    The class owns that row order: :meth:`stack` and :meth:`split` build and
-    cut arrays in it, and the field properties are views of ``physical``.
+    The class owns that row order: :meth:`phases` reads an array in it on a
+    phase axis, :meth:`split` per field, and the field properties are views
+    of ``physical``.
 
     Only the band is held (``Grid.band``); every mode outside it is zero.  A
     state never changes: every array it holds is read-only and ``time`` is
@@ -339,7 +335,8 @@ class FieldState:
     """
 
     def __init__(self, grid: Grid, n_plus, n_minus, u_plus, u_minus, time: float = 0.0):
-        physical = self.stack(n_plus, n_minus, u_plus, u_minus).astype(float, copy=False)
+        physical = np.concatenate([np.asarray(n_plus)[None], np.asarray(n_minus)[None],
+                                   u_plus, u_minus]).astype(float, copy=False)
         self._hold(grid, _rfft_rows(grid, physical), time)
         _freeze(physical)
         self.physical = physical
@@ -367,16 +364,19 @@ class FieldState:
         self.spectra = spectra
 
     @staticmethod
-    def stack(n_plus, n_minus, u_plus, u_minus):
-        """A new array holding the four blocks in the state's row order."""
-        return np.concatenate([np.asarray(n_plus)[None], np.asarray(n_minus)[None],
-                               u_plus, u_minus])
+    def phases(stack):
+        """Views ``(n, u)`` of an array stacked in the state's row order.
+
+        ``n[p]`` and ``u[p, i]`` are the rows of phase ``p``, 0 for + and 1 for -.
+        """
+        dim = (len(stack) - 2) // 2
+        return stack[:2], stack[2:].reshape((2, dim) + stack.shape[1:])
 
     @staticmethod
     def split(stack):
         """Views ``(n+, n-, u+, u-)`` of an array stacked in the state's row order."""
-        dim = (len(stack) - 2) // 2
-        return stack[0], stack[1], stack[2:2 + dim], stack[2 + dim:]
+        n, u = FieldState.phases(stack)
+        return n[0], n[1], u[0], u[1]
 
     @functools.cached_property
     def physical(self):
@@ -397,11 +397,11 @@ class FieldState:
 
     def check_positivity(self, params: FluidParams):
         """Reject ``n± <= -rbar±``: the fraction densities must stay positive."""
-        for tag, n, rbar in (("+", self.n_plus, params.rbar_plus),
-                             ("-", self.n_minus, params.rbar_minus)):
-            if np.min(n) <= -rbar:
+        low = self.phases(self.physical)[0].reshape(2, -1).min(axis=1)
+        for tag, n_min, rbar in zip("+-", low, (params.rbar_plus, params.rbar_minus)):
+            if n_min <= -rbar:
                 raise BlowUpError(f"perturbation violates positivity of R{tag}: "
-                                  f"min n{tag} = {np.min(n):g} <= -rbar{tag} = {-rbar:g}",
+                                  f"min n{tag} = {n_min:g} <= -rbar{tag} = {-rbar:g}",
                                   state=self)
 
 
@@ -449,7 +449,7 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
     """
     shape = grid.shape
     physical = np.zeros((2 + 2 * grid.dim,) + shape)
-    n_p, n_m, u_p, u_m = FieldState.split(physical)
+    n, u = FieldState.phases(physical)
     if spec.kind == "zero" or spec.amplitude == 0.0:
         pass
     elif spec.kind == "mode":
@@ -457,14 +457,14 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
         mesh = np.meshgrid(*axes, indexing="ij")
         phase = sum(2.0 * np.pi * m / grid.length * x
                     for m, x in zip(spec.mode, mesh))
-        n_p[...] = spec.amplitude * np.cos(phase)
+        n[0] = spec.amplitude * np.cos(phase)
     elif spec.kind == "gaussian":
         axes = grid.axes()
         mesh = np.meshgrid(*axes, indexing="ij")
         r2 = sum((x - grid.length / 2.0) ** 2 for x in mesh)
         w = spec.width * grid.length
-        n_p[...] = spec.amplitude * np.exp(-r2 / (2.0 * w * w))
-        n_p -= n_p.mean()  # keep zero mean so the background stays rbar
+        n[0] = spec.amplitude * np.exp(-r2 / (2.0 * w * w))
+        n[0] -= n[0].mean()  # keep zero mean so the background stays rbar
     elif spec.kind == "random":
         rng = np.random.default_rng(spec.seed)
         kidx = np.zeros(grid.spectral_shape)
@@ -481,11 +481,9 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
             m = np.abs(f).max()
             return f * (spec.amplitude / m) if m > 0 else f
 
-        n_p[...] = rand_field()
-        n_m[...] = rand_field()
+        n[0], n[1] = rand_field(), rand_field()
         for d in range(grid.dim):
-            u_p[d] = rand_field()
-            u_m[d] = rand_field()
+            u[0, d], u[1, d] = rand_field(), rand_field()
     else:
         raise ValueError(f"unknown init kind {spec.kind!r}")
     # keep every field inside the 2/3 band so products never alias back
@@ -519,10 +517,10 @@ def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
     The semigroup depends on |k| only, so it is decomposed once per distinct
     integer wave-index norm ``m^2`` on the band and scattered to its modes.
     Each norm's |k| is that of its first mode in the ravel order of the
-    whole rfft layout, in or out of the band.  Returns ``(S, heat_p,
-    heat_m)``: ``S`` with shape ``(4, 4) + grid.band_shape``, the heat
-    factors with the band shape; built once per ``(grid, params, dt)`` and
-    read-only.
+    whole rfft layout, in or out of the band.  Returns ``(S, heat)``: ``S``
+    with shape ``(4, 4) + grid.band_shape``, ``heat`` the factors
+    ``exp(-nu1± |k|^2 dt)`` on the phase axis, shape ``(2,) + grid.band_shape``;
+    built once per ``(grid, params, dt)`` and read-only.
     """
     co = linear_coefficients(params)
     m2 = sum(m**2 for m in grid.index_axes())
@@ -533,11 +531,9 @@ def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
     S_used = dec.semigroup(dt).real * np.multiply.outer(_PHI_SIGN, _PHI_SIGN)
     S = np.ascontiguousarray(np.moveaxis(S_used[np.searchsorted(used, band_m2)], 0, -1))
     S = S.reshape((4, 4) + grid.band_shape)
-    k2 = _waves(grid).k2
-    heat_p = np.exp(-co.nu1_plus * k2 * dt)
-    heat_m = np.exp(-co.nu1_minus * k2 * dt)
-    _freeze(S, heat_p, heat_m)
-    return S, heat_p, heat_m
+    heat = np.exp(np.multiply.outer([-co.nu1_plus, -co.nu1_minus], _waves(grid).k2) * dt)
+    _freeze(S, heat)
+    return S, heat
 
 
 def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) -> FieldState:
@@ -548,18 +544,22 @@ def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) ->
     to physical space only when its fields are read.
     """
     grid = state.grid
-    S, heat_p, heat_m = _linear_propagator(grid, params, dt)
+    S, heat = _linear_propagator(grid, params, dt)
     khat = _waves(grid).khat
 
     def slab(s):
-        n_p, n_m, u_p, u_m = FieldState.split(state.spectra[:, s])
+        n, u = FieldState.phases(state.spectra[:, s])
         kh = khat[:, s]
-        phi_p, rem_p = _hodge(u_p, kh)
-        phi_m, rem_m = _hodge(u_m, kh)
-        V = (n_p, phi_p, n_m, phi_m)
-        new = [sum(S[i, j, s] * V[j] for j in range(4)) for i in range(4)]
-        return FieldState.stack(new[0], new[2], 1j * kh * new[1] + heat_p[s] * rem_p,
-                                1j * kh * new[3] + heat_m[s] * rem_m)
+        phi, rem = _hodge(u.swapaxes(0, 1), kh[:, None])  # both phases: axes (dim, phase)
+        new = np.einsum("ij...,j...->i...", S[:, :, s],  # rows n+, phi+, n-, phi-
+                        np.stack([n, phi], axis=1).reshape((4,) + n.shape[1:]))
+        out = np.empty_like(state.spectra[:, s])
+        new_n, new_u = FieldState.phases(out)
+        new_n[...] = new[0::2]
+        np.multiply(1j * kh, new[1::2, None], out=new_u)
+        rem *= heat[:, s]
+        new_u += rem.swapaxes(0, 1)
+        return out
 
     out = _join(_slabs(slab, grid.band_shape[0], workers(grid)), axis=1)
     return FieldState.from_spectra(grid, out, state.time + dt)
@@ -569,81 +569,79 @@ def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) ->
 # nonlinear tendencies
 
 
-_COEFFICIENTS = tuple(f.name for f in fields(NonlinearCoefficients))
-
-
 def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
     """Tendencies of the reformulated system, dealiased, in the state's rows.
 
     Derivatives are spectral, products pointwise; every assembled tendency
     is transformed once, onto the 2/3 band.  Returns ``(F, rho_ratio)``: ``F``
-    is stacked like ``state.spectra`` and holds the band spectra
-    of the tendencies of n+, n-, u+ and u-.  The pointwise closure is solved
-    once.  ``rho_ratio`` is ``rho+ / (R+ + R-)`` at its root: a given one
-    warm-starts the solve at ``rho_ratio * (R+ + R-)``, and the one returned
-    is this state's.  The ratio moves less than the root from stage to stage,
-    and at ``gamma+ = gamma-``, where the root is ``R+ + R-``, it is exactly 1.
-    The gradient rows, the closure's slabs and the two phases run on
-    :func:`workers` threads; each does the same arithmetic whatever the
-    count, so the results are bitwise the same.
+    is stacked like ``state.spectra`` and holds the band spectra of the
+    tendencies of n+, n-, u+ and u-; one function of the phase index builds
+    each phase's rows from the phase axis of the fields and their gradients.
+    The pointwise closure is solved once.  ``rho_ratio`` is ``rho+ / (R+ + R-)``
+    at its root: a given one warm-starts the solve at ``rho_ratio * (R+ + R-)``,
+    and the one returned is this state's.  The ratio moves less than the root
+    from stage to stage, and at ``gamma+ = gamma-``, where the root is
+    ``R+ + R-``, it is exactly 1.  The gradient rows, the closure's slabs and
+    the two phases run on :func:`workers` threads; each does the same
+    arithmetic whatever the count, so the results are bitwise the same.
     """
     grid = state.grid
     shape, dim = grid.shape, grid.dim
     size = workers(grid)
     w = _waves(grid)
     spec = state.spectra
-    n_p, n_m, u_p, u_m = FieldState.split(state.physical)
+    n, u = FieldState.phases(state.physical)
     # grad[r, j] is d_j of row r, built a block of transforms at a time so that
     # no (rows x dim) stack of complex derivatives is held on large grids
     grad = _irfft_rows(lambda s: _join([(1j * w.ks[r % dim] * spec[r // dim])[None]
                                         for r in range(s.start, s.stop)]),
                        len(spec) * dim, shape, size)
-    dn_p, dn_m, Du_p, Du_m = FieldState.split(grad.reshape((len(spec), dim) + shape))
+    # dn[p, j] = d_j n_p and Du[p, i, j] = d_j u_p,i
+    dn, Du = FieldState.phases(grad.reshape((len(spec), dim) + shape))
 
     # the closure and its coefficients, pointwise, in slabs of the first axis
     def closure_slab(s):
-        R_p, R_m = n_p[s] + params.rbar_plus, n_m[s] + params.rbar_minus
+        R_p, R_m = n[0][s] + params.rbar_plus, n[1][s] + params.rbar_minus
         total = R_p + R_m
         closure = closure_state(R_p, R_m, params,
                                 x0=None if rho_ratio is None else rho_ratio[s] * total)
         nc = nonlinear_coefficients(closure, params)
-        return (closure.rho_plus / total, *(getattr(nc, name) for name in _COEFFICIENTS))
+        return (closure.rho_plus / total, nc.g_plus, nc.gbar_plus, nc.gbar_minus, nc.g_minus,
+                nc.h_plus, nc.h_minus, nc.k_plus, nc.k_minus, nc.l_plus, nc.l_minus)
 
     ratio, *coeffs = (_join(part) for part in zip(*_slabs(closure_slab, grid.n, size)))
-    nc = NonlinearCoefficients(*coeffs)
+    # per phase p: g[p][q] multiplies dn_q in the pressure term
+    g, h, k, l = (coeffs[0:2], coeffs[2:4]), coeffs[4:6], coeffs[6:8], coeffs[8:10]
+    mu, lam = (params.mu_plus, params.mu_minus), (params.lambda_plus, params.lambda_minus)
     F = np.empty_like(spec)
-    Fn_p, Fn_m, Fu_p, Fu_m = FieldState.split(F)
-    u_hat_p, u_hat_m = FieldState.split(spec)[2:]
+    Fn, Fu = FieldState.phases(F)
+    u_hat = FieldState.phases(spec)[1]
 
-    def phase(n, dn, u, Du, u_hat, g_p, g_m, h, k, l, mu, lam, Fn, Fu):
+    def phase(p):
         # one phase, assembled row by row into F; its transforms run inline
-        div = np.einsum("ii...->...", Du)
+        div = np.einsum("ii...->...", Du[p])
         # continuity by the product rule: -div(n u) = -(u . grad n + n div u)
-        flux_div = np.einsum("i...,i...->...", u, dn)
-        flux_div += n * div
-        np.negative(_rfft(flux_div, out=Fn), out=Fn)
+        flux_div = np.einsum("i...,i...->...", u[p], dn[p])
+        flux_div += n[p] * div
+        np.negative(_rfft(flux_div, out=Fn[p]), out=Fn[p])
         del flux_div
-        # momentum, with Du[i, j] = d_j u_i and the viscous term
-        # mu Lap u + (mu + lam) grad div u; a = h dn+ + k dn- feeds both the
-        # shear cross term and the bulk term
-        k_dot_u = sum(kd * c for kd, c in zip(w.ks, u_hat))
-        a = h * dn_p + k * dn_m
-        b = mu * a - u
-        div *= lam
+        # momentum, with the viscous term mu Lap u + (mu + lam) grad div u;
+        # a = h dn+ + k dn- feeds both the shear cross term and the bulk term
+        k_dot_u = sum(kd * c for kd, c in zip(w.ks, u_hat[p]))
+        a = h[p] * dn[0] + k[p] * dn[1]
+        b = mu[p] * a - u[p]
+        div *= lam[p]
         for i in range(dim):
-            f = _irfft(-(mu * w.k2 * u_hat[i] + (mu + lam) * w.ks[i] * k_dot_u), shape)
-            f *= l
-            f -= g_p * dn_p[i] + g_m * dn_m[i]
+            f = _irfft(-(mu[p] * w.k2 * u_hat[p, i] + (mu[p] + lam[p]) * w.ks[i] * k_dot_u),
+                       shape)
+            f *= l[p]
+            f -= g[p][0] * dn[0, i] + g[p][1] * dn[1, i]
             f += div * a[i]
-            f += np.einsum("j...,j...->...", b, Du[i])
-            f += mu * np.einsum("j...,j...->...", a, Du[:, i])
-            _rfft(f, out=Fu[i])
+            f += np.einsum("j...,j...->...", b, Du[p, i])
+            f += mu[p] * np.einsum("j...,j...->...", a, Du[p, :, i])
+            _rfft(f, out=Fu[p, i])
 
-    phases = ((n_p, dn_p, u_p, Du_p, u_hat_p, nc.g_plus, nc.gbar_plus, nc.h_plus, nc.k_plus,
-               nc.l_plus, params.mu_plus, params.lambda_plus, Fn_p, Fu_p),
-              (n_m, dn_m, u_m, Du_m, u_hat_m, nc.gbar_minus, nc.g_minus, nc.h_minus,
-               nc.k_minus, nc.l_minus, params.mu_minus, params.lambda_minus, Fn_m, Fu_m))
-    _each(lambda i: phase(*phases[i]), len(phases), size)
+    _each(phase, 2, size)
     return F, ratio
 
 
@@ -657,7 +655,7 @@ def step(state: FieldState, dt: float, params: FluidParams,
     ratio as its ``rho_ratio`` (see :func:`nonlinear_rhs`).
     """
     grid = state.grid
-    umax = max(np.abs(state.u_plus).max(), np.abs(state.u_minus).max())
+    umax = np.abs(FieldState.phases(state.physical)[1]).max()
     if umax > 0 and dt > c_cfl * grid.dx / umax:
         raise ValueError(f"dt={dt:g} violates the advective bound "
                          f"{c_cfl * grid.dx / umax:g}")
@@ -670,9 +668,9 @@ def step(state: FieldState, dt: float, params: FluidParams,
     s = FieldState.from_spectra(grid, base + 0.5 * dt * (F + G), t)
     s = linear_propagator_step(s, 0.5 * dt, params)
     s.rho_ratio = ratio
+    n_max = np.abs(FieldState.phases(s.physical)[0]).reshape(2, -1).max(axis=1)
     if (not np.isfinite(s.physical).all()
-            or np.abs(s.n_plus).max() > 0.5 * params.rbar_plus
-            or np.abs(s.n_minus).max() > 0.5 * params.rbar_minus):
+            or (n_max > 0.5 * np.array([params.rbar_plus, params.rbar_minus])).any()):
         raise BlowUpError(f"solution left the small-data regime at t={s.time:g}", state=s)
     return s
 

@@ -364,6 +364,36 @@ def test_parse_rejects_mistyped_fields(text, field):
     assert f"'{field}' must be" in str(exc.value)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("dt", -0.05, "'sim.dt' must be > 0, got -0.05"),
+    ("dt", 0, "'sim.dt' must be > 0, got 0.0"),
+    ("t_end", -1.0, "'sim.t_end' must be >= 0, got -1.0"),
+    ("out_every", 0, "'sim.out_every' must be >= 1, got 0"),
+    ("out_every", -3, "'sim.out_every' must be >= 1, got -3"),
+], ids=["dt-negative", "dt-zero", "t_end-negative", "out_every-zero", "out_every-negative"])
+def test_parse_rejects_simulate_time_fields_out_of_domain(tmp_path, capsys, field, value,
+                                                         message):
+    # these ran with negative step counts and passed, or died inside the run
+    # with a division or modulo by zero
+    text = f"seed: 1\nsim:\n  {field}: {value}\n"
+    with pytest.raises(ConfigError) as exc:
+        parse_config("task: simulate\n" + text)
+    assert exc.value.errors == [message]
+    cfg_path, out = tmp_path / "cfg.yaml", tmp_path / "out"
+    cfg_path.write_text(text)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
+    cfg = parse_config("task: simulate\nseed: 1\nsim:\n  t_end: 0\n  out_every: 1\n")
+    assert (cfg.sim.t_end, cfg.sim.out_every) == (0.0, 1)
+    for task in ("analyze-modes", "linear-decay", "lower-bound", "fit"):
+        cfg = parse_config(f"task: {task}\nsim:\n  dt: -0.05\n  t_end: -1.0\n  out_every: 0\n")
+        assert cfg.sim.dt == -0.05
+
+
 def test_parse_coerces_numeric_strings():
     cfg = parse_config("decay:\n  t_min: 1.0e2\n  samples: '12'\nmodes:\n  t_check: [1, 2.0e1]\n")
     assert cfg.decay.t_min == 100.0 and cfg.decay.samples == 12

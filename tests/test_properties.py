@@ -113,11 +113,16 @@ small_ints = st.integers(-10**6, 10**6)
 @st.composite
 def run_configs(draw):
     task = draw(st.sampled_from(TASKS))
+    simulate = task == "simulate"  # the one task that checks the sim time fields
     sim = draw(st.builds(SimSection, dim=small_ints, n=small_ints, length=finite,
                          init=st.text(), amplitude=finite,
                          mode=st.tuples(small_ints), width=finite,
-                         band=st.tuples(small_ints, small_ints), dt=finite, t_end=finite,
-                         out_every=small_ints, k_max=small_ints, c_cfl=finite))
+                         band=st.tuples(small_ints, small_ints),
+                         dt=(st.floats(0.0, exclude_min=True, allow_infinity=False)
+                             if simulate else finite),
+                         t_end=st.floats(0.0, allow_infinity=False) if simulate else finite,
+                         out_every=st.integers(1, 10**6) if simulate else small_ints,
+                         k_max=small_ints, c_cfl=finite))
     seed = draw(st.none() | st.integers(0, 2**63))
     if task == "simulate" and sim.init == "random" and seed is None:
         seed = 0

@@ -553,13 +553,15 @@ def test_propagator_dedup_matches_full_decomposition(dim, n):
 
     grid = Grid(dim=dim, n=n, length=2 * np.pi * 4)
     dt = 0.3
-    S, heat_p, heat_m = _linear_propagator(grid, SYM, dt)
+    S, heat = _linear_propagator(grid, SYM, dt)
     co = linear_coefficients(SYM)
     full = decompose_batch(grid.k_mag().ravel(), co).semigroup(dt).real
     sign = np.array([1.0, -1.0, 1.0, -1.0])  # the propagator acts on phi = -w
     full = np.moveaxis(full * np.multiply.outer(sign, sign), 0, -1)
     assert np.abs(S - grid.band(full.reshape((4, 4) + grid.spectral_shape))).max() <= 1e-14
-    assert np.abs(heat_p - np.exp(-co.nu1_plus * grid.band(grid.k_mag()) ** 2 * dt)).max() <= 1e-14
+    assert heat.shape == (2,) + grid.band_shape
+    for row, nu1 in zip(heat, (co.nu1_plus, co.nu1_minus)):
+        assert np.abs(row - np.exp(-nu1 * grid.band(grid.k_mag()) ** 2 * dt)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
@@ -582,12 +584,13 @@ def test_band_propagator_is_the_full_grid_build_on_the_band(dim, n):
     S_unique = (decompose_batch(grid.k_mag().ravel()[first], co).semigroup(dt).real
                 * np.multiply.outer(_PHI_SIGN, _PHI_SIGN))
     full = np.moveaxis(S_unique[inverse], 0, -1).reshape((4, 4) + grid.spectral_shape)
-    S, heat_p, heat_m = _linear_propagator(grid, params, dt)
+    S, heat = _linear_propagator(grid, params, dt)
     assert S.shape == (4, 4) + grid.band_shape
     assert np.array_equal(S, grid.band(full))
     k2 = grid.band(sum(k**2 for k in grid.k_axes()))
-    assert np.array_equal(heat_p, np.exp(-co.nu1_plus * k2 * dt))
-    assert np.array_equal(heat_m, np.exp(-co.nu1_minus * k2 * dt))
+    assert heat.shape == (2,) + grid.band_shape
+    assert np.array_equal(heat[0], np.exp(-co.nu1_plus * k2 * dt))
+    assert np.array_equal(heat[1], np.exp(-co.nu1_minus * k2 * dt))
 
 
 @pytest.mark.parametrize("shape", [(1024,), (256, 256), (16, 16, 16), (64, 64, 64),
@@ -648,6 +651,45 @@ def test_step_fft_budget(monkeypatch, dim, budget):
     del calls[:]
     step(cur, 0.01, SYM)   # warm: a stepped state carries its spectra
     assert 0 < len(calls) <= budget - 2 * (1 + dim)
+
+
+def _step_calls(dim):
+    """Python (``call``) and builtin (``c_call``) calls of one warm step at n = 16.
+
+    The step is the second of a run, so the physical twin and the cached
+    grid tables already exist.  The caches start empty, so that their keys
+    are this run's grid and params and a lookup calls no ``__eq__``.
+    """
+    from twofluid import closure, solver
+
+    for cached in (solver._waves, solver._linear_propagator, closure.equilibrium_state,
+                   closure.linear_coefficients):
+        cached.cache_clear()
+    grid = Grid(dim=dim, n=16, length=2 * np.pi)
+    st = step(init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=1, band=(1, 3))),
+              0.01, SYM)
+    st.physical
+    events = {"call": 0, "c_call": 0}
+
+    def count(frame, event, arg):
+        if event in events:
+            events[event] += 1
+
+    sys.setprofile(count)
+    try:
+        step(st, 0.01, SYM)
+    finally:
+        sys.setprofile(None)
+    return events["call"], events["c_call"]
+
+
+@pytest.mark.parametrize("dim,calls,c_calls", [(1, 504, 260), (2, 820, 401), (3, 1372, 678)])
+def test_step_call_budget(dim, calls, c_calls):
+    # most of a small-grid step is a fixed cost per call, so the call counts
+    # are pinned as budgets, as test_step_fft_budget pins the transforms
+    counted = _step_calls(dim)
+    assert 0 < counted[0] <= calls
+    assert 0 < counted[1] <= c_calls
 
 
 @pytest.mark.parametrize("shape, count", [((1024,), 70), ((128, 128), 5), ((16, 16, 16), 11)])
@@ -847,6 +889,41 @@ def _solver_threads(monkeypatch, cpus):
 
     monkeypatch.setattr(solver, "_CPUS", cpus)
     monkeypatch.setattr(solver, "_PARALLEL_POINTS", 0)
+
+
+NONSYM = FluidParams(mu_plus=0.8, mu_minus=1.3, lambda_plus=0.4, lambda_minus=0.1,
+                     sigma_plus=0.9, sigma_minus=1.2, gamma_plus=1.6, gamma_minus=2.2,
+                     rbar_plus=1.4, rbar_minus=0.7)
+
+
+def per_phase_linear_step(state, dt, params):
+    """Reference linear half-step: one Hodge split and generator sums per phase."""
+    from twofluid.solver import _linear_propagator
+
+    S, heat = _linear_propagator(state.grid, params, dt)
+    khat = _waves(state.grid).khat
+    n_p, n_m, u_p, u_m = FieldState.split(state.spectra)
+    phi_p, rem_p = _hodge(u_p, khat)
+    phi_m, rem_m = _hodge(u_m, khat)
+    V = (n_p, phi_p, n_m, phi_m)
+    new = [sum(S[i, j] * V[j] for j in range(4)) for i in range(4)]
+    return np.concatenate([new[0][None], new[2][None], 1j * khat * new[1] + heat[0] * rem_p,
+                           1j * khat * new[3] + heat[1] * rem_m])
+
+
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+def test_phase_axis_linear_step_is_the_per_phase_arithmetic(monkeypatch, dim, n):
+    # one Hodge split over the phase axis and one einsum give the bytes of
+    # the per-phase splits and sums (signed zeros too, hence tobytes),
+    # inline and in slabs on 2 and 5 threads
+    grid = Grid(dim=dim, n=n, length=2 * np.pi)
+    st = init_state(grid, InitSpec(kind="random", amplitude=1e-2, seed=4, band=(0, n)), NONSYM)
+    for state in (step(st, 0.01, NONSYM), init_state(grid, InitSpec(), NONSYM)):
+        expected = per_phase_linear_step(state, 0.3, NONSYM)
+        for cpus in (1, 2, 5):
+            _solver_threads(monkeypatch, cpus)
+            got = linear_propagator_step(state, 0.3, NONSYM).spectra
+            assert np.array_equal(got, expected) and got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
