@@ -5,7 +5,8 @@ Subcommands: ``analyze-modes``, ``linear-decay``, ``lower-bound``,
 validated: unknown keys are rejected) and writes CSV artifacts plus a
 metadata file into the output directory.  Identical config and seed give
 byte-identical CSV output.  Exit codes: 0 success, 1 acceptance-style
-check failed, 2 runtime error.
+check failed, 2 runtime error; ``run_campaign`` alone picks the code and
+writes ``metadata.json``, on every ending once the output directory exists.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .linearlab import (
     make_lower_bound_data,
 )
 from .solver import (
+    GRID_DOMAIN,
+    INIT_KINDS,
     BlowUpError,
     FieldState,
     Grid,
@@ -244,16 +247,29 @@ def _validate(raw: dict) -> RunConfig:
         built = _build_section(name, cls, raw.get(name), errors)
         if built is not None:
             sections[name] = built
+    checks = []  # (section, key, ok, domain) for the fields this task reads
     if task == "simulate":
-        sim_raw = raw.get("sim") or {}
-        if sim_raw.get("init", SimSection().init) == "random" and seed is None:
-            errors.append("seed is required when sim.init is 'random'")
         sim = sections["sim"]
-        for key, ok, domain in (("dt", sim.dt > 0, "> 0"), ("t_end", sim.t_end >= 0, ">= 0"),
-                                ("out_every", sim.out_every >= 1, ">= 1")):
-            if not ok:
-                errors.append(f"'sim.{key}' must be {domain}, got {getattr(sim, key)!r}")
-    if task == "lower-bound" and "decay" in sections and not 0.0 < sections["decay"].K0 < 1.0:
+        if sim.init == "random" and seed is None:
+            errors.append("seed is required when sim.init is 'random'")
+        band_ok = len(sim.band) == 2 and sim.band[0] <= sim.band[1]
+        checks += [("sim", key, ok(getattr(sim, key)), domain) for key, ok, domain in GRID_DOMAIN]
+        checks += [
+            ("sim", "init", sim.init in INIT_KINDS, f"one of {INIT_KINDS}"),
+            ("sim", "dt", sim.dt > 0, "> 0"), ("sim", "t_end", sim.t_end >= 0, ">= 0"),
+            ("sim", "out_every", sim.out_every >= 1, ">= 1"),
+            ("sim", "k_max", sim.k_max >= 0, ">= 0"),
+            ("sim", "mode", sim.init != "mode" or len(sim.mode) == sim.dim,
+             f"one wave index per axis (sim.dim = {sim.dim})"),
+            ("sim", "band", sim.init != "random" or band_ok, "[low, high] with low <= high"),
+        ]
+    if task == "analyze-modes":
+        checks.append(("modes", "t_check", len(sections["modes"].t_check) > 0, "non-empty"))
+    if task in ("linear-decay", "lower-bound"):
+        checks.append(("decay", "tolerance", sections["decay"].tolerance >= 0, ">= 0"))
+    errors += [f"'{name}.{key}' must be {domain}, got {getattr(sections[name], key)!r}"
+               for name, key, ok, domain in checks if not ok]
+    if task == "lower-bound" and not 0.0 < sections["decay"].K0 < 1.0:
         errors.append("decay.K0 must lie in (0, 1) for the lower-bound task")
     if errors:
         raise ConfigError(errors)
@@ -300,25 +316,12 @@ def read_norm_csv(path: Path):
     return rows
 
 
-def _write_metadata(out_dir: Path, config: RunConfig, chash: str, extra: dict):
-    co = linear_coefficients(config.params)
-    doc = {
-        "config_hash": chash,
-        "tool_version": __version__,
-        "task": config.task,
-        "seed": config.seed,
-        "combination_ratio": float(np.sqrt(co.beta1 * co.beta2)),
-        **extra,
-    }
-    out_dir.joinpath("metadata.json").write_text(
-        json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
-# campaign tasks
+# campaign tasks: each writes its CSVs, adds its facts to ``meta`` and returns
+# ``(passed, summary)``; ``run_campaign`` writes ``metadata.json``
 
 
-def _task_analyze_modes(config: RunConfig, out_dir: Path, chash: str, quiet: bool) -> int:
+def _task_analyze_modes(config: RunConfig, out_dir: Path, chash: str, meta: dict):
     co = linear_coefficients(config.params)
     m = config.modes
     xis = np.geomspace(m.xi_min, m.xi_max, m.count)
@@ -346,10 +349,8 @@ def _task_analyze_modes(config: RunConfig, out_dir: Path, chash: str, quiet: boo
                "re_lambda3", "im_lambda3", "re_lambda4", "im_lambda4",
                "branch", "projector_residual", "semigroup_residual"],
               rows, chash)
-    eta = choose_eta(co)
-    ok = (residuals.max() <= PROJECTOR_GATE) and (sg_res.max() <= SEMIGROUP_GATE)
-    _write_metadata(out_dir, config, chash, {
-        "eta": eta,
+    meta.update({
+        "eta": choose_eta(co),
         "branch_counts": {
             "distinct": int((~dec.confluent & ~dec.fallback).sum()),
             "confluent": int(dec.confluent.sum()),
@@ -357,12 +358,10 @@ def _task_analyze_modes(config: RunConfig, out_dir: Path, chash: str, quiet: boo
         },
         "max_projector_residual": float(residuals.max()),
         "max_semigroup_residual": float(sg_res.max()),
-        "passed": bool(ok),
     })
-    if not quiet:
-        print(f"analyze-modes: {len(xis)} modes, max projector residual "
-              f"{residuals.max():.3e}, max semigroup residual {sg_res.max():.3e}")
-    return 0 if ok else 1
+    ok = (residuals.max() <= PROJECTOR_GATE) and (sg_res.max() <= SEMIGROUP_GATE)
+    return ok, (f"analyze-modes: {len(xis)} modes, max projector residual "
+                f"{residuals.max():.3e}, max semigroup residual {sg_res.max():.3e}")
 
 
 def _norm_rows_and_fits(evolution, data, decay: DecaySection, variables):
@@ -400,28 +399,21 @@ def _write_fit_summary(out_dir: Path, fits: dict, chash: str, tolerance=None):
     return rows
 
 
-def _task_linear_decay(config: RunConfig, out_dir: Path, chash: str, quiet: bool) -> int:
+def _task_linear_decay(config: RunConfig, out_dir: Path, chash: str, meta: dict):
     d = config.decay
     evolution = ModeEvolution(config.params, t_max=d.t_max * 1.2)
     data = make_generic_data(d.K0)
     times, table, rows, fits = _norm_rows_and_fits(evolution, data, d, VARIABLES)
     write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], rows, chash)
     fit_rows = _write_fit_summary(out_dir, fits, chash, d.tolerance)
-    all_ok = all(r[5] == "pass" for r in fit_rows)
-    _write_metadata(out_dir, config, chash, {
-        "eta": choose_eta(linear_coefficients(config.params)),
-        "K0": d.K0,
-        "fit_window": [d.t_min, d.t_max],
-        "passed": bool(all_ok),
-    })
-    if not quiet:
-        worst = max(abs(f.exponent - expected_exponent(v, k))
-                    for (v, k), f in fits.items())
-        print(f"linear-decay: {len(fits)} fits, worst exponent deviation {worst:.4f}")
-    return 0 if all_ok else 1
+    meta.update({"eta": choose_eta(linear_coefficients(config.params)), "K0": d.K0,
+                 "fit_window": [d.t_min, d.t_max]})
+    worst = max(abs(f.exponent - expected_exponent(v, k)) for (v, k), f in fits.items())
+    return (all(r[5] == "pass" for r in fit_rows),
+            f"linear-decay: {len(fits)} fits, worst exponent deviation {worst:.4f}")
 
 
-def _task_lower_bound(config: RunConfig, out_dir: Path, chash: str, quiet: bool) -> int:
+def _task_lower_bound(config: RunConfig, out_dir: Path, chash: str, meta: dict):
     d = config.decay
     variables = ("n+", "n-", "phi+", "phi-", "combo")
     evolution = ModeEvolution(config.params, t_max=d.t_max * 1.2)
@@ -440,27 +432,24 @@ def _task_lower_bound(config: RunConfig, out_dir: Path, chash: str, quiet: bool)
         band_rows.append((v, -exp, ratio, "pass" if band_ok else "fail"))
     write_csv(out_dir / "band_summary.csv",
               ["variable", "weight_power", "max_over_min", "status"], band_rows, chash)
-    _write_metadata(out_dir, config, chash, {
+    meta.update({
         "eta": choose_eta(linear_coefficients(config.params)),
         "c0": data.c0, "s_exp": data.s_exp, "theta": data.theta,
         "band_gate": BAND_GATE,
-        "passed": bool(all_ok),
     })
-    if not quiet:
-        print(f"lower-bound: worst band ratio "
-              f"{max(r[2] for r in band_rows):.3f} (gate {BAND_GATE})")
-    return 0 if all_ok else 1
+    return all_ok, (f"lower-bound: worst band ratio "
+                    f"{max(r[2] for r in band_rows):.3f} (gate {BAND_GATE})")
 
 
-def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) -> int:
+def _task_simulate(config: RunConfig, out_dir: Path, chash: str, meta: dict):
     s = config.sim
     grid = Grid(dim=s.dim, n=s.n, length=s.length)
     spec = InitSpec(kind=s.init, amplitude=s.amplitude, mode=s.mode,
                     width=s.width, band=s.band, seed=config.seed or 0)
     co = linear_coefficients(config.params)
     n_steps = int(round(s.t_end / s.dt))
-    run_info = {"grid": {"dim": s.dim, "n": s.n, "length": s.length}, "steps": n_steps,
-                "solver_workers": workers(grid)}
+    meta.update({"grid": {"dim": s.dim, "n": s.n, "length": s.length}, "steps": n_steps,
+                 "solver_workers": workers(grid)})
     norm_rows = []
     times = []
     history = {}  # (variable, k) -> norm at each of ``times``
@@ -491,14 +480,10 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
     except BlowUpError as exc:
         if exc.state is not None:
             write_checkpoint(exc.state, config.params, out_dir / "state_blowup.tfck")
+        raise
+    finally:  # every ending keeps the records made so far
         write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], norm_rows, chash)
         write_csv(out_dir / "energy.csv", energy_columns, energy_rows, chash)
-        _write_metadata(out_dir, config, chash, {
-            **run_info, "failure": f"blow-up: {exc}", "passed": False})
-        print(f"simulate: blow-up: {exc}", file=sys.stderr)
-        return 2
-    write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], norm_rows, chash)
-    write_csv(out_dir / "energy.csv", energy_columns, energy_rows, chash)
     write_checkpoint(state, config.params, out_dir / "state_final.tfck")
     mass_drift = max(abs(r[c] - energy_rows[0][c]) for r in energy_rows for c in (3, 4))
     failures = []
@@ -508,8 +493,7 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
     if rises:
         failures.append(f"e0 rises between records, first at t={rises[0]:g}")
     e_k, e_0 = weighted_sup_functionals(times, history, ell=s.k_max)
-    _write_metadata(out_dir, config, chash, {
-        **run_info,
+    meta.update({
         "final_time": state.time,
         "mass_drift": mass_drift,
         "weighted_functionals": {
@@ -517,15 +501,12 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, quiet: bool) ->
             "E_0": float(e_0[-1]),
         },
         **({"failure": "; ".join(failures)} if failures else {}),
-        "passed": not failures,
     })
-    if not quiet:
-        print(f"simulate: {n_steps} steps to t={state.time:g}, "
-              f"mass drift {mass_drift:.3e}")
-    return 1 if failures else 0
+    return not failures, (f"simulate: {n_steps} steps to t={state.time:g}, "
+                          f"mass drift {mass_drift:.3e}")
 
 
-def _task_fit(config: RunConfig, out_dir: Path, chash: str, quiet: bool) -> int:
+def _task_fit(config: RunConfig, out_dir: Path, chash: str, meta: dict):
     f = config.fit
     src = Path(f.input)
     if not src.is_absolute():
@@ -547,31 +528,47 @@ def _task_fit(config: RunConfig, out_dir: Path, chash: str, quiet: bool) -> int:
                   f.t_max if f.t_max is not None else float(series.times[-1]))
         fits[(v, k)] = fit_power_law(series, window=window)
     fit_rows = _write_fit_summary(out_dir, fits, chash)
-    _write_metadata(out_dir, config, chash, {"source": str(src), "passed": True})
-    if not quiet:
-        print(f"fit: {len(fit_rows)} series fitted from {src}")
-    return 0
+    meta["source"] = str(src)
+    return True, f"fit: {len(fit_rows)} series fitted from {src}"
 
 
 def run_campaign(config: RunConfig, out_dir=None, quiet: bool = False) -> int:
-    """Execute the configured task; returns the process exit code."""
+    """Execute the configured task and write ``metadata.json``; returns the exit code.
+
+    0: the task passed its gates; 1: a gate failed; 2: the task raised, and
+    ``metadata.json`` records ``"passed": false`` with the ``failure``.
+    """
     out = Path(out_dir if out_dir is not None else config.output)
     chash = config_hash(config)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        task = {
-            "analyze-modes": _task_analyze_modes,
-            "linear-decay": _task_linear_decay,
-            "lower-bound": _task_lower_bound,
-            "simulate": _task_simulate,
-            "fit": _task_fit,
-        }[config.task]
-        return task(config, out, chash, quiet)
-    except (BlowUpError, ConfigError):
-        raise
-    except Exception as exc:  # runtime failure contract: exit 2 with message
+    except OSError as exc:
         print(f"{config.task}: error: {exc}", file=sys.stderr)
         return 2
+    co = linear_coefficients(config.params)
+    meta = {"config_hash": chash, "tool_version": __version__, "task": config.task,
+            "seed": config.seed, "combination_ratio": float(np.sqrt(co.beta1 * co.beta2))}
+    task = {
+        "analyze-modes": _task_analyze_modes,
+        "linear-decay": _task_linear_decay,
+        "lower-bound": _task_lower_bound,
+        "simulate": _task_simulate,
+        "fit": _task_fit,
+    }[config.task]
+    try:
+        passed, summary = task(config, out, chash, meta)
+        code = 0 if passed else 1
+    except Exception as exc:  # runtime failure contract: exit 2, metadata kept
+        kind = "blow-up" if isinstance(exc, BlowUpError) else "error"
+        passed, code, meta["failure"] = False, 2, f"{kind}: {exc}"
+    meta["passed"] = bool(passed)
+    out.joinpath("metadata.json").write_text(
+        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    if code == 2:
+        print(f"{config.task}: {meta['failure']}", file=sys.stderr)
+    elif not quiet:
+        print(summary)
+    return code
 
 
 def main(argv=None) -> int:

@@ -83,6 +83,14 @@ def _spread_band(spec, axis: int, n: int):
     return np.concatenate([head, gap, tail], axis=axis)
 
 
+# (field, test, domain) for each Grid field; the CLI checks configs against it
+GRID_DOMAIN = (
+    ("dim", lambda dim: dim in (1, 2, 3), "1, 2 or 3"),
+    ("n", lambda n: n >= 4 and (n & (n - 1)) == 0, "a power of two >= 4"),
+    ("length", lambda length: length > 0, "> 0"),
+)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Periodic uniform grid with its spectral bookkeeping."""
@@ -92,12 +100,9 @@ class Grid:
     length: float
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
-            raise ValueError("dim must be 1, 2 or 3")
-        if self.n < 4 or (self.n & (self.n - 1)) != 0:
-            raise ValueError("n must be a power of two >= 4")
-        if self.length <= 0:
-            raise ValueError("box length must be positive")
+        for key, ok, domain in GRID_DOMAIN:
+            if not ok(getattr(self, key)):
+                raise ValueError(f"{key} must be {domain}")
 
     @property
     def shape(self):
@@ -405,11 +410,14 @@ class FieldState:
                                   state=self)
 
 
+INIT_KINDS = ("zero", "mode", "gaussian", "random")
+
+
 @dataclass(frozen=True)
 class InitSpec:
     """Initial-condition recipe: equilibrium, one mode, a bump, or random band."""
 
-    kind: str = "zero"           # zero | mode | gaussian | random
+    kind: str = "zero"           # one of INIT_KINDS
     amplitude: float = 0.0
     mode: tuple = (1,)           # wave index per axis (kind="mode")
     width: float = 0.5           # fraction of the box (kind="gaussian")
@@ -447,6 +455,8 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
     above the 2/3 band (index n//3) and scales each field to
     ``max |f| = amplitude``.
     """
+    if spec.kind not in INIT_KINDS:
+        raise ValueError(f"unknown init kind {spec.kind!r}")
     shape = grid.shape
     physical = np.zeros((2 + 2 * grid.dim,) + shape)
     n, u = FieldState.phases(physical)
@@ -465,7 +475,7 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
         w = spec.width * grid.length
         n[0] = spec.amplitude * np.exp(-r2 / (2.0 * w * w))
         n[0] -= n[0].mean()  # keep zero mean so the background stays rbar
-    elif spec.kind == "random":
+    else:  # random
         rng = np.random.default_rng(spec.seed)
         kidx = np.zeros(grid.spectral_shape)
         for m in grid.index_axes():
@@ -484,8 +494,6 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
         n[0], n[1] = rand_field(), rand_field()
         for d in range(grid.dim):
             u[0, d], u[1, d] = rand_field(), rand_field()
-    else:
-        raise ValueError(f"unknown init kind {spec.kind!r}")
     # keep every field inside the 2/3 band so products never alias back
     state = FieldState.from_spectra(grid, _rfft_rows(grid, physical), 0.0)
     state.check_positivity(params if params is not None else FluidParams())

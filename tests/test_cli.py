@@ -394,6 +394,56 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
         assert cfg.sim.dt == -0.05
 
 
+@pytest.mark.parametrize("task,text,message", [
+    ("simulate", "sim:\n  band: [4, 1]\n",
+     "'sim.band' must be [low, high] with low <= high, got (4, 1)"),
+    ("simulate", "sim:\n  init: mode\n  mode: [1, 2]\n",
+     "'sim.mode' must be one wave index per axis (sim.dim = 1), got (1, 2)"),
+    ("simulate", "sim:\n  k_max: -1\n", "'sim.k_max' must be >= 0, got -1"),
+    ("analyze-modes", "modes:\n  t_check: []\n", "'modes.t_check' must be non-empty, got ()"),
+    ("linear-decay", "decay:\n  tolerance: -0.01\n",
+     "'decay.tolerance' must be >= 0, got -0.01"),
+    ("lower-bound", "decay:\n  tolerance: -1.0\n", "'decay.tolerance' must be >= 0, got -1.0"),
+    ("simulate", "sim:\n  n: 100\n", "'sim.n' must be a power of two >= 4, got 100"),
+    ("simulate", "sim:\n  n: 2\n", "'sim.n' must be a power of two >= 4, got 2"),
+    ("simulate", "sim:\n  dim: 4\n", "'sim.dim' must be 1, 2 or 3, got 4"),
+    ("simulate", "sim:\n  length: 0\n", "'sim.length' must be > 0, got 0.0"),
+    ("simulate", "sim:\n  init: bump\n",
+     "'sim.init' must be one of ('zero', 'mode', 'gaussian', 'random'), got 'bump'"),
+    ("simulate", "sim: [1]\n", "section 'sim' must be a mapping"),
+], ids=["band-reversed", "mode-longer-than-dim", "sim-k_max-negative", "t_check-empty",
+        "decay-tolerance-negative", "lower-bound-tolerance-negative", "n-not-power-of-two",
+        "n-below-4", "dim-4", "length-zero", "init-unknown", "sim-not-a-mapping"])
+def test_parse_rejects_fields_out_of_their_task_domain(tmp_path, capsys, task, text, message):
+    # the first six ran to exit 0 or 1 whatever the run did, the next five died
+    # inside the run with exit 2, and a list for the section crashed the parser
+    text = "seed: 1\n" + text
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"task: {task}\n" + text)
+    assert exc.value.errors == [message]
+    cfg_path, out = tmp_path / "cfg.yaml", tmp_path / "out"
+    cfg_path.write_text(text)
+    assert main([task, "--config", str(cfg_path), "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_task_field_boundaries_parse_and_other_tasks_ignore_them():
+    cfg = parse_config("task: simulate\nseed: 1\nsim:\n  dim: 2\n  n: 4\n  k_max: 0\n"
+                       "  band: [2, 2]\n  mode: [3]\n")
+    assert (cfg.sim.n, cfg.sim.k_max, cfg.sim.band) == (4, 0, (2, 2))
+    cfg = parse_config("task: simulate\nsim:\n  init: mode\n  dim: 2\n  mode: [1, 0]\n"
+                       "  band: [4, 1]\n")
+    assert cfg.sim.mode == (1, 0)
+    assert parse_config("task: linear-decay\ndecay:\n  tolerance: 0\n").decay.tolerance == 0.0
+    others = {"modes:\n  t_check: []\n": ("linear-decay", "simulate"),
+              "decay:\n  tolerance: -1.0\n": ("analyze-modes", "fit"),
+              "sim:\n  n: 100\n  dim: 4\n  init: bump\n  k_max: -1\n": ("lower-bound", "fit")}
+    for text, tasks in others.items():
+        for task in tasks:
+            parse_config(f"task: {task}\nseed: 1\n{text}")
+
+
 def test_parse_coerces_numeric_strings():
     cfg = parse_config("decay:\n  t_min: 1.0e2\n  samples: '12'\nmodes:\n  t_check: [1, 2.0e1]\n")
     assert cfg.decay.t_min == 100.0 and cfg.decay.samples == 12
@@ -483,7 +533,68 @@ def test_simulate_inadmissible_init_exits_2_with_checkpoint(tmp_path):
     energy = (tmp_path / "energy.csv").read_text().splitlines()
     assert energy[0].startswith("# config_hash=") and energy[1:] == ["t,e0,d0,mass_plus,mass_minus"]
     meta = json.loads((tmp_path / "metadata.json").read_text())
-    assert meta["passed"] is False and "positivity" in meta["failure"]
+    assert meta["passed"] is False and meta["failure"].startswith("blow-up: ")
+    assert "positivity" in meta["failure"]
+    assert set(meta) == {"combination_ratio", "config_hash", "failure", "grid", "passed",
+                         "seed", "solver_workers", "steps", "task", "tool_version"}
+
+
+def test_simulate_runtime_error_keeps_records_and_metadata(tmp_path, monkeypatch, capsys):
+    from twofluid import kernels
+    from twofluid.closure import ConvergenceError
+
+    cfg = parse_config(SMALL_SIM)
+    assert run_campaign(cfg, out_dir=tmp_path / "full", quiet=True) == 0
+    calls = []
+    solve = kernels.solve_rho_plus_batch
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 9:  # two solves per step: step 5, after the records at steps 0, 2, 4
+            raise ConvergenceError("pressure-equilibrium root solve did not converge")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "solve_rho_plus_batch", failing)
+    out = tmp_path / "failed"
+    assert run_campaign(cfg, out_dir=out, quiet=True) == 2
+    kept, full = ({name: (where / name).read_text().splitlines()
+                   for name in ("energy.csv", "norms.csv")} for where in (out, tmp_path / "full"))
+    assert len(kept["energy.csv"]) == 2 + 3  # header lines and the records at steps 0, 2, 4
+    times = {line.split(",")[0] for line in kept["energy.csv"][2:]}
+    assert {line.split(",")[0] for line in kept["norms.csv"][2:]} == times
+    for name, lines in kept.items():
+        assert lines == full[name][:len(lines)]
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["passed"] is False
+    assert meta["failure"] == "error: pressure-equilibrium root solve did not converge"
+    assert meta["config_hash"] == config_hash(cfg) and meta["steps"] == 6
+    assert not (out / "state_final.tfck").exists()
+    assert capsys.readouterr() == ("", f"simulate: {meta['failure']}\n")
+
+
+def test_analyze_modes_without_modes_exits_2_with_metadata(tmp_path):
+    # this left a modes.csv without metadata
+    cfg = parse_config("task: analyze-modes\nmodes:\n  count: 0\n")
+    assert run_campaign(cfg, out_dir=tmp_path, quiet=True) == 2
+    assert len((tmp_path / "modes.csv").read_text().splitlines()) == 2  # comment and header
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["passed"] is False and meta["failure"].startswith("error: ")
+    assert meta["config_hash"] == config_hash(cfg) and "eta" not in meta
+
+
+def test_run_campaign_prints_summary_unless_quiet_and_fails_on_unmakeable_dir(tmp_path,
+                                                                            capsys):
+    cfg = parse_config("task: analyze-modes\nmodes:\n  count: 10\n")
+    assert run_campaign(cfg, out_dir=tmp_path / "a", quiet=True) == 0
+    assert capsys.readouterr() == ("", "")
+    assert run_campaign(cfg, out_dir=tmp_path / "b") == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("analyze-modes: 10 modes, max projector residual") and err == ""
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    assert run_campaign(cfg, out_dir=blocker / "out", quiet=True) == 2
+    assert capsys.readouterr().err.startswith("analyze-modes: error: ")
+    assert blocker.read_text() == "x"
 
 
 _IMPORT_PROBE = """

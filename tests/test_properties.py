@@ -21,6 +21,7 @@ from twofluid.cli import (
 )
 from twofluid.closure import FluidParams, linear_coefficients
 from twofluid.kernels import TOL_PHI, solve_rho_plus_batch
+from twofluid.solver import INIT_KINDS
 from twofluid.spectral import (
     batch_green,
     decompose_batch,
@@ -113,16 +114,24 @@ small_ints = st.integers(-10**6, 10**6)
 @st.composite
 def run_configs(draw):
     task = draw(st.sampled_from(TASKS))
-    simulate = task == "simulate"  # the one task that checks the sim time fields
-    sim = draw(st.builds(SimSection, dim=small_ints, n=small_ints, length=finite,
-                         init=st.text(), amplitude=finite,
-                         mode=st.tuples(small_ints), width=finite,
-                         band=st.tuples(small_ints, small_ints),
+    simulate = task == "simulate"  # the one task that checks the sim fields
+    dim = draw(st.integers(1, 3) if simulate else small_ints)
+    init = draw(st.sampled_from(INIT_KINDS) if simulate else st.text())
+    mode = st.lists(small_ints, min_size=dim, max_size=dim) if simulate else st.tuples(small_ints)
+    sim = draw(st.builds(SimSection, dim=st.just(dim),
+                         n=st.integers(2, 12).map(lambda e: 2**e) if simulate else small_ints,
+                         length=(st.floats(0.0, exclude_min=True, allow_infinity=False)
+                                 if simulate else finite),
+                         init=st.just(init), amplitude=finite,
+                         mode=mode.map(tuple), width=finite,
+                         band=st.tuples(small_ints, small_ints).map(
+                             lambda b: tuple(sorted(b)) if simulate else b),
                          dt=(st.floats(0.0, exclude_min=True, allow_infinity=False)
                              if simulate else finite),
                          t_end=st.floats(0.0, allow_infinity=False) if simulate else finite,
                          out_every=st.integers(1, 10**6) if simulate else small_ints,
-                         k_max=small_ints, c_cfl=finite))
+                         k_max=st.integers(0, 10**6) if simulate else small_ints,
+                         c_cfl=finite))
     seed = draw(st.none() | st.integers(0, 2**63))
     if task == "simulate" and sim.init == "random" and seed is None:
         seed = 0
@@ -131,10 +140,14 @@ def run_configs(draw):
     return RunConfig(
         task=task, seed=seed, output=draw(st.text()), params=draw(fluid_params()),
         modes=draw(st.builds(ModesSection, xi_min=finite, xi_max=finite, count=small_ints,
-                             t_check=st.lists(finite, max_size=4).map(tuple))),
+                             t_check=st.lists(finite, min_size=1 if task == "analyze-modes" else 0,
+                                              max_size=4).map(tuple))),
         decay=draw(st.builds(DecaySection, K0=st.just(K0), theta=finite, s_exp=finite,
                              eta=finite, k_max=small_ints, t_min=finite, t_max=finite,
-                             samples=small_ints, tolerance=finite)),
+                             samples=small_ints,
+                             tolerance=(st.floats(0.0, allow_infinity=False)
+                                        if task in ("linear-decay", "lower-bound")
+                                        else finite))),
         sim=sim,
         fit=draw(st.builds(FitSection, input=st.text(), t_min=st.none() | finite,
                            t_max=st.none() | finite, tolerance=finite)))
