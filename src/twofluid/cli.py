@@ -17,15 +17,18 @@ import json
 import math
 import sys
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .closure import FluidParams, linear_coefficients
+from .closure import PARAMS_DOMAIN, FluidParams, linear_coefficients
 from .linearlab import (
+    LOWER_BOUND_DATA_DOMAIN,
+    MIN_FIT_SAMPLES,
     VARIABLES,
     ModeEvolution,
     NormSeries,
@@ -131,13 +134,48 @@ class RunConfig:
     output: str = "out"
 
 
-_SECTION_TYPES = {
-    "params": FluidParams,
-    "modes": ModesSection,
-    "decay": DecaySection,
-    "sim": SimSection,
-    "fit": FitSection,
-}
+# every dataclass field of a RunConfig is a config section
+_SECTION_TYPES = {name: typ for name, typ in typing.get_type_hints(RunConfig).items()
+                  if is_dataclass(typ)}
+
+
+MODES, DECAY, SIM = ("analyze-modes",), ("linear-decay", "lower-bound"), ("simulate",)
+
+# (tasks, section, field, test, domain): the range of each config field the
+# named tasks read.  A test takes the whole section, so cross-field rules are
+# rows too, and ``{0.<field>}`` in a domain shows another field's value.  The
+# library owns the rows for the values it consumes; the rest are written here.
+CONFIG_RULES = (
+    *((TASKS, "params", *row) for row in PARAMS_DOMAIN),
+    *((("lower-bound",), "decay", *row) for row in LOWER_BOUND_DATA_DOMAIN),
+    *((SIM, "sim", *row) for row in GRID_DOMAIN),
+    (SIM, "sim", "init", lambda s: s.init in INIT_KINDS, f"one of {INIT_KINDS}"),
+    (SIM, "sim", "dt", lambda s: s.dt > 0, "> 0"),
+    (SIM, "sim", "t_end", lambda s: s.t_end >= 0, ">= 0"),
+    (SIM, "sim", "out_every", lambda s: s.out_every >= 1, ">= 1"),
+    (SIM, "sim", "k_max", lambda s: s.k_max >= 0, ">= 0"),
+    (SIM, "sim", "c_cfl", lambda s: s.c_cfl > 0, "> 0"),
+    (SIM, "sim", "width", lambda s: s.init != "gaussian" or s.width > 0,
+     "> 0 when sim.init is 'gaussian'"),
+    (SIM, "sim", "mode", lambda s: s.init != "mode" or len(s.mode) == s.dim,
+     "one wave index per axis (sim.dim = {0.dim})"),
+    (SIM, "sim", "band",
+     lambda s: s.init != "random" or (len(s.band) == 2 and s.band[0] <= s.band[1]),
+     "[low, high] with low <= high"),
+    (MODES, "modes", "xi_min", lambda m: 0 < m.xi_min <= m.xi_max,
+     "> 0 and <= modes.xi_max ({0.xi_max!r})"),
+    (MODES, "modes", "t_check", lambda m: len(m.t_check) > 0, "non-empty"),
+    (MODES, "modes", "t_check", lambda m: all(t >= 0 for t in m.t_check),
+     "a list of times >= 0"),
+    (("linear-decay",), "decay", "K0", lambda d: d.K0 > 0, "> 0"),  # zero data has no rate
+    (DECAY, "decay", "k_max", lambda d: d.k_max >= 0, ">= 0"),
+    (DECAY, "decay", "t_min", lambda d: 0 < d.t_min < d.t_max,
+     "> 0 and < decay.t_max ({0.t_max!r})"),
+    (DECAY, "decay", "samples", lambda d: d.samples >= MIN_FIT_SAMPLES, f">= {MIN_FIT_SAMPLES}"),
+    (DECAY, "decay", "tolerance", lambda d: d.tolerance >= 0, ">= 0"),
+    (("fit",), "fit", "t_min", lambda f: None in (f.t_min, f.t_max) or f.t_min < f.t_max,
+     "< fit.t_max ({0.t_max!r})"),
+)
 
 
 def _type_name(typ) -> str:
@@ -176,26 +214,23 @@ def _coerce(value, typ):
 
 
 def _build_section(name, cls, payload, errors):
+    """Field values of section ``name``: the defaults, updated from ``payload``."""
+    values = {f.name: f.default for f in fields(cls)}
     if payload is None:
         payload = {}
     if not isinstance(payload, dict):
         errors.append(f"section '{name}' must be a mapping")
-        return cls()
+        payload = {}
     types = typing.get_type_hints(cls)
-    kwargs = {}
     for key, value in payload.items():
         if key not in types:
             errors.append(f"unknown key '{name}.{key}'")
             continue
         try:
-            kwargs[key] = _coerce(value, types[key])
+            values[key] = _coerce(value, types[key])
         except (TypeError, ValueError):
             errors.append(f"'{name}.{key}' must be {_type_name(types[key])}, got {value!r}")
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"section '{name}': {exc}")
-        return None
+    return SimpleNamespace(**values)
 
 
 def _load_mapping(text: str) -> dict:
@@ -242,41 +277,18 @@ def _validate(raw: dict) -> RunConfig:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         errors.append("seed must be an integer")
     output = raw.get("output", "out")
-    sections = {}
-    for name, cls in _SECTION_TYPES.items():
-        built = _build_section(name, cls, raw.get(name), errors)
-        if built is not None:
-            sections[name] = built
-    checks = []  # (section, key, ok, domain) for the fields this task reads
-    if task == "simulate":
-        sim = sections["sim"]
-        if sim.init == "random" and seed is None:
-            errors.append("seed is required when sim.init is 'random'")
-        band_ok = len(sim.band) == 2 and sim.band[0] <= sim.band[1]
-        checks += [("sim", key, ok(getattr(sim, key)), domain) for key, ok, domain in GRID_DOMAIN]
-        checks += [
-            ("sim", "init", sim.init in INIT_KINDS, f"one of {INIT_KINDS}"),
-            ("sim", "dt", sim.dt > 0, "> 0"), ("sim", "t_end", sim.t_end >= 0, ">= 0"),
-            ("sim", "out_every", sim.out_every >= 1, ">= 1"),
-            ("sim", "k_max", sim.k_max >= 0, ">= 0"),
-            ("sim", "mode", sim.init != "mode" or len(sim.mode) == sim.dim,
-             f"one wave index per axis (sim.dim = {sim.dim})"),
-            ("sim", "band", sim.init != "random" or band_ok, "[low, high] with low <= high"),
-        ]
-    if task == "analyze-modes":
-        checks.append(("modes", "t_check", len(sections["modes"].t_check) > 0, "non-empty"))
-    if task in ("linear-decay", "lower-bound"):
-        checks.append(("decay", "tolerance", sections["decay"].tolerance >= 0, ">= 0"))
-    errors += [f"'{name}.{key}' must be {domain}, got {getattr(sections[name], key)!r}"
-               for name, key, ok, domain in checks if not ok]
-    if task == "lower-bound" and not 0.0 < sections["decay"].K0 < 1.0:
-        errors.append("decay.K0 must lie in (0, 1) for the lower-bound task")
+    sections = {name: _build_section(name, cls, raw.get(name), errors)
+                for name, cls in _SECTION_TYPES.items()}
+    if task == "simulate" and sections["sim"].init == "random" and seed is None:
+        errors.append("seed is required when sim.init is 'random'")
+    errors += [f"'{name}.{key}' must be {domain.format(sections[name])}, "
+               f"got {getattr(sections[name], key)!r}"
+               for tasks, name, key, ok, domain in CONFIG_RULES
+               if task in tasks and not ok(sections[name])]
     if errors:
         raise ConfigError(errors)
     return RunConfig(task=task, seed=seed, output=str(output),
-                     params=sections["params"], modes=sections["modes"],
-                     decay=sections["decay"], sim=sections["sim"],
-                     fit=sections["fit"])
+                     **{name: cls(**vars(sections[name])) for name, cls in _SECTION_TYPES.items()})
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -521,7 +533,7 @@ def _task_fit(config: RunConfig, out_dir: Path, chash: str, meta: dict):
         times = np.array([p[0] for p in pairs])
         vals = np.array([p[1] for p in pairs])
         keep = vals > 0
-        if keep.sum() < 8:
+        if keep.sum() < MIN_FIT_SAMPLES:
             continue
         series = NormSeries(times=times[keep], values=vals[keep], k=k, variable=v)
         window = (f.t_min if f.t_min is not None else float(series.times[0]),

@@ -23,6 +23,14 @@ class ConvergenceError(RuntimeError):
     """Root solve failed to converge within the iteration budget."""
 
 
+def check_domain(table, of):
+    """Raise ValueError naming each (field, test, domain) row of ``table`` that ``of`` fails."""
+    bad = [f"{key} must be {domain}, got {getattr(of, key)!r}"
+           for key, ok, domain in table if not ok(of)]
+    if bad:
+        raise ValueError("; ".join(bad))
+
+
 @dataclass(frozen=True)
 class FluidParams:
     """Physical constants of the model; the complete configuration.
@@ -44,21 +52,25 @@ class FluidParams:
     rbar_minus: float = 1.0
 
     def __post_init__(self):
-        for tag, mu, lam in (("plus", self.mu_plus, self.lambda_plus),
-                             ("minus", self.mu_minus, self.lambda_minus)):
-            if mu <= 0:
-                raise ValueError(f"mu_{tag} must be > 0, got {mu}")
-            if 2 * mu + 3 * lam < 0:
-                raise ValueError(f"2*mu_{tag} + 3*lambda_{tag} >= 0 violated: {2*mu+3*lam}")
-        for tag, s in (("plus", self.sigma_plus), ("minus", self.sigma_minus)):
-            if s <= 0:
-                raise ValueError(f"sigma_{tag} must be > 0, got {s}")
-        for tag, g in (("plus", self.gamma_plus), ("minus", self.gamma_minus)):
-            if g < 1:
-                raise ValueError(f"gamma_{tag} must be >= 1, got {g}")
-        for tag, r in (("plus", self.rbar_plus), ("minus", self.rbar_minus)):
-            if r <= 0:
-                raise ValueError(f"rbar_{tag} must be > 0, got {r}")
+        check_domain(PARAMS_DOMAIN, self)
+
+
+# (field, test, domain) for each FluidParams field; a test takes the whole set,
+# so the viscosity pairing is a row too.  The CLI checks configs against it.
+PARAMS_DOMAIN = (
+    ("mu_plus", lambda p: p.mu_plus > 0, "> 0"),
+    ("mu_minus", lambda p: p.mu_minus > 0, "> 0"),
+    ("lambda_plus", lambda p: 2 * p.mu_plus + 3 * p.lambda_plus >= 0,
+     "such that 2*mu_plus + 3*lambda_plus >= 0"),
+    ("lambda_minus", lambda p: 2 * p.mu_minus + 3 * p.lambda_minus >= 0,
+     "such that 2*mu_minus + 3*lambda_minus >= 0"),
+    ("sigma_plus", lambda p: p.sigma_plus > 0, "> 0"),
+    ("sigma_minus", lambda p: p.sigma_minus > 0, "> 0"),
+    ("gamma_plus", lambda p: p.gamma_plus >= 1, ">= 1"),
+    ("gamma_minus", lambda p: p.gamma_minus >= 1, ">= 1"),
+    ("rbar_plus", lambda p: p.rbar_plus > 0, "> 0"),
+    ("rbar_minus", lambda p: p.rbar_minus > 0, "> 0"),
+)
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,12 @@ exp(i omega r t) must stay resolved up to the largest fit time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from .closure import FluidParams, linear_coefficients, linearized_density_perturbation
+from .closure import FluidParams, check_domain, linear_coefficients, linearized_density_perturbation
 from .spectral import (
     BatchDecomposition,
     decompose_batch,
@@ -202,10 +203,20 @@ def _data_size_surrogate(fns, r_max) -> float:
     return total
 
 
+# (field, test, domain) for each data maker's arguments; a test takes them by
+# name.  The CLI checks configs against the lower-bound rows.
+GENERIC_DATA_DOMAIN = (("K0", lambda a: a.K0 >= 0, ">= 0"),)
+LOWER_BOUND_DATA_DOMAIN = (
+    ("K0", lambda a: 0 < a.K0 < 1, "in (0, 1)"),
+    ("theta", lambda a: a.theta < 2, "< 2"),
+    ("s_exp", lambda a: a.s_exp > 0, "> 0"),
+    ("eta", lambda a: a.eta > 0, "> 0"),
+)
+
+
 def make_generic_data(K0: float) -> RadialProfileData:
     """Gaussian data in all four channels, scaled to overall size ``K0``."""
-    if K0 < 0:
-        raise ValueError("K0 must be >= 0")
+    check_domain(GENERIC_DATA_DOMAIN, SimpleNamespace(K0=K0))
     r_max = 12.0
     base = tuple(_gaussian(a, w) for a, w in zip(_GENERIC_AMPS, _GENERIC_WIDTHS))
     if K0 == 0.0:
@@ -224,14 +235,7 @@ def make_lower_bound_data(K0: float, theta: float, s_exp: float, eta: float) -> 
     ``phi-hat(r) = (c0 - r^s) * chi(r)`` with ``c0 = K0^theta`` and a smooth
     cutoff supported in [0, eta].
     """
-    if not (0.0 < K0 < 1.0):
-        raise ValueError("K0 must lie in (0, 1)")
-    if theta >= 2.0:
-        raise ValueError("theta must be < 2")
-    if s_exp <= 0.0:
-        raise ValueError("s_exp must be > 0")
-    if eta <= 0.0:
-        raise ValueError("eta must be > 0")
+    check_domain(LOWER_BOUND_DATA_DOMAIN, SimpleNamespace(K0=K0, theta=theta, s_exp=s_exp, eta=eta))
     c0 = K0**theta
 
     def zero(r):
@@ -370,6 +374,8 @@ def _node_weights(nodes, weights, ks):
 # ---------------------------------------------------------------------------
 # fitting and band checks
 
+MIN_FIT_SAMPLES = 8  # fewest samples a fit window may hold
+
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -385,8 +391,8 @@ def fit_power_law(series: NormSeries, window: tuple | None = None) -> DecayFit:
     if window is None:
         window = (float(t[0]), float(t[-1]))
     mask = (t >= window[0]) & (t <= window[1])
-    if mask.sum() < 8:
-        raise ValueError("need at least 8 samples inside the fit window")
+    if mask.sum() < MIN_FIT_SAMPLES:
+        raise ValueError(f"need at least {MIN_FIT_SAMPLES} samples inside the fit window")
     if np.any(y[mask] <= 0):
         raise ValueError("norm values must be positive inside the fit window")
     x = np.log1p(t[mask])

@@ -41,7 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .closure import FluidParams, closure_state, linear_coefficients, nonlinear_coefficients
+from .closure import (FluidParams, check_domain, closure_state, linear_coefficients,
+                      nonlinear_coefficients)
 from .spectral import decompose_batch
 
 CHECKPOINT_MAGIC = b"TF2F"
@@ -85,9 +86,9 @@ def _spread_band(spec, axis: int, n: int):
 
 # (field, test, domain) for each Grid field; the CLI checks configs against it
 GRID_DOMAIN = (
-    ("dim", lambda dim: dim in (1, 2, 3), "1, 2 or 3"),
-    ("n", lambda n: n >= 4 and (n & (n - 1)) == 0, "a power of two >= 4"),
-    ("length", lambda length: length > 0, "> 0"),
+    ("dim", lambda g: g.dim in (1, 2, 3), "1, 2 or 3"),
+    ("n", lambda g: g.n >= 4 and (g.n & (g.n - 1)) == 0, "a power of two >= 4"),
+    ("length", lambda g: g.length > 0, "> 0"),
 )
 
 
@@ -100,9 +101,7 @@ class Grid:
     length: float
 
     def __post_init__(self):
-        for key, ok, domain in GRID_DOMAIN:
-            if not ok(getattr(self, key)):
-                raise ValueError(f"{key} must be {domain}")
+        check_domain(GRID_DOMAIN, self)
 
     @property
     def shape(self):

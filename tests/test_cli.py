@@ -45,6 +45,13 @@ def test_parse_rejects_unphysical_viscosity():
     with pytest.raises(ConfigError) as exc:
         parse_config("params:\n  mu_plus: 1.0\n  lambda_plus: -1.0\n")
     assert "2*mu_plus + 3*lambda_plus >= 0" in str(exc.value)
+    # every violation is named by its field, not only the first
+    with pytest.raises(ConfigError) as exc:
+        parse_config("params:\n  mu_plus: -1\n  sigma_minus: -1\n")
+    assert exc.value.errors == [
+        "'params.mu_plus' must be > 0, got -1.0",
+        "'params.lambda_plus' must be such that 2*mu_plus + 3*lambda_plus >= 0, got 0.0",
+        "'params.sigma_minus' must be > 0, got -1.0"]
 
 
 def test_parse_requires_seed_for_random_simulate():
@@ -411,12 +418,42 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
     ("simulate", "sim:\n  init: bump\n",
      "'sim.init' must be one of ('zero', 'mode', 'gaussian', 'random'), got 'bump'"),
     ("simulate", "sim: [1]\n", "section 'sim' must be a mapping"),
+    ("analyze-modes", "modes:\n  xi_min: -1\n",
+     "'modes.xi_min' must be > 0 and <= modes.xi_max (100.0), got -1.0"),
+    ("analyze-modes", "modes:\n  xi_min: 10\n  xi_max: 1\n",
+     "'modes.xi_min' must be > 0 and <= modes.xi_max (1.0), got 10.0"),
+    ("analyze-modes", "modes:\n  t_check: [1, -1]\n",
+     "'modes.t_check' must be a list of times >= 0, got (1.0, -1.0)"),
+    ("linear-decay", "decay:\n  samples: 0\n", "'decay.samples' must be >= 8, got 0"),
+    ("lower-bound", "decay:\n  samples: 7\n", "'decay.samples' must be >= 8, got 7"),
+    ("linear-decay", "decay:\n  k_max: -1\n", "'decay.k_max' must be >= 0, got -1"),
+    ("linear-decay", "decay:\n  t_min: 0\n",
+     "'decay.t_min' must be > 0 and < decay.t_max (10000.0), got 0.0"),
+    ("lower-bound", "decay:\n  t_min: 100\n  t_max: 100\n",
+     "'decay.t_min' must be > 0 and < decay.t_max (100.0), got 100.0"),
+    ("linear-decay", "decay:\n  K0: 0\n", "'decay.K0' must be > 0, got 0.0"),
+    ("linear-decay", "decay:\n  K0: -1\n", "'decay.K0' must be > 0, got -1.0"),
+    ("lower-bound", "decay:\n  K0: 1.5\n", "'decay.K0' must be in (0, 1), got 1.5"),
+    ("lower-bound", "decay:\n  theta: 2\n", "'decay.theta' must be < 2, got 2.0"),
+    ("lower-bound", "decay:\n  s_exp: 0\n", "'decay.s_exp' must be > 0, got 0.0"),
+    ("lower-bound", "decay:\n  eta: 0\n", "'decay.eta' must be > 0, got 0.0"),
+    ("simulate", "sim:\n  c_cfl: -1\n", "'sim.c_cfl' must be > 0, got -1.0"),
+    ("simulate", "sim:\n  init: gaussian\n  width: 0\n",
+     "'sim.width' must be > 0 when sim.init is 'gaussian', got 0.0"),
+    ("fit", "fit:\n  t_min: 5\n  t_max: 1\n", "'fit.t_min' must be < fit.t_max (1.0), got 5.0"),
 ], ids=["band-reversed", "mode-longer-than-dim", "sim-k_max-negative", "t_check-empty",
         "decay-tolerance-negative", "lower-bound-tolerance-negative", "n-not-power-of-two",
-        "n-below-4", "dim-4", "length-zero", "init-unknown", "sim-not-a-mapping"])
+        "n-below-4", "dim-4", "length-zero", "init-unknown", "sim-not-a-mapping",
+        "xi_min-negative", "xi_min-above-xi_max", "t_check-negative", "samples-zero",
+        "samples-below-fit-minimum", "decay-k_max-negative", "decay-t_min-zero",
+        "decay-window-empty", "linear-decay-K0-zero", "linear-decay-K0-negative",
+        "lower-bound-K0-above-1", "theta-2", "s_exp-zero", "eta-zero", "c_cfl-negative",
+        "gaussian-width-zero", "fit-window-reversed"])
 def test_parse_rejects_fields_out_of_their_task_domain(tmp_path, capsys, task, text, message):
     # the first six ran to exit 0 or 1 whatever the run did, the next five died
-    # inside the run with exit 2, and a list for the section crashed the parser
+    # inside the run with exit 2, and a list for the section crashed the parser.
+    # From xi_min on: a reversed xi sweep ran to exit 0, and the rest died inside
+    # the run with a message that named no field
     text = "seed: 1\n" + text
     with pytest.raises(ConfigError) as exc:
         parse_config(f"task: {task}\n" + text)
@@ -428,6 +465,51 @@ def test_parse_rejects_fields_out_of_their_task_domain(tmp_path, capsys, task, t
     assert message in capsys.readouterr().err
 
 
+# the in-domain value nearest each bound, where a run near it completes (CHANGES.md
+# records the open bounds that still fail late): (task, config text)
+TINY = 5e-324  # the smallest positive float
+BOUNDARIES = {
+    "xi_min-at-xi_max": ("analyze-modes", "modes:\n  count: 4\n  xi_min: 1.0\n  xi_max: 1.0\n"),
+    "xi_min-small": ("analyze-modes", "modes:\n  count: 4\n  xi_min: 1.0e-100\n"),
+    "t_check-zero": ("analyze-modes", "modes:\n  count: 4\n  t_check: [0]\n"),
+    "samples-and-k_max-at-minimum": ("linear-decay", "decay:\n  samples: 8\n  k_max: 0\n"),
+    "t_min-smallest": ("linear-decay", f"decay:\n  samples: 8\n  k_max: 0\n  t_min: {TINY}\n"),
+    "t_min-near-t_max": ("linear-decay",
+                         "decay:\n  samples: 8\n  k_max: 0\n  t_min: 9999.999999999\n"),
+    "K0-small": ("linear-decay", "decay:\n  samples: 8\n  k_max: 0\n  K0: 1.0e-150\n"),
+    "theta-below-2": ("lower-bound",
+                      "decay:\n  samples: 8\n  k_max: 0\n  theta: 1.9999999999999998\n"),
+    "s_exp-smallest": ("lower-bound", f"decay:\n  samples: 8\n  k_max: 0\n  s_exp: {TINY}\n"),
+    "eta-small": ("lower-bound", "decay:\n  samples: 8\n  k_max: 0\n  eta: 0.01\n"),
+    # a state at rest has no advective bound; a moving one fails its first step
+    "c_cfl-smallest": ("simulate", f"sim:\n  n: 16\n  t_end: 0.1\n  init: zero\n  c_cfl: {TINY}\n"),
+    "gaussian-width-small": ("simulate", "sim:\n  n: 16\n  t_end: 0.1\n  init: gaussian\n"
+                                         "  amplitude: 1.0e-3\n  width: 1.0e-150\n"),
+    # eight records at t = 0.05 .. 0.4 inside the window, the fit's minimum
+    "fit-window-minimum": ("fit", "sim:\n  n: 16\n  t_end: 0.4\n  out_every: 1\n"
+                                  "fit:\n  t_min: 0.025\n  t_max: 0.425\n"),
+}
+ARTIFACTS = {
+    "analyze-modes": {"modes.csv"},
+    "linear-decay": {"norms.csv", "fit_summary.csv"},
+    "lower-bound": {"norms.csv", "fit_summary.csv", "band_summary.csv"},
+    "simulate": {"norms.csv", "energy.csv", "state_final.tfck"},
+    "fit": {"norms.csv", "energy.csv", "state_final.tfck", "fit_summary.csv"},
+}
+
+
+@pytest.mark.parametrize("task,text", BOUNDARIES.values(), ids=BOUNDARIES)
+def test_task_field_boundaries_run_to_their_artifacts(tmp_path, task, text):
+    cfg_path, out = tmp_path / "cfg.yaml", tmp_path / "out"
+    cfg_path.write_text("seed: 1\n" + text)
+    run = ["--config", str(cfg_path), "--out", str(out), "--quiet"]
+    if task == "fit":  # refit a simulate run's norms.csv
+        assert main(["simulate"] + run) == 0
+    assert main([task] + run) in (0, 1)
+    assert {p.name for p in out.iterdir()} == ARTIFACTS[task] | {"metadata.json"}
+    assert "failure" not in json.loads((out / "metadata.json").read_text())
+
+
 def test_task_field_boundaries_parse_and_other_tasks_ignore_them():
     cfg = parse_config("task: simulate\nseed: 1\nsim:\n  dim: 2\n  n: 4\n  k_max: 0\n"
                        "  band: [2, 2]\n  mode: [3]\n")
@@ -436,9 +518,18 @@ def test_task_field_boundaries_parse_and_other_tasks_ignore_them():
                        "  band: [4, 1]\n")
     assert cfg.sim.mode == (1, 0)
     assert parse_config("task: linear-decay\ndecay:\n  tolerance: 0\n").decay.tolerance == 0.0
+    for task, text in BOUNDARIES.values():
+        parse_config(f"task: {task}\nseed: 1\n{text}")
+    parse_config("task: simulate\nseed: 1\nsim:\n  width: 0\n")  # no gaussian, no width
+    parse_config("task: fit\nfit:\n  t_min: 5\n")  # an open window
     others = {"modes:\n  t_check: []\n": ("linear-decay", "simulate"),
               "decay:\n  tolerance: -1.0\n": ("analyze-modes", "fit"),
-              "sim:\n  n: 100\n  dim: 4\n  init: bump\n  k_max: -1\n": ("lower-bound", "fit")}
+              "sim:\n  n: 100\n  dim: 4\n  init: bump\n  k_max: -1\n": ("lower-bound", "fit"),
+              "modes:\n  xi_min: 10\n  xi_max: 1\n  t_check: [-1]\n": ("linear-decay", "fit"),
+              "decay:\n  samples: 0\n  k_max: -1\n  t_min: 0\n  K0: 0\n  theta: 2\n"
+              "  s_exp: 0\n  eta: 0\n": ("analyze-modes", "simulate", "fit"),
+              "sim:\n  c_cfl: -1\n  init: gaussian\n  width: 0\n": ("linear-decay", "fit"),
+              "fit:\n  t_min: 5\n  t_max: 1\n": ("analyze-modes", "simulate")}
     for text, tasks in others.items():
         for task in tasks:
             parse_config(f"task: {task}\nseed: 1\n{text}")

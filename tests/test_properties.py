@@ -4,18 +4,22 @@ Every test is derandomized with a bounded example count, so the suite stays
 deterministic and fast.
 """
 
+import typing
+from dataclasses import asdict
+from types import SimpleNamespace
+
 import numpy as np
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twofluid.cli import (
+    _SECTION_TYPES,
+    CONFIG_RULES,
     PROJECTOR_GATE,
     TASKS,
-    DecaySection,
-    FitSection,
-    ModesSection,
+    ConfigError,
     RunConfig,
-    SimSection,
     parse_config,
     serialize_config,
 )
@@ -111,51 +115,58 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 small_ints = st.integers(-10**6, 10**6)
 
 
+def _values(typ):
+    """Any value of a config field's annotated type, in or out of its domain."""
+    args = typing.get_args(typ)
+    if typing.get_origin(typ) is tuple:
+        return st.lists(_values(args[0]), max_size=4).map(tuple)
+    if args:  # X | None
+        return st.none() | _values(args[0])
+    # strings include the init kinds, so sim.mode's and sim.width's rows get tested
+    return {float: finite, int: small_ints, str: st.sampled_from(INIT_KINDS) | st.text()}[typ]
+
+
+@st.composite
+def section(draw, cls):
+    """A config section: each field left at its default or given any value."""
+    return {key: draw(_values(typ)) for key, typ in typing.get_type_hints(cls).items()
+            if draw(st.booleans())}
+
+
 @st.composite
 def run_configs(draw):
-    task = draw(st.sampled_from(TASKS))
-    simulate = task == "simulate"  # the one task that checks the sim fields
-    dim = draw(st.integers(1, 3) if simulate else small_ints)
-    init = draw(st.sampled_from(INIT_KINDS) if simulate else st.text())
-    mode = st.lists(small_ints, min_size=dim, max_size=dim) if simulate else st.tuples(small_ints)
-    sim = draw(st.builds(SimSection, dim=st.just(dim),
-                         n=st.integers(2, 12).map(lambda e: 2**e) if simulate else small_ints,
-                         length=(st.floats(0.0, exclude_min=True, allow_infinity=False)
-                                 if simulate else finite),
-                         init=st.just(init), amplitude=finite,
-                         mode=mode.map(tuple), width=finite,
-                         band=st.tuples(small_ints, small_ints).map(
-                             lambda b: tuple(sorted(b)) if simulate else b),
-                         dt=(st.floats(0.0, exclude_min=True, allow_infinity=False)
-                             if simulate else finite),
-                         t_end=st.floats(0.0, allow_infinity=False) if simulate else finite,
-                         out_every=st.integers(1, 10**6) if simulate else small_ints,
-                         k_max=st.integers(0, 10**6) if simulate else small_ints,
-                         c_cfl=finite))
-    seed = draw(st.none() | st.integers(0, 2**63))
-    if task == "simulate" and sim.init == "random" and seed is None:
-        seed = 0
-    K0 = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
-              if task == "lower-bound" else finite)
-    return RunConfig(
-        task=task, seed=seed, output=draw(st.text()), params=draw(fluid_params()),
-        modes=draw(st.builds(ModesSection, xi_min=finite, xi_max=finite, count=small_ints,
-                             t_check=st.lists(finite, min_size=1 if task == "analyze-modes" else 0,
-                                              max_size=4).map(tuple))),
-        decay=draw(st.builds(DecaySection, K0=st.just(K0), theta=finite, s_exp=finite,
-                             eta=finite, k_max=small_ints, t_min=finite, t_max=finite,
-                             samples=small_ints,
-                             tolerance=(st.floats(0.0, allow_infinity=False)
-                                        if task in ("linear-decay", "lower-bound")
-                                        else finite))),
-        sim=sim,
-        fit=draw(st.builds(FitSection, input=st.text(), t_min=st.none() | finite,
-                           t_max=st.none() | finite, tolerance=finite)))
+    """A loaded config mapping; its fields may lie outside their domains."""
+    raw = {"task": draw(st.sampled_from(TASKS)), "seed": draw(st.none() | st.integers(0, 2**63)),
+           "output": draw(st.text()),
+           "params": draw(fluid_params().map(asdict) | section(FluidParams))}
+    for name in ("modes", "decay", "sim", "fit"):
+        raw[name] = draw(section(_SECTION_TYPES[name]))
+    if raw["task"] == "simulate" and raw["sim"].get("init", "random") == "random":
+        raw["seed"] = raw["seed"] or 0  # the one rule outside the table
+    return raw
 
 
-@settings(PROPERTY, max_examples=25)
+@settings(PROPERTY, max_examples=100)
 @given(run_configs())
-def test_config_serialize_parse_round_trip(config):
+@example({"task": "fit", "seed": None, "output": "out", "params": {}, "modes": {}, "decay": {},
+          "sim": {}, "fit": {"t_min": 5.0, "t_max": 1.0}})
+@example({"task": "simulate", "seed": 1, "output": "out", "params": {"mu_plus": -1.0},
+          "modes": {}, "decay": {}, "sim": {"init": "gaussian", "width": 0.0}, "fit": {}})
+def test_config_serialize_parse_round_trip(raw):
+    # the drawn fields over each section's defaults, as parse_config sees them
+    sections = {name: SimpleNamespace(**{**asdict(cls()), **raw[name]})
+                for name, cls in _SECTION_TYPES.items()}
+    failing = sorted(f"{name}.{key}" for tasks, name, key, ok, _ in CONFIG_RULES
+                     if raw["task"] in tasks and not ok(sections[name]))
+    try:
+        config = parse_config(yaml.safe_dump(raw))
+    except ConfigError as exc:
+        assert sorted(error.split("'")[1] for error in exc.errors) == failing
+        return
+    assert not failing
+    assert config == RunConfig(task=raw["task"], seed=raw["seed"], output=raw["output"],
+                               **{name: cls(**vars(sections[name]))
+                                  for name, cls in _SECTION_TYPES.items()})
     text = serialize_config(config)
     back = parse_config(text)
     assert back == config
