@@ -17,17 +17,20 @@ exp(i omega r t) must stay resolved up to the largest fit time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
+from . import threads
 from .closure import FluidParams, check_domain, linear_coefficients, linearized_density_perturbation
 from .spectral import (
     BatchDecomposition,
     decompose_batch,
     heat_factor,
+    row_workers,
     smooth_step_down,
     spectral_constants,
 )
@@ -44,9 +47,18 @@ class AccuracyError(RuntimeError):
 # radial quadrature
 
 
+@functools.cache
+def _gauss_rule(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only (callers share them)."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _gauss_panels(lo, hi, order):
     """Gauss-Legendre nodes and weights on panels [lo_i, hi_i], panel by panel."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _gauss_rule(order)
     lo = lo[:, None]
     hi = hi[:, None]
     nodes = 0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)
@@ -276,8 +288,10 @@ class ModeEvolution:
     projector matrices.  Each sample time costs only the real sum ``U(t) =
     sum_i w_i(t) Q_i`` (one exponential per conjugate pair), and the squared
     moduli of every variable meet the node weights ``4 pi w r^(2k+2)`` of
-    every order in one matrix product.  One time at a time keeps the
-    working set at a few node arrays.
+    every order in one matrix product.  Each time fills its own row of the
+    table, so on large quadratures the times run on the package's thread pool
+    (:func:`~twofluid.spectral.row_workers`), as the projection's row chunks
+    do; each time keeps its working set at a few node arrays.
 
     The quadrature check doubles the panels at the last time and the
     highest order, to relative tolerance ``_CHECK_TOL``, but only on the panels
@@ -310,7 +324,8 @@ class ModeEvolution:
     def _squared_moduli(self, U, U0, nodes, t, variables):
         """``|value|^2`` per variable and node, shape (len(variables), n)."""
         vals = self._variable_values(U, U0, nodes, t)
-        return np.stack([np.abs(vals[v]) ** 2 for v in variables])
+        a = np.abs(np.stack([vals[v] for v in variables]))
+        return np.multiply(a, a, out=a)
 
     def norms(self, data: RadialProfileData, times, ks, variables=VARIABLES,
               verify: bool = True):
@@ -327,13 +342,19 @@ class ModeEvolution:
         evolve = self.decomp.evolution(U0)
         W = _node_weights(nodes, self.quad.weights, ks)
         sq = np.empty((len(times), len(variables), len(ks)))
-        for it, t in enumerate(times):
-            a2 = self._squared_moduli(evolve(t), U0, nodes, t, variables)
+        last = []  # the last time's squared moduli, for the check
+
+        def sample(it):
+            a2 = self._squared_moduli(evolve(times[it]), U0, nodes, times[it], variables)
             sq[it] = a2 @ W
+            if it == len(times) - 1:
+                last.append(a2)
+
+        threads.each(sample, len(times), row_workers(len(nodes)))
         out = {v: {k: np.sqrt(sq[:, iv, ik]) for ik, k in enumerate(ks)}
                for iv, v in enumerate(variables)}
         if verify:
-            self._verify(data, times[-1], max(ks), out, a2)
+            self._verify(data, times[-1], max(ks), out, last[0])
         return out
 
     def _verify(self, data, t_last, k_max, out, a2_last):

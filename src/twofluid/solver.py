@@ -19,13 +19,13 @@ costs the FFTs of the nonlinear stages plus a one-off propagator build, which
 decomposes the 4x4 semigroup once per distinct integer wave-index norm on
 the band (803 on a 64^3 grid).
 
-On grids of at least ``_PARALLEL_POINTS`` points a step runs on a thread
-pool sized to the CPUs the process may use (``os.sched_getaffinity``, so
-``taskset`` narrows it): the transforms of the physical twin and of the
-gradients, the closure and the linear half-steps in slabs of the first axis,
-and the tendencies one phase per task.  The threads split independent work
-and never change its arithmetic, so the results are bitwise the same whatever
-the number of CPUs.  Smaller grids run inline.
+On grids of at least ``_PARALLEL_POINTS`` points a step runs on the
+package's thread pool (:mod:`twofluid.threads`, one thread per CPU the process
+may use): the transforms of the physical twin and of the gradients, the
+closure and the linear half-steps in slabs of the first axis, and the
+tendencies one phase per task.  The threads split independent work and never
+change its arithmetic, so the results are bitwise the same whatever the
+number of CPUs.  Smaller grids run inline.
 """
 
 from __future__ import annotations
@@ -33,14 +33,13 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import threads
 from .closure import (FluidParams, check_domain, closure_state, linear_coefficients,
                       nonlinear_coefficients)
 from .spectral import decompose_batch
@@ -223,9 +222,6 @@ def _irfft(spec, shape, out=None):
     return np.fft.irfft(spec, n, out=out)  # pads the columns above the band with zeros
 
 
-# The CPUs this process may run on; ``taskset`` narrows them.
-_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-         else os.cpu_count() or 1)
 # Grids with fewer points run inline.  Measured with the band-limited
 # transforms on a 2-vCPU x86-64 host (warm steps in process, and cold simulate
 # campaigns), a step on the pool took 0.56-0.58 of the inline time at 2**18
@@ -250,31 +246,7 @@ def _blocks(count: int, shape: tuple) -> tuple:
 
 def workers(grid: Grid) -> int:
     """Threads the solver shares a step of ``grid`` among; 1 means inline."""
-    return _CPUS if grid.n**grid.dim >= _PARALLEL_POINTS else 1
-
-
-@functools.cache
-def _pool(size: int) -> ThreadPoolExecutor:
-    return ThreadPoolExecutor(size, thread_name_prefix="twofluid-solver")
-
-
-def _each(task, count: int, size: int):
-    """``task(i)`` for every ``i < count``: inline when ``size`` is 1, else on the pool.
-
-    Tasks run their own work inline: a task that submitted to the pool and
-    waited could hold the last free thread its work needs.
-    """
-    if size == 1:
-        for i in range(count):
-            task(i)
-        return
-
-    def share(first):  # one hand-off per thread: every size-th item
-        for i in range(first, count, size):
-            task(i)
-
-    for _ in _pool(size).map(share, range(min(size, count))):
-        pass  # reading each result re-raises a task's exception
+    return threads.CPUS if grid.n**grid.dim >= _PARALLEL_POINTS else 1
 
 
 def _slabs(task, length: int, size: int) -> list:
@@ -285,7 +257,7 @@ def _slabs(task, length: int, size: int) -> list:
     def run(i):
         parts[i] = task(slice(i * length // size, (i + 1) * length // size))
 
-    _each(run, size, size)
+    threads.each(run, size, size)
     return parts
 
 
@@ -300,7 +272,7 @@ def _irfft_rows(spectrum, count: int, shape, size: int):
     ``spectrum(s)`` gives the stacked spectra of the rows in the slice ``s``.
     Rows go in blocks (:func:`_blocks`), each block builds its own spectra, so
     no stack of all of them is ever held; the blocks run on ``size`` threads
-    (see :func:`_each`).
+    (see :func:`threads.each`).
     """
     out = np.empty((count,) + shape)
     blocks = _blocks(count, shape)
@@ -308,7 +280,7 @@ def _irfft_rows(spectrum, count: int, shape, size: int):
     def block(b):
         _irfft(spectrum(blocks[b]), shape, out=out[blocks[b]])
 
-    _each(block, len(blocks), size)
+    threads.each(block, len(blocks), size)
     return out
 
 
@@ -648,7 +620,7 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
             f += mu[p] * np.einsum("j...,j...->...", a, Du[p, :, i])
             _rfft(f, out=Fu[p, i])
 
-    _each(phase, 2, size)
+    threads.each(phase, 2, size)
     return F, ratio
 
 

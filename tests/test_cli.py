@@ -542,14 +542,14 @@ def test_parse_coerces_numeric_strings():
 
 
 def test_simulate_records_solver_workers_and_threads_keep_bits(tmp_path, monkeypatch):
-    from twofluid import solver
+    from twofluid import solver, threads
 
     cfg = parse_config("task: simulate\nseed: 3\nsim:\n  dim: 3\n  n: 16\n  dt: 0.02\n"
                        "  t_end: 0.1\n  amplitude: 1.0e-3\n")
     runs = []
     # one CPU; two threads at every size; two CPUs on a grid below the threshold
     for cpus, threshold, used in ((1, 0, 1), (2, 0, 2), (2, 2**30, 1)):
-        monkeypatch.setattr(solver, "_CPUS", cpus)
+        monkeypatch.setattr(threads, "CPUS", cpus)
         monkeypatch.setattr(solver, "_PARALLEL_POINTS", threshold)
         out = tmp_path / f"{cpus}-{threshold}"
         assert run_campaign(cfg, out_dir=out, quiet=True) == 0
@@ -557,6 +557,22 @@ def test_simulate_records_solver_workers_and_threads_keep_bits(tmp_path, monkeyp
         runs.append([(out / name).read_bytes()
                      for name in ("norms.csv", "energy.csv", "state_final.tfck")])
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("task", ["analyze-modes", "linear-decay", "lower-bound"])
+def test_linear_lab_artifacts_keep_their_bytes_on_any_thread_count(tmp_path, monkeypatch, task):
+    from twofluid import spectral, threads
+
+    cfg = parse_config(f"task: {task}\n")
+    runs = []
+    # one CPU; two threads in chunks of the default size; two in 64-row chunks
+    for cpus, rows in ((1, spectral._CHUNK_ROWS), (2, spectral._CHUNK_ROWS), (2, 64)):
+        monkeypatch.setattr(threads, "CPUS", cpus)
+        monkeypatch.setattr(spectral, "_CHUNK_ROWS", rows)
+        out = tmp_path / f"{cpus}-{rows}"
+        assert run_campaign(cfg, out_dir=out, quiet=True) == 0
+        runs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(runs[0]) >= 2 and runs[0] == runs[1] == runs[2]
 
 
 def test_simulate_warm_starts_the_closure(tmp_path, monkeypatch):
@@ -691,11 +707,11 @@ def test_run_campaign_prints_summary_unless_quiet_and_fails_on_unmakeable_dir(tm
 _IMPORT_PROBE = """
 import json
 import sys
-from twofluid import solver
+from twofluid import solver, spectral, threads
 from twofluid.cli import parse_config, run_campaign
 
 if sys.argv[1] == "pooled":
-    solver._CPUS, solver._PARALLEL_POINTS = 2, 0
+    threads.CPUS, solver._PARALLEL_POINTS, spectral._CHUNK_ROWS = 2, 0, 64
 configs = [
     "task: analyze-modes\\nmodes:\\n  count: 10\\n",
     "task: linear-decay\\ndecay:\\n  samples: 8\\n  k_max: 0\\n",
@@ -713,8 +729,9 @@ print(json.dumps([codes, sorted(heavy)]))
 
 def test_campaigns_never_import_scipy(tmp_path):
     # every check of the paper's claims is a fresh process, which should not
-    # pay the 0.3-0.4 s scipy import, inline or on the solver's pool, nor
-    # numpy.ma's 13 ms (plain np.unique and np.isin import it)
+    # pay the 0.3-0.4 s scipy import, inline or on the package's pool (every
+    # grid, node batch and sample time pooled), nor numpy.ma's 13 ms (plain
+    # np.unique and np.isin import it)
     import os
     import subprocess
     import sys

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -351,3 +353,28 @@ def test_norms_quadrature_check_fails_on_underresolved_rule(kwargs):
     ev = ModeEvolution(SYM, **kwargs)
     with pytest.raises(AccuracyError):
         ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 40), ks=range(4))
+
+
+@pytest.mark.parametrize("case", ["readme", "confluent", "draw0"])
+def test_pool_and_inline_norm_tables_give_the_same_bits(monkeypatch, case):
+    # the evolution's decomposition, projection and sample times, and the
+    # quadrature check's decomposition, inline on one CPU and on 2 and 5
+    # threads in uneven 1000-row chunks, switching often
+    from test_acceptance import tuned_confluent_params
+    from test_spectral import FALLBACK_PARAMS, row_threads
+
+    params = {"readme": SYM, "confluent": tuned_confluent_params(),
+              "draw0": FALLBACK_PARAMS}[case]
+    data = make_generic_data(0.5)
+    times = np.geomspace(1e2, 1e4, 12)
+    tables = []
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for cpus in (1, 2, 5):
+            row_threads(monkeypatch, cpus, 1000)
+            table = ModeEvolution(params).norms(data, times, ks=range(4))
+            tables.append([table[v][k].tobytes() for v in table for k in range(4)])
+    finally:
+        sys.setswitchinterval(switch)
+    assert tables[0] == tables[1] == tables[2]

@@ -885,9 +885,9 @@ def test_checkpoint_byte_layout(tmp_path):
 
 def _solver_threads(monkeypatch, cpus):
     """Run the solver on ``cpus`` threads at every grid size."""
-    from twofluid import solver
+    from twofluid import solver, threads
 
-    monkeypatch.setattr(solver, "_CPUS", cpus)
+    monkeypatch.setattr(threads, "CPUS", cpus)
     monkeypatch.setattr(solver, "_PARALLEL_POINTS", 0)
 
 
@@ -950,49 +950,68 @@ def test_pool_and_inline_give_the_same_bits(monkeypatch, dim, n):
             assert np.array_equal(inline, arr)
 
 
-def test_one_cpu_creates_no_pool(monkeypatch):
-    from twofluid import solver
+LINEAR_DECAY = "task: linear-decay\ndecay:\n  samples: 8\n  k_max: 0\n"
+
+
+def _lab_threads(monkeypatch, cpus):
+    """Run the solver and the linear lab on ``cpus`` threads, node batches in 64-row chunks."""
+    from twofluid import spectral
+
+    _solver_threads(monkeypatch, cpus)
+    monkeypatch.setattr(spectral, "_CHUNK_ROWS", 64)
+
+
+def test_one_cpu_creates_no_pool(monkeypatch, tmp_path):
+    from twofluid import solver, spectral, threads
+    from twofluid.cli import parse_config, run_campaign
 
     def refuse(size):
-        raise AssertionError("a one-CPU solver must not create a pool")
+        raise AssertionError("one CPU must not create a pool")
 
-    _solver_threads(monkeypatch, 1)
-    monkeypatch.setattr(solver, "_pool", refuse)
+    _lab_threads(monkeypatch, 1)
+    monkeypatch.setattr(threads, "_pool", refuse)
     grid = Grid(dim=3, n=16, length=2 * np.pi)
-    assert solver.workers(grid) == 1
+    assert solver.workers(grid) == 1 and spectral.row_workers(10**6) == 1
     step(init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=2)), 0.01, SYM)
+    assert run_campaign(parse_config(LINEAR_DECAY), out_dir=tmp_path, quiet=True) == 0
 
 
-def test_pool_tasks_never_submit_to_the_pool(monkeypatch):
+def test_pool_tasks_never_submit_to_the_pool(monkeypatch, tmp_path):
     # with two threads, a task that waits on work it queued can deadlock the
-    # pool; the step runs in a joined thread so a hang fails instead
+    # pool; two steps and a linear-decay campaign run in a joined thread so a
+    # hang fails instead
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    from twofluid import solver
+    from twofluid import threads
+    from twofluid.cli import parse_config, run_campaign
 
     nested = []
     spare = ThreadPoolExecutor(2)
-    pool = solver._pool
+    pool = threads._pool
 
     def guarded(size):
-        if threading.current_thread().name.startswith("twofluid-solver"):
+        if threading.current_thread().name.startswith("twofluid-pool"):
             nested.append(threading.current_thread().name)
             return spare  # record the nested submission and run it elsewhere
         return pool(size)
 
-    _solver_threads(monkeypatch, 2)
-    monkeypatch.setattr(solver, "_pool", guarded)
+    _lab_threads(monkeypatch, 2)
+    monkeypatch.setattr(threads, "_pool", guarded)
     grid = Grid(dim=3, n=16, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=3))
     done = []
-    runner = threading.Thread(target=lambda: done.append(step(step(st, 0.01, SYM), 0.01, SYM)),
-                              daemon=True)
+
+    def work():
+        done.append(step(step(st, 0.01, SYM), 0.01, SYM))
+        done.append(run_campaign(parse_config(LINEAR_DECAY), out_dir=tmp_path, quiet=True))
+
+    runner = threading.Thread(target=work, daemon=True)
     try:
         runner.start()
         runner.join(timeout=120)
-        assert not runner.is_alive(), "step did not finish: the pool deadlocked"
-        assert len(done) == 1 and np.isfinite(done[0].physical).all()
+        assert not runner.is_alive(), "work did not finish: the pool deadlocked"
+        assert len(done) == 2 and np.isfinite(done[0].physical).all() and done[1] == 0
         assert nested == []
     finally:
         spare.shutdown()
