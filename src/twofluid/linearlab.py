@@ -30,7 +30,6 @@ from .spectral import (
     BatchDecomposition,
     decompose_batch,
     heat_factor,
-    row_workers,
     smooth_step_down,
     spectral_constants,
 )
@@ -289,9 +288,9 @@ class ModeEvolution:
     sum_i w_i(t) Q_i`` (one exponential per conjugate pair), and the squared
     moduli of every variable meet the node weights ``4 pi w r^(2k+2)`` of
     every order in one matrix product.  Each time fills its own row of the
-    table, so on large quadratures the times run on the package's thread pool
-    (:func:`~twofluid.spectral.row_workers`), as the projection's row chunks
-    do; each time keeps its working set at a few node arrays.
+    table, so the times run on the package's thread pool
+    (:mod:`twofluid.threads`), one task each; each keeps its working set at a
+    few node arrays.
 
     The quadrature check doubles the panels at the last time and the
     highest order, to relative tolerance ``_CHECK_TOL``, but only on the panels
@@ -350,7 +349,7 @@ class ModeEvolution:
             if it == len(times) - 1:
                 last.append(a2)
 
-        threads.each(sample, len(times), row_workers(len(nodes)))
+        threads.each(sample, len(times), threads.CPUS)
         out = {v: {k: np.sqrt(sq[:, iv, ik]) for ik, k in enumerate(ks)}
                for iv, v in enumerate(variables)}
         if verify:

@@ -249,18 +249,6 @@ def workers(grid: Grid) -> int:
     return threads.CPUS if grid.n**grid.dim >= _PARALLEL_POINTS else 1
 
 
-def _slabs(task, length: int, size: int) -> list:
-    """``[task(s), ...]`` over ``size`` contiguous slices ``s`` that cover ``range(length)``."""
-    size = min(size, length)
-    parts = [None] * size
-
-    def run(i):
-        parts[i] = task(slice(i * length // size, (i + 1) * length // size))
-
-    threads.each(run, size, size)
-    return parts
-
-
 def _join(parts, axis: int = 0):
     """Slab results as one array; a lone part is returned as is, uncopied."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
@@ -540,7 +528,8 @@ def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) ->
         new_u += rem.swapaxes(0, 1)
         return out
 
-    out = _join(_slabs(slab, grid.band_shape[0], workers(grid)), axis=1)
+    size = workers(grid)
+    out = _join(threads.slices(slab, grid.band_shape[0], size, size), axis=1)
     return FieldState.from_spectra(grid, out, state.time + dt)
 
 
@@ -588,7 +577,9 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
         return (closure.rho_plus / total, nc.g_plus, nc.gbar_plus, nc.gbar_minus, nc.g_minus,
                 nc.h_plus, nc.h_minus, nc.k_plus, nc.k_minus, nc.l_plus, nc.l_minus)
 
-    ratio, *coeffs = (_join(part) for part in zip(*_slabs(closure_slab, grid.n, size)))
+    # no name holds the slabs' own arrays past the join (23 MB at 64^3)
+    ratio, *coeffs = (_join(part) for part in
+                      zip(*threads.slices(closure_slab, grid.n, size, size)))
     # per phase p: g[p][q] multiplies dn_q in the pressure term
     g, h, k, l = (coeffs[0:2], coeffs[2:4]), coeffs[4:6], coeffs[6:8], coeffs[8:10]
     mu, lam = (params.mu_plus, params.mu_minus), (params.lambda_plus, params.lambda_minus)

@@ -36,15 +36,14 @@ EPS_CONFLUENT = 2e-6
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _I4 = np.eye(4)
-# Batches of more rows than this are projected in contiguous chunks of this
-# many rows on the package's thread pool, and the linear lab's sample times
-# over more nodes than this run there too; smaller ones run inline.  Measured
-# with the four linear-lab campaigns (11,328 nodes) on a 2-vCPU x86-64 host,
-# 2,048-row chunks ran as fast as 3,072 and 4,096 and raised peak RSS by
-# 1.9 MB, against 4.5 and 5.7 MB: the pool threads' malloc arenas keep a
-# chunk's temporaries.  Decompositions stay whole: their ~130 numpy calls on
-# a few thousand rows each are too short to overlap under the GIL (two
-# threads on two 4,096-row batches took 1.1-1.2x the serial time), and
+# Batches of more rows than this are projected on the package's thread pool,
+# in contiguous chunks of at most this many rows; smaller ones run inline.
+# Measured with the four linear-lab campaigns (11,328 nodes) on a 2-vCPU
+# x86-64 host, 2,048-row chunks ran as fast as 3,072 and 4,096 and raised
+# peak RSS by 1.9 MB, against 4.5 and 5.7 MB: the pool threads' malloc arenas
+# keep a chunk's temporaries.  Decompositions stay whole: their ~130 numpy
+# calls on a few thousand rows each are too short to overlap under the GIL
+# (two threads on two 4,096-row batches took 1.1-1.2x the serial time), and
 # chunked on the pool they made the campaigns ~6% slower.
 _CHUNK_ROWS = 2048
 
@@ -338,27 +337,6 @@ def _weights(lam, nilpotent, t: float):
     return np.where(nilpotent, t, 1.0) * w if nilpotent.any() else w
 
 
-def row_workers(rows: int) -> int:
-    """Threads a batch of ``rows`` modes or nodes is shared among; 1 means inline."""
-    return threads.CPUS if rows > _CHUNK_ROWS else 1
-
-
-def _in_chunks(task, rows: int) -> list:
-    """``[task(s), ...]`` over contiguous slices ``s`` that cover ``range(rows)``.
-
-    One slice on one thread; else slices of ``_CHUNK_ROWS`` rows on the pool.
-    """
-    size = row_workers(rows)
-    count = -(-rows // _CHUNK_ROWS) if size > 1 else 1
-    parts = [None] * count
-
-    def run(i):
-        parts[i] = task(slice(i * _CHUNK_ROWS, rows if i == count - 1 else (i + 1) * _CHUNK_ROWS))
-
-    threads.each(run, count, size)
-    return parts
-
-
 @dataclass
 class BatchDecomposition:
     """Semigroup decompositions ``exp(t A1) = sum_i w_i(t) P_i`` per frequency.
@@ -422,7 +400,9 @@ class BatchDecomposition:
         Large batches go in row chunks on the package's thread pool.
         """
         U0 = np.asarray(U0)
-        parts = _in_chunks(lambda rows: self._project(rows, U0[rows]), len(U0))
+        rows = len(U0)
+        count = -(-rows // _CHUNK_ROWS) if threads.CPUS > 1 else 1
+        parts = threads.slices(lambda s: self._project(s, U0[s]), rows, count, threads.CPUS)
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _project(self, rows, U0):
@@ -508,63 +488,31 @@ def decompose_batch(xis, coeffs: LinearCoefficients) -> BatchDecomposition:
 
     Ps = np.zeros((special.sum(), 4, 4, 4), dtype=complex)
     Ps[zero[special], 0] = _I4
-    if conf.any():
-        lam_o[conf], Ps[conf[special]] = _confluent(lam[conf], imin[conf], scale[conf],
-                                                    char[0][conf], A[conf], xis[conf])
+    for s, r in zip(np.nonzero(conf[special])[0], np.nonzero(conf)[0]):
+        l1, l2 = (lam[r, k] for k in range(4) if k not in _PAIRS[imin[r]])
+        if l1.imag < l2.imag:
+            l1, l2 = l2, l1
+        if abs(l1 - l2) <= EPS_CONFLUENT * scale[r]:
+            raise UnsupportedDegeneracyError(
+                f"more than one eigenvalue collision at xi={xis[r]:.6g}")
+        mu = -(char[0][r] + l1 + l2) / 2.0  # pair midpoint via the trace (stable)
+        if min(abs(l1 - mu), abs(l2 - mu)) <= EPS_CONFLUENT * scale[r]:
+            raise UnsupportedDegeneracyError(
+                f"acoustic/diffusive eigenvalue collision at xi={xis[r]:.6g}")
+        Am = A[r]
+        B2 = (mu * _I4 - Am) @ (mu * _I4 - Am)
+        P1 = (l2 * _I4 - Am) @ B2 / ((l2 - l1) * (mu - l1) ** 2)
+        P2 = (l1 * _I4 - Am) @ B2 / ((l1 - l2) * (mu - l2) ** 2)
+        den = (l1 - mu) * (l2 - mu)
+        C12 = (l1 * _I4 - Am) @ (l2 * _I4 - Am)
+        P4 = -C12 @ (mu * _I4 - Am) / den
+        P3 = C12 / den + (l1 + l2 - 2.0 * mu) / den * P4
+        lam_o[r] = (l1, l2, mu, mu)
+        Ps[s] = P1, P2, P3, P4
 
     return BatchDecomposition(xis=xis, coeffs=coeffs, eigenvalues=lam_o, confluent=conf,
                               fallback=fallback, green=A, char=char, special=special,
                               special_projectors=Ps)
-
-
-# the two roots outside the colliding pair _PAIRS[i], by ascending index
-_OTHERS = np.array([[k for k in range(4) if k not in pair] for pair in _PAIRS])
-
-
-def _cmul(a, b):
-    """``a * b`` of complex arrays, each product rounded on its own.
-
-    That is how numpy rounds complex scalars; its array multiply fuses a
-    product with the sum and can move the last bit.
-    """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _cabs(z):
-    """``|z|`` per entry, as numpy takes it of a complex scalar."""
-    return np.hypot(z.real, z.imag)
-
-
-def _confluent(lam, imin, scale, c3, A, xis):
-    """Roots ``(l1, l2, mu, mu)`` and projectors ``(P1, P2, P3, P4)`` of confluent rows.
-
-    ``imin`` picks the colliding pair of ``lam``; ``l1, l2`` are the other two
-    roots by descending Im and ``mu`` the pair's midpoint.  Every row takes
-    the arithmetic of one row on its own (:func:`_cmul`).
-    """
-    l1, l2 = np.take_along_axis(lam, _OTHERS[imin], axis=1).T
-    swap = l1.imag < l2.imag
-    l1, l2 = np.where(swap, l2, l1), np.where(swap, l1, l2)
-    mu = -(c3 + l1 + l2) / 2.0  # pair midpoint via the trace (stable)
-    tol = EPS_CONFLUENT * scale
-    double = _cabs(l1 - l2) <= tol
-    bad = double | (np.minimum(_cabs(l1 - mu), _cabs(l2 - mu)) <= tol)
-    if bad.any():
-        r = np.argmax(bad)
-        kind = "more than one" if double[r] else "acoustic/diffusive"
-        raise UnsupportedDegeneracyError(f"{kind} eigenvalue collision at xi={xis[r]:.6g}")
-    M1, M2, Mmu = ((z[:, None, None] * _I4 - A) for z in (l1, l2, mu))  # l I - A
-    B2 = Mmu @ Mmu
-    P1 = M2 @ B2 / _cmul(l2 - l1, _cmul(mu - l1, mu - l1))[:, None, None]
-    P2 = M1 @ B2 / _cmul(l1 - l2, _cmul(mu - l2, mu - l2))[:, None, None]
-    den = _cmul(l1 - mu, l2 - mu)
-    C12 = M1 @ M2
-    P4 = -C12 @ Mmu / den[:, None, None]
-    P3 = C12 / den[:, None, None] + ((l1 + l2 - 2.0 * mu) / den)[:, None, None] * P4
-    return np.stack([l1, l2, mu, mu], axis=1), np.stack([P1, P2, P3, P4], axis=1)
 
 
 def projector_residuals(batch: BatchDecomposition):

@@ -1,7 +1,8 @@
 """The package's one thread pool.
 
-The solver's steps on large grids and the linear lab's large node batches and
-sample times split independent work among the CPUs this process may use.
+The solver's steps on large grids, the linear lab's sample times and the
+projections of large node batches split independent work among the CPUs this
+process may use.
 The threads never change the arithmetic of a row, slab or time, so results
 are bitwise the same whatever the number of CPUs.  A pool task never submits
 to the pool.
@@ -26,12 +27,12 @@ def _pool(size: int):
 
 
 def each(task, count: int, size: int):
-    """``task(i)`` for every ``i < count``: inline when ``size`` is 1, else on the pool.
+    """``task(i)`` for every ``i < count``: inline on one thread or one task, else on the pool.
 
     Tasks run their own work inline: a task that submitted to the pool and
     waited could hold the last free thread its work needs.
     """
-    if size == 1:
+    if size == 1 or count <= 1:
         for i in range(count):
             task(i)
         return
@@ -42,3 +43,16 @@ def each(task, count: int, size: int):
 
     for _ in _pool(size).map(share, range(min(size, count))):
         pass  # reading each result re-raises a task's exception
+
+
+def slices(task, length: int, count: int, size: int) -> list:
+    """``[task(s), ...]`` over ``count`` contiguous, near-equal slices ``s`` of
+    ``range(length)`` (at most ``length``, at least one), on ``size`` threads."""
+    count = min(count, length) or 1
+    parts = [None] * count
+
+    def run(i):
+        parts[i] = task(slice(i * length // count, (i + 1) * length // count))
+
+    each(run, count, size)
+    return parts

@@ -565,7 +565,7 @@ def test_linear_lab_artifacts_keep_their_bytes_on_any_thread_count(tmp_path, mon
 
     cfg = parse_config(f"task: {task}\n")
     runs = []
-    # one CPU; two threads in chunks of the default size; two in 64-row chunks
+    # one CPU; two threads in chunks of the default size; two in chunks of at most 64 rows
     for cpus, rows in ((1, spectral._CHUNK_ROWS), (2, spectral._CHUNK_ROWS), (2, 64)):
         monkeypatch.setattr(threads, "CPUS", cpus)
         monkeypatch.setattr(spectral, "_CHUNK_ROWS", rows)

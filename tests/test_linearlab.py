@@ -359,7 +359,7 @@ def test_norms_quadrature_check_fails_on_underresolved_rule(kwargs):
 def test_pool_and_inline_norm_tables_give_the_same_bits(monkeypatch, case):
     # the evolution's decomposition, projection and sample times, and the
     # quadrature check's decomposition, inline on one CPU and on 2 and 5
-    # threads in uneven 1000-row chunks, switching often
+    # threads in chunks of at most 1000 rows, switching often
     from test_acceptance import tuned_confluent_params
     from test_spectral import FALLBACK_PARAMS, row_threads
 

@@ -954,15 +954,26 @@ LINEAR_DECAY = "task: linear-decay\ndecay:\n  samples: 8\n  k_max: 0\n"
 
 
 def _lab_threads(monkeypatch, cpus):
-    """Run the solver and the linear lab on ``cpus`` threads, node batches in 64-row chunks."""
+    """Run the solver and the linear lab on ``cpus`` threads, projections in chunks of <= 64 rows."""
     from twofluid import spectral
 
     _solver_threads(monkeypatch, cpus)
     monkeypatch.setattr(spectral, "_CHUNK_ROWS", 64)
 
 
+def test_slices_cover_the_range_in_order(monkeypatch):
+    from twofluid import threads
+
+    _solver_threads(monkeypatch, 2)
+    for length, count in ((10, 3), (10, 1), (3, 5), (0, 2)):
+        parts = threads.slices(lambda s: list(range(length))[s], length, count, 2)
+        assert sum(parts, []) == list(range(length))
+        assert len(parts) == max(1, min(count, length))
+        assert max(map(len, parts)) - min(map(len, parts)) <= 1
+
+
 def test_one_cpu_creates_no_pool(monkeypatch, tmp_path):
-    from twofluid import solver, spectral, threads
+    from twofluid import solver, threads
     from twofluid.cli import parse_config, run_campaign
 
     def refuse(size):
@@ -971,7 +982,7 @@ def test_one_cpu_creates_no_pool(monkeypatch, tmp_path):
     _lab_threads(monkeypatch, 1)
     monkeypatch.setattr(threads, "_pool", refuse)
     grid = Grid(dim=3, n=16, length=2 * np.pi)
-    assert solver.workers(grid) == 1 and spectral.row_workers(10**6) == 1
+    assert solver.workers(grid) == 1
     step(init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=2)), 0.01, SYM)
     assert run_campaign(parse_config(LINEAR_DECAY), out_dir=tmp_path, quiet=True) == 0
 

@@ -419,7 +419,7 @@ def test_distinct_rows_follow_the_documented_root_order(case):
 
 
 def row_threads(monkeypatch, cpus, rows):
-    """Share batches of more than ``rows`` rows among ``cpus`` threads, ``rows`` at a time."""
+    """Share batches of more than ``rows`` rows among ``cpus`` threads, at most ``rows`` at a time."""
     from twofluid import threads
 
     monkeypatch.setattr(threads, "CPUS", cpus)
@@ -430,7 +430,7 @@ def row_threads(monkeypatch, cpus, rows):
 def test_pool_and_inline_decompositions_give_the_same_bits(monkeypatch, case):
     # every field of the decomposition (the special rows' projectors in row
     # order) and the projection of data, which runs inline on one CPU and in
-    # uneven 7-row chunks on 2 and 5 threads, switching often; the
+    # chunks of at most 7 rows on 2 and 5 threads, switching often; the
     # quadrature's first panel puts confluent rows in several chunks
     from test_acceptance import XI_GRID, tuned_confluent_params
 
@@ -455,50 +455,6 @@ def test_pool_and_inline_decompositions_give_the_same_bits(monkeypatch, case):
         for arr in pooled:
             assert arr.dtype == inline.dtype and arr.shape == inline.shape
             assert arr.tobytes() == inline.tobytes()
-
-
-def _per_row_confluent(lam, imin, c3, A):
-    """Confluent roots and projectors one row at a time, on complex scalars."""
-    I4 = np.eye(4)
-    roots, Ps = [], []
-    for lr, i, c, Am in zip(lam, imin, c3, A):
-        l1, l2 = (lr[k] for k in range(4) if k not in spectral._PAIRS[i])
-        if l1.imag < l2.imag:
-            l1, l2 = l2, l1
-        mu = -(c + l1 + l2) / 2.0
-        B2 = (mu * I4 - Am) @ (mu * I4 - Am)
-        P1 = (l2 * I4 - Am) @ B2 / ((l2 - l1) * (mu - l1) ** 2)
-        P2 = (l1 * I4 - Am) @ B2 / ((l1 - l2) * (mu - l2) ** 2)
-        den = (l1 - mu) * (l2 - mu)
-        C12 = (l1 * I4 - Am) @ (l2 * I4 - Am)
-        P4 = -C12 @ (mu * I4 - Am) / den
-        P3 = C12 / den + (l1 + l2 - 2.0 * mu) / den * P4
-        roots.append((l1, l2, mu, mu))
-        Ps.append((P1, P2, P3, P4))
-    return np.array(roots), np.array(Ps)
-
-
-def test_confluent_rows_take_the_per_row_scalar_arithmetic():
-    # the confluent branch runs on all rows at once, yet every row keeps the
-    # bits of the one-row formulas on complex scalars
-    from test_acceptance import acceptance_draws, tuned_confluent_params
-
-    rows = 0
-    for params in (FluidParams(), tuned_confluent_params(), *VALIDITY_DRAWS, *acceptance_draws()):
-        co = linear_coefficients(params)
-        xis = np.concatenate([_first_panel(), np.geomspace(1e-9, 1e-2, 400)])
-        A, char = batch_green(xis, co), batch_char_coeffs(xis, co)
-        lam = spectral._eigenvalues(A, char)
-        scale = np.abs(lam).max(axis=1)
-        d = np.stack([np.abs(lam[:, i] - lam[:, j]) for i, j in spectral._PAIRS], axis=1)
-        imin = d.argmin(axis=1)
-        conf = d[np.arange(len(xis)), imin] <= spectral.EPS_CONFLUENT * scale
-        got = spectral._confluent(lam[conf], imin[conf], scale[conf], char[0][conf], A[conf],
-                                  xis[conf])
-        ref = _per_row_confluent(lam[conf], imin[conf], char[0][conf], A[conf])
-        assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
-        rows += conf.sum()
-    assert rows > 1000
 
 
 def _eager_horner_projectors(xis, co, lam):
