@@ -577,7 +577,6 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
         return (closure.rho_plus / total, nc.g_plus, nc.gbar_plus, nc.gbar_minus, nc.g_minus,
                 nc.h_plus, nc.h_minus, nc.k_plus, nc.k_minus, nc.l_plus, nc.l_minus)
 
-    # no name holds the slabs' own arrays past the join (23 MB at 64^3)
     ratio, *coeffs = (_join(part) for part in
                       zip(*threads.slices(closure_slab, grid.n, size, size)))
     # per phase p: g[p][q] multiplies dn_q in the pressure term
