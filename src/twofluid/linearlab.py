@@ -27,7 +27,6 @@ import numpy as np
 from . import threads
 from .closure import FluidParams, check_domain, linear_coefficients, linearized_density_perturbation
 from .spectral import (
-    BatchDecomposition,
     decompose_batch,
     heat_factor,
     smooth_step_down,
@@ -278,11 +277,47 @@ class NormSeries:
             raise ValueError("norm values must be nonnegative")
 
 
+# Parameter sets whose exact-evolution basis stays cached.  On the README
+# decay window a basis holds 2.9 MB of quadrature and decomposition, and
+# 1.6 MB more once its quadrature check has refined the live panels.
+_BASES = 4
+
+
+def _freeze(*arrays):
+    """Make arrays (and tuples of arrays) read-only: a cached basis is shared."""
+    for a in arrays:
+        if isinstance(a, tuple):
+            _freeze(*a)
+        elif isinstance(a, np.ndarray):
+            a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=_BASES)
+def _evolution_basis(params: FluidParams, t_max: float, order: int):
+    """The oscillation-aware quadrature on radii up to 12, its decomposition and a check slot.
+
+    Built once per ``(params, t_max, order)`` and read-only: every evolution
+    of one parameter set shares it, and since a row's decomposition does not
+    depend on its batch, every norm keeps its bits.  The slot, a one-item
+    list, holds the quadrature check's last refinement.
+    """
+    coeffs = linear_coefficients(params)
+    nubar = spectral_constants(coeffs)[4]
+    omega = np.sqrt(coeffs.beta1 + coeffs.beta4)
+    quad = RadialQuadrature.oscillation_aware(12.0, t_max, omega, max(nubar, 1e-3), order=order)
+    decomp = decompose_batch(quad.nodes, coeffs)
+    _freeze(quad.edges, quad.nodes, quad.weights, *vars(decomp).values())
+    return quad, decomp, [None]
+
+
 class ModeEvolution:
     """Exact evolution of radial data under one parameter set, on radii up to 12.
 
-    Builds the per-node semigroup decomposition once; every variable and
-    derivative order reuses it.  :meth:`norms` projects the data once,
+    The quadrature and its per-node semigroup decomposition are one read-only
+    basis per ``(params, t_max, order)`` per process, shared by every
+    evolution of that key.  That pays when one process checks a parameter set
+    twice, as ``linear-decay`` and ``lower-bound`` do; a single campaign
+    builds it once either way.  :meth:`norms` projects the data once,
     ``Q[n, i] = P[n, i] @ U0[n]``, through the adjugate, never building the
     projector matrices.  Each sample time costs only the real sum ``U(t) =
     sum_i w_i(t) Q_i`` (one exponential per conjugate pair), and the squared
@@ -292,21 +327,18 @@ class ModeEvolution:
     (:mod:`twofluid.threads`), one task each; each keeps its working set at a
     few node arrays.
 
-    The quadrature check doubles the panels at the last time and the
+    The quadrature check doubles the panels at the latest time and the
     highest order, to relative tolerance ``_CHECK_TOL``, but only on the panels
     that hold more than ``_CHECK_TOL**2`` of some variable's squared norm.  The
     others keep their coarse contribution: together they hold at most
     ``n_panels * _CHECK_TOL**2`` of it, far below what the check resolves.
+    The basis keeps one refinement: the last live panel set's.
     """
 
     def __init__(self, params: FluidParams, t_max: float = 1.2e4, order: int = 24):
         self.params = params
         self.coeffs = linear_coefficients(params)
-        R, lt3, lt4, acoustic, nubar = spectral_constants(self.coeffs)
-        omega = np.sqrt(self.coeffs.beta1 + self.coeffs.beta4)
-        self.quad = RadialQuadrature.oscillation_aware(
-            12.0, t_max, omega, max(nubar, 1e-3), order=order)
-        self.decomp: BatchDecomposition = decompose_batch(self.quad.nodes, self.coeffs)
+        self.quad, self.decomp, self._refined = _evolution_basis(params, t_max, order)
 
     def _variable_values(self, U, U0, nodes, t):
         co = self.coeffs
@@ -333,34 +365,40 @@ class ModeEvolution:
             if v not in VARIABLES:
                 raise ValueError(f"unknown variable {v!r}; expected one of {VARIABLES}")
         times = np.asarray(times, dtype=float)
+        if times.size == 0:
+            raise ValueError("times must hold at least one sample time")
         if np.any(times < 0):
             raise ValueError("times must be >= 0")
         ks = tuple(ks)
+        if not ks:
+            raise ValueError("ks must hold at least one derivative order")
         nodes = self.quad.nodes
         U0 = data.sampled(nodes)
         evolve = self.decomp.evolution(U0)
         W = _node_weights(nodes, self.quad.weights, ks)
         sq = np.empty((len(times), len(variables), len(ks)))
-        last = []  # the last time's squared moduli, for the check
+        latest = int(np.argmax(times))  # the most demanding time, checked
+        last = []  # its squared moduli, for the check
 
         def sample(it):
             a2 = self._squared_moduli(evolve(times[it]), U0, nodes, times[it], variables)
             sq[it] = a2 @ W
-            if it == len(times) - 1:
+            if it == latest:
                 last.append(a2)
 
         threads.each(sample, len(times), threads.CPUS)
         out = {v: {k: np.sqrt(sq[:, iv, ik]) for ik, k in enumerate(ks)}
                for iv, v in enumerate(variables)}
         if verify:
-            self._verify(data, times[-1], max(ks), out, last[0])
+            self._verify(data, times, latest, max(ks), out, last[0])
         return out
 
-    def _verify(self, data, t_last, k_max, out, a2_last):
-        """Panel-doubling check of the quadrature at the most demanding time."""
+    def _verify(self, data, times, latest, k_max, out, a2_last):
+        """Panel-doubling check of the quadrature at ``times[latest]``, the most demanding."""
+        t_last = times[latest]
         fine = np.sqrt(self._refined_squares(data, t_last, k_max, tuple(out), a2_last))
         for (v, table), f in zip(out.items(), fine):
-            coarse = table[k_max][-1]
+            coarse = table[k_max][latest]
             if abs(f - coarse) > _CHECK_TOL * max(f, 1e-300) + 1e-300:
                 raise AccuracyError(
                     f"quadrature not converged for {v} at t={t_last:g}: "
@@ -378,9 +416,15 @@ class ModeEvolution:
         live = (coarse > _CHECK_TOL**2 * coarse.sum(axis=1, keepdims=True)).any(axis=0)
         total = coarse[:, ~live].sum(axis=1)
         if live.any():
-            nodes, weights = quad.split(np.nonzero(live)[0])
+            slot = self._refined[0]  # an equal live set reuses it, another replaces it
+            if slot is None or not np.array_equal(slot[0], live):
+                nodes, weights = quad.split(np.nonzero(live)[0])
+                decomp = decompose_batch(nodes, self.coeffs)
+                _freeze(live, nodes, weights, *vars(decomp).values())
+                slot = self._refined[0] = (live, nodes, weights, decomp)
+            _, nodes, weights, decomp = slot
             U0 = data.sampled(nodes)
-            U = decompose_batch(nodes, self.coeffs).apply(t, U0)
+            U = decomp.apply(t, U0)
             total += (self._squared_moduli(U, U0, nodes, t, variables)
                       @ _node_weights(nodes, weights, (k,))[:, 0])
         return total

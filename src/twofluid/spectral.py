@@ -21,7 +21,7 @@ array of length one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -668,8 +668,12 @@ def heat_factor(xi, nu1: float, t: float):
     return np.exp(-nu1 * np.asarray(xi, dtype=float) ** 2 * t)
 
 
+@lru_cache(maxsize=64)
 def choose_eta(coeffs: LinearCoefficients) -> float:
-    """Largest cutoff radius up to 1 where the eigenvalue asymptotics hold to 10%."""
+    """Largest cutoff radius up to 1 where the eigenvalue asymptotics hold to 10%.
+
+    Cached per coefficient set: a lab's campaigns on one parameter set share it.
+    """
     from itertools import permutations
 
     xis = np.geomspace(1e-4, 1.0, 160)

@@ -358,6 +358,25 @@ def test_readme_config_runs(tmp_path, task):
                  "--quiet"]) == 0
 
 
+def test_lower_bound_keeps_its_bytes_alone_and_next_to_linear_decay(tmp_path):
+    # in one process the second campaign on a parameter set reuses the first's
+    # quadrature, decompositions and cutoff radius
+    from test_linearlab import clear_lab_caches
+
+    cfg = parse_config(_readme_config())
+    runs = {"linear-decay": [], "lower-bound": []}
+    for order in (("lower-bound",), ("linear-decay", "lower-bound"),
+                  ("lower-bound", "linear-decay")):
+        clear_lab_caches()
+        for task in order:
+            out = tmp_path / "-".join(order) / task
+            assert run_campaign(replace(cfg, task=task), out_dir=out, quiet=True) == 0
+            runs[task].append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    lower, decay = runs["lower-bound"], runs["linear-decay"]
+    assert len(lower[0]) >= 4 and lower[0] == lower[1] == lower[2]
+    assert len(decay[0]) >= 3 and decay[0] == decay[1]
+
+
 @pytest.mark.parametrize("text,field", [
     ("decay:\n  samples: 4.5\n", "decay.samples"),
     ('sim:\n  n: "abc"\n', "sim.n"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twofluid.closure import FluidParams, linear_coefficients
-from twofluid import linearlab
+from twofluid import linearlab, spectral
 from twofluid.linearlab import (
     AccuracyError,
     ModeEvolution,
@@ -19,6 +19,12 @@ from twofluid.linearlab import (
 from twofluid.spectral import batch_green, decompose_batch
 
 SYM = FluidParams()
+
+
+def clear_lab_caches():
+    """Empty the lab's process-wide caches: bases and cutoff radii."""
+    linearlab._evolution_basis.cache_clear()
+    spectral.choose_eta.cache_clear()
 
 
 @pytest.fixture(scope="module")
@@ -302,8 +308,9 @@ def test_norms_match_per_time_contraction(sym_evolution):
                 assert table[v][k][it] == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-def test_live_panel_check_matches_full_refinement(sym_evolution, monkeypatch):
-    ev = sym_evolution
+def test_live_panel_check_matches_full_refinement(monkeypatch):
+    clear_lab_caches()  # a fresh basis: no refined decomposition yet
+    ev = ModeEvolution(SYM, t_max=1.2e4)
     data = make_generic_data(0.5)
     t, k = 1e4, 3
     variables = linearlab.VARIABLES
@@ -333,6 +340,7 @@ def test_live_panel_check_matches_full_refinement(sym_evolution, monkeypatch):
 def test_norms_never_build_the_projector_array(monkeypatch):
     # the linear lab projects data through the adjugate; the (n, 4, 4, 4)
     # projector array is only built when read, and norms never reads it
+    clear_lab_caches()
     built = []
 
     def recorded(nodes, coeffs):
@@ -344,6 +352,97 @@ def test_norms_never_build_the_projector_array(monkeypatch):
     ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 40), range(4), verify=True)
     assert len(built) == 2  # the evolution's and the quadrature check's
     assert all("projectors" not in vars(d) for d in built)
+
+
+def test_quadrature_check_runs_at_the_latest_time_in_any_order():
+    # a rule sized for t <= 100 passes the check at t = 100 but not at 1e4,
+    # wherever 1e4 stands among the times
+    ev = ModeEvolution(SYM, t_max=1e2)
+    for times in ([1e2, 1e4], [1e4, 1e2]):
+        with pytest.raises(AccuracyError, match="t=10000"):
+            ev.norms(make_generic_data(0.5), times, ks=range(4))
+
+
+def test_norms_of_descending_times_are_the_ascending_table_reversed(sym_evolution):
+    data = make_generic_data(0.5)
+    times = np.geomspace(1e2, 1e4, 12)
+    up = sym_evolution.norms(data, times, ks=range(4))
+    down = sym_evolution.norms(data, times[::-1], ks=range(4))
+    for v in up:
+        for k in range(4):
+            assert down[v][k][::-1].tobytes() == up[v][k].tobytes()
+
+
+@pytest.mark.parametrize("times,ks,name", [([], range(4), "times"), ([1.0, 2.0], (), "ks")])
+def test_norms_reject_empty_times_and_orders(sym_evolution, times, ks, name):
+    with pytest.raises(ValueError, match=f"^{name} must hold at least one"):
+        sym_evolution.norms(make_generic_data(0.5), times, ks=ks)
+
+
+def test_equal_keys_share_one_read_only_basis():
+    clear_lab_caches()
+    ev = ModeEvolution(SYM, t_max=1.2e4)
+    ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 12), ks=range(4))
+    twin = ModeEvolution(FluidParams(), t_max=12000, order=24)
+    assert twin.quad is ev.quad and twin.decomp is ev.decomp
+    assert ModeEvolution(SYM, t_max=1e3).decomp is not ev.decomp
+    _, nodes, weights, refined = ev._refined[0]
+    arrays = [ev.quad.edges, ev.quad.nodes, ev.quad.weights, nodes, weights]
+    for dec in (ev.decomp, refined):
+        arrays += [a for a in vars(dec).values() if isinstance(a, np.ndarray)] + list(dec.char)
+    assert len(arrays) == 5 + 2 * 11
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("case", ["readme", "confluent", "draw0"])
+def test_shared_basis_gives_the_bits_of_a_fresh_one(monkeypatch, case, cpus):
+    from test_acceptance import tuned_confluent_params
+    from test_spectral import FALLBACK_PARAMS
+    from twofluid import threads
+
+    monkeypatch.setattr(threads, "CPUS", cpus)
+    params = {"readme": SYM, "confluent": tuned_confluent_params(),
+              "draw0": FALLBACK_PARAMS}[case]
+    data = make_generic_data(0.5)
+    times = np.geomspace(1e2, 1e4, 12)
+
+    def table():
+        ev = ModeEvolution(params)
+        t = ev.norms(data, times, ks=range(4))
+        return ev.decomp, [t[v][k].tobytes() for v in t for k in range(4)]
+
+    clear_lab_caches()
+    built, fresh = table()
+    shared, again = table()  # the cached basis and its check's refinement
+    assert shared is built and again == fresh
+
+
+def test_quadrature_check_reuses_its_refinement_for_equal_live_panels(monkeypatch):
+    # on the README set the generic and slow-channel data keep the same 135
+    # panels live at t = 1e4; an earlier latest time keeps more, and the
+    # basis's one slot then holds those until the next change
+    clear_lab_caches()
+    sizes = []
+
+    def counted(nodes, coeffs):
+        sizes.append(len(nodes))
+        return decompose_batch(nodes, coeffs)
+
+    monkeypatch.setattr(linearlab, "decompose_batch", counted)
+    ev = ModeEvolution(SYM, t_max=1.2e4)
+    times = np.geomspace(1e2, 1e4, 40)
+    generic, slow = make_generic_data(0.5), make_lower_bound_data(0.5, 1.0, 2.0, 0.4)
+    ev.norms(generic, times, ks=range(4))
+    ev.norms(slow, times, ks=range(4), variables=("n+", "n-", "phi+", "phi-", "combo"))
+    ModeEvolution(SYM, t_max=1.2e4).norms(generic, times[::-1], ks=range(4))
+    assert sizes == [11328, 135 * 48]
+    ev.norms(generic, times[:20], ks=range(4))
+    ev.norms(generic, times, ks=range(4))
+    assert len(sizes) == 4 and sizes[2] > sizes[1] and sizes[3] == sizes[1]
+
 
 @pytest.mark.parametrize("kwargs", [
     dict(t_max=1e2),               # panels sized for a far shorter time

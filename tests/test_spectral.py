@@ -235,9 +235,11 @@ def test_guard_row_gets_the_polished_eigensolve(monkeypatch):
 def test_linear_lab_campaigns_never_reach_the_eigensolve(tmp_path, monkeypatch):
     # the benchmark's four linear-lab campaigns at full size: every quartic
     # row converges, so np.linalg.eigvals never runs
+    from test_linearlab import clear_lab_caches
     from test_perfbench import load_perfbench
     from twofluid.cli import parse_config, run_campaign
 
+    clear_lab_caches()
     rows, unconverged, eigvals_calls = [], [], []
     factor, eigvals = spectral._quartic_roots, np.linalg.eigvals
 
@@ -255,7 +257,11 @@ def test_linear_lab_campaigns_never_reach_the_eigensolve(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", counted_eigvals)
     for name, _, text in load_perfbench("run").campaigns("linear-lab", 0, "full"):
         assert run_campaign(parse_config(text), out_dir=tmp_path / name, quiet=True) == 0
-    assert sum(rows) > 2 * 11328 and sum(unconverged) == 0 and eigvals_calls == []
+    # per parameter set one 200-mode table and one 160-frequency cutoff
+    # search; linear-decay and lower-bound share one 11,328-node basis and its
+    # check's refinement of 135 live panels (48 nodes each)
+    assert sum(rows) == 2 * (200 + 160) + 11328 + 135 * 48
+    assert sum(unconverged) == 0 and eigvals_calls == []
 
 
 def test_eigenvalues_asymptotic_symmetric_R():
