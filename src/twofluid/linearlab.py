@@ -277,12 +277,6 @@ class NormSeries:
             raise ValueError("norm values must be nonnegative")
 
 
-# Parameter sets whose exact-evolution basis stays cached.  On the README
-# decay window a basis holds 2.9 MB of quadrature and decomposition, and
-# 1.6 MB more once its quadrature check has refined the live panels.
-_BASES = 4
-
-
 def _freeze(*arrays):
     """Make arrays (and tuples of arrays) read-only: a cached basis is shared."""
     for a in arrays:
@@ -292,14 +286,15 @@ def _freeze(*arrays):
             a.flags.writeable = False
 
 
-@functools.lru_cache(maxsize=_BASES)
+@functools.lru_cache(maxsize=1)
 def _evolution_basis(params: FluidParams, t_max: float, order: int):
     """The oscillation-aware quadrature on radii up to 12, its decomposition and a check slot.
 
     Built once per ``(params, t_max, order)`` and read-only: every evolution
     of one parameter set shares it, and since a row's decomposition does not
-    depend on its batch, every norm keeps its bits.  The slot, a one-item
-    list, holds the quadrature check's last refinement.
+    depend on its batch, every norm keeps its bits.  Only the latest key's
+    basis is kept; another key replaces it.  The slot, a one-item list, holds
+    the quadrature check's last refinement.
     """
     coeffs = linear_coefficients(params)
     nubar = spectral_constants(coeffs)[4]
@@ -314,10 +309,10 @@ class ModeEvolution:
     """Exact evolution of radial data under one parameter set, on radii up to 12.
 
     The quadrature and its per-node semigroup decomposition are one read-only
-    basis per ``(params, t_max, order)`` per process, shared by every
-    evolution of that key.  That pays when one process checks a parameter set
-    twice, as ``linear-decay`` and ``lower-bound`` do; a single campaign
-    builds it once either way.  :meth:`norms` projects the data once,
+    basis per ``(params, t_max, order)``, shared by every evolution of that
+    key while it is the latest one built in the process.  That pays when one
+    process checks a parameter set twice in a row, as ``linear-decay`` and
+    ``lower-bound`` do; a single campaign builds it once either way.  :meth:`norms` projects the data once,
     ``Q[n, i] = P[n, i] @ U0[n]``, through the adjugate, never building the
     projector matrices.  Each sample time costs only the real sum ``U(t) =
     sum_i w_i(t) Q_i`` (one exponential per conjugate pair), and the squared

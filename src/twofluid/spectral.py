@@ -379,12 +379,13 @@ class BatchDecomposition:
 
     @cached_property
     def projectors(self):
-        """Spectral projectors, (n, 4, 4, 4) complex, built on first read."""
+        """Spectral projectors, (n, 4, 4, 4) complex, built on first read; read-only."""
         P = np.zeros(self.eigenvalues.shape + (4, 4), dtype=complex)
         P[self.special] = self.special_projectors
         ld, (B2, B1, B0), den = self._adjugate()
         for i, li in enumerate(ld.T[:, :, None, None]):
             P[~self.special, i] = (((li * _I4 + B2) * li + B1) * li + B0) / den[i][:, None, None]
+        P.flags.writeable = False  # a decomposition may be shared (the lab caches its bases)
         return P
 
     def weights(self, t: float):

@@ -385,15 +385,19 @@ def test_equal_keys_share_one_read_only_basis():
     ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 12), ks=range(4))
     twin = ModeEvolution(FluidParams(), t_max=12000, order=24)
     assert twin.quad is ev.quad and twin.decomp is ev.decomp
-    assert ModeEvolution(SYM, t_max=1e3).decomp is not ev.decomp
     _, nodes, weights, refined = ev._refined[0]
     arrays = [ev.quad.edges, ev.quad.nodes, ev.quad.weights, nodes, weights]
     for dec in (ev.decomp, refined):
         arrays += [a for a in vars(dec).values() if isinstance(a, np.ndarray)] + list(dec.char)
     assert len(arrays) == 5 + 2 * 11
+    arrays.append(ev.decomp.projectors)  # built on first read, shared like the rest
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[...] = a
+    # the process keeps the latest key's basis only
+    assert ModeEvolution(SYM, t_max=1e3).decomp is not ev.decomp
+    assert linearlab._evolution_basis.cache_info().currsize == 1
+    assert ModeEvolution(SYM, t_max=1.2e4).decomp is not ev.decomp
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
