@@ -25,7 +25,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .closure import PARAMS_DOMAIN, FluidParams, linear_coefficients
+from .closure import PARAMS_DOMAIN, FluidParams, combination, linear_coefficients
 from .linearlab import (
     LOWER_BOUND_DATA_DOMAIN,
     MIN_FIT_SAMPLES,
@@ -141,6 +141,12 @@ _SECTION_TYPES = {name: typ for name, typ in typing.get_type_hints(RunConfig).it
 
 MODES, DECAY, SIM = ("analyze-modes",), ("linear-decay", "lower-bound"), ("simulate",)
 
+
+def _sample_times(decay):
+    """The lab tasks' ``decay.samples`` geometric sample times from t_min to t_max."""
+    return np.geomspace(decay.t_min, decay.t_max, decay.samples)
+
+
 # (tasks, section, field, test, domain): the range of each config field the
 # named tasks read.  A test takes the whole section, so cross-field rules are
 # rows too, and ``{0.<field>}`` in a domain shows another field's value.  The
@@ -172,6 +178,10 @@ CONFIG_RULES = (
     (DECAY, "decay", "t_min", lambda d: 0 < d.t_min < d.t_max,
      "> 0 and < decay.t_max ({0.t_max!r})"),
     (DECAY, "decay", "samples", lambda d: d.samples >= MIN_FIT_SAMPLES, f">= {MIN_FIT_SAMPLES}"),
+    # holds where the two rows above fail: one error per field
+    (DECAY, "decay", "t_min", lambda d: not (0 < d.t_min < d.t_max and d.samples >= MIN_FIT_SAMPLES)
+     or (np.diff(_sample_times(d)) > 0).all(), "far enough below decay.t_max ({0.t_max!r}) "
+     "for {0.samples} distinct sample times"),
     (DECAY, "decay", "tolerance", lambda d: d.tolerance >= 0, ">= 0"),
     (("fit",), "fit", "t_min", lambda f: None in (f.t_min, f.t_max) or f.t_min < f.t_max,
      "< fit.t_max ({0.t_max!r})"),
@@ -376,21 +386,7 @@ def _task_analyze_modes(config: RunConfig, out_dir: Path, chash: str, meta: dict
                 f"{residuals.max():.3e}, max semigroup residual {sg_res.max():.3e}")
 
 
-def _norm_rows_and_fits(evolution, data, decay: DecaySection, variables):
-    times = np.geomspace(decay.t_min, decay.t_max, decay.samples)
-    ks = tuple(range(decay.k_max + 1))
-    table = evolution.norms(data, times, ks=ks, variables=variables)
-    rows = []
-    fits = {}
-    for v in variables:
-        for k in ks:
-            for t, val in zip(times, table[v][k]):
-                rows.append((t, v, k, val))
-            series = NormSeries(times=times, values=table[v][k], k=k, variable=v)
-            fits[(v, k)] = fit_power_law(series)
-    return times, table, rows, fits
-
-
+NORM_COLUMNS = ["t", "variable", "k", "norm"]
 FIT_COLUMNS = ["variable", "k", "exponent", "amplitude", "residual", "status",
                "expected_exponent"]
 
@@ -411,13 +407,30 @@ def _write_fit_summary(out_dir: Path, fits: dict, chash: str, tolerance=None):
     return rows
 
 
+def _norm_rows_and_fits(config: RunConfig, data, variables, out_dir: Path, chash: str):
+    """Norms of ``data`` at the sample times, by a quadrature sized for 1.2 ``decay.t_max``, and
+    their fits; writes both CSVs and returns ``(times, table, fits, fit summary rows)``."""
+    d = config.decay
+    times = _sample_times(d)
+    ks = tuple(range(d.k_max + 1))
+    evolution = ModeEvolution(config.params, t_max=d.t_max * 1.2)
+    table = evolution.norms(data, times, ks=ks, variables=variables)
+    rows = []
+    fits = {}
+    for v in variables:
+        for k in ks:
+            for t, val in zip(times, table[v][k]):
+                rows.append((t, v, k, val))
+            series = NormSeries(times=times, values=table[v][k], k=k, variable=v)
+            fits[(v, k)] = fit_power_law(series)
+    write_csv(out_dir / "norms.csv", NORM_COLUMNS, rows, chash)
+    return times, table, fits, _write_fit_summary(out_dir, fits, chash, d.tolerance)
+
+
 def _task_linear_decay(config: RunConfig, out_dir: Path, chash: str, meta: dict):
     d = config.decay
-    evolution = ModeEvolution(config.params, t_max=d.t_max * 1.2)
-    data = make_generic_data(d.K0)
-    times, table, rows, fits = _norm_rows_and_fits(evolution, data, d, VARIABLES)
-    write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], rows, chash)
-    fit_rows = _write_fit_summary(out_dir, fits, chash, d.tolerance)
+    _, _, fits, fit_rows = _norm_rows_and_fits(config, make_generic_data(d.K0), VARIABLES,
+                                               out_dir, chash)
     meta.update({"eta": choose_eta(linear_coefficients(config.params)), "K0": d.K0,
                  "fit_window": [d.t_min, d.t_max]})
     worst = max(abs(f.exponent - expected_exponent(v, k)) for (v, k), f in fits.items())
@@ -428,11 +441,8 @@ def _task_linear_decay(config: RunConfig, out_dir: Path, chash: str, meta: dict)
 def _task_lower_bound(config: RunConfig, out_dir: Path, chash: str, meta: dict):
     d = config.decay
     variables = ("n+", "n-", "phi+", "phi-", "combo")
-    evolution = ModeEvolution(config.params, t_max=d.t_max * 1.2)
     data = make_lower_bound_data(d.K0, d.theta, d.s_exp, d.eta)
-    times, table, rows, fits = _norm_rows_and_fits(evolution, data, d, variables)
-    write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], rows, chash)
-    _write_fit_summary(out_dir, fits, chash, d.tolerance)
+    times, table, _, _ = _norm_rows_and_fits(config, data, variables, out_dir, chash)
     band_rows = []
     all_ok = True
     for v in sorted(variables):
@@ -470,8 +480,7 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, meta: dict):
 
     def record(st):
         n_p, n_m, u_p, u_m = FieldState.split(st.spectra)
-        combo = co.beta_plus * n_p + co.beta_minus * n_m
-        fields = {"n+": n_p, "n-": n_m, "u+": u_p, "u-": u_m, "combo": combo}
+        fields = {"n+": n_p, "n-": n_m, "u+": u_p, "u-": u_m, "combo": combination(n_p, n_m, co)}
         for v, spec in fields.items():
             k_hi = s.k_max + 1 if v in ("n+", "n-") else s.k_max
             for k, sq in enumerate(gradient_l2sq(grid, spec, order=range(k_hi + 1))):
@@ -494,7 +503,7 @@ def _task_simulate(config: RunConfig, out_dir: Path, chash: str, meta: dict):
             write_checkpoint(exc.state, config.params, out_dir / "state_blowup.tfck")
         raise
     finally:  # every ending keeps the records made so far
-        write_csv(out_dir / "norms.csv", ["t", "variable", "k", "norm"], norm_rows, chash)
+        write_csv(out_dir / "norms.csv", NORM_COLUMNS, norm_rows, chash)
         write_csv(out_dir / "energy.csv", energy_columns, energy_rows, chash)
     write_checkpoint(state, config.params, out_dir / "state_final.tfck")
     mass_drift = max(abs(r[c] - energy_rows[0][c]) for r in energy_rows for c in (3, 4))

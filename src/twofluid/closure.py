@@ -206,6 +206,11 @@ def linear_coefficients(params: FluidParams) -> LinearCoefficients:
     )
 
 
+def combination(n_plus, n_minus, co: LinearCoefficients):
+    """The combination variable ``beta+ n+ + beta- n-`` of fields, spectra or mode values."""
+    return co.beta_plus * n_plus + co.beta_minus * n_minus
+
+
 def nonlinear_coefficients(closure: ClosureState, params: FluidParams) -> NonlinearCoefficients:
     """The ten coefficient functions at perturbations ``n± = R± - rbar±``.
 
@@ -237,6 +242,6 @@ def linearized_density_perturbation(n_plus, n_minus, params: FluidParams):
     """
     eq = equilibrium_state(params)
     co = linear_coefficients(params)
-    combo = co.beta_plus * np.asarray(n_plus) + co.beta_minus * np.asarray(n_minus)
+    combo = combination(np.asarray(n_plus), np.asarray(n_minus), co)
     factor = eq.c2 * np.sqrt(eq.rho_plus * eq.rho_minus)
     return factor / eq.s2_plus * combo, factor / eq.s2_minus * combo

@@ -25,7 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import threads
-from .closure import FluidParams, check_domain, linear_coefficients, linearized_density_perturbation
+from .closure import (FluidParams, check_domain, combination, linear_coefficients,
+                      linearized_density_perturbation)
 from .spectral import (
     decompose_batch,
     heat_factor,
@@ -35,6 +36,7 @@ from .spectral import (
 
 VARIABLES = ("n+", "n-", "phi+", "phi-", "combo", "drho+", "drho-", "heat+", "heat-")
 _CHECK_TOL = 1e-8  # relative tolerance of ModeEvolution's quadrature check
+_ORDER = 24  # Gauss-Legendre nodes per panel of ModeEvolution's quadrature
 
 
 class AccuracyError(RuntimeError):
@@ -49,8 +51,7 @@ class AccuracyError(RuntimeError):
 def _gauss_rule(order):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only (callers share them)."""
     rule = np.polynomial.legendre.leggauss(order)
-    for a in rule:
-        a.flags.writeable = False
+    threads.freeze(*rule)
     return rule
 
 
@@ -80,7 +81,7 @@ class RadialQuadrature:
         return cls(edges=edges, order=order, nodes=nodes, weights=weights)
 
     @classmethod
-    def oscillation_aware(cls, r_max, t_max, omega, nubar, order=24):
+    def oscillation_aware(cls, r_max, t_max, omega, nubar):
         """Geometric segments, each split so the phase omega*r*t stays resolved.
 
         A segment [a, b] only matters while exp(-nubar a^2 t) is above the
@@ -98,7 +99,7 @@ class RadialQuadrature:
             phase = omega * (b - a) * t_seg
             n_pan = max(1, int(np.ceil(phase / (4.0 * np.pi))))
             edges.extend(np.linspace(a, b, n_pan + 1)[1:])
-        return cls.from_edges(np.asarray(edges), order)
+        return cls.from_edges(np.asarray(edges), _ORDER)
 
     def refined(self):
         """Same rule with every panel split in two (convergence checks)."""
@@ -204,10 +205,7 @@ def _data_size_surrogate(fns, r_max) -> float:
     total = 0.0
     probe = np.linspace(0.0, r_max, 512)
     for fn in fns:
-        vals = np.abs(fn(probe))
-        if vals.max() == 0.0:
-            continue
-        total += vals.max()  # stand-in for the L1 bound on the spectrum
+        total += np.abs(fn(probe)).max()  # stand-in for the L1 bound on the spectrum
         for j in range(DATA_SIZE_ORDERS):
             total += radial_norm(fn, j, r_max=r_max)
     return total
@@ -227,16 +225,10 @@ LOWER_BOUND_DATA_DOMAIN = (
 def make_generic_data(K0: float) -> RadialProfileData:
     """Gaussian data in all four channels, scaled to overall size ``K0``."""
     check_domain(GENERIC_DATA_DOMAIN, SimpleNamespace(K0=K0))
-    r_max = 12.0
     base = tuple(_gaussian(a, w) for a, w in zip(_GENERIC_AMPS, _GENERIC_WIDTHS))
-    if K0 == 0.0:
-        fns = tuple(_gaussian(0.0, w) for w in _GENERIC_WIDTHS)
-        scale = 0.0
-    else:
-        size = _data_size_surrogate(base, r_max)
-        scale = K0 / size
-        fns = tuple(_gaussian(a * scale, w) for a, w in zip(_GENERIC_AMPS, _GENERIC_WIDTHS))
-    return RadialProfileData(profile_fns=fns)
+    scale = K0 / _data_size_surrogate(base, 12.0)
+    return RadialProfileData(profile_fns=tuple(
+        _gaussian(a * scale, w) for a, w in zip(_GENERIC_AMPS, _GENERIC_WIDTHS)))
 
 
 def make_lower_bound_data(K0: float, theta: float, s_exp: float, eta: float) -> RadialProfileData:
@@ -277,20 +269,18 @@ class NormSeries:
             raise ValueError("norm values must be nonnegative")
 
 
-def _freeze(*arrays):
-    """Make arrays (and tuples of arrays) read-only: a cached basis is shared."""
-    for a in arrays:
-        if isinstance(a, tuple):
-            _freeze(*a)
-        elif isinstance(a, np.ndarray):
-            a.flags.writeable = False
+def _decompose(nodes, coeffs):
+    """``decompose_batch`` with every array read-only: a cached basis is shared."""
+    decomp = decompose_batch(nodes, coeffs)
+    threads.freeze(*decomp.char, *(a for a in vars(decomp).values() if a is not decomp.char))
+    return decomp
 
 
 @functools.lru_cache(maxsize=1)
-def _evolution_basis(params: FluidParams, t_max: float, order: int):
+def _evolution_basis(params: FluidParams, t_max: float):
     """The oscillation-aware quadrature on radii up to 12, its decomposition and a check slot.
 
-    Built once per ``(params, t_max, order)`` and read-only: every evolution
+    Built once per ``(params, t_max)`` and read-only: every evolution
     of one parameter set shares it, and since a row's decomposition does not
     depend on its batch, every norm keeps its bits.  Only the latest key's
     basis is kept; another key replaces it.  The slot, a one-item list, holds
@@ -299,48 +289,48 @@ def _evolution_basis(params: FluidParams, t_max: float, order: int):
     coeffs = linear_coefficients(params)
     nubar = spectral_constants(coeffs)[4]
     omega = np.sqrt(coeffs.beta1 + coeffs.beta4)
-    quad = RadialQuadrature.oscillation_aware(12.0, t_max, omega, max(nubar, 1e-3), order=order)
-    decomp = decompose_batch(quad.nodes, coeffs)
-    _freeze(quad.edges, quad.nodes, quad.weights, *vars(decomp).values())
-    return quad, decomp, [None]
+    quad = RadialQuadrature.oscillation_aware(12.0, t_max, omega, max(nubar, 1e-3))
+    threads.freeze(quad.edges, quad.nodes, quad.weights)
+    return quad, _decompose(quad.nodes, coeffs), [None]
 
 
 class ModeEvolution:
     """Exact evolution of radial data under one parameter set, on radii up to 12.
 
     The quadrature and its per-node semigroup decomposition are one read-only
-    basis per ``(params, t_max, order)``, shared by every evolution of that
-    key while it is the latest one built in the process.  That pays when one
-    process checks a parameter set twice in a row, as ``linear-decay`` and
-    ``lower-bound`` do; a single campaign builds it once either way.  :meth:`norms` projects the data once,
-    ``Q[n, i] = P[n, i] @ U0[n]``, through the adjugate, never building the
-    projector matrices.  Each sample time costs only the real sum ``U(t) =
-    sum_i w_i(t) Q_i`` (one exponential per conjugate pair), and the squared
-    moduli of every variable meet the node weights ``4 pi w r^(2k+2)`` of
-    every order in one matrix product.  Each time fills its own row of the
-    table, so the times run on the package's thread pool
-    (:mod:`twofluid.threads`), one task each; each keeps its working set at a
-    few node arrays.
+    basis per ``(params, t_max)``, shared by every evolution of that key while
+    it is the latest one built in the process.  That pays when one process
+    checks a parameter set twice in a row, as ``linear-decay`` and
+    ``lower-bound`` do; a single campaign builds it once either way.
+    :meth:`norms` projects the data once, ``Q[n, i] = P[n, i] @ U0[n]``,
+    through the adjugate, never building the projector matrices.  Each sample
+    time costs only the real sum ``U(t) = sum_i w_i(t) Q_i`` (one exponential
+    per conjugate pair), and the squared moduli of every variable meet the
+    node weights ``4 pi w r^(2k+2)`` of every order in one matrix product.
+    Each time fills its own row of the table, so the times run on the
+    package's thread pool (:mod:`twofluid.threads`), one task each; each keeps
+    its working set at a few node arrays.
 
-    The quadrature check doubles the panels at the latest time and the
-    highest order, to relative tolerance ``_CHECK_TOL``, but only on the panels
-    that hold more than ``_CHECK_TOL**2`` of some variable's squared norm.  The
-    others keep their coarse contribution: together they hold at most
-    ``n_panels * _CHECK_TOL**2`` of it, far below what the check resolves.
-    The basis keeps one refinement: the last live panel set's.
+    :meth:`norms` always checks its quadrature: it doubles the panels at the
+    latest time, the most demanding, and the highest order, to relative
+    tolerance ``_CHECK_TOL``, but only on the panels that hold more than
+    ``_CHECK_TOL**2`` of some variable's squared norm.  The others keep their
+    coarse contribution: together they hold at most ``n_panels *
+    _CHECK_TOL**2`` of it, far below what the check resolves.  The basis keeps
+    one refinement: the last live panel set's.
     """
 
-    def __init__(self, params: FluidParams, t_max: float = 1.2e4, order: int = 24):
+    def __init__(self, params: FluidParams, t_max: float = 1.2e4):
         self.params = params
         self.coeffs = linear_coefficients(params)
-        self.quad, self.decomp, self._refined = _evolution_basis(params, t_max, order)
+        self.quad, self.decomp, self._refined = _evolution_basis(params, t_max)
 
     def _variable_values(self, U, U0, nodes, t):
         co = self.coeffs
         drho_p, drho_m = linearized_density_perturbation(U[:, 0], U[:, 2], self.params)
         return {
             "n+": U[:, 0], "n-": U[:, 2], "phi+": U[:, 1], "phi-": U[:, 3],
-            "combo": co.beta_plus * U[:, 0] + co.beta_minus * U[:, 2],
+            "combo": combination(U[:, 0], U[:, 2], co),
             "drho+": drho_p,
             "drho-": drho_m,
             "heat+": U0[:, 1] * heat_factor(nodes, co.nu1_plus, t),
@@ -353,8 +343,7 @@ class ModeEvolution:
         a = np.abs(np.stack([vals[v] for v in variables]))
         return np.multiply(a, a, out=a)
 
-    def norms(self, data: RadialProfileData, times, ks, variables=VARIABLES,
-              verify: bool = True):
+    def norms(self, data: RadialProfileData, times, ks, variables=VARIABLES):
         """Norm tables {variable: {k: array over times}} by exact evolution."""
         for v in variables:
             if v not in VARIABLES:
@@ -372,7 +361,7 @@ class ModeEvolution:
         evolve = self.decomp.evolution(U0)
         W = _node_weights(nodes, self.quad.weights, ks)
         sq = np.empty((len(times), len(variables), len(ks)))
-        latest = int(np.argmax(times))  # the most demanding time, checked
+        latest = int(np.argmax(times))  # the time the quadrature check runs at
         last = []  # its squared moduli, for the check
 
         def sample(it):
@@ -384,20 +373,15 @@ class ModeEvolution:
         threads.each(sample, len(times), threads.CPUS)
         out = {v: {k: np.sqrt(sq[:, iv, ik]) for ik, k in enumerate(ks)}
                for iv, v in enumerate(variables)}
-        if verify:
-            self._verify(data, times, latest, max(ks), out, last[0])
-        return out
-
-    def _verify(self, data, times, latest, k_max, out, a2_last):
-        """Panel-doubling check of the quadrature at ``times[latest]``, the most demanding."""
-        t_last = times[latest]
-        fine = np.sqrt(self._refined_squares(data, t_last, k_max, tuple(out), a2_last))
+        t_last, k_max = times[latest], max(ks)
+        fine = np.sqrt(self._refined_squares(data, t_last, k_max, tuple(out), last[0]))
         for (v, table), f in zip(out.items(), fine):
             coarse = table[k_max][latest]
             if abs(f - coarse) > _CHECK_TOL * max(f, 1e-300) + 1e-300:
                 raise AccuracyError(
                     f"quadrature not converged for {v} at t={t_last:g}: "
                     f"{float(coarse)!r} vs refined {float(f)!r}")
+        return out
 
     def _refined_squares(self, data, t, k, variables, a2):
         """Squared order-``k`` norms at ``t`` under the panel-doubled rule.
@@ -414,9 +398,8 @@ class ModeEvolution:
             slot = self._refined[0]  # an equal live set reuses it, another replaces it
             if slot is None or not np.array_equal(slot[0], live):
                 nodes, weights = quad.split(np.nonzero(live)[0])
-                decomp = decompose_batch(nodes, self.coeffs)
-                _freeze(live, nodes, weights, *vars(decomp).values())
-                slot = self._refined[0] = (live, nodes, weights, decomp)
+                threads.freeze(live, nodes, weights)
+                slot = self._refined[0] = (live, nodes, weights, _decompose(nodes, self.coeffs))
             _, nodes, weights, decomp = slot
             U0 = data.sampled(nodes)
             U = decomp.apply(t, U0)

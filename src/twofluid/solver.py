@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import threads
-from .closure import (FluidParams, check_domain, closure_state, linear_coefficients,
-                      nonlinear_coefficients)
+from .closure import (FluidParams, check_domain, closure_state, combination,
+                      linear_coefficients, nonlinear_coefficients)
 from .spectral import decompose_batch
 
 CHECKPOINT_MAGIC = b"TF2F"
@@ -180,14 +180,8 @@ def _waves(grid: Grid) -> _Waves:
     l2w[..., 0] = 1.0  # the band stops below the Nyquist column, the other unpaired one
     waves = _Waves(ks=ks, khat=np.stack([k * inv for k in ks]), k2=k2,
                    l2w=l2w * grid.volume / float(np.prod(grid.shape)) ** 2)
-    _freeze(*waves.ks, waves.khat, waves.k2, waves.l2w)
+    threads.freeze(*waves.ks, waves.khat, waves.k2, waves.l2w)
     return waves
-
-
-def _freeze(*arrays):
-    """Make arrays read-only: whoever shares them cannot change them."""
-    for arr in arrays:
-        arr.flags.writeable = False
 
 
 # Spectra live on the 2/3 band only (``Grid.band_shape``): with cut = n//3,
@@ -200,17 +194,14 @@ def _freeze(*arrays):
 # therefore scipy's bits, and a campaign never imports scipy.  Leading axes
 # beyond the field's are rows, each transformed by its own line transforms,
 # so a stack of rows in one call gives each row's bits.
-def _rfft(f, out=None, dim=None):
+def _rfft(f, dim=None):
     """Band spectrum of the real array ``f`` over its last ``dim`` axes (all by default)."""
     n = f.shape[-1]
     spec = np.fft.rfft(f)[..., :_cut(n) + 1]
     for axis in range(-(f.ndim if dim is None else dim), -1):
         np.fft.fft(spec, axis=axis, out=spec)
         spec = _keep_band(spec, axis)
-    if out is None:
-        return spec
-    out[...] = spec
-    return out
+    return spec
 
 
 def _irfft(spec, shape, out=None):
@@ -276,7 +267,7 @@ def _rfft_rows(grid: Grid, physical):
     """Stack of the band spectra of the rows of ``physical``, a block at a time."""
     spectra = np.empty((len(physical),) + grid.band_shape, dtype=complex)
     for s in _blocks(len(physical), grid.shape):
-        _rfft(physical[s], out=spectra[s], dim=grid.dim)
+        spectra[s] = _rfft(physical[s], dim=grid.dim)
     return spectra
 
 
@@ -302,7 +293,7 @@ class FieldState:
         physical = np.concatenate([np.asarray(n_plus)[None], np.asarray(n_minus)[None],
                                    u_plus, u_minus]).astype(float, copy=False)
         self._hold(grid, _rfft_rows(grid, physical), time)
-        _freeze(physical)
+        threads.freeze(physical)
         self.physical = physical
 
     @classmethod
@@ -324,7 +315,7 @@ class FieldState:
         self.grid = grid
         self.time = time
         self.rho_ratio = None
-        _freeze(spectra)
+        threads.freeze(spectra)
         self.spectra = spectra
 
     @staticmethod
@@ -347,7 +338,7 @@ class FieldState:
         """The fields in physical space, stacked like ``spectra``; read-only."""
         physical = _irfft_rows(self.spectra.__getitem__, len(self.spectra), self.grid.shape,
                                workers(self.grid))
-        _freeze(physical)
+        threads.freeze(physical)
         return physical
 
     n_plus = property(lambda self: self.split(self.physical)[0],
@@ -499,7 +490,7 @@ def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
     S = np.ascontiguousarray(np.moveaxis(S_used[np.searchsorted(used, band_m2)], 0, -1))
     S = S.reshape((4, 4) + grid.band_shape)
     heat = np.exp(np.multiply.outer([-co.nu1_plus, -co.nu1_minus], _waves(grid).k2) * dt)
-    _freeze(S, heat)
+    threads.freeze(S, heat)
     return S, heat
 
 
@@ -592,7 +583,7 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
         # continuity by the product rule: -div(n u) = -(u . grad n + n div u)
         flux_div = np.einsum("i...,i...->...", u[p], dn[p])
         flux_div += n[p] * div
-        np.negative(_rfft(flux_div, out=Fn[p]), out=Fn[p])
+        np.negative(_rfft(flux_div), out=Fn[p])
         del flux_div
         # momentum, with the viscous term mu Lap u + (mu + lam) grad div u;
         # a = h dn+ + k dn- feeds both the shear cross term and the bulk term
@@ -608,7 +599,7 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
             f += div * a[i]
             f += np.einsum("j...,j...->...", b, Du[p, i])
             f += mu[p] * np.einsum("j...,j...->...", a, Du[p, :, i])
-            _rfft(f, out=Fu[p, i])
+            Fu[p, i] = _rfft(f)
 
     threads.each(phase, 2, size)
     return F, ratio
@@ -668,9 +659,8 @@ def energy_report(state: FieldState, params: FluidParams) -> EnergyReport:
     co = linear_coefficients(params)
     n_p, n_m, u_p, u_m = FieldState.split(state.spectra)
     ks = _waves(grid).ks
-    combo = co.beta_plus * n_p + co.beta_minus * n_m
     e0 = 0.5 * (
-        gradient_l2sq(grid, combo, 0)
+        gradient_l2sq(grid, combination(n_p, n_m, co), 0)
         + co.sigma_plus / co.beta2 * gradient_l2sq(grid, n_p)
         + co.sigma_minus / co.beta3 * gradient_l2sq(grid, n_m)
         + gradient_l2sq(grid, u_p, 0) / co.beta2

@@ -348,7 +348,6 @@ class BatchDecomposition:
     """
 
     xis: np.ndarray
-    coeffs: LinearCoefficients
     eigenvalues: np.ndarray   # (n, 4); confluent rows hold (l1, l2, mu, mu)
     confluent: np.ndarray     # (n,) bool
     fallback: np.ndarray      # (n,) bool
@@ -385,7 +384,7 @@ class BatchDecomposition:
         ld, (B2, B1, B0), den = self._adjugate()
         for i, li in enumerate(ld.T[:, :, None, None]):
             P[~self.special, i] = (((li * _I4 + B2) * li + B1) * li + B0) / den[i][:, None, None]
-        P.flags.writeable = False  # a decomposition may be shared (the lab caches its bases)
+        threads.freeze(P)  # a decomposition may be shared (the lab caches its bases)
         return P
 
     def weights(self, t: float):
@@ -511,9 +510,8 @@ def decompose_batch(xis, coeffs: LinearCoefficients) -> BatchDecomposition:
         lam_o[r] = (l1, l2, mu, mu)
         Ps[s] = P1, P2, P3, P4
 
-    return BatchDecomposition(xis=xis, coeffs=coeffs, eigenvalues=lam_o, confluent=conf,
-                              fallback=fallback, green=A, char=char, special=special,
-                              special_projectors=Ps)
+    return BatchDecomposition(xis=xis, eigenvalues=lam_o, confluent=conf, fallback=fallback,
+                              green=A, char=char, special=special, special_projectors=Ps)
 
 
 def projector_residuals(batch: BatchDecomposition):

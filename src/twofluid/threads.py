@@ -45,6 +45,12 @@ def each(task, count: int, size: int):
         pass  # reading each result re-raises a task's exception
 
 
+def freeze(*arrays):
+    """Make arrays read-only: whoever shares them cannot change them."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def slices(task, length: int, count: int, size: int) -> list:
     """``[task(s), ...]`` over ``count`` contiguous, near-equal slices ``s`` of
     ``range(length)`` (at most ``length``, at least one), on ``size`` threads."""

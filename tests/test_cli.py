@@ -450,6 +450,9 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
      "'decay.t_min' must be > 0 and < decay.t_max (10000.0), got 0.0"),
     ("lower-bound", "decay:\n  t_min: 100\n  t_max: 100\n",
      "'decay.t_min' must be > 0 and < decay.t_max (100.0), got 100.0"),
+    ("linear-decay", "decay:\n  t_min: 9999.9999999999\n",
+     "'decay.t_min' must be far enough below decay.t_max (10000.0) for 40 distinct sample "
+     "times, got 9999.9999999999"),
     ("linear-decay", "decay:\n  K0: 0\n", "'decay.K0' must be > 0, got 0.0"),
     ("linear-decay", "decay:\n  K0: -1\n", "'decay.K0' must be > 0, got -1.0"),
     ("lower-bound", "decay:\n  K0: 1.5\n", "'decay.K0' must be in (0, 1), got 1.5"),
@@ -465,9 +468,9 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
         "n-below-4", "dim-4", "length-zero", "init-unknown", "sim-not-a-mapping",
         "xi_min-negative", "xi_min-above-xi_max", "t_check-negative", "samples-zero",
         "samples-below-fit-minimum", "decay-k_max-negative", "decay-t_min-zero",
-        "decay-window-empty", "linear-decay-K0-zero", "linear-decay-K0-negative",
-        "lower-bound-K0-above-1", "theta-2", "s_exp-zero", "eta-zero", "c_cfl-negative",
-        "gaussian-width-zero", "fit-window-reversed"])
+        "decay-window-empty", "sample-times-collide", "linear-decay-K0-zero",
+        "linear-decay-K0-negative", "lower-bound-K0-above-1", "theta-2", "s_exp-zero",
+        "eta-zero", "c_cfl-negative", "gaussian-width-zero", "fit-window-reversed"])
 def test_parse_rejects_fields_out_of_their_task_domain(tmp_path, capsys, task, text, message):
     # the first six ran to exit 0 or 1 whatever the run did, the next five died
     # inside the run with exit 2, and a list for the section crashed the parser.

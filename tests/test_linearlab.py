@@ -296,7 +296,7 @@ def test_norms_match_per_time_contraction(sym_evolution):
     ks = range(4)
     nodes, weights = ev.quad.nodes, ev.quad.weights
     U0 = data.sampled(nodes)
-    table = ev.norms(data, times, ks=ks, verify=False)
+    table = ev.norms(data, times, ks=ks)
     for it, t in enumerate(times):
         U = np.einsum("ni,nijk,nk->nj", ev.decomp.weights(t), ev.decomp.projectors,
                       U0.astype(complex))
@@ -349,7 +349,7 @@ def test_norms_never_build_the_projector_array(monkeypatch):
 
     monkeypatch.setattr(linearlab, "decompose_batch", recorded)
     ev = ModeEvolution(FluidParams())
-    ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 40), range(4), verify=True)
+    ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 40), range(4))
     assert len(built) == 2  # the evolution's and the quadrature check's
     assert all("projectors" not in vars(d) for d in built)
 
@@ -383,7 +383,7 @@ def test_equal_keys_share_one_read_only_basis():
     clear_lab_caches()
     ev = ModeEvolution(SYM, t_max=1.2e4)
     ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 12), ks=range(4))
-    twin = ModeEvolution(FluidParams(), t_max=12000, order=24)
+    twin = ModeEvolution(FluidParams(), t_max=12000)
     assert twin.quad is ev.quad and twin.decomp is ev.decomp
     _, nodes, weights, refined = ev._refined[0]
     arrays = [ev.quad.edges, ev.quad.nodes, ev.quad.weights, nodes, weights]
@@ -452,10 +452,17 @@ def test_quadrature_check_reuses_its_refinement_for_equal_live_panels(monkeypatc
     dict(t_max=1e2),               # panels sized for a far shorter time
     dict(t_max=1.2e4, order=8),    # too few nodes per panel
 ])
-def test_norms_quadrature_check_fails_on_underresolved_rule(kwargs):
-    ev = ModeEvolution(SYM, **kwargs)
-    with pytest.raises(AccuracyError):
-        ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 40), ks=range(4))
+def test_norms_quadrature_check_fails_on_underresolved_rule(monkeypatch, kwargs):
+    kwargs = dict(kwargs)
+    if "order" in kwargs:  # the basis key holds no order: build this rule afresh
+        monkeypatch.setattr(linearlab, "_ORDER", kwargs.pop("order"))
+        clear_lab_caches()
+    try:
+        ev = ModeEvolution(SYM, **kwargs)
+        with pytest.raises(AccuracyError):
+            ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 40), ks=range(4))
+    finally:
+        clear_lab_caches()  # no later test may share a basis of another order
 
 
 @pytest.mark.parametrize("case", ["readme", "confluent", "draw0"])
