@@ -163,6 +163,11 @@ CONFIG_RULES = (
     (SIM, "sim", "c_cfl", lambda s: s.c_cfl > 0, "> 0"),
     (SIM, "sim", "width", lambda s: s.init != "gaussian" or s.width > 0,
      "> 0 when sim.init is 'gaussian'"),
+    # holds where the row above fails: init_state's r^2 / (2 w^2) is finite (Python floats)
+    (SIM, "sim", "width", lambda s: s.init != "gaussian" or not s.width > 0
+     or 0 < 2.0 * (s.width * s.length) * (s.width * s.length)
+     >= s.dim * (s.length / 2.0) * (s.length / 2.0) / sys.float_info.max,
+     "large enough for a finite gaussian exponent on the box (sim.length = {0.length!r})"),
     (SIM, "sim", "mode", lambda s: s.init != "mode" or len(s.mode) == s.dim,
      "one wave index per axis (sim.dim = {0.dim})"),
     (SIM, "sim", "band",

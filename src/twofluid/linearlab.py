@@ -333,8 +333,8 @@ class ModeEvolution:
             "combo": combination(U[:, 0], U[:, 2], co),
             "drho+": drho_p,
             "drho-": drho_m,
-            "heat+": U0[:, 1] * heat_factor(nodes, co.nu1_plus, t),
-            "heat-": U0[:, 3] * heat_factor(nodes, co.nu1_minus, t),
+            "heat+": U0[:, 1] * heat_factor(nodes**2, co.nu1_plus, t),
+            "heat-": U0[:, 3] * heat_factor(nodes**2, co.nu1_minus, t),
         }
 
     def _squared_moduli(self, U, U0, nodes, t, variables):

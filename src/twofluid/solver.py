@@ -42,7 +42,7 @@ import numpy as np
 from . import threads
 from .closure import (FluidParams, check_domain, closure_state, combination,
                       linear_coefficients, nonlinear_coefficients)
-from .spectral import decompose_batch
+from .spectral import decompose_batch, heat_factor
 
 CHECKPOINT_MAGIC = b"TF2F"
 CHECKPOINT_VERSION = 1
@@ -489,7 +489,7 @@ def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
     S_used = dec.semigroup(dt).real * np.multiply.outer(_PHI_SIGN, _PHI_SIGN)
     S = np.ascontiguousarray(np.moveaxis(S_used[np.searchsorted(used, band_m2)], 0, -1))
     S = S.reshape((4, 4) + grid.band_shape)
-    heat = np.exp(np.multiply.outer([-co.nu1_plus, -co.nu1_minus], _waves(grid).k2) * dt)
+    heat = np.stack([heat_factor(_waves(grid).k2, nu, dt) for nu in (co.nu1_plus, co.nu1_minus)])
     threads.freeze(S, heat)
     return S, heat
 

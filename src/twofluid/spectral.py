@@ -6,13 +6,13 @@ builds ``A1``, computes its quartic spectrum (the characteristic quartic
 factored into two real quadratics by Ferrari's resolvent and Newton on the
 factors, after Strobach 2010, then one guarded Newton step on
 ``det(lambda I - A1)``), assembles the semigroup ``exp(t A1)`` from spectral
-projectors (the adjugate of ``lambda I - A1`` at each simple root, from Cayley-Hamilton;
-a dedicated branch covers the near-double diffusive pair, where the
-denominators ``prod_{j != i} (lambda_i - lambda_j)`` degenerate and the
-semigroup picks up a ``t*exp(lambda*t)`` term), and provides the smooth
-cutoff profile used to build band-limited data.  The projector matrices are
-built on demand; evolving data projects it through the adjugate instead and,
-for real data, takes one exponential per conjugate pair.
+projectors, and provides the smooth cutoff profile used to build band-limited
+data.  Every row projects data through the adjugate of ``lambda I - A1`` at
+each simple root (Cayley-Hamilton); on a near-double diffusive pair ``mu`` the
+pair's projection is the rest, ``I - P1 - P2``, and ``A1 - mu`` on it is the
+nilpotent part of a ``t*exp(mu*t)`` term.  The projector matrices, the
+projection of the identity, are built on demand; evolving real data takes one
+exponential per conjugate pair.
 
 Functions of the frequency take whole arrays of magnitudes; one mode is an
 array of length one.
@@ -342,9 +342,9 @@ class BatchDecomposition:
     """Semigroup decompositions ``exp(t A1) = sum_i w_i(t) P_i`` per frequency.
 
     :attr:`projectors` is built on first read; :meth:`project` and
-    :meth:`evolution` apply them to data without it.  ``special`` rows (xi = 0,
-    confluent) store theirs.  On ``confluent`` rows the fourth term is
-    nilpotent, weighted by ``t``.  ``fallback`` rows were ordered by magnitude.
+    :meth:`evolution` apply them to data without it.  On ``confluent`` rows the
+    fourth term is nilpotent, weighted by ``t``.  ``fallback`` rows were
+    ordered by magnitude.
     """
 
     xis: np.ndarray
@@ -353,37 +353,33 @@ class BatchDecomposition:
     fallback: np.ndarray      # (n,) bool
     green: np.ndarray         # (n, 4, 4) real Green matrices
     char: tuple               # quartic coefficients (c3, c2, c1, c0), each (n,)
-    special: np.ndarray       # (n,) bool: xi = 0 or confluent
-    special_projectors: np.ndarray  # (special.sum(), 4, 4, 4) complex
 
-    def _adjugate(self, rows=slice(None)):
-        """Distinct ``rows``: their roots, ``(B2, B1, B0)`` and ``prod_{j != i} (l_i - l_j)``.
+    def _adjugate(self, rows):
+        """The ``rows``' roots, ``(B2, B1, B0)`` and ``prod_{j != i} (l_i - l_j)``.
 
         At a simple root adj(l_i I - A) = prod_{j != i} (l_i - l_j) P_i, and
         matching powers of l in adj(l I - A) (l I - A) = p(l) I (p the quartic)
         gives adj(l I - A) = l^3 I + l^2 B2 + l B1 + B0 with real B2 = A + c3 I,
         B1 = A B2 + c2 I, B0 = A B1 + c1 I (-B0 A = c0 I is Cayley-Hamilton):
-        two real stacked matmuls, then one Horner pass per root.
+        two real stacked matmuls, then one Horner pass per root.  Products zero by
+        construction (a confluent row's double root, xi = 0) are 1 instead.
         """
-        d = ~self.special[rows]
-        A, ld = self.green[rows][d], self.eigenvalues[rows][d]
-        c3, c2, c1 = (c[rows][d, None, None] for c in self.char[:3])
+        A, ld = self.green[rows], self.eigenvalues[rows]
+        c3, c2, c1 = (c[rows, None, None] for c in self.char[:3])
         B2 = A + c3 * _I4
         B1 = A @ B2 + c2 * _I4
         # products written out: np.prod rounds a one-row batch differently, and
         # a row must not depend on the batch (or chunk) it is in
         gaps = [[ld[:, i] - ld[:, j] for j in range(4) if j != i] for i in range(4)]
-        den = [a * b * c for a, b, c in gaps]
+        one = (self.xis[rows] == 0) | self.confluent[rows] & (np.arange(4)[:, None] >= 2)
+        den = [np.where(o, 1.0, a * b * c) for o, (a, b, c) in zip(one, gaps)]
         return ld, (B2, B1, A @ B1 + c1 * _I4), den
 
     @cached_property
     def projectors(self):
-        """Spectral projectors, (n, 4, 4, 4) complex, built on first read; read-only."""
-        P = np.zeros(self.eigenvalues.shape + (4, 4), dtype=complex)
-        P[self.special] = self.special_projectors
-        ld, (B2, B1, B0), den = self._adjugate()
-        for i, li in enumerate(ld.T[:, :, None, None]):
-            P[~self.special, i] = (((li * _I4 + B2) * li + B1) * li + B0) / den[i][:, None, None]
+        """Spectral projectors (n, 4, 4, 4), the projection of the identity; lazy, read-only."""
+        n = len(self.xis)
+        P = np.stack([self.project(np.broadcast_to(e, (n, 4))) for e in _I4], axis=-1)
         threads.freeze(P)  # a decomposition may be shared (the lab caches its bases)
         return P
 
@@ -406,18 +402,20 @@ class BatchDecomposition:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _project(self, rows, U0):
-        """:meth:`project` of the mode vectors ``U0`` of the slice ``rows``."""
-        special = self.special[rows]
-        first = np.count_nonzero(self.special[:rows.start])
-        Q = np.zeros(U0.shape[:1] + (4, 4), dtype=complex)
-        Q[special] = np.einsum("nijk,nk->nij",
-                               self.special_projectors[first:first + np.count_nonzero(special)],
-                               U0[special])
+        """:meth:`project` of the mode vectors ``U0`` of the slice ``rows``.
+
+        Confluent rows' pair columns: ``Q2 = U0 - Q0 - Q1`` and ``Q3 = (A - mu) Q2``.
+        """
         ld, Bs, den = self._adjugate(rows)
-        u = U0[~special]
-        V2, V1, V0 = (np.einsum("mij,mj->im", B, u) for B in Bs)  # nodes last: long loops
+        V2, V1, V0 = (np.einsum("mij,mj->im", B, U0) for B in Bs)  # nodes last: long loops
+        Q = np.empty(U0.shape[:1] + (4, 4), dtype=complex)
         for i, li in enumerate(ld.T):
-            Q[~special, i] = ((((li * u.T + V2) * li + V1) * li + V0) / den[i]).T
+            Q[:, i] = ((((li * U0.T + V2) * li + V1) * li + V0) / den[i]).T
+        zero, conf = self.xis[rows] == 0, self.confluent[rows]
+        Q[zero, 0] = U0[zero]
+        Q[conf, 2] = U0[conf] - Q[conf, 0] - Q[conf, 1]
+        Q[conf, 3] = (np.einsum("mij,mj->mi", self.green[rows][conf], Q[conf, 2])
+                      - ld[conf, 2, None] * Q[conf, 2])
         return Q
 
     def evolution(self, U0):
@@ -481,14 +479,11 @@ def decompose_batch(xis, coeffs: LinearCoefficients) -> BatchDecomposition:
     zero = scale == 0.0
     conf = (~zero) & (dmin <= EPS_CONFLUENT * scale)
 
-    special = zero | conf
     lam_o = np.zeros((n, 4), dtype=complex)
     fallback = np.zeros(n, dtype=bool)
-    lam_o[~special], fallback[~special] = _order_roots_distinct(lam[~special])
-
-    Ps = np.zeros((special.sum(), 4, 4, 4), dtype=complex)
-    Ps[zero[special], 0] = _I4
-    for s, r in zip(np.nonzero(conf[special])[0], np.nonzero(conf)[0]):
+    dist = ~(zero | conf)
+    lam_o[dist], fallback[dist] = _order_roots_distinct(lam[dist])
+    for r in np.nonzero(conf)[0]:
         l1, l2 = (lam[r, k] for k in range(4) if k not in _PAIRS[imin[r]])
         if l1.imag < l2.imag:
             l1, l2 = l2, l1
@@ -499,19 +494,10 @@ def decompose_batch(xis, coeffs: LinearCoefficients) -> BatchDecomposition:
         if min(abs(l1 - mu), abs(l2 - mu)) <= EPS_CONFLUENT * scale[r]:
             raise UnsupportedDegeneracyError(
                 f"acoustic/diffusive eigenvalue collision at xi={xis[r]:.6g}")
-        Am = A[r]
-        B2 = (mu * _I4 - Am) @ (mu * _I4 - Am)
-        P1 = (l2 * _I4 - Am) @ B2 / ((l2 - l1) * (mu - l1) ** 2)
-        P2 = (l1 * _I4 - Am) @ B2 / ((l1 - l2) * (mu - l2) ** 2)
-        den = (l1 - mu) * (l2 - mu)
-        C12 = (l1 * _I4 - Am) @ (l2 * _I4 - Am)
-        P4 = -C12 @ (mu * _I4 - Am) / den
-        P3 = C12 / den + (l1 + l2 - 2.0 * mu) / den * P4
         lam_o[r] = (l1, l2, mu, mu)
-        Ps[s] = P1, P2, P3, P4
 
     return BatchDecomposition(xis=xis, eigenvalues=lam_o, confluent=conf, fallback=fallback,
-                              green=A, char=char, special=special, special_projectors=Ps)
+                              green=A, char=char)
 
 
 def projector_residuals(batch: BatchDecomposition):
@@ -662,9 +648,9 @@ def matrix_exp_oracle(M, t: float):
     return E.reshape(M.shape)
 
 
-def heat_factor(xi, nu1: float, t: float):
-    """Scalar decay of the incompressible (heat) channels: exp(-nu1 xi^2 t)."""
-    return np.exp(-nu1 * np.asarray(xi, dtype=float) ** 2 * t)
+def heat_factor(xi2, nu1: float, t: float):
+    """Decay of the incompressible (heat) channels, exp(-nu1 xi2 t); ``xi2`` is xi^2."""
+    return np.exp(-nu1 * np.asarray(xi2, dtype=float) * t)
 
 
 @lru_cache(maxsize=64)

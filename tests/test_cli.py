@@ -462,6 +462,12 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
     ("simulate", "sim:\n  c_cfl: -1\n", "'sim.c_cfl' must be > 0, got -1.0"),
     ("simulate", "sim:\n  init: gaussian\n  width: 0\n",
      "'sim.width' must be > 0 when sim.init is 'gaussian', got 0.0"),
+    ("simulate", "sim:\n  init: gaussian\n  width: 1.0e-300\n",
+     "'sim.width' must be large enough for a finite gaussian exponent on the box "
+     "(sim.length = 201.06192982974676), got 1e-300"),
+    ("simulate", "sim:\n  init: gaussian\n  width: 1.0e-160\n",
+     "'sim.width' must be large enough for a finite gaussian exponent on the box "
+     "(sim.length = 201.06192982974676), got 1e-160"),
     ("fit", "fit:\n  t_min: 5\n  t_max: 1\n", "'fit.t_min' must be < fit.t_max (1.0), got 5.0"),
 ], ids=["band-reversed", "mode-longer-than-dim", "sim-k_max-negative", "t_check-empty",
         "decay-tolerance-negative", "lower-bound-tolerance-negative", "n-not-power-of-two",
@@ -470,7 +476,8 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
         "samples-below-fit-minimum", "decay-k_max-negative", "decay-t_min-zero",
         "decay-window-empty", "sample-times-collide", "linear-decay-K0-zero",
         "linear-decay-K0-negative", "lower-bound-K0-above-1", "theta-2", "s_exp-zero",
-        "eta-zero", "c_cfl-negative", "gaussian-width-zero", "fit-window-reversed"])
+        "eta-zero", "c_cfl-negative", "gaussian-width-zero", "gaussian-width-underflows",
+        "gaussian-exponent-overflows", "fit-window-reversed"])
 def test_parse_rejects_fields_out_of_their_task_domain(tmp_path, capsys, task, text, message):
     # the first six ran to exit 0 or 1 whatever the run did, the next five died
     # inside the run with exit 2, and a list for the section crashed the parser.

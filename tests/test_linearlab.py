@@ -389,7 +389,7 @@ def test_equal_keys_share_one_read_only_basis():
     arrays = [ev.quad.edges, ev.quad.nodes, ev.quad.weights, nodes, weights]
     for dec in (ev.decomp, refined):
         arrays += [a for a in vars(dec).values() if isinstance(a, np.ndarray)] + list(dec.char)
-    assert len(arrays) == 5 + 2 * 11
+    assert len(arrays) == 5 + 2 * 9
     arrays.append(ev.decomp.projectors)  # built on first read, shared like the rest
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):

@@ -199,8 +199,10 @@ def test_roots_keep_exact_zeros_at_xi_zero_without_warnings():
         warnings.simplefilter("error")
         lam, converged = spectral._quartic_roots(*batch_char_coeffs([0.0, 0.0, 1.0], SYM))
         d = decompose_batch([0.0, 1.0], SYM)
+        P = d.projectors  # the xi = 0 row joins the adjugate Horner
     assert converged.all() and np.all(lam[:2] == 0)
-    assert d.special[0] and np.all(d.eigenvalues[0] == 0)
+    assert d.xis[0] == 0 and not d.confluent[0] and np.all(d.eigenvalues[0] == 0)
+    assert np.array_equal(P[0], np.stack([np.eye(4)] + [np.zeros((4, 4))] * 3))
 
 
 def test_nonfinite_row_is_flagged_for_the_eigensolve():
@@ -365,7 +367,7 @@ def test_project_matches_projector_contraction():
             err = np.abs(Q - np.einsum("nijk,nk->nij", P, U0)).max(axis=(1, 2))
             worst = max(worst, float((err / (1.0 + np.abs(P).max(axis=(1, 2, 3)))).max()))
         confluent += int(d.confluent.sum())
-    assert confluent > 0  # the stored confluent projectors are exercised
+    assert confluent > 0  # the confluent rows' pair columns are exercised
     assert worst <= 1e-12
 
 
@@ -376,9 +378,10 @@ def test_fallback_rows_evolve_and_project_like_the_projectors():
     xis = np.concatenate([[0.0], np.geomspace(1e-4, 1e2, 300)])
     d = decompose_batch(xis, FALLBACK_PARAMS_CO)
     fb = d.fallback
-    assert fb.sum() >= 50 and (~fb & ~d.special).sum() >= 50
+    dist = ~fb & ~d.confluent & (d.xis != 0)
+    assert fb.sum() >= 50 and dist.sum() >= 50
     assert np.all(d.eigenvalues[fb].imag == 0)
-    assert np.all(d.eigenvalues[~fb & ~d.special, 0].imag != 0)
+    assert np.all(d.eigenvalues[dist, 0].imag != 0)
     rng = np.random.default_rng(13)
     U0 = rng.normal(size=(len(xis), 4))
     evolve = d.evolution(U0)
@@ -414,7 +417,7 @@ def test_distinct_rows_follow_the_documented_root_order(case):
     xis = np.concatenate([XI_GRID, np.geomspace(1e2, 1e3, 50)[1:]])
     d = decompose_batch(xis, co)
     roots = spectral._eigenvalues(batch_green(xis, co), batch_char_coeffs(xis, co))
-    rows = np.nonzero(~d.special)[0]
+    rows = np.nonzero(~d.confluent & (d.xis != 0))[0]
     assert rows.size >= 150
     for r in rows:
         order, fallback = _documented_order(roots[r])
@@ -434,10 +437,10 @@ def row_threads(monkeypatch, cpus, rows):
 
 @pytest.mark.parametrize("case", ["readme", "confluent", "draw0"])
 def test_pool_and_inline_decompositions_give_the_same_bits(monkeypatch, case):
-    # every field of the decomposition (the special rows' projectors in row
-    # order) and the projection of data, which runs inline on one CPU and in
-    # chunks of at most 7 rows on 2 and 5 threads, switching often; the
-    # quadrature's first panel puts confluent rows in several chunks
+    # every field of the decomposition, the projector array and the projection
+    # of data, which (the array too) runs inline on one CPU and in chunks of at
+    # most 7 rows on 2 and 5 threads, switching often; the quadrature's first
+    # panel puts confluent rows in several chunks
     from test_acceptance import XI_GRID, tuned_confluent_params
 
     params = {"readme": FluidParams(), "confluent": tuned_confluent_params(),
@@ -453,7 +456,7 @@ def test_pool_and_inline_decompositions_give_the_same_bits(monkeypatch, case):
             row_threads(monkeypatch, cpus, 7)
             d = decompose_batch(xis, co)
             fields = [getattr(d, f.name) for f in dataclasses.fields(d) if f.name != "char"]
-            results.append(fields[:1] + fields[2:] + list(d.char) + [d.project(U0)])
+            results.append(fields + list(d.char) + [d.projectors, d.project(U0)])
     finally:
         sys.setswitchinterval(switch)
     assert d.confluent.sum() > 14 and (d.fallback.sum() > 100) == (case == "draw0")
@@ -488,7 +491,7 @@ def test_lazy_projectors_are_the_eager_build_bit_for_bit():
         d = decompose_batch(xis, co)
         assert "projectors" not in vars(d)
         P = d.projectors
-        dist = ~d.special
+        dist = ~d.confluent & (d.xis != 0)
         ref = _eager_horner_projectors(xis[dist], co, d.eigenvalues[dist])
         assert np.array_equal(P[dist], ref)
         assert np.array_equal(P[0], np.stack([np.eye(4)] + [np.zeros((4, 4))] * 3))
@@ -572,10 +575,10 @@ def test_confluent_branch_matches_oracle():
         if not d.confluent[0]:
             continue
         hit = True
-        for t in (0.1, 1.0, 10.0):
+        for t in (0.1, 1.0, 10.0, 100.0):
             S = d.semigroup(t)[0]
             E = matrix_exp_oracle(batch_green([xi], co)[0], t)
-            assert np.abs(S - E).max() <= 1e-8 * max(np.abs(E).max(), 1e-30)
+            assert np.abs(S - E).max() <= 1e-12 * max(np.abs(E).max(), 1e-30)
         P = d.projectors[0]
         assert np.abs(P[0] + P[1] + P[2] - np.eye(4)).max() <= 1e-9
     assert hit, "no confluent mode found on the scan grid"
@@ -674,9 +677,9 @@ def test_matrix_exp_oracle_overflow_raises_without_warnings():
 
 
 def test_heat_factor():
-    assert heat_factor(3.0, 0.5, 0.0) == 1.0
+    assert heat_factor(9.0, 0.5, 0.0) == 1.0
     assert heat_factor(0.0, 0.5, 100.0) == 1.0
-    assert heat_factor(2.0, 0.5, 1.0) == pytest.approx(np.exp(-2.0), rel=1e-14)
+    assert heat_factor(4.0, 0.5, 1.0) == pytest.approx(np.exp(-2.0), rel=1e-14)
 
 
 def test_stability_and_decay_envelope():
