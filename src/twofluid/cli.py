@@ -190,6 +190,7 @@ CONFIG_RULES = (
     (DECAY, "decay", "tolerance", lambda d: d.tolerance >= 0, ">= 0"),
     (("fit",), "fit", "t_min", lambda f: None in (f.t_min, f.t_max) or f.t_min < f.t_max,
      "< fit.t_max ({0.t_max!r})"),
+    (("fit",), "fit", "tolerance", lambda f: f.tolerance >= 0, ">= 0"),
 )
 
 
@@ -396,17 +397,16 @@ FIT_COLUMNS = ["variable", "k", "exponent", "amplitude", "residual", "status",
                "expected_exponent"]
 
 
-def _write_fit_summary(out_dir: Path, fits: dict, chash: str, tolerance=None):
+def _write_fit_summary(out_dir: Path, fits: dict, chash: str, tolerance: float):
     """``fit_summary.csv`` from {(variable, k): DecayFit}; returns its rows.
 
     A fit passes when its exponent lies within ``tolerance`` of the
-    predicted one; without a tolerance the status is ``n/a``.
+    predicted one.
     """
     rows = []
     for (v, k), fit in sorted(fits.items()):
         exp = expected_exponent(v, k)
-        status = "n/a" if tolerance is None else (
-            "pass" if abs(fit.exponent - exp) <= tolerance else "fail")
+        status = "pass" if abs(fit.exponent - exp) <= tolerance else "fail"
         rows.append((v, k, fit.exponent, fit.amplitude, fit.residual, status, exp))
     write_csv(out_dir / "fit_summary.csv", FIT_COLUMNS, rows, chash)
     return rows
@@ -553,7 +553,7 @@ def _task_fit(config: RunConfig, out_dir: Path, chash: str, meta: dict):
         window = (f.t_min if f.t_min is not None else float(series.times[0]),
                   f.t_max if f.t_max is not None else float(series.times[-1]))
         fits[(v, k)] = fit_power_law(series, window=window)
-    fit_rows = _write_fit_summary(out_dir, fits, chash)
+    fit_rows = _write_fit_summary(out_dir, fits, chash, f.tolerance)
     meta["source"] = str(src)
     return True, f"fit: {len(fit_rows)} series fitted from {src}"
 

@@ -18,7 +18,7 @@ exp(i omega r t) must stay resolved up to the largest fit time.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
 
@@ -55,30 +55,24 @@ def _gauss_rule(order):
     return rule
 
 
-def _gauss_panels(lo, hi, order):
-    """Gauss-Legendre nodes and weights on panels [lo_i, hi_i], panel by panel."""
-    x, w = _gauss_rule(order)
-    lo = lo[:, None]
-    hi = hi[:, None]
-    nodes = 0.5 * (hi - lo) * x[None, :] + 0.5 * (hi + lo)
-    weights = 0.5 * (hi - lo) * np.broadcast_to(w, nodes.shape)
-    return nodes.ravel(), weights.ravel()
-
-
-@dataclass(frozen=True)
 class RadialQuadrature:
-    """Composite Gauss-Legendre rule on [0, r_max]."""
+    """Composite Gauss-Legendre rule: its panels [lo_i, hi_i], ``order`` nodes each.
 
-    edges: np.ndarray
-    order: int
-    nodes: np.ndarray = field(compare=False, default=None)
-    weights: np.ndarray = field(compare=False, default=None)
+    Panel ``i`` owns the ``nodes`` and ``weights`` from ``order * i``.  All four
+    arrays are read-only, so a rule may be shared.
+    """
+
+    def __init__(self, lo, hi, order):
+        x, w = _gauss_rule(order)
+        self.lo, self.hi, self.order = np.array(lo, dtype=float), np.array(hi, dtype=float), order
+        half = 0.5 * (self.hi - self.lo)[:, None]
+        self.nodes = (half * x + 0.5 * (self.hi + self.lo)[:, None]).ravel()
+        self.weights = (half * w).ravel()
+        threads.freeze(self.lo, self.hi, self.nodes, self.weights)
 
     @classmethod
     def from_edges(cls, edges, order):
-        edges = np.asarray(edges, dtype=float)
-        nodes, weights = _gauss_panels(edges[:-1], edges[1:], order)
-        return cls(edges=edges, order=order, nodes=nodes, weights=weights)
+        return cls(edges[:-1], edges[1:], order)
 
     @classmethod
     def oscillation_aware(cls, r_max, t_max, omega, nubar):
@@ -99,54 +93,32 @@ class RadialQuadrature:
             phase = omega * (b - a) * t_seg
             n_pan = max(1, int(np.ceil(phase / (4.0 * np.pi))))
             edges.extend(np.linspace(a, b, n_pan + 1)[1:])
-        return cls.from_edges(np.asarray(edges), _ORDER)
+        return cls.from_edges(edges, _ORDER)
 
-    def refined(self):
-        """Same rule with every panel split in two (convergence checks)."""
-        e = self.edges
-        mid = 0.5 * (e[:-1] + e[1:])
-        edges = np.sort(np.concatenate([e, mid]))
-        return RadialQuadrature.from_edges(edges, self.order)
+    def refined(self, panels=slice(None)):
+        """The rule on ``panels`` (all by default), each split at its midpoint, in panel order.
 
-    def split(self, panels):
-        """Nodes and weights of the panel-doubled rule on ``panels`` only.
-
-        Panel ``panels[i]`` owns the ``2 * order`` entries starting at
-        ``2 * order * i``; they are the nodes :meth:`refined` puts there.
+        A subset's nodes and weights are bitwise those the full refinement puts there.
         """
-        lo, hi = self.edges[panels], self.edges[panels + 1]
+        lo, hi = self.lo[panels], self.hi[panels]
         mid = 0.5 * (lo + hi)
-        return _gauss_panels(np.stack([lo, mid], axis=1).ravel(),
-                             np.stack([mid, hi], axis=1).ravel(), self.order)
+        return RadialQuadrature(np.stack([lo, mid], axis=1).ravel(),
+                                np.stack([mid, hi], axis=1).ravel(), self.order)
 
     def integrate(self, values):
         return float(np.sum(self.weights * values))
 
 
-def _find_r_max(profile: Callable) -> float:
-    r_max = 1.0
-    for _ in range(40):
-        vals = np.abs(profile(np.linspace(0.75 * r_max, r_max, 16)))
-        if np.max(vals) < 1e-16:
-            return r_max
-        r_max *= 2.0
-    raise AccuracyError("profile does not decay below 1e-16 within a reasonable radius")
-
-
-def radial_norm(profile: Callable, k: int, r_max: float | None = None,
-                tol: float = 1e-8) -> float:
-    """Sobolev seminorm of order ``k`` of a radially symmetric spectrum.
+def radial_norm(profile: Callable, k: int, r_max: float) -> float:
+    """Sobolev seminorm of order ``k`` of a radially symmetric spectrum on [0, r_max].
 
     ``profile`` maps radii to spectral values; ``k = -1`` gives the
-    norm weighted by the inverse frequency magnitude.  Converged by panel
-    doubling (at most 12 times) to relative tolerance ``tol``.
+    norm weighted by the inverse frequency magnitude.  Converged by
+    :meth:`RadialQuadrature.refined` (at most 12 times) to relative tolerance 1e-8.
     """
     if k < -1:
         raise ValueError("derivative order must be >= -1")
-    if r_max is None:
-        r_max = _find_r_max(profile)
-    edges = np.linspace(0.0, r_max, 9)
-    quad = RadialQuadrature.from_edges(edges, 16)
+    quad = RadialQuadrature.from_edges(np.linspace(0.0, r_max, 9), 16)
 
     def value(q):
         integrand = q.nodes ** (2 * k + 2) * np.abs(profile(q.nodes)) ** 2
@@ -156,7 +128,7 @@ def radial_norm(profile: Callable, k: int, r_max: float | None = None,
     for _ in range(12):
         quad = quad.refined()
         cur = value(quad)
-        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= 1e-8 * max(abs(cur), 1e-300):
             return float(np.sqrt(cur))
         prev = cur
     raise AccuracyError("radial quadrature did not converge")
@@ -290,7 +262,6 @@ def _evolution_basis(params: FluidParams, t_max: float):
     nubar = spectral_constants(coeffs)[4]
     omega = np.sqrt(coeffs.beta1 + coeffs.beta4)
     quad = RadialQuadrature.oscillation_aware(12.0, t_max, omega, max(nubar, 1e-3))
-    threads.freeze(quad.edges, quad.nodes, quad.weights)
     return quad, _decompose(quad.nodes, coeffs), [None]
 
 
@@ -316,8 +287,10 @@ class ModeEvolution:
     tolerance ``_CHECK_TOL``, but only on the panels that hold more than
     ``_CHECK_TOL**2`` of some variable's squared norm.  The others keep their
     coarse contribution: together they hold at most ``n_panels *
-    _CHECK_TOL**2`` of it, far below what the check resolves.  The basis keeps
-    one refinement: the last live panel set's.
+    _CHECK_TOL**2`` of it, far below what the check resolves.  The live panels
+    are refined by ``quad.refined(live)``, bitwise the panels the full
+    refinement puts there, and the basis keeps the last live set's rule and
+    decomposition.
     """
 
     def __init__(self, params: FluidParams, t_max: float = 1.2e4):
@@ -387,7 +360,8 @@ class ModeEvolution:
         """Squared order-``k`` norms at ``t`` under the panel-doubled rule.
 
         ``a2`` holds the coarse squared moduli at ``t``.  Only live panels
-        (above ``_CHECK_TOL**2`` of some variable's total) are refined.
+        (above ``_CHECK_TOL**2`` of some variable's total) are refined, by
+        ``quad.refined(live)``; the others keep their coarse sums.
         """
         quad = self.quad
         coarse = (a2 * _node_weights(quad.nodes, quad.weights, (k,))[:, 0]).reshape(
@@ -397,14 +371,14 @@ class ModeEvolution:
         if live.any():
             slot = self._refined[0]  # an equal live set reuses it, another replaces it
             if slot is None or not np.array_equal(slot[0], live):
-                nodes, weights = quad.split(np.nonzero(live)[0])
-                threads.freeze(live, nodes, weights)
-                slot = self._refined[0] = (live, nodes, weights, _decompose(nodes, self.coeffs))
-            _, nodes, weights, decomp = slot
-            U0 = data.sampled(nodes)
+                fine = quad.refined(live)
+                threads.freeze(live)
+                slot = self._refined[0] = (live, fine, _decompose(fine.nodes, self.coeffs))
+            _, fine, decomp = slot
+            U0 = data.sampled(fine.nodes)
             U = decomp.apply(t, U0)
-            total += (self._squared_moduli(U, U0, nodes, t, variables)
-                      @ _node_weights(nodes, weights, (k,))[:, 0])
+            total += (self._squared_moduli(U, U0, fine.nodes, t, variables)
+                      @ _node_weights(fine.nodes, fine.weights, (k,))[:, 0])
         return total
 
 

@@ -503,42 +503,32 @@ def decompose_batch(xis, coeffs: LinearCoefficients) -> BatchDecomposition:
 def projector_residuals(batch: BatchDecomposition):
     """Worst scaled residual of the projector algebra per mode.
 
-    Distinct rows check resolution of identity, idempotence, mutual
-    annihilation and spectral reconstruction; confluent rows check the
-    three-projector resolution of identity.  Idempotence and annihilation
-    are scaled by the projector magnitudes (they grow near confluence),
-    reconstruction by the matrix magnitude.
+    Every row checks resolution of identity, idempotence and mutual
+    annihilation of its projections, and spectral reconstruction
+    ``A = sum_i l_i P_i``.  A confluent row's fourth slot is the nilpotent
+    ``(A - mu) P3``: it checks ``P4 @ P4 = 0``, weighs 1 in the reconstruction
+    and is left out of the identity and of the pairs.  Idempotence and
+    annihilation are scaled by the projector magnitudes (they grow near
+    confluence), reconstruction by the matrix magnitude.
     """
     P = batch.projectors
-    lam = batch.eigenvalues
     A = batch.green
-    n = batch.xis.shape[0]
-    res = np.zeros(n)
+    nil = batch.confluent[:, None] & (np.arange(4) == 3)
+    proj = np.where(nil, 0.0, 1.0)  # 1 on projections, 0 on the nilpotent
     pmax = np.abs(P).max(axis=(2, 3))
-    psum = P.sum(axis=1)
-    conf = batch.confluent
-    ident = np.abs(psum - _I4).max(axis=(1, 2))
-    if conf.any():
-        ident[conf] = np.abs(P[conf, 0] + P[conf, 1] + P[conf, 2] - _I4).max(axis=(1, 2))
-    res = np.maximum(res, ident)
-    recon = np.einsum("ni,nijk->njk", lam, P)
-    if conf.any():
-        # confluent rows: A = l1 P1 + l2 P2 + mu P3 + P4 (P4 is the nilpotent)
-        recon[conf] += (1.0 - lam[conf, 3])[:, None, None] * P[conf, 3]
+    res = np.abs((proj[:, :, None, None] * P).sum(axis=1) - _I4).max(axis=(1, 2))
+    recon = np.einsum("ni,nijk->njk", np.where(nil, 1.0, batch.eigenvalues), P)
     rec = np.abs(recon - A).max(axis=(1, 2)) / (1.0 + np.abs(A).max(axis=(1, 2)))
     res = np.maximum(res, rec)
-    dist = ~conf
-    if dist.any():
-        Pd = P[dist]
-        pm = pmax[dist]
-        for i in range(4):
-            idem = np.abs(Pd[:, i] @ Pd[:, i] - Pd[:, i]).max(axis=(1, 2)) / (1.0 + pm[:, i] ** 2)
-            res[dist] = np.maximum(res[dist], idem)
-            for j in range(4):
-                if j != i:
-                    ann = (np.abs(Pd[:, i] @ Pd[:, j]).max(axis=(1, 2))
-                           / ((1.0 + pm[:, i]) * (1.0 + pm[:, j])))
-                    res[dist] = np.maximum(res[dist], ann)
+    for i in range(4):
+        idem = (np.abs(P[:, i] @ P[:, i] - proj[:, i, None, None] * P[:, i]).max(axis=(1, 2))
+                / (1.0 + pmax[:, i] ** 2))
+        res = np.maximum(res, idem)
+        for j in range(4):
+            if j != i:
+                ann = (np.abs(P[:, i] @ P[:, j]).max(axis=(1, 2))
+                       / ((1.0 + pmax[:, i]) * (1.0 + pmax[:, j])))
+                res = np.maximum(res, np.where(nil[:, i] | nil[:, j], 0.0, ann))
     return res
 
 

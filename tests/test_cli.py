@@ -16,6 +16,7 @@ from twofluid.cli import (
     serialize_config,
 )
 from twofluid.closure import linear_coefficients
+from twofluid.linearlab import expected_exponent
 from twofluid.spectral import batch_green, decompose_batch, matrix_exp_oracle
 
 MINIMAL = """
@@ -239,11 +240,14 @@ sim:
   out_every: 2
 """)
     assert run_campaign(sim, out_dir=tmp_path, quiet=True) == 0
-    fit = parse_config("task: fit\nfit:\n  input: norms.csv\n")
-    assert run_campaign(fit, out_dir=tmp_path, quiet=True) == 0
+    fit = parse_config("task: fit\nfit:\n  input: norms.csv\n  tolerance: 0.1\n")
+    assert run_campaign(fit, out_dir=tmp_path, quiet=True) == 0  # fit only reports
     lines = (tmp_path / "fit_summary.csv").read_text().splitlines()
     assert lines[1].startswith("variable,")
     assert len(lines) > 2
+    for v, k, exponent, _, _, status, expected in (ln.split(",") for ln in lines[2:]):
+        assert float(expected) == expected_exponent(v, int(k))
+        assert status == ("pass" if abs(float(exponent) - float(expected)) <= 0.1 else "fail")
 
 
 def test_main_entrypoint(tmp_path):
@@ -469,6 +473,7 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
      "'sim.width' must be large enough for a finite gaussian exponent on the box "
      "(sim.length = 201.06192982974676), got 1e-160"),
     ("fit", "fit:\n  t_min: 5\n  t_max: 1\n", "'fit.t_min' must be < fit.t_max (1.0), got 5.0"),
+    ("fit", "fit:\n  tolerance: -1\n", "'fit.tolerance' must be >= 0, got -1.0"),
 ], ids=["band-reversed", "mode-longer-than-dim", "sim-k_max-negative", "t_check-empty",
         "decay-tolerance-negative", "lower-bound-tolerance-negative", "n-not-power-of-two",
         "n-below-4", "dim-4", "length-zero", "init-unknown", "sim-not-a-mapping",
@@ -477,7 +482,7 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
         "decay-window-empty", "sample-times-collide", "linear-decay-K0-zero",
         "linear-decay-K0-negative", "lower-bound-K0-above-1", "theta-2", "s_exp-zero",
         "eta-zero", "c_cfl-negative", "gaussian-width-zero", "gaussian-width-underflows",
-        "gaussian-exponent-overflows", "fit-window-reversed"])
+        "gaussian-exponent-overflows", "fit-window-reversed", "fit-tolerance-negative"])
 def test_parse_rejects_fields_out_of_their_task_domain(tmp_path, capsys, task, text, message):
     # the first six ran to exit 0 or 1 whatever the run did, the next five died
     # inside the run with exit 2, and a list for the section crashed the parser.
@@ -558,7 +563,8 @@ def test_task_field_boundaries_parse_and_other_tasks_ignore_them():
               "decay:\n  samples: 0\n  k_max: -1\n  t_min: 0\n  K0: 0\n  theta: 2\n"
               "  s_exp: 0\n  eta: 0\n": ("analyze-modes", "simulate", "fit"),
               "sim:\n  c_cfl: -1\n  init: gaussian\n  width: 0\n": ("linear-decay", "fit"),
-              "fit:\n  t_min: 5\n  t_max: 1\n": ("analyze-modes", "simulate")}
+              "fit:\n  t_min: 5\n  t_max: 1\n": ("analyze-modes", "simulate"),
+              "fit:\n  tolerance: -1\n": ("linear-decay", "simulate")}
     for text, tasks in others.items():
         for task in tasks:
             parse_config(f"task: {task}\nseed: 1\n{text}")

@@ -9,6 +9,7 @@ from twofluid.linearlab import (
     AccuracyError,
     ModeEvolution,
     NormSeries,
+    RadialQuadrature,
     band_ratio,
     expected_exponent,
     fit_power_law,
@@ -34,31 +35,26 @@ def sym_evolution():
 
 def test_radial_norm_gaussian_moments():
     f = lambda r: np.exp(-np.asarray(r) ** 2 / 2.0)
-    assert radial_norm(f, 0) == pytest.approx(np.pi**0.75, rel=1e-8)
-    assert radial_norm(f, 1) == pytest.approx(np.sqrt(1.5) * np.pi**0.75, rel=1e-8)
+    assert radial_norm(f, 0, r_max=12.0) == pytest.approx(np.pi**0.75, rel=1e-8)
+    assert radial_norm(f, 1, r_max=12.0) == pytest.approx(np.sqrt(1.5) * np.pi**0.75, rel=1e-8)
 
 
 def test_radial_norm_indicator_ball():
     f = lambda r: np.where(np.asarray(r) <= 1.0, 1.0, 0.0)
-    # discontinuous integrand: converges by panel doubling, slower tolerance
-    assert radial_norm(f, 0, r_max=2.0, tol=1e-6) == pytest.approx(
+    # discontinuous integrand: the jump sits on a panel edge, so doubling converges
+    assert radial_norm(f, 0, r_max=2.0) == pytest.approx(
         np.sqrt(4 * np.pi / 3), rel=1e-5)
 
 
 def test_radial_norm_inverse_order():
     # k = -1 weighs the spectrum by the inverse frequency magnitude
     f = lambda r: np.exp(-np.asarray(r) ** 2 / 2.0)
-    assert radial_norm(f, -1) == pytest.approx(np.sqrt(2.0) * np.pi**0.75, rel=1e-8)
+    assert radial_norm(f, -1, r_max=12.0) == pytest.approx(np.sqrt(2.0) * np.pi**0.75, rel=1e-8)
 
 
 def test_radial_norm_rejects_bad_order():
     with pytest.raises(ValueError):
-        radial_norm(lambda r: np.exp(-np.asarray(r) ** 2), -2)
-
-
-def test_radial_norm_nondecaying_profile_errors():
-    with pytest.raises(AccuracyError):
-        radial_norm(lambda r: np.ones_like(np.asarray(r, dtype=float)), 0)
+        radial_norm(lambda r: np.exp(-np.asarray(r) ** 2), -2, r_max=12.0)
 
 
 def test_evolve_mode_identity_and_eigenvector():
@@ -270,7 +266,7 @@ def test_plancherel_against_cartesian_grid():
     dV = (2 * L / n) ** 3
     for k in (0, 1):
         cart = np.sum(R ** (2 * k) * f(R) ** 2) * dV
-        rad = radial_norm(f, k) ** 2
+        rad = radial_norm(f, k, r_max=12.0) ** 2
         assert cart == pytest.approx(rad, rel=1e-4)
 
 
@@ -337,6 +333,26 @@ def test_live_panel_check_matches_full_refinement(monkeypatch):
     assert np.allclose(live, full, rtol=1e-12, atol=0.0)
 
 
+def test_refined_panels_are_the_full_refinements_blocks(sym_evolution):
+    # the check refines exactly as the full rule does: a panel subset's nodes
+    # and weights are bitwise the matching 2 * order blocks of quad.refined()
+    quad = sym_evolution.quad
+    n_panels = len(quad.lo)
+    panels = np.sort(np.random.default_rng(5).choice(n_panels, n_panels // 3, replace=False))
+    sub, full = quad.refined(panels), quad.refined()
+    blocks = (2 * panels[:, None] + np.arange(2))[..., None] * quad.order + np.arange(quad.order)
+    assert sub.nodes.tobytes() == full.nodes[blocks.ravel()].tobytes()
+    assert sub.weights.tobytes() == full.weights[blocks.ravel()].tobytes()
+    # and the full refinement is the rule on the midpoint-doubled edges
+    edges = np.geomspace(1e-3, 12.0, 17)
+    doubled = np.empty(2 * len(edges) - 1)
+    doubled[::2], doubled[1::2] = edges, 0.5 * (edges[:-1] + edges[1:])
+    got = RadialQuadrature.from_edges(edges, 16).refined()
+    want = RadialQuadrature.from_edges(doubled, 16)
+    for name in ("lo", "hi", "nodes", "weights"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 def test_norms_never_build_the_projector_array(monkeypatch):
     # the linear lab projects data through the adjugate; the (n, 4, 4, 4)
     # projector array is only built when read, and norms never reads it
@@ -385,11 +401,11 @@ def test_equal_keys_share_one_read_only_basis():
     ev.norms(make_generic_data(0.5), np.geomspace(1e2, 1e4, 12), ks=range(4))
     twin = ModeEvolution(FluidParams(), t_max=12000)
     assert twin.quad is ev.quad and twin.decomp is ev.decomp
-    _, nodes, weights, refined = ev._refined[0]
-    arrays = [ev.quad.edges, ev.quad.nodes, ev.quad.weights, nodes, weights]
+    _, fine, refined = ev._refined[0]
+    arrays = [ev.quad.lo, ev.quad.hi, ev.quad.nodes, ev.quad.weights, fine.nodes, fine.weights]
     for dec in (ev.decomp, refined):
         arrays += [a for a in vars(dec).values() if isinstance(a, np.ndarray)] + list(dec.char)
-    assert len(arrays) == 5 + 2 * 9
+    assert len(arrays) == 6 + 2 * 9
     arrays.append(ev.decomp.projectors)  # built on first read, shared like the rest
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):

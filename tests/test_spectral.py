@@ -584,6 +584,21 @@ def test_confluent_branch_matches_oracle():
     assert hit, "no confluent mode found on the scan grid"
 
 
+def test_projector_residuals_catch_a_wrong_confluent_mu():
+    # P1 + P2 + P3 = I and the reconstruction hold for any mu on a confluent
+    # row; the nilpotent (A - mu) P3 squares to zero only at the right one
+    from test_acceptance import XI_GRID, tuned_confluent_params
+    from twofluid.cli import PROJECTOR_GATE
+
+    dec = decompose_batch(XI_GRID, linear_coefficients(tuned_confluent_params()))
+    conf = dec.confluent
+    assert conf.any() and spectral.projector_residuals(dec)[conf].max() <= PROJECTOR_GATE
+    lam = dec.eigenvalues.copy()
+    lam[conf, 2:] *= 1 + 1e-3
+    wrong = dataclasses.replace(dec, eigenvalues=lam)
+    assert spectral.projector_residuals(wrong)[conf].max() > PROJECTOR_GATE
+
+
 def test_semigroup_eval_identity_and_oracle():
     rng = np.random.default_rng(5)
     for _ in range(5):
