@@ -170,9 +170,17 @@ CONFIG_RULES = (
      "large enough for a finite gaussian exponent on the box (sim.length = {0.length!r})"),
     (SIM, "sim", "mode", lambda s: s.init != "mode" or len(s.mode) == s.dim,
      "one wave index per axis (sim.dim = {0.dim})"),
+    # holds where the row above or sim.n's fails: a mode the 2/3 band erases runs a zero state
+    (SIM, "sim", "mode", lambda s: s.init != "mode" or len(s.mode) != s.dim or s.n < 4
+     or all(abs(m) <= s.n // 3 for m in s.mode),
+     "wave indices of modulus <= sim.n // 3 (sim.n = {0.n})"),
     (SIM, "sim", "band",
      lambda s: s.init != "random" or (len(s.band) == 2 and s.band[0] <= s.band[1]),
      "[low, high] with low <= high"),
+    # holds where the row above or sim.n's fails: so does a band that misses the 2/3 band
+    (SIM, "sim", "band", lambda s: s.init != "random" or len(s.band) != 2 or s.n < 4
+     or s.band[0] > s.band[1] or (s.band[1] >= 0 and s.band[0] <= s.n // 3),
+     "[low, high] with high >= 0 and low <= sim.n // 3 (sim.n = {0.n})"),
     (MODES, "modes", "xi_min", lambda m: 0 < m.xi_min <= m.xi_max,
      "> 0 and <= modes.xi_max ({0.xi_max!r})"),
     (MODES, "modes", "t_check", lambda m: len(m.t_check) > 0, "non-empty"),
@@ -293,6 +301,8 @@ def _validate(raw: dict) -> RunConfig:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         errors.append("seed must be an integer")
     output = raw.get("output", "out")
+    if not isinstance(output, str):
+        errors.append(f"'output' must be str, got {output!r}")
     sections = {name: _build_section(name, cls, raw.get(name), errors)
                 for name, cls in _SECTION_TYPES.items()}
     if task == "simulate" and sections["sim"].init == "random" and seed is None:
@@ -303,7 +313,7 @@ def _validate(raw: dict) -> RunConfig:
                if task in tasks and not ok(sections[name])]
     if errors:
         raise ConfigError(errors)
-    return RunConfig(task=task, seed=seed, output=str(output),
+    return RunConfig(task=task, seed=seed, output=output,
                      **{name: cls(**vars(sections[name])) for name, cls in _SECTION_TYPES.items()})
 
 

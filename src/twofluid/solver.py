@@ -15,9 +15,9 @@ physical space, transform only the Fourier lines that cross the band and give
 scipy.fft's bits on it.  The fields stay spectral through a step: the linear
 half-steps are per-mode multiplies, the tendencies are band spectra, and
 physical arrays are made only where products and the guards need them.  A run
-costs the FFTs of the nonlinear stages plus a one-off propagator build, which
-decomposes the 4x4 semigroup once per distinct integer wave-index norm on
-the band (803 on a 64^3 grid).
+costs the FFTs of the nonlinear stages plus a one-off build of the semigroup on
+:mod:`twofluid.spectral`'s ``(n+, phi+, n-, phi-)``, ``phi = i khat . u_hat``,
+decomposed once per distinct |k|^2 on the band (1,095 of 40,678 modes at 64^3).
 
 On grids of at least ``_PARALLEL_POINTS`` points a step runs on the
 package's thread pool (:mod:`twofluid.threads`, one thread per CPU the process
@@ -141,10 +141,6 @@ class Grid:
         return self._per_axis(np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64),
                               np.arange(self.n // 2 + 1, dtype=np.int64))
 
-    def k_mag(self):
-        k2 = sum(k**2 for k in self.k_axes())
-        return np.sqrt(k2)
-
     @property
     def band_shape(self):
         """Shape of a spectrum on the 2/3 band, the solver's spectral layout."""
@@ -163,7 +159,7 @@ class Grid:
 
 
 class _Waves(NamedTuple):
-    ks: list          # k_d, broadcastable
+    ks: np.ndarray    # k_d, shape (dim,) + band shape
     khat: np.ndarray  # k_d / |k| (0 at k = 0), shape (dim,) + band shape
     k2: np.ndarray    # |k|^2, band shape
     l2w: np.ndarray   # Parseval weights of the band
@@ -172,15 +168,15 @@ class _Waves(NamedTuple):
 @functools.lru_cache(maxsize=8)
 def _waves(grid: Grid) -> _Waves:
     """Spectral symbols of a grid on its band, built once per grid."""
-    ks = [grid.band(k) for k in grid.k_axes()]
+    ks = np.stack(np.broadcast_arrays(*(grid.band(k) for k in grid.k_axes())))
     k2 = sum(k**2 for k in ks)
     kmag = np.sqrt(k2)
     inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, kmag, 1.0), 0.0)
     l2w = np.full(grid.band_shape, 2.0)
     l2w[..., 0] = 1.0  # the band stops below the Nyquist column, the other unpaired one
-    waves = _Waves(ks=ks, khat=np.stack([k * inv for k in ks]), k2=k2,
+    waves = _Waves(ks=ks, khat=ks * inv, k2=k2,
                    l2w=l2w * grid.volume / float(np.prod(grid.shape)) ** 2)
-    threads.freeze(*waves.ks, waves.khat, waves.k2, waves.l2w)
+    threads.freeze(*waves)
     return waves
 
 
@@ -454,18 +450,14 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
 # Hodge split on the grid
 
 
-def _hodge(u_spec, khat):
-    """``(phi_hat, remainder_hat)``: ``-i khat . u_hat`` and the divergence-free rest."""
-    phi = -1j * sum(kh * c for kh, c in zip(khat, u_spec))
-    return phi, u_spec - 1j * khat * phi
+def _hodge(u_hat, khat):
+    """``(phi, rem)``: spectral's ``phi = i khat . u_hat`` and ``rem = u_hat + i khat phi``."""
+    phi = 1j * sum(kh * c for kh, c in zip(khat, u_hat))
+    return phi, u_hat + 1j * khat * phi
 
 
 # ---------------------------------------------------------------------------
 # exact linear propagation
-
-# (n+, phi+, n-, phi-) = D (n+, w+, n-, w-) with w = i (k . u)/|k|, the
-# scalar of the 4x4 block; D S D carries the semigroup over to phi.
-_PHI_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 
 
 @functools.lru_cache(maxsize=8)
@@ -473,23 +465,18 @@ def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
     """Per-mode semigroup on ``(n+, phi+, n-, phi-)`` and the heat factors.
 
     The semigroup depends on |k| only, so it is decomposed once per distinct
-    integer wave-index norm ``m^2`` on the band and scattered to its modes.
-    Each norm's |k| is that of its first mode in the ravel order of the
-    whole rfft layout, in or out of the band.  Returns ``(S, heat)``: ``S``
-    with shape ``(4, 4) + grid.band_shape``, ``heat`` the factors
-    ``exp(-nu1± |k|^2 dt)`` on the phase axis, shape ``(2,) + grid.band_shape``;
-    built once per ``(grid, params, dt)`` and read-only.
+    |k|^2 of the band and scattered to the modes that have it.  Returns
+    ``(S, heat)``: ``S`` with shape ``(4, 4) + grid.band_shape``, ``heat``
+    the factors ``exp(-nu1± |k|^2 dt)`` on the phase axis, shape
+    ``(2,) + grid.band_shape``; built once per ``(grid, params, dt)`` and
+    read-only.
     """
     co = linear_coefficients(params)
-    m2 = sum(m**2 for m in grid.index_axes())
-    norms, first = np.unique(m2.ravel(), return_index=True)
-    band_m2 = grid.band(m2).ravel()
-    used = np.unique(band_m2, return_index=True)[0]
-    dec = decompose_batch(grid.k_mag().ravel()[first[np.searchsorted(norms, used)]], co)
-    S_used = dec.semigroup(dt).real * np.multiply.outer(_PHI_SIGN, _PHI_SIGN)
-    S = np.ascontiguousarray(np.moveaxis(S_used[np.searchsorted(used, band_m2)], 0, -1))
-    S = S.reshape((4, 4) + grid.band_shape)
-    heat = np.stack([heat_factor(_waves(grid).k2, nu, dt) for nu in (co.nu1_plus, co.nu1_minus)])
+    k2 = _waves(grid).k2
+    distinct, inverse = np.unique(k2.ravel(), return_inverse=True)
+    S = decompose_batch(np.sqrt(distinct), co).semigroup(dt).real[inverse]
+    S = np.ascontiguousarray(np.moveaxis(S, 0, -1)).reshape((4, 4) + grid.band_shape)
+    heat = np.stack([heat_factor(k2, nu, dt) for nu in (co.nu1_plus, co.nu1_minus)])
     threads.freeze(S, heat)
     return S, heat
 
@@ -514,7 +501,7 @@ def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) ->
         out = np.empty_like(state.spectra[:, s])
         new_n, new_u = FieldState.phases(out)
         new_n[...] = new[0::2]
-        np.multiply(1j * kh, new[1::2, None], out=new_u)
+        np.multiply(-1j * kh, new[1::2, None], out=new_u)
         rem *= heat[:, s]
         new_u += rem.swapaxes(0, 1)
         return out
@@ -552,9 +539,9 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
     n, u = FieldState.phases(state.physical)
     # grad[r, j] is d_j of row r, built a block of transforms at a time so that
     # no (rows x dim) stack of complex derivatives is held on large grids
-    grad = _irfft_rows(lambda s: _join([(1j * w.ks[r % dim] * spec[r // dim])[None]
-                                        for r in range(s.start, s.stop)]),
-                       len(spec) * dim, shape, size)
+    rows = np.arange(len(spec) * dim)
+    grad = _irfft_rows(lambda s: 1j * w.ks[rows[s] % dim] * spec[rows[s] // dim],
+                       rows.size, shape, size)
     # dn[p, j] = d_j n_p and Du[p, i, j] = d_j u_p,i
     dn, Du = FieldState.phases(grad.reshape((len(spec), dim) + shape))
 

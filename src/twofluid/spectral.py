@@ -1,18 +1,19 @@
 """Per-frequency analysis of the linearized compressible subsystem.
 
-After the Hodge split, the compressible unknowns ``(n+, phi+, n-, phi-)``
-evolve mode-by-mode under a 4x4 Green matrix ``A1(|xi|)``.  This module
-builds ``A1``, computes its quartic spectrum (the characteristic quartic
-factored into two real quadratics by Ferrari's resolvent and Newton on the
-factors, after Strobach 2010, then one guarded Newton step on
-``det(lambda I - A1)``), assembles the semigroup ``exp(t A1)`` from spectral
-projectors, and provides the smooth cutoff profile used to build band-limited
-data.  Every row projects data through the adjugate of ``lambda I - A1`` at
-each simple root (Cayley-Hamilton); on a near-double diffusive pair ``mu`` the
-pair's projection is the rest, ``I - P1 - P2``, and ``A1 - mu`` on it is the
-nilpotent part of a ``t*exp(mu*t)`` term.  The projector matrices, the
-projection of the identity, are built on demand; evolving real data takes one
-exponential per conjugate pair.
+After the Hodge split, the compressible unknowns ``(n+, phi+, n-, phi-)``, with
+``phi± = i khat . u±`` at frequency ``xi`` (``khat = xi/|xi|``, so
+``dn±/dt = -|xi| phi±``), evolve mode-by-mode under a 4x4 Green matrix
+``A1(|xi|)``.  This module builds ``A1``, computes its quartic spectrum (the
+characteristic quartic factored into two real quadratics by Ferrari's
+resolvent and Newton on the factors, after Strobach 2010, then one guarded
+Newton step on ``det(lambda I - A1)``), assembles the semigroup ``exp(t A1)``
+from spectral projectors, and provides the smooth cutoff profile used to build
+band-limited data.  Every row projects data through the adjugate of
+``lambda I - A1`` at each simple root (Cayley-Hamilton); on a near-double
+diffusive pair ``mu`` the pair's projection is the rest, ``I - P1 - P2``, and
+``A1 - mu`` on it is the nilpotent part of a ``t*exp(mu*t)`` term.  The
+projector matrices, the projection of the identity, are built on demand;
+evolving real data takes one exponential per conjugate pair.
 
 Functions of the frequency take whole arrays of magnitudes; one mode is an
 array of length one.

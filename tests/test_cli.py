@@ -362,6 +362,22 @@ def test_readme_config_runs(tmp_path, task):
                  "--quiet"]) == 0
 
 
+def test_readme_commands_run_as_written(tmp_path, monkeypatch):
+    # the README's command block, run on its minimal config saved as examples.yaml
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    Path("examples.yaml").write_text(_readme_config(), encoding="utf-8")
+    runs = [line.split("#")[0].split() for line in commands.splitlines()]
+    assert [run[:2] for run in runs] == [["twofluid", task] for task in
+                                         ("analyze-modes", "linear-decay", "lower-bound",
+                                          "simulate", "fit")]
+    for run in runs:
+        assert main(run[1:] + ["--quiet"]) == 0, run
+        out = Path(run[run.index("--out") + 1])
+        assert {p.name for p in out.iterdir()} == ARTIFACTS[run[1]] | {"metadata.json"}
+
+
 def test_lower_bound_keeps_its_bytes_alone_and_next_to_linear_decay(tmp_path):
     # in one process the second campaign on a parameter set reuses the first's
     # quadrature, decompositions and cutoff radius
@@ -387,6 +403,10 @@ def test_lower_bound_keeps_its_bytes_alone_and_next_to_linear_decay(tmp_path):
     ("sim:\n  band: 3\n", "sim.band"),
     ("params:\n  mu_plus: true\n", "params.mu_plus"),
     ("modes:\n  xi_max: .inf\n", "modes.xi_max"),
+    # these three ran into a directory named "None", "['a', 'b']" or "5"
+    ("output: null\n", "output"),
+    ("output: [a, b]\n", "output"),
+    ("output: 5\n", "output"),
 ])
 def test_parse_rejects_mistyped_fields(text, field):
     with pytest.raises(ConfigError) as exc:
@@ -474,6 +494,14 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
      "(sim.length = 201.06192982974676), got 1e-160"),
     ("fit", "fit:\n  t_min: 5\n  t_max: 1\n", "'fit.t_min' must be < fit.t_max (1.0), got 5.0"),
     ("fit", "fit:\n  tolerance: -1\n", "'fit.tolerance' must be >= 0, got -1.0"),
+    ("simulate", "sim:\n  n: 16\n  init: mode\n  mode: [7]\n",
+     "'sim.mode' must be wave indices of modulus <= sim.n // 3 (sim.n = 16), got (7,)"),
+    ("simulate", "sim:\n  dim: 2\n  n: 16\n  band: [6, 8]\n",
+     "'sim.band' must be [low, high] with high >= 0 and low <= sim.n // 3 (sim.n = 16), "
+     "got (6, 8)"),
+    ("simulate", "sim:\n  dim: 2\n  n: 16\n  band: [-5, -1]\n",
+     "'sim.band' must be [low, high] with high >= 0 and low <= sim.n // 3 (sim.n = 16), "
+     "got (-5, -1)"),
 ], ids=["band-reversed", "mode-longer-than-dim", "sim-k_max-negative", "t_check-empty",
         "decay-tolerance-negative", "lower-bound-tolerance-negative", "n-not-power-of-two",
         "n-below-4", "dim-4", "length-zero", "init-unknown", "sim-not-a-mapping",
@@ -482,12 +510,14 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
         "decay-window-empty", "sample-times-collide", "linear-decay-K0-zero",
         "linear-decay-K0-negative", "lower-bound-K0-above-1", "theta-2", "s_exp-zero",
         "eta-zero", "c_cfl-negative", "gaussian-width-zero", "gaussian-width-underflows",
-        "gaussian-exponent-overflows", "fit-window-reversed", "fit-tolerance-negative"])
+        "gaussian-exponent-overflows", "fit-window-reversed", "fit-tolerance-negative",
+        "mode-above-the-band", "band-above-the-band", "band-below-zero"])
 def test_parse_rejects_fields_out_of_their_task_domain(tmp_path, capsys, task, text, message):
     # the first six ran to exit 0 or 1 whatever the run did, the next five died
     # inside the run with exit 2, and a list for the section crashed the parser.
     # From xi_min on: a reversed xi sweep ran to exit 0, and the rest died inside
-    # the run with a message that named no field
+    # the run with a message that named no field.  The last three ran a zero
+    # state (the 2/3 band erases their data) to exit 0
     text = "seed: 1\n" + text
     with pytest.raises(ConfigError) as exc:
         parse_config(f"task: {task}\n" + text)
@@ -519,6 +549,11 @@ BOUNDARIES = {
     "c_cfl-smallest": ("simulate", f"sim:\n  n: 16\n  t_end: 0.1\n  init: zero\n  c_cfl: {TINY}\n"),
     "gaussian-width-small": ("simulate", "sim:\n  n: 16\n  t_end: 0.1\n  init: gaussian\n"
                                          "  amplitude: 1.0e-3\n  width: 1.0e-150\n"),
+    # the highest mode and band the 2/3 band keeps at n = 16
+    "mode-at-the-band-edge": ("simulate", "sim:\n  n: 16\n  t_end: 0.1\n  init: mode\n"
+                                          "  mode: [5]\n"),
+    "band-reaching-the-band-edge": ("simulate", "sim:\n  dim: 2\n  n: 16\n  t_end: 0.1\n"
+                                                "  band: [5, 8]\n"),
     # eight records at t = 0.05 .. 0.4 inside the window, the fit's minimum
     "fit-window-minimum": ("fit", "sim:\n  n: 16\n  t_end: 0.4\n  out_every: 1\n"
                                   "fit:\n  t_min: 0.025\n  t_max: 0.425\n"),
@@ -546,8 +581,8 @@ def test_task_field_boundaries_run_to_their_artifacts(tmp_path, task, text):
 
 def test_task_field_boundaries_parse_and_other_tasks_ignore_them():
     cfg = parse_config("task: simulate\nseed: 1\nsim:\n  dim: 2\n  n: 4\n  k_max: 0\n"
-                       "  band: [2, 2]\n  mode: [3]\n")
-    assert (cfg.sim.n, cfg.sim.k_max, cfg.sim.band) == (4, 0, (2, 2))
+                       "  band: [1, 1]\n  mode: [3]\n")
+    assert (cfg.sim.n, cfg.sim.k_max, cfg.sim.band) == (4, 0, (1, 1))
     cfg = parse_config("task: simulate\nsim:\n  init: mode\n  dim: 2\n  mode: [1, 0]\n"
                        "  band: [4, 1]\n")
     assert cfg.sim.mode == (1, 0)
@@ -564,7 +599,8 @@ def test_task_field_boundaries_parse_and_other_tasks_ignore_them():
               "  s_exp: 0\n  eta: 0\n": ("analyze-modes", "simulate", "fit"),
               "sim:\n  c_cfl: -1\n  init: gaussian\n  width: 0\n": ("linear-decay", "fit"),
               "fit:\n  t_min: 5\n  t_max: 1\n": ("analyze-modes", "simulate"),
-              "fit:\n  tolerance: -1\n": ("linear-decay", "simulate")}
+              "fit:\n  tolerance: -1\n": ("linear-decay", "simulate"),
+              "sim:\n  n: 16\n  band: [6, 8]\n  mode: [7]\n": ("analyze-modes", "fit")}
     for text, tasks in others.items():
         for task in tasks:
             parse_config(f"task: {task}\nseed: 1\n{text}")
