@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -54,6 +55,7 @@ from .solver import (
     write_checkpoint,
 )
 from .spectral import (
+    XI_FLOOR,
     choose_eta,
     decompose_batch,
     matrix_exp_oracle,
@@ -149,8 +151,10 @@ def _sample_times(decay):
 
 # (tasks, section, field, test, domain): the range of each config field the
 # named tasks read.  A test takes the whole section, so cross-field rules are
-# rows too, and ``{0.<field>}`` in a domain shows another field's value.  The
-# library owns the rows for the values it consumes; the rest are written here.
+# rows too, and ``{0.<field>}`` in a domain shows another field's value.  A row
+# runs only while its field and the fields its domain shows have no error, so it
+# states only its own test.  The library owns the rows for the values it
+# consumes; the rest are written here.
 CONFIG_RULES = (
     *((TASKS, "params", *row) for row in PARAMS_DOMAIN),
     *((("lower-bound",), "decay", *row) for row in LOWER_BOUND_DATA_DOMAIN),
@@ -163,26 +167,26 @@ CONFIG_RULES = (
     (SIM, "sim", "c_cfl", lambda s: s.c_cfl > 0, "> 0"),
     (SIM, "sim", "width", lambda s: s.init != "gaussian" or s.width > 0,
      "> 0 when sim.init is 'gaussian'"),
-    # holds where the row above fails: init_state's r^2 / (2 w^2) is finite (Python floats)
-    (SIM, "sim", "width", lambda s: s.init != "gaussian" or not s.width > 0
+    # init_state's r^2 / (2 w^2) is finite (Python floats)
+    (SIM, "sim", "width", lambda s: s.init != "gaussian"
      or 0 < 2.0 * (s.width * s.length) * (s.width * s.length)
      >= s.dim * (s.length / 2.0) * (s.length / 2.0) / sys.float_info.max,
      "large enough for a finite gaussian exponent on the box (sim.length = {0.length!r})"),
     (SIM, "sim", "mode", lambda s: s.init != "mode" or len(s.mode) == s.dim,
      "one wave index per axis (sim.dim = {0.dim})"),
-    # holds where the row above or sim.n's fails: a mode the 2/3 band erases runs a zero state
-    (SIM, "sim", "mode", lambda s: s.init != "mode" or len(s.mode) != s.dim or s.n < 4
-     or all(abs(m) <= s.n // 3 for m in s.mode),
+    # a mode the 2/3 band erases runs a zero state
+    (SIM, "sim", "mode", lambda s: s.init != "mode" or all(abs(m) <= s.n // 3 for m in s.mode),
      "wave indices of modulus <= sim.n // 3 (sim.n = {0.n})"),
     (SIM, "sim", "band",
      lambda s: s.init != "random" or (len(s.band) == 2 and s.band[0] <= s.band[1]),
      "[low, high] with low <= high"),
-    # holds where the row above or sim.n's fails: so does a band that misses the 2/3 band
-    (SIM, "sim", "band", lambda s: s.init != "random" or len(s.band) != 2 or s.n < 4
-     or s.band[0] > s.band[1] or (s.band[1] >= 0 and s.band[0] <= s.n // 3),
+    # so does a band that misses the 2/3 band
+    (SIM, "sim", "band", lambda s: s.init != "random" or (s.band[1] >= 0 and s.band[0] <= s.n // 3),
      "[low, high] with high >= 0 and low <= sim.n // 3 (sim.n = {0.n})"),
     (MODES, "modes", "xi_min", lambda m: 0 < m.xi_min <= m.xi_max,
      "> 0 and <= modes.xi_max ({0.xi_max!r})"),
+    (MODES, "modes", "xi_min", lambda m: m.xi_min >= XI_FLOOR,
+     f">= {XI_FLOOR!r}, where the quartic's xi^8 terms are normal floats"),
     (MODES, "modes", "t_check", lambda m: len(m.t_check) > 0, "non-empty"),
     (MODES, "modes", "t_check", lambda m: all(t >= 0 for t in m.t_check),
      "a list of times >= 0"),
@@ -191,10 +195,8 @@ CONFIG_RULES = (
     (DECAY, "decay", "t_min", lambda d: 0 < d.t_min < d.t_max,
      "> 0 and < decay.t_max ({0.t_max!r})"),
     (DECAY, "decay", "samples", lambda d: d.samples >= MIN_FIT_SAMPLES, f">= {MIN_FIT_SAMPLES}"),
-    # holds where the two rows above fail: one error per field
-    (DECAY, "decay", "t_min", lambda d: not (0 < d.t_min < d.t_max and d.samples >= MIN_FIT_SAMPLES)
-     or (np.diff(_sample_times(d)) > 0).all(), "far enough below decay.t_max ({0.t_max!r}) "
-     "for {0.samples} distinct sample times"),
+    (DECAY, "decay", "t_min", lambda d: (np.diff(_sample_times(d)) > 0).all(),
+     "far enough below decay.t_max ({0.t_max!r}) for {0.samples} distinct sample times"),
     (DECAY, "decay", "tolerance", lambda d: d.tolerance >= 0, ">= 0"),
     (("fit",), "fit", "t_min", lambda f: None in (f.t_min, f.t_max) or f.t_min < f.t_max,
      "< fit.t_max ({0.t_max!r})"),
@@ -237,7 +239,7 @@ def _coerce(value, typ):
     return out
 
 
-def _build_section(name, cls, payload, errors):
+def _build_section(name, cls, payload, errors, failed):
     """Field values of section ``name``: the defaults, updated from ``payload``."""
     values = {f.name: f.default for f in fields(cls)}
     if payload is None:
@@ -254,6 +256,7 @@ def _build_section(name, cls, payload, errors):
             values[key] = _coerce(value, types[key])
         except (TypeError, ValueError):
             errors.append(f"'{name}.{key}' must be {_type_name(types[key])}, got {value!r}")
+            failed.add((name, key))
     return SimpleNamespace(**values)
 
 
@@ -303,14 +306,17 @@ def _validate(raw: dict) -> RunConfig:
     output = raw.get("output", "out")
     if not isinstance(output, str):
         errors.append(f"'output' must be str, got {output!r}")
-    sections = {name: _build_section(name, cls, raw.get(name), errors)
+    failed = set()  # (section, field) of every error so far
+    sections = {name: _build_section(name, cls, raw.get(name), errors, failed)
                 for name, cls in _SECTION_TYPES.items()}
     if task == "simulate" and sections["sim"].init == "random" and seed is None:
         errors.append("seed is required when sim.init is 'random'")
-    errors += [f"'{name}.{key}' must be {domain.format(sections[name])}, "
-               f"got {getattr(sections[name], key)!r}"
-               for tasks, name, key, ok, domain in CONFIG_RULES
-               if task in tasks and not ok(sections[name])]
+    for tasks, name, key, ok, domain in CONFIG_RULES:
+        reads = {(name, k) for k in (key, *re.findall(r"\{0\.(\w+)", domain))}
+        if task in tasks and not reads & failed and not ok(sections[name]):
+            errors.append(f"'{name}.{key}' must be {domain.format(sections[name])}, "
+                          f"got {getattr(sections[name], key)!r}")
+            failed.add((name, key))
     if errors:
         raise ConfigError(errors)
     return RunConfig(task=task, seed=seed, output=output,
@@ -407,16 +413,19 @@ FIT_COLUMNS = ["variable", "k", "exponent", "amplitude", "residual", "status",
                "expected_exponent"]
 
 
-def _write_fit_summary(out_dir: Path, fits: dict, chash: str, tolerance: float):
+def _write_fit_summary(out_dir: Path, fits: dict, chash: str, tolerance: float | None):
     """``fit_summary.csv`` from {(variable, k): DecayFit}; returns its rows.
 
     A fit passes when its exponent lies within ``tolerance`` of the
-    predicted one.
+    predicted one.  With ``tolerance`` None no rate is predicted: every
+    status is ``n/a`` and ``expected_exponent`` is empty.
     """
     rows = []
     for (v, k), fit in sorted(fits.items()):
-        exp = expected_exponent(v, k)
-        status = "pass" if abs(fit.exponent - exp) <= tolerance else "fail"
+        exp, status = "", "n/a"
+        if tolerance is not None:
+            exp = expected_exponent(v, k)
+            status = "pass" if abs(fit.exponent - exp) <= tolerance else "fail"
         rows.append((v, k, fit.exponent, fit.amplitude, fit.residual, status, exp))
     write_csv(out_dir / "fit_summary.csv", FIT_COLUMNS, rows, chash)
     return rows
@@ -547,6 +556,11 @@ def _task_fit(config: RunConfig, out_dir: Path, chash: str, meta: dict):
     src = Path(f.input)
     if not src.is_absolute():
         src = out_dir / src
+    # the task that wrote the norms, through any refits of them; a periodic
+    # box (simulate) has no whole-space rate to judge a refit against
+    written = src.with_name("metadata.json")
+    source = json.loads(written.read_text(encoding="utf-8")) if written.is_file() else {}
+    meta["source_task"] = source.get("source_task" if source.get("task") == "fit" else "task")
     rows = read_norm_csv(src)
     series_map = {}
     for t, v, k, val in rows:
@@ -563,7 +577,8 @@ def _task_fit(config: RunConfig, out_dir: Path, chash: str, meta: dict):
         window = (f.t_min if f.t_min is not None else float(series.times[0]),
                   f.t_max if f.t_max is not None else float(series.times[-1]))
         fits[(v, k)] = fit_power_law(series, window=window)
-    fit_rows = _write_fit_summary(out_dir, fits, chash, f.tolerance)
+    fit_rows = _write_fit_summary(out_dir, fits, chash,
+                                  None if meta["source_task"] in SIM else f.tolerance)
     meta["source"] = str(src)
     return True, f"fit: {len(fit_rows)} series fitted from {src}"
 

@@ -21,6 +21,7 @@ array of length one.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -34,6 +35,11 @@ from .closure import LinearCoefficients
 # through their denominators prod_{j != i} (lambda_i - lambda_j), so the
 # switch must happen well before the gap reaches sqrt(eps).
 EPS_CONFLUENT = 2e-6
+
+# Smallest frequency the quartic solve is accurate at: the depressed quartic's
+# s3^2 * s3^2 and the resolvent's q * q are O(xi^8), and below this they leave
+# the normal floats (subnormal, then zero), so the small roots lose their digits.
+XI_FLOOR = sys.float_info.min ** 0.125
 
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _I4 = np.eye(4)

@@ -17,7 +17,7 @@ from twofluid.cli import (
 )
 from twofluid.closure import linear_coefficients
 from twofluid.linearlab import expected_exponent
-from twofluid.spectral import batch_green, decompose_batch, matrix_exp_oracle
+from twofluid.spectral import XI_FLOOR, batch_green, decompose_batch, matrix_exp_oracle
 
 MINIMAL = """
 params:
@@ -240,14 +240,38 @@ sim:
   out_every: 2
 """)
     assert run_campaign(sim, out_dir=tmp_path, quiet=True) == 0
-    fit = parse_config("task: fit\nfit:\n  input: norms.csv\n  tolerance: 0.1\n")
-    assert run_campaign(fit, out_dir=tmp_path, quiet=True) == 0  # fit only reports
-    lines = (tmp_path / "fit_summary.csv").read_text().splitlines()
+    fit = parse_config("task: fit\nfit:\n  input: norms.csv\n")
+    # into the source's own directory, as the README runs it: the second refit
+    # reads the first's metadata, which names the same source task
+    summaries = []
+    for _ in range(2):
+        assert run_campaign(fit, out_dir=tmp_path, quiet=True) == 0  # fit only reports
+        summaries.append((tmp_path / "fit_summary.csv").read_text())
+        assert json.loads((tmp_path / "metadata.json").read_text())["source_task"] == "simulate"
+    assert summaries[0] == summaries[1]
+    lines = summaries[0].splitlines()
     assert lines[1].startswith("variable,")
     assert len(lines) > 2
+    # a periodic box has no whole-space rate to judge the refit against
+    assert all(ln.split(",")[5:] == ["n/a", ""] for ln in lines[2:])
+
+
+def test_fit_task_on_linear_decay_output(tmp_path):
+    src = parse_config("task: linear-decay\ndecay:\n  samples: 16\n  k_max: 1\n")
+    assert run_campaign(src, out_dir=tmp_path / "decay", quiet=True) == 0
+    # combo and drho+- at 0.003-0.004 from their rates, the rest within 0.001
+    fit = parse_config("task: fit\nfit:\n  input: ../decay/norms.csv\n  tolerance: 0.001\n")
+    assert run_campaign(fit, out_dir=tmp_path / "fit", quiet=True) == 0
+    assert json.loads((tmp_path / "fit" / "metadata.json").read_text())["source_task"] == (
+        "linear-decay")
+    lines = (tmp_path / "fit" / "fit_summary.csv").read_text().splitlines()
+    assert len(lines) == 2 + 9 * 2  # variables x k
+    statuses = set()
     for v, k, exponent, _, _, status, expected in (ln.split(",") for ln in lines[2:]):
         assert float(expected) == expected_exponent(v, int(k))
-        assert status == ("pass" if abs(float(exponent) - float(expected)) <= 0.1 else "fail")
+        assert status == ("pass" if abs(float(exponent) - float(expected)) <= 0.001 else "fail")
+        statuses.add(status)
+    assert statuses == {"pass", "fail"}
 
 
 def test_main_entrypoint(tmp_path):
@@ -502,6 +526,9 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
     ("simulate", "sim:\n  dim: 2\n  n: 16\n  band: [-5, -1]\n",
      "'sim.band' must be [low, high] with high >= 0 and low <= sim.n // 3 (sim.n = 16), "
      "got (-5, -1)"),
+    ("analyze-modes", "modes:\n  xi_min: 1.0e-40\n",
+     "'modes.xi_min' must be >= 3.4947656141084224e-39, where the quartic's xi^8 terms are "
+     "normal floats, got 1e-40"),
 ], ids=["band-reversed", "mode-longer-than-dim", "sim-k_max-negative", "t_check-empty",
         "decay-tolerance-negative", "lower-bound-tolerance-negative", "n-not-power-of-two",
         "n-below-4", "dim-4", "length-zero", "init-unknown", "sim-not-a-mapping",
@@ -511,13 +538,14 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
         "linear-decay-K0-negative", "lower-bound-K0-above-1", "theta-2", "s_exp-zero",
         "eta-zero", "c_cfl-negative", "gaussian-width-zero", "gaussian-width-underflows",
         "gaussian-exponent-overflows", "fit-window-reversed", "fit-tolerance-negative",
-        "mode-above-the-band", "band-above-the-band", "band-below-zero"])
+        "mode-above-the-band", "band-above-the-band", "band-below-zero", "xi_min-below-floor"])
 def test_parse_rejects_fields_out_of_their_task_domain(tmp_path, capsys, task, text, message):
     # the first six ran to exit 0 or 1 whatever the run did, the next five died
     # inside the run with exit 2, and a list for the section crashed the parser.
     # From xi_min on: a reversed xi sweep ran to exit 0, and the rest died inside
-    # the run with a message that named no field.  The last three ran a zero
-    # state (the 2/3 band erases their data) to exit 0
+    # the run with a message that named no field.  The mode and band cases at the
+    # end ran a zero state (the 2/3 band erases their data) to exit 0, and
+    # xi_min-below-floor wrote eigenvalues with a positive real part to exit 0
     text = "seed: 1\n" + text
     with pytest.raises(ConfigError) as exc:
         parse_config(f"task: {task}\n" + text)
@@ -529,12 +557,33 @@ def test_parse_rejects_fields_out_of_their_task_domain(tmp_path, capsys, task, t
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task,text,message", [
+    ("simulate", "sim: {dim: 4, init: mode, mode: [1]}", "'sim.dim' must be 1, 2 or 3, got 4"),
+    ("simulate", "sim: {length: 0, init: gaussian}", "'sim.length' must be > 0, got 0.0"),
+    ("simulate", "sim: {n: 6, init: mode, mode: [5]}",
+     "'sim.n' must be a power of two >= 4, got 6"),
+    ("simulate", "sim: {n: 12, band: [6, 8]}", "'sim.n' must be a power of two >= 4, got 12"),
+    ("simulate", "sim: {n: abc, init: mode, mode: [100]}", "'sim.n' must be int, got 'abc'"),
+    ("linear-decay", "decay: {t_max: abc, t_min: 20000}",
+     "'decay.t_max' must be float, got 'abc'"),
+    ("simulate", "sim: {length: abc, init: gaussian, width: 1.0e-160}",
+     "'sim.length' must be float, got 'abc'"),
+], ids=["dim", "length", "n-for-mode", "n-for-band", "n-mistyped", "t_max-mistyped",
+        "length-mistyped"])
+def test_parse_reports_one_error_per_cause(task, text, message):
+    # each also reported a row that shows the failing field, the last three
+    # quoting a default the config never wrote
+    with pytest.raises(ConfigError) as exc:
+        parse_config(f"task: {task}\nseed: 1\n{text}\n")
+    assert exc.value.errors == [message]
+
+
 # the in-domain value nearest each bound, where a run near it completes (CHANGES.md
 # records the open bounds that still fail late): (task, config text)
 TINY = 5e-324  # the smallest positive float
 BOUNDARIES = {
     "xi_min-at-xi_max": ("analyze-modes", "modes:\n  count: 4\n  xi_min: 1.0\n  xi_max: 1.0\n"),
-    "xi_min-small": ("analyze-modes", "modes:\n  count: 4\n  xi_min: 1.0e-100\n"),
+    "xi_min-small": ("analyze-modes", f"modes:\n  count: 4\n  xi_min: {XI_FLOOR!r}\n"),
     "t_check-zero": ("analyze-modes", "modes:\n  count: 4\n  t_check: [0]\n"),
     "samples-and-k_max-at-minimum": ("linear-decay", "decay:\n  samples: 8\n  k_max: 0\n"),
     "t_min-smallest": ("linear-decay", f"decay:\n  samples: 8\n  k_max: 0\n  t_min: {TINY}\n"),

@@ -292,6 +292,36 @@ def test_asymptotic_remainder_slopes():
     assert s_di >= 3.8
 
 
+def _log_uniform_draw(rng):
+    """Parameters over VALIDITY_DRAWS' domain; mu, sigma and rbar log-uniform."""
+    mu = 10.0 ** rng.uniform(np.log10(0.05), np.log10(5.0), 2)
+    lam = rng.uniform(-2 * mu / 3, 3.0)
+    sigma = 10.0 ** rng.uniform(-2.0, 1.0, 2)
+    gamma = rng.uniform(1.0, 3.0, 2)
+    rbar = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+    return FluidParams(*(float(v) for v in (*mu, *lam, *sigma, *gamma, *rbar)))
+
+
+def test_eigenvalues_match_the_asymptotics_down_to_the_xi_floor():
+    # below XI_FLOOR the quartic's O(xi^8) terms are subnormal or zero, and on
+    # the non-symmetric set analyze-modes wrote growing modes (Re > 0) at 3.7e-40
+    rng = np.random.default_rng(20261019)
+    sets = (FluidParams(gamma_plus=2.0, gamma_minus=2.0),
+            FluidParams(mu_plus=0.8, mu_minus=1.3, lambda_plus=0.4, lambda_minus=0.1,
+                        sigma_plus=0.9, sigma_minus=1.2, gamma_plus=1.6, gamma_minus=2.2,
+                        rbar_plus=1.4, rbar_minus=0.7),
+            _log_uniform_draw(rng), _log_uniform_draw(rng))
+    xis = np.geomspace(spectral.XI_FLOOR, 1e-20, 400)
+    for params in sets:
+        co = linear_coefficients(params)
+        dec = decompose_batch(xis, co)
+        want = eigenvalues_asymptotic(xis, co).real
+        # a confluent row holds the diffusive pair's midpoint twice
+        want[dec.confluent, 2:] = want[dec.confluent, 2:].mean(axis=1, keepdims=True)
+        got, want = np.sort(dec.eigenvalues.real, axis=1), np.sort(want, axis=1)
+        assert np.all(np.abs(got - want) <= 1e-3 * np.abs(want)), params
+
+
 def test_semigroup_distinct_identities():
     rng = np.random.default_rng(4)
     for _ in range(5):

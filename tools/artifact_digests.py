@@ -16,7 +16,9 @@ The campaigns: ``analyze-modes`` on the README, non-symmetric and
 tuned-confluent parameters; ``linear-decay`` and ``lower-bound`` on the README
 and non-symmetric parameters, each set's two back to back, so the second
 reuses the first's cached basis; ``simulate`` with seed 7 on seven grids; and
-``fit`` on the 1D n = 64 run's ``norms.csv``.
+``fit`` on the 1D n = 64 run's ``norms.csv`` (statuses ``n/a``: a periodic box has
+no whole-space rate) and on the README ``linear-decay`` run's (the rows of that
+run's own ``fit_summary.csv``).
 """
 
 import hashlib
@@ -51,8 +53,9 @@ def campaigns():
     out += [(f"sim-{dim}d-{n}", {"task": "simulate", "seed": 7, "params": README_PARAMS,
                                  "sim": dict(README_SIM, dim=dim, n=n, t_end=t_end)})
             for dim, n, t_end in SIM_GRIDS]
-    out.append(("fit-1d-64", {"task": "fit", "params": README_PARAMS,
-                              "fit": {"input": "../sim-1d-64/norms.csv"}}))
+    out += [(f"fit-{name}", {"task": "fit", "params": README_PARAMS,
+                             "fit": {"input": f"../{source}/norms.csv"}})
+            for name, source in (("1d-64", "sim-1d-64"), ("decay-readme", "linear-decay-readme"))]
     return out
 
 
