@@ -21,11 +21,11 @@ decomposed once per distinct |k|^2 on the band (1,095 of 40,678 modes at 64^3).
 
 On grids of at least ``_PARALLEL_POINTS`` points a step runs on the
 package's thread pool (:mod:`twofluid.threads`, one thread per CPU the process
-may use): the transforms of the physical twin and of the gradients, the
-closure and the linear half-steps in slabs of the first axis, and the
-tendencies one phase per task.  The threads split independent work and never
-change its arithmetic, so the results are bitwise the same whatever the
-number of CPUs.  Smaller grids run inline.
+may use), which gets rows and slabs, never phases: the tendencies are built
+one phase at a time, its transforms by rows and its pointwise work, like the
+closure and the linear half-steps, in slabs of the first axis.  The threads
+split independent work and never change its arithmetic, so the results are
+bitwise the same whatever the number of CPUs.  Smaller grids run inline.
 """
 
 from __future__ import annotations
@@ -160,6 +160,7 @@ class Grid:
 
 class _Waves(NamedTuple):
     ks: np.ndarray    # k_d, shape (dim,) + band shape
+    iks: np.ndarray   # i k_d, the spectral d_d, shape (dim,) + band shape
     khat: np.ndarray  # k_d / |k| (0 at k = 0), shape (dim,) + band shape
     k2: np.ndarray    # |k|^2, band shape
     l2w: np.ndarray   # Parseval weights of the band
@@ -174,7 +175,7 @@ def _waves(grid: Grid) -> _Waves:
     inv = np.where(kmag > 0, 1.0 / np.where(kmag > 0, kmag, 1.0), 0.0)
     l2w = np.full(grid.band_shape, 2.0)
     l2w[..., 0] = 1.0  # the band stops below the Nyquist column, the other unpaired one
-    waves = _Waves(ks=ks, khat=ks * inv, k2=k2,
+    waves = _Waves(ks=ks, iks=1j * ks, khat=ks * inv, k2=k2,
                    l2w=l2w * grid.volume / float(np.prod(grid.shape)) ** 2)
     threads.freeze(*waves)
     return waves
@@ -209,12 +210,13 @@ def _irfft(spec, shape, out=None):
     return np.fft.irfft(spec, n, out=out)  # pads the columns above the band with zeros
 
 
-# Grids with fewer points run inline.  Measured with the band-limited
-# transforms on a 2-vCPU x86-64 host (warm steps in process, and cold simulate
-# campaigns), a step on the pool took 0.56-0.58 of the inline time at 2**18
-# points (2D 512^2, 3D 64^3), 0.67-0.84 at 2**15-2**16 (3D 32^3, 2D 256^2) and
-# 0.93-1.01 at 2**14 (2D 128^2), where the hand-offs weigh as much as the
-# second core gains.
+# Grids with fewer points run inline.  Measured on a 2-vCPU x86-64 host (warm
+# steps in process, and cold simulate campaigns), a step on the pool took
+# 0.56-0.58 of the inline time at 2**18 points (2D 512^2, 3D 64^3), 0.67-0.84
+# at 2**15-2**16 (3D 32^3, 2D 256^2) and 0.93-1.01 at 2**14 (2D 128^2), where
+# the hand-offs weigh as much as the second core gains.  With the phases one at
+# a time and their rows and slabs on the pool, warm 3D steps took 0.55-0.67 of
+# the inline time at 64^3 and 0.76-1.04 at 32^3.
 _PARALLEL_POINTS = 2**15
 # Transform rows go through numpy.fft in blocks of at most this many points,
 # one call per block and axis pass: on small grids that saves numpy's per-call
@@ -231,25 +233,30 @@ def _blocks(count: int, shape: tuple) -> tuple:
     return tuple(slice(first, min(first + rows, count)) for first in range(0, count, rows))
 
 
+@functools.lru_cache(maxsize=4)
+def _row_tables(dim: int) -> tuple:
+    """``q, j, at``: gradient row r is d_j[r] of row q[r]; at[p]: phase p's u rows, n row."""
+    q, j = np.divmod(np.arange((2 + dim) * dim), dim)
+    n_rows, u_rows = FieldState.phases(np.arange(2 + 2 * dim))
+    at = np.concatenate([u_rows, n_rows[:, None]], axis=1)
+    threads.freeze(q, j, at)
+    return q, j, at
+
+
 def workers(grid: Grid) -> int:
     """Threads the solver shares a step of ``grid`` among; 1 means inline."""
     return threads.CPUS if grid.n**grid.dim >= _PARALLEL_POINTS else 1
 
 
-def _join(parts, axis: int = 0):
-    """Slab results as one array; a lone part is returned as is, uncopied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
-
-
-def _irfft_rows(spectrum, count: int, shape, size: int):
-    """Stack of the inverse transforms of the rows ``r < count``.
+def _irfft_rows(spectrum, count: int, shape, size: int, out=None):
+    """Stack of the inverse transforms of the rows ``r < count``, into ``out`` if given.
 
     ``spectrum(s)`` gives the stacked spectra of the rows in the slice ``s``.
     Rows go in blocks (:func:`_blocks`), each block builds its own spectra, so
     no stack of all of them is ever held; the blocks run on ``size`` threads
     (see :func:`threads.each`).
     """
-    out = np.empty((count,) + shape)
+    out = np.empty((count,) + shape) if out is None else out
     blocks = _blocks(count, shape)
 
     def block(b):
@@ -259,12 +266,19 @@ def _irfft_rows(spectrum, count: int, shape, size: int):
     return out
 
 
-def _rfft_rows(grid: Grid, physical):
-    """Stack of the band spectra of the rows of ``physical``, a block at a time."""
-    spectra = np.empty((len(physical),) + grid.band_shape, dtype=complex)
-    for s in _blocks(len(physical), grid.shape):
-        spectra[s] = _rfft(physical[s], dim=grid.dim)
-    return spectra
+def _rfft_rows(grid: Grid, physical, size: int = 1, out=None, at=None):
+    """Band spectra of the rows of ``physical``, row ``r`` into ``out[at[r]]`` (by
+    default a new stack), a block at a time on ``size`` threads."""
+    count = len(physical)
+    if out is None:
+        out, at = np.empty((count,) + grid.band_shape, dtype=complex), range(count)
+    blocks = _blocks(count, grid.shape)
+
+    def block(b):
+        out[at[blocks[b]]] = _rfft(physical[blocks[b]], dim=grid.dim)
+
+    threads.each(block, len(blocks), size)
+    return out
 
 
 class FieldState:
@@ -288,7 +302,7 @@ class FieldState:
     def __init__(self, grid: Grid, n_plus, n_minus, u_plus, u_minus, time: float = 0.0):
         physical = np.concatenate([np.asarray(n_plus)[None], np.asarray(n_minus)[None],
                                    u_plus, u_minus]).astype(float, copy=False)
-        self._hold(grid, _rfft_rows(grid, physical), time)
+        self._hold(grid, _rfft_rows(grid, physical, workers(grid)), time)
         threads.freeze(physical)
         self.physical = physical
 
@@ -441,7 +455,7 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
         for d in range(grid.dim):
             u[0, d], u[1, d] = rand_field(), rand_field()
     # keep every field inside the 2/3 band so products never alias back
-    state = FieldState.from_spectra(grid, _rfft_rows(grid, physical), 0.0)
+    state = FieldState.from_spectra(grid, _rfft_rows(grid, physical, workers(grid)), 0.0)
     state.check_positivity(params if params is not None else FluidParams())
     return state
 
@@ -498,16 +512,14 @@ def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) ->
         phi, rem = _hodge(u.swapaxes(0, 1), kh[:, None])  # both phases: axes (dim, phase)
         new = np.einsum("ij...,j...->i...", S[:, :, s],  # rows n+, phi+, n-, phi-
                         np.stack([n, phi], axis=1).reshape((4,) + n.shape[1:]))
-        out = np.empty_like(state.spectra[:, s])
-        new_n, new_u = FieldState.phases(out)
+        new_n, new_u = FieldState.phases(out[:, s])
         new_n[...] = new[0::2]
         np.multiply(-1j * kh, new[1::2, None], out=new_u)
         rem *= heat[:, s]
         new_u += rem.swapaxes(0, 1)
-        return out
 
-    size = workers(grid)
-    out = _join(threads.slices(slab, grid.band_shape[0], size, size), axis=1)
+    size, out = workers(grid), np.empty_like(state.spectra)
+    threads.slices(slab, grid.band_shape[0], size, size)
     return FieldState.from_spectra(grid, out, state.time + dt)
 
 
@@ -521,74 +533,91 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
     Derivatives are spectral, products pointwise; every assembled tendency
     is transformed once, onto the 2/3 band.  Returns ``(F, rho_ratio)``: ``F``
     is stacked like ``state.spectra`` and holds the band spectra of the
-    tendencies of n+, n-, u+ and u-; one function of the phase index builds
-    each phase's rows from the phase axis of the fields and their gradients.
+    tendencies of n+, n-, u+ and u-; one pass per phase index builds that
+    phase's rows from the phase axis of the fields and their gradients.
     The pointwise closure is solved once.  ``rho_ratio`` is ``rho+ / (R+ + R-)``
     at its root: a given one warm-starts the solve at ``rho_ratio * (R+ + R-)``,
     and the one returned is this state's.  The ratio moves less than the root
     from stage to stage, and at ``gamma+ = gamma-``, where the root is
-    ``R+ + R-``, it is exactly 1.  The gradient rows, the closure's slabs and
-    the two phases run on :func:`workers` threads; each does the same
-    arithmetic whatever the count, so the results are bitwise the same.
+    ``R+ + R-``, it is exactly 1.  The phases run one after the other, each
+    with its transform rows and pointwise slabs on :func:`workers` threads,
+    which do the same arithmetic whatever their count: the bits are the same.
     """
     grid = state.grid
     shape, dim = grid.shape, grid.dim
     size = workers(grid)
     w = _waves(grid)
-    spec = state.spectra
+    q, j, at = _row_tables(dim)
     n, u = FieldState.phases(state.physical)
-    # grad[r, j] is d_j of row r, built a block of transforms at a time so that
-    # no (rows x dim) stack of complex derivatives is held on large grids
-    rows = np.arange(len(spec) * dim)
-    grad = _irfft_rows(lambda s: 1j * w.ks[rows[s] % dim] * spec[rows[s] // dim],
-                       rows.size, shape, size)
-    # dn[p, j] = d_j n_p and Du[p, i, j] = d_j u_p,i
-    dn, Du = FieldState.phases(grad.reshape((len(spec), dim) + shape))
+    u_hat = FieldState.phases(state.spectra)[1]
+    # pointwise work goes in slabs of the first axis, at most _BLOCK_POINTS points
+    # and two per thread (one slab inline), into arrays made here: no pool task
+    # makes a whole-grid array.  The two that outlive the call come first.
+    slabs = 1 if size == 1 else max(2 * size, math.prod(shape) // _BLOCK_POINTS)
+    F, ratio, coeffs = np.empty_like(state.spectra), np.empty(shape), np.empty((9,) + shape)
 
-    # the closure and its coefficients, pointwise, in slabs of the first axis
     def closure_slab(s):
         R_p, R_m = n[0][s] + params.rbar_plus, n[1][s] + params.rbar_minus
         total = R_p + R_m
         closure = closure_state(R_p, R_m, params,
                                 x0=None if rho_ratio is None else rho_ratio[s] * total)
-        nc = nonlinear_coefficients(closure, params)
-        return (closure.rho_plus / total, nc.g_plus, nc.gbar_plus, nc.gbar_minus, nc.g_minus,
-                nc.h_plus, nc.h_minus, nc.k_plus, nc.k_minus, nc.l_plus, nc.l_minus)
+        np.divide(closure.rho_plus, total, out=ratio[s])
+        nc = nonlinear_coefficients(closure, params)  # gbar_plus is gbar_minus
+        for row, c in zip(coeffs, (nc.g_plus, nc.gbar_plus, nc.g_minus, nc.h_plus, nc.h_minus,
+                                   nc.k_plus, nc.k_minus, nc.l_plus, nc.l_minus)):
+            row[s] = c
 
-    ratio, *coeffs = (_join(part) for part in
-                      zip(*threads.slices(closure_slab, grid.n, size, size)))
-    # per phase p: g[p][q] multiplies dn_q in the pressure term
-    g, h, k, l = (coeffs[0:2], coeffs[2:4]), coeffs[4:6], coeffs[6:8], coeffs[8:10]
+    threads.slices(closure_slab, grid.n, slabs, size)
+    # per phase p: g[p + q] multiplies dn_q in the pressure term
+    g, h, k, l = tuple(coeffs[:3]), tuple(coeffs[3:5]), tuple(coeffs[5:7]), tuple(coeffs[7:])
     mu, lam = (params.mu_plus, params.mu_minus), (params.lambda_plus, params.lambda_minus)
-    F = np.empty_like(spec)
-    Fn, Fu = FieldState.phases(F)
-    u_hat = FieldState.phases(spec)[1]
+    # dn[q, j] = d_j n_q, read by both phases, then one phase's rows at a time:
+    # Du[i, j] = d_j u_p,i and T, the tendencies of u_p (the viscous rows) and n_p
+    rows = np.empty((2 * dim + dim * dim + dim + 1,) + shape)
+    dn = rows[:2 * dim].reshape((2, dim) + shape)
+    Du = rows[2 * dim:2 * dim + dim * dim].reshape((dim, dim) + shape)
+    T = rows[2 * dim + dim * dim:]
+    sources = (state.spectra[:2 + dim], u_hat[1])  # n+, n- and u+; u-
 
-    def phase(p):
-        # one phase, assembled row by row into F; its transforms run inline
-        div = np.einsum("ii...->...", Du[p])
-        # continuity by the product rule: -div(n u) = -(u . grad n + n div u)
-        flux_div = np.einsum("i...,i...->...", u[p], dn[p])
-        flux_div += n[p] * div
-        np.negative(_rfft(flux_div), out=Fn[p])
-        del flux_div
-        # momentum, with the viscous term mu Lap u + (mu + lam) grad div u;
-        # a = h dn+ + k dn- feeds both the shear cross term and the bulk term
+    for p in range(2):  # a phase's arrays die before the next one's are made
+        src, grads = sources[p], len(sources[p]) * dim
         k_dot_u = sum(kd * c for kd, c in zip(w.ks, u_hat[p]))
-        a = h[p] * dn[0] + k[p] * dn[1]
-        b = mu[p] * a - u[p]
-        div *= lam[p]
-        for i in range(dim):
-            f = _irfft(-(mu[p] * w.k2 * u_hat[p, i] + (mu[p] + lam[p]) * w.ks[i] * k_dot_u),
-                       shape)
-            f *= l[p]
-            f -= g[p][0] * dn[0, i] + g[p][1] * dn[1, i]
-            f += div * a[i]
-            f += np.einsum("j...,j...->...", b, Du[p, i])
-            f += mu[p] * np.einsum("j...,j...->...", a, Du[p, :, i])
-            Fu[p, i] = _rfft(f)
+        visc = -(mu[p] * w.k2 * u_hat[p] + (mu[p] + lam[p]) * w.ks * k_dot_u)
 
-    threads.each(phase, 2, size)
+        def spectrum(s):  # d_j src[q] at row q dim + j, then the viscous rows
+            if s.start >= grads:
+                return visc[s.start - grads:s.stop - grads]
+            if s.stop > grads:
+                return np.concatenate([spectrum(slice(s.start, grads)), visc[:s.stop - grads]])
+            if s.stop - s.start == 1:  # views of the one row's wavenumber and spectrum
+                return w.iks[j[s.start]:j[s.start] + 1] * src[q[s.start]:q[s.start] + 1]
+            return w.iks[j[s]] * src[q[s]]
+
+        _irfft_rows(spectrum, grads + dim, shape, size, out=rows[2 * dim * p:-1])
+        del k_dot_u, visc, spectrum  # before the slabs
+
+        def slab(s):
+            D, dns, us = Du[:, :, s], dn[:, :, s], u[p][:, s]
+            div = np.einsum("ii...->...", D)
+            # continuity by the product rule: -div(n u) = -(u . grad n + n div u)
+            flux_div = np.einsum("i...,i...->...", us, dns[p], out=T[dim, s])
+            flux_div += n[p][s] * div
+            # momentum, with the viscous term mu Lap u + (mu + lam) grad div u;
+            # a = h dn+ + k dn- feeds both the shear cross term and the bulk term
+            a = h[p][s] * dns[0] + k[p][s] * dns[1]
+            b = mu[p] * a - us
+            div *= lam[p]
+            for i in range(dim):
+                f = T[i, s]
+                f *= l[p][s]
+                f -= g[p][s] * dns[0, i] + g[p + 1][s] * dns[1, i]
+                f += div * a[i]
+                f += np.einsum("j...,j...->...", b, D[i])
+                f += mu[p] * np.einsum("j...,j...->...", a, D[:, i])
+
+        threads.slices(slab, grid.n, slabs, size)
+        _rfft_rows(grid, T, size, out=F, at=at[p])
+        np.negative(F[at[p, dim]], out=F[at[p, dim]])
     return F, ratio
 
 

@@ -691,7 +691,7 @@ def _step_calls(dim):
 
 
 # (call, c_call) budgets per dim; keyed by dim so that lowering one keeps the test ids
-_STEP_CALL_BUDGETS = {1: (498, 260), 2: (814, 401), 3: (1354, 674)}
+_STEP_CALL_BUDGETS = {1: (440, 236), 2: (584, 295), 3: (872, 444)}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -960,6 +960,34 @@ def test_pool_and_inline_give_the_same_bits(monkeypatch, dim, n):
     for inline, *pooled in zip(*results):
         for arr in pooled:
             assert np.array_equal(inline, arr)
+
+
+# tracemalloc peak of one warm nonlinear_rhs at 3D n = 32 on two threads,
+# above the call's entry, in grid rows (float64 arrays of the grid's shape)
+_RHS_PEAK_ROWS = 36.5
+
+
+def test_rhs_working_set(monkeypatch):
+    # the phases go one at a time and the pool gets rows and slabs, so the
+    # peak is the rows the call must hold plus slab-sized temporaries; the
+    # returned ratio owns its memory, so a state holding it keeps no
+    # coefficient row alive, and the call leaves only F and the ratio behind
+    import tracemalloc
+
+    _solver_threads(monkeypatch, 2)
+    grid = Grid(dim=3, n=32, length=2 * np.pi)
+    st = step(init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=1)), 0.01, SYM)
+    nonlinear_rhs(st, SYM, rho_ratio=st.rho_ratio)  # warm: the physical twin and the caches
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        F, ratio = nonlinear_rhs(st, SYM, rho_ratio=st.rho_ratio)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / ratio.nbytes <= _RHS_PEAK_ROWS
+    assert ratio.base is None and not np.shares_memory(ratio, F)
+    assert held - entry < F.nbytes + ratio.nbytes + 4096
 
 
 LINEAR_DECAY = "task: linear-decay\ndecay:\n  samples: 8\n  k_max: 0\n"
