@@ -551,25 +551,22 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
     n, u = FieldState.phases(state.physical)
     u_hat = FieldState.phases(state.spectra)[1]
     # pointwise work goes in slabs of the first axis, at most _BLOCK_POINTS points
-    # and two per thread (one slab inline), into arrays made here: no pool task
-    # makes a whole-grid array.  The two that outlive the call come first.
+    # and two per thread (one slab inline); each closure slab keeps its slab-sized
+    # coefficients, which both phases' passes read.  The outputs are made first.
     slabs = 1 if size == 1 else max(2 * size, math.prod(shape) // _BLOCK_POINTS)
-    F, ratio, coeffs = np.empty_like(state.spectra), np.empty(shape), np.empty((9,) + shape)
+    F, ratio = np.empty_like(state.spectra), np.empty(shape)
 
-    def closure_slab(s):
+    def closure_slab(s):  # per phase: the factors of dn+ and dn- in the pressure term, h, k, l
         R_p, R_m = n[0][s] + params.rbar_plus, n[1][s] + params.rbar_minus
         total = R_p + R_m
         closure = closure_state(R_p, R_m, params,
                                 x0=None if rho_ratio is None else rho_ratio[s] * total)
         np.divide(closure.rho_plus, total, out=ratio[s])
-        nc = nonlinear_coefficients(closure, params)  # gbar_plus is gbar_minus
-        for row, c in zip(coeffs, (nc.g_plus, nc.gbar_plus, nc.g_minus, nc.h_plus, nc.h_minus,
-                                   nc.k_plus, nc.k_minus, nc.l_plus, nc.l_minus)):
-            row[s] = c
+        nc = nonlinear_coefficients(closure, params)
+        return s, ((nc.g_plus, nc.gbar_plus, nc.h_plus, nc.k_plus, nc.l_plus),
+                   (nc.gbar_minus, nc.g_minus, nc.h_minus, nc.k_minus, nc.l_minus))
 
-    threads.slices(closure_slab, grid.n, slabs, size)
-    # per phase p: g[p + q] multiplies dn_q in the pressure term
-    g, h, k, l = tuple(coeffs[:3]), tuple(coeffs[3:5]), tuple(coeffs[5:7]), tuple(coeffs[7:])
+    parts = threads.slices(closure_slab, grid.n, slabs, size)
     mu, lam = (params.mu_plus, params.mu_minus), (params.lambda_plus, params.lambda_minus)
     # dn[q, j] = d_j n_q, read by both phases, then one phase's rows at a time:
     # Du[i, j] = d_j u_p,i and T, the tendencies of u_p (the viscous rows) and n_p
@@ -596,7 +593,9 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
         _irfft_rows(spectrum, grads + dim, shape, size, out=rows[2 * dim * p:-1])
         del k_dot_u, visc, spectrum  # before the slabs
 
-        def slab(s):
+        def slab(part):
+            s, coefficients = parts[part]
+            g_0, g_1, h, k, l = coefficients[p]
             D, dns, us = Du[:, :, s], dn[:, :, s], u[p][:, s]
             div = np.einsum("ii...->...", D)
             # continuity by the product rule: -div(n u) = -(u . grad n + n div u)
@@ -604,18 +603,18 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
             flux_div += n[p][s] * div
             # momentum, with the viscous term mu Lap u + (mu + lam) grad div u;
             # a = h dn+ + k dn- feeds both the shear cross term and the bulk term
-            a = h[p][s] * dns[0] + k[p][s] * dns[1]
+            a = h * dns[0] + k * dns[1]
             b = mu[p] * a - us
             div *= lam[p]
             for i in range(dim):
                 f = T[i, s]
-                f *= l[p][s]
-                f -= g[p][s] * dns[0, i] + g[p + 1][s] * dns[1, i]
+                f *= l
+                f -= g_0 * dns[0, i] + g_1 * dns[1, i]
                 f += div * a[i]
                 f += np.einsum("j...,j...->...", b, D[i])
                 f += mu[p] * np.einsum("j...,j...->...", a, D[:, i])
 
-        threads.slices(slab, grid.n, slabs, size)
+        threads.each(slab, len(parts), size)
         _rfft_rows(grid, T, size, out=F, at=at[p])
         np.negative(F[at[p, dim]], out=F[at[p, dim]])
     return F, ratio
@@ -674,7 +673,7 @@ def energy_report(state: FieldState, params: FluidParams) -> EnergyReport:
     grid = state.grid
     co = linear_coefficients(params)
     n_p, n_m, u_p, u_m = FieldState.split(state.spectra)
-    ks = _waves(grid).ks
+    iks = _waves(grid).iks
     e0 = 0.5 * (
         gradient_l2sq(grid, combination(n_p, n_m, co), 0)
         + co.sigma_plus / co.beta2 * gradient_l2sq(grid, n_p)
@@ -682,8 +681,8 @@ def energy_report(state: FieldState, params: FluidParams) -> EnergyReport:
         + gradient_l2sq(grid, u_p, 0) / co.beta2
         + gradient_l2sq(grid, u_m, 0) / co.beta3
     )
-    div_p = sum(1j * k * c for k, c in zip(ks, u_p))
-    div_m = sum(1j * k * c for k, c in zip(ks, u_m))
+    div_p = sum(ik * c for ik, c in zip(iks, u_p))
+    div_m = sum(ik * c for ik, c in zip(iks, u_m))
     d0 = (
         (co.nu1_plus * gradient_l2sq(grid, u_p) + co.nu2_plus * gradient_l2sq(grid, div_p, 0))
         / co.beta2

@@ -400,22 +400,21 @@ class BatchDecomposition:
     def project(self, U0):
         """``Q[n, i] = P_i U0[n]``, shape (n, 4, 4) complex, without the projector array.
 
-        Large batches go in row chunks on the package's thread pool.
+        Large batches go in row chunks on the package's thread pool, each into its rows of ``Q``.
         """
         U0 = np.asarray(U0)
-        rows = len(U0)
-        count = -(-rows // _CHUNK_ROWS) if threads.CPUS > 1 else 1
-        parts = threads.slices(lambda s: self._project(s, U0[s]), rows, count, threads.CPUS)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        Q = np.empty((len(U0), 4, 4), dtype=complex)
+        count = -(-len(Q) // _CHUNK_ROWS) if threads.CPUS > 1 else 1
+        threads.slices(lambda s: self._project(s, U0[s], Q[s]), len(Q), count, threads.CPUS)
+        return Q
 
-    def _project(self, rows, U0):
-        """:meth:`project` of the mode vectors ``U0`` of the slice ``rows``.
+    def _project(self, rows, U0, Q):
+        """:meth:`project` of the mode vectors ``U0`` of the slice ``rows``, into ``Q``.
 
         Confluent rows' pair columns: ``Q2 = U0 - Q0 - Q1`` and ``Q3 = (A - mu) Q2``.
         """
         ld, Bs, den = self._adjugate(rows)
         V2, V1, V0 = (np.einsum("mij,mj->im", B, U0) for B in Bs)  # nodes last: long loops
-        Q = np.empty(U0.shape[:1] + (4, 4), dtype=complex)
         for i, li in enumerate(ld.T):
             Q[:, i] = ((((li * U0.T + V2) * li + V1) * li + V0) / den[i]).T
         zero, conf = self.xis[rows] == 0, self.confluent[rows]
@@ -423,7 +422,6 @@ class BatchDecomposition:
         Q[conf, 2] = U0[conf] - Q[conf, 0] - Q[conf, 1]
         Q[conf, 3] = (np.einsum("mij,mj->mi", self.green[rows][conf], Q[conf, 2])
                       - ld[conf, 2, None] * Q[conf, 2])
-        return Q
 
     def evolution(self, U0):
         """``t -> exp(t A1) U0`` for mode vectors ``U0`` (n, 4), projected once.
