@@ -136,11 +136,6 @@ def pressure_and_sound_speed(rho, gamma):
     return rho**gamma, gamma * rho ** (gamma - 1.0)
 
 
-def _check_fraction_densities(R_plus, R_minus):
-    if np.any(np.asarray(R_plus) < R_MIN) or np.any(np.asarray(R_minus) < R_MIN):
-        raise ValueError(f"fraction densities below {R_MIN} (vacuum regime) rejected")
-
-
 def solve_rho_plus(R_plus, R_minus, params: FluidParams, x0=None):
     """Phase density ``rho+`` solving pressure equilibrium at given (R+, R-).
 
@@ -148,11 +143,13 @@ def solve_rho_plus(R_plus, R_minus, params: FluidParams, x0=None):
     analytic slope ``s+^2 + s-^2 R- R+ / (rho+ - R+)^2``, safeguarded by
     bisection on a bracket where the residual changes sign.
     """
-    _check_fraction_densities(R_plus, R_minus)
-    Rp = np.asarray(R_plus, dtype=float)
-    Rm = np.broadcast_to(np.asarray(R_minus, dtype=float), Rp.shape)
+    Rp, Rm = np.asarray(R_plus, dtype=float), np.asarray(R_minus, dtype=float)
+    if (Rp < R_MIN).any() or (Rm < R_MIN).any():
+        raise ValueError(f"fraction densities below {R_MIN} (vacuum regime) rejected")
+    if Rm.shape != Rp.shape:
+        Rm = np.broadcast_to(Rm, Rp.shape)
     out = kernels.solve_rho_plus_batch(Rp, Rm, params.gamma_plus, params.gamma_minus, x0=x0)
-    if np.any(np.isnan(out)):
+    if np.isnan(out).any():
         raise ConvergenceError("pressure-equilibrium root solve did not converge")
     return out[()]
 
@@ -161,19 +158,27 @@ def closure_state(R_plus, R_minus, params: FluidParams, x0=None) -> ClosureState
     """Full closure at (R+, R-): densities, fractions, sound speeds, C^2.
 
     Solves for the pressure-equilibrium root ``rho+`` once (warm-started from
-    ``x0`` when given, with the vacuum check) and derives the rest from it.
+    ``x0`` when given, with the vacuum check) and derives the rest from it
+    (:func:`closure_at_root`).
+    """
+    return closure_at_root(R_plus, R_minus, solve_rho_plus(R_plus, R_minus, params, x0=x0),
+                           params)
+
+
+def closure_at_root(R_plus, R_minus, rho_plus, params: FluidParams) -> ClosureState:
+    """The closure at (R+, R-) derived from its root ``rho+`` (:func:`solve_rho_plus`).
+
     The root lies above ``R+``, so both densities are positive.
     """
-    rho_p = solve_rho_plus(R_plus, R_minus, params, x0=x0)
-    Rp = np.asarray(R_plus, dtype=float)[()]  # np.float64 for scalars, as rho_p
+    Rp = np.asarray(R_plus, dtype=float)[()]  # np.float64 for scalars, as the root
     Rm = np.asarray(R_minus, dtype=float)[()]
-    rho_m = Rm * rho_p / (rho_p - Rp)
-    a_p = Rp / rho_p
+    rho_m = Rm * rho_plus / (rho_plus - Rp)
+    a_p = Rp / rho_plus
     a_m = 1.0 - a_p
-    s2p = params.gamma_plus * rho_p ** (params.gamma_plus - 1.0)
+    s2p = params.gamma_plus * rho_plus ** (params.gamma_plus - 1.0)
     s2m = params.gamma_minus * rho_m ** (params.gamma_minus - 1.0)
-    c2 = s2p * s2m / (a_m * rho_p * s2p + a_p * rho_m * s2m)
-    return ClosureState(Rp, Rm, rho_p, rho_m, a_p, a_m, s2p, s2m, c2)
+    c2 = s2p * s2m / (a_m * rho_plus * s2p + a_p * rho_m * s2m)
+    return ClosureState(Rp, Rm, rho_plus, rho_m, a_p, a_m, s2p, s2m, c2)
 
 
 @lru_cache(maxsize=64)
@@ -215,22 +220,36 @@ def nonlinear_coefficients(closure: ClosureState, params: FluidParams) -> Nonlin
     """The ten coefficient functions at perturbations ``n± = R± - rbar±``.
 
     Evaluated from the closure at the perturbed fraction densities
-    (:func:`closure_state`) rather than from stored expansions.
+    (:func:`closure_state`) rather than from stored expansions, one phase at
+    a time (:func:`phase_coefficients`).
     """
-    Rp, Rm = closure.R_plus, closure.R_minus
     eq = equilibrium_state(params)
-    g_p = closure.c2 * closure.rho_minus / closure.rho_plus - eq.c2 * eq.rho_minus / eq.rho_plus
-    g_m = closure.c2 * closure.rho_plus / closure.rho_minus - eq.c2 * eq.rho_plus / eq.rho_minus
-    gbar = closure.c2 - eq.c2
-    h_p = closure.c2 * closure.alpha_minus / (Rp * closure.s2_minus)
-    h_m = -closure.c2 / (closure.rho_minus * closure.s2_minus)
-    k_p = -closure.c2 / (Rp * closure.s2_plus * closure.rho_plus)
-    k_m = -closure.alpha_plus * closure.c2 / (Rm * closure.s2_plus)
-    l_p = 1.0 / closure.rho_plus - 1.0 / eq.rho_plus
-    l_m = 1.0 / closure.rho_minus - 1.0 / eq.rho_minus
+    g_p, gbar, h_p, k_p, l_p = phase_coefficients(closure, 0, eq)
+    _, g_m, h_m, k_m, l_m = phase_coefficients(closure, 1, eq)
     return NonlinearCoefficients(g_plus=g_p, g_minus=g_m, gbar_plus=gbar,
                                  gbar_minus=gbar, h_plus=h_p, h_minus=h_m,
                                  k_plus=k_p, k_minus=k_m, l_plus=l_p, l_minus=l_m)
+
+
+def phase_coefficients(closure: ClosureState, phase: int, eq: ClosureState) -> tuple:
+    """The five coefficient functions of phase 0 (+) or 1 (-), as its momentum reads them.
+
+    Returns the factors of ``dn+`` and ``dn-`` in the pressure term (``g+``
+    and ``gbar`` for phase 0, ``gbar`` and ``g-`` for phase 1), then ``h``,
+    ``k`` and ``l``; ``eq`` is :func:`equilibrium_state` of the parameters.
+    """
+    c2 = closure.c2
+    gbar = c2 - eq.c2
+    if phase == 0:
+        rho = closure.rho_plus
+        g = c2 * closure.rho_minus / rho - eq.c2 * eq.rho_minus / eq.rho_plus
+        return (g, gbar, c2 * closure.alpha_minus / (closure.R_plus * closure.s2_minus),
+                -c2 / (closure.R_plus * closure.s2_plus * rho), 1.0 / rho - 1.0 / eq.rho_plus)
+    rho = closure.rho_minus
+    g = c2 * closure.rho_plus / rho - eq.c2 * eq.rho_plus / eq.rho_minus
+    return (gbar, g, -c2 / (rho * closure.s2_minus),
+            -closure.alpha_plus * c2 / (closure.R_minus * closure.s2_plus),
+            1.0 / rho - 1.0 / eq.rho_minus)
 
 
 def linearized_density_perturbation(n_plus, n_minus, params: FluidParams):

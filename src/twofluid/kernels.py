@@ -29,27 +29,33 @@ def solve_rho_plus_batch(Rp, Rm, gamma_plus, gamma_minus, x0=None):
     Returns an array shaped like the inputs; NaN marks unconverged entries
     (the caller decides whether to raise).  ``x0`` warm-starts Newton.
     """
-    shape = np.shape(Rp)
-    Rp = np.asarray(Rp, dtype=np.float64).ravel()
+    Rp = np.asarray(Rp, dtype=np.float64)
+    shape = Rp.shape
+    Rp = Rp.ravel()
     Rm = np.asarray(Rm, dtype=np.float64).ravel()
     gp, gm = float(gamma_plus), float(gamma_minus)
-    x0 = Rp + Rm if x0 is None else np.asarray(x0, dtype=np.float64).ravel()
+    x = Rp + Rm if x0 is None else np.array(x0, dtype=np.float64).ravel()
     lo = Rp * (1.0 + 1e-12)
     hi = Rp + Rm + 10.0 * np.maximum(Rp, Rm)
+    phi = None
+    if ((x > lo) & (x < hi)).all():
+        # a start inside the nominal bracket that meets the tolerance is the
+        # root the iteration returns, whatever the widened bracket
+        rhom, Pp, Pm, phi = _residual(x, Rp, Rm, gp, gm)
+        if (np.abs(phi) <= TOL_PHI * np.maximum(1.0, Pp)).all():
+            return x.reshape(shape)
     # widen until phi(hi) > 0 (phi is increasing and -> +inf)
     for _ in range(64):
-        rhom = Rm * hi / (hi - Rp)
-        bad = hi**gp - rhom**gm <= 0.0
+        bad = hi**gp - (Rm * hi / (hi - Rp)) ** gm <= 0.0
         if not bad.any():
             break
         hi = np.where(bad, Rp + 2.0 * (hi - Rp), hi)
-    x = np.where((x0 > lo) & (x0 < hi), x0, np.minimum(np.maximum(Rp + Rm, lo * 1.000001), 0.5 * (lo + hi)))
+    if phi is None:  # a start outside the bracket moves into it
+        x = np.where((x > lo) & (x < hi), x,
+                     np.minimum(np.maximum(Rp + Rm, lo * 1.000001), 0.5 * (lo + hi)))
+        rhom, Pp, Pm, phi = _residual(x, Rp, Rm, gp, gm)
     active = np.ones(x.shape, dtype=bool)
     for _ in range(MAX_ITER):
-        rhom = Rm * x / (x - Rp)
-        Pp = x**gp
-        Pm = rhom**gm
-        phi = Pp - Pm
         active &= ~(np.abs(phi) <= TOL_PHI * np.maximum(1.0, Pp))
         if not active.any():
             break
@@ -65,9 +71,18 @@ def solve_rho_plus_batch(Rp, Rm, gamma_plus, gamma_minus, x0=None):
         bisect = (xn <= lo) | (xn >= hi)
         xn = np.where(bisect, 0.5 * (lo + hi), xn)
         x = np.where(active, xn, x)
+        rhom, Pp, Pm, phi = _residual(x, Rp, Rm, gp, gm)
     else:
         x[active] = _bisect(Rp[active], Rm[active], gp, gm, hi[active])
     return x.reshape(shape)
+
+
+def _residual(x, Rp, Rm, gp, gm):
+    """``rho-``, the two pressures and ``phi`` at ``x``."""
+    rhom = Rm * x / (x - Rp)
+    Pp = x**gp
+    Pm = rhom**gm
+    return rhom, Pp, Pm, Pp - Pm
 
 
 def _bisect(Rp, Rm, gp, gm, hi):

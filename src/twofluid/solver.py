@@ -25,7 +25,9 @@ may use), which gets rows and slabs, never phases: the tendencies are built
 one phase at a time, its transforms by rows and its pointwise work, like the
 closure and the linear half-steps, in slabs of the first axis.  The threads
 split independent work and never change its arithmetic, so the results are
-bitwise the same whatever the number of CPUs.  Smaller grids run inline.
+bitwise the same whatever the number of CPUs.  Smaller grids, and every grid
+on one CPU, run inline; there too the pointwise work of a grid of more than
+``_BLOCK_POINTS`` points goes in slabs, so its temporaries stay slab-sized.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import threads
-from .closure import (FluidParams, check_domain, closure_state, combination,
-                      linear_coefficients, nonlinear_coefficients)
+from .closure import (FluidParams, check_domain, closure_at_root, combination,
+                      equilibrium_state, linear_coefficients, phase_coefficients,
+                      solve_rho_plus)
 from .spectral import decompose_batch, heat_factor
 
 CHECKPOINT_MAGIC = b"TF2F"
@@ -293,11 +296,15 @@ class FieldState:
     Only the band is held (``Grid.band``); every mode outside it is zero.  A
     state never changes: every array it holds is read-only and ``time`` is
     fixed at construction.  The constructor copies physical arrays, keeps
-    them as ``physical`` and transforms them once onto the band; states from
-    ``from_spectra`` make their physical twin once, on first read.
+    them as ``physical`` for the state's life and transforms them once onto
+    the band; states from ``from_spectra`` make their physical twin on first
+    read.  :func:`step` releases that twin of the state it advances once the
+    CFL bound is read, and a later read makes the same bits again.
     ``rho_ratio`` is ``rho+ / (R+ + R-)`` at the closure root of the nonlinear
     stage that produced the state (the next step warm-starts from it), or None.
     """
+
+    _twin_given = False  # set by the constructor: its physical arrays are the state's data
 
     def __init__(self, grid: Grid, n_plus, n_minus, u_plus, u_minus, time: float = 0.0):
         physical = np.concatenate([np.asarray(n_plus)[None], np.asarray(n_minus)[None],
@@ -305,6 +312,7 @@ class FieldState:
         self._hold(grid, _rfft_rows(grid, physical, workers(grid)), time)
         threads.freeze(physical)
         self.physical = physical
+        self._twin_given = True
 
     @classmethod
     def from_spectra(cls, grid: Grid, spectra: np.ndarray, time: float):
@@ -350,6 +358,11 @@ class FieldState:
                                workers(self.grid))
         threads.freeze(physical)
         return physical
+
+    def _release_twin(self):
+        """Forget a physical twin made from the spectra; the next read remakes its bits."""
+        if not self._twin_given:
+            self.__dict__.pop("physical", None)
 
     n_plus = property(lambda self: self.split(self.physical)[0],
                       doc="Fraction-density perturbation of the + phase.")
@@ -535,9 +548,12 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
     is stacked like ``state.spectra`` and holds the band spectra of the
     tendencies of n+, n-, u+ and u-; one pass per phase index builds that
     phase's rows from the phase axis of the fields and their gradients.
-    The pointwise closure is solved once.  ``rho_ratio`` is ``rho+ / (R+ + R-)``
-    at its root: a given one warm-starts the solve at ``rho_ratio * (R+ + R-)``,
-    and the one returned is this state's.  The ratio moves less than the root
+    The pointwise closure is solved once, and the call keeps only its root
+    ``rho+``, one grid row: each phase's pass derives its own five coefficients
+    from it slab by slab (``closure.closure_at_root`` and
+    ``closure.phase_coefficients``), so no coefficient outlives its slab.
+    ``rho_ratio`` is ``rho+ / (R+ + R-)`` at the root: a given one warm-starts
+    the solve at ``rho_ratio * (R+ + R-)``, and the one returned is this state's.  The ratio moves less than the root
     from stage to stage, and at ``gamma+ = gamma-``, where the root is
     ``R+ + R-``, it is exactly 1.  The phases run one after the other, each
     with its transform rows and pointwise slabs on :func:`workers` threads,
@@ -550,21 +566,22 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
     q, j, at = _row_tables(dim)
     n, u = FieldState.phases(state.physical)
     u_hat = FieldState.phases(state.spectra)[1]
-    # pointwise work goes in slabs of the first axis, at most _BLOCK_POINTS points
-    # and two per thread (one slab inline); each closure slab keeps its slab-sized
-    # coefficients, which both phases' passes read.  The outputs are made first.
-    slabs = 1 if size == 1 else max(2 * size, math.prod(shape) // _BLOCK_POINTS)
-    F, ratio = np.empty_like(state.spectra), np.empty(shape)
+    eq = equilibrium_state(params)
+    # pointwise work goes in slabs of the first axis, of at most _BLOCK_POINTS
+    # points and, on the pool, two per thread.  The closure pass keeps only the
+    # root rho+, from which each phase's pass derives its own coefficients slab
+    # by slab.  The outputs and the root are made first.
+    slabs = max(1 if size == 1 else 2 * size, math.prod(shape) // _BLOCK_POINTS)
+    F, ratio, root = np.empty_like(state.spectra), np.empty(shape), np.empty(shape)
 
-    def closure_slab(s):  # per phase: the factors of dn+ and dn- in the pressure term, h, k, l
+    def closure_slab(s):
         R_p, R_m = n[0][s] + params.rbar_plus, n[1][s] + params.rbar_minus
         total = R_p + R_m
-        closure = closure_state(R_p, R_m, params,
-                                x0=None if rho_ratio is None else rho_ratio[s] * total)
-        np.divide(closure.rho_plus, total, out=ratio[s])
-        nc = nonlinear_coefficients(closure, params)
-        return s, ((nc.g_plus, nc.gbar_plus, nc.h_plus, nc.k_plus, nc.l_plus),
-                   (nc.gbar_minus, nc.g_minus, nc.h_minus, nc.k_minus, nc.l_minus))
+        rho_p = solve_rho_plus(R_p, R_m, params,
+                               x0=None if rho_ratio is None else rho_ratio[s] * total)
+        root[s] = rho_p
+        np.divide(rho_p, total, out=ratio[s])
+        return s
 
     parts = threads.slices(closure_slab, grid.n, slabs, size)
     mu, lam = (params.mu_plus, params.mu_minus), (params.lambda_plus, params.lambda_minus)
@@ -594,8 +611,11 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
         del k_dot_u, visc, spectrum  # before the slabs
 
         def slab(part):
-            s, coefficients = parts[part]
-            g_0, g_1, h, k, l = coefficients[p]
+            s = parts[part]
+            # the factors of dn+ and dn- in the pressure term, h, k, l
+            g_0, g_1, h, k, l = phase_coefficients(
+                closure_at_root(n[0][s] + params.rbar_plus, n[1][s] + params.rbar_minus,
+                                root[s], params), p, eq)
             D, dns, us = Du[:, :, s], dn[:, :, s], u[p][:, s]
             div = np.einsum("ii...->...", D)
             # continuity by the product rule: -div(n u) = -(u . grad n + n div u)
@@ -624,7 +644,9 @@ def step(state: FieldState, dt: float, params: FluidParams,
          c_cfl: float = 0.5) -> FieldState:
     """One Strang step: half linear, RK2 nonlinear, half linear.
 
-    The fields stay spectral between the half steps.  The first stage's
+    The fields stay spectral between the half steps, and the incoming state's
+    physical twin is released once the CFL bound is read (see
+    :class:`FieldState`).  The first stage's
     closure solve warm-starts from ``state.rho_ratio`` (cold when None), the
     second from the first's; the returned state carries the second stage's
     ratio as its ``rho_ratio`` (see :func:`nonlinear_rhs`).
@@ -634,6 +656,7 @@ def step(state: FieldState, dt: float, params: FluidParams,
     if umax > 0 and dt > c_cfl * grid.dx / umax:
         raise ValueError(f"dt={dt:g} violates the advective bound "
                          f"{c_cfl * grid.dx / umax:g}")
+    state._release_twin()  # else the caller's reference holds it through both stages
     s = linear_propagator_step(state, 0.5 * dt, params)
     F, ratio = nonlinear_rhs(s, params, rho_ratio=state.rho_ratio)
     base, t = s.spectra, s.time

@@ -691,7 +691,7 @@ def _step_calls(dim):
 
 
 # (call, c_call) budgets per dim; keyed by dim so that lowering one keeps the test ids
-_STEP_CALL_BUDGETS = {1: (432, 234), 2: (576, 293), 3: (864, 442)}
+_STEP_CALL_BUDGETS = {1: (395, 231), 2: (537, 290), 3: (823, 439)}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -964,16 +964,18 @@ def test_pool_and_inline_give_the_same_bits(monkeypatch, dim, n):
 
 # tracemalloc peak of one warm nonlinear_rhs above the call's entry, in grid
 # rows (float64 arrays of the grid's shape), per (dim, n, threads): inline at
-# 1D n = 1024 and on two threads at 3D n = 32
-_RHS_PEAK_ROWS = {(1, 1024, 1): 25.6, (3, 32, 2): 36.5}
+# 1D n = 1024 and 2D n = 256 (the smallest grid cut into slabs inline), and on
+# two threads at 3D n = 32
+_RHS_PEAK_ROWS = {(1, 1024, 1): 24.5, (3, 32, 2): 31.5, (2, 256, 1): 22.5}
 
 
 def test_rhs_working_set(monkeypatch):
     # the phases go one at a time and the pool gets rows and slabs, so the
-    # peak is the rows the call must hold plus slab-sized temporaries, the
-    # closure's coefficients among them (inline, the one slab is the grid);
-    # the returned ratio owns its memory, so a state holding it keeps no
-    # coefficient row alive, and the call leaves only F and the ratio behind
+    # peak is the rows the call must hold plus slab-sized temporaries: the
+    # closure keeps one root row, and each phase's slabs derive their own
+    # coefficients from it (inline, grids above a block go in slabs too); the
+    # returned ratio owns its memory, so a state holding it keeps no other
+    # row alive, and the call leaves only F and the ratio behind
     import tracemalloc
 
     for (dim, n, cpus), budget in _RHS_PEAK_ROWS.items():
@@ -991,6 +993,57 @@ def test_rhs_working_set(monkeypatch):
         assert (peak - entry) / ratio.nbytes <= budget, (dim, n, cpus)
         assert ratio.base is None and not np.shares_memory(ratio, F)
         assert held - entry < F.nbytes + ratio.nbytes + 4096
+
+
+def _warm_state(grid):
+    """A stepped state on ``grid``, held by its spectra and ratio only: no physical twin yet."""
+    st = step(init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=1)), 0.01, SYM)
+    warm = FieldState.from_spectra(grid, st.spectra, st.time)
+    warm.rho_ratio = st.rho_ratio
+    return warm
+
+
+# tracemalloc peak of one warm step above its entry, in grid rows, on two
+# threads at 3D n = 32; the entry holds the incoming state's physical twin
+_STEP_PEAK_ROWS = 40.0
+
+
+def test_step_working_set(monkeypatch):
+    # the step releases the incoming state's twin once the CFL bound is read,
+    # so the caller's state holds no grid row through the two stages
+    import tracemalloc
+
+    _solver_threads(monkeypatch, 2)
+    grid = Grid(dim=3, n=32, length=2 * np.pi)
+    st = _warm_state(grid)
+    step(st, 0.01, SYM)  # warm: the caches
+    tracemalloc.start()
+    try:
+        st.physical  # the twin, made under tracing as a caller's read makes it
+        entry = tracemalloc.get_traced_memory()[0]
+        step(st, 0.01, SYM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / (8 * grid.n**grid.dim) <= _STEP_PEAK_ROWS
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 5])
+def test_step_releases_only_a_twin_it_can_remake(monkeypatch, cpus):
+    # a twin made from the spectra goes once the CFL bound is read, and the
+    # next read makes its bits again; a constructed state's arrays stay
+    _solver_threads(monkeypatch, cpus)
+    grid = Grid(dim=3, n=16, length=2 * np.pi)
+    st = _warm_state(grid)
+    before = st.physical
+    step(st, 0.01, SYM)
+    assert "physical" not in vars(st)
+    again = st.physical
+    assert again is not before and again.tobytes() == before.tobytes()
+    built = FieldState(grid, *FieldState.split(before.copy()), time=st.time)
+    given = built.physical
+    step(built, 0.01, SYM)
+    assert built.physical is given and np.array_equal(given, before)
 
 
 LINEAR_DECAY = "task: linear-decay\ndecay:\n  samples: 8\n  k_max: 0\n"

@@ -10,7 +10,9 @@ the caches; then it prints, one per line:
 - ``step_ms``: the median time of ``STEPS`` warm steps;
 - ``minflt_per_step``: minor page faults per warm step (``ru_minflt``);
 - ``live_peak_rows``: the tracemalloc peak of one more warm step above its
-  entry, in grid rows (one float64 array of the grid's shape);
+  entry, in grid rows (one float64 array of the grid's shape); the step
+  before it runs traced too, so the incoming state's physical twin, which
+  the caller holds, is traced memory that the step may release;
 - ``maxrss_mb``: the process's ``ru_maxrss``, read before tracing starts.
 """
 
@@ -49,6 +51,7 @@ def main(argv):
         times.append(time.perf_counter() - start)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     tracemalloc.start()
+    state = step(state, dt, params)
     entry = tracemalloc.get_traced_memory()[0]
     state = step(state, dt, params)
     peak = tracemalloc.get_traced_memory()[1] - entry
