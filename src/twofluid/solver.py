@@ -23,11 +23,12 @@ On grids of at least ``_PARALLEL_POINTS`` points a step runs on the
 package's thread pool (:mod:`twofluid.threads`, one thread per CPU the process
 may use), which gets rows and slabs, never phases: the tendencies are built
 one phase at a time, its transforms by rows and its pointwise work, like the
-closure and the linear half-steps, in slabs of the first axis.  The threads
-split independent work and never change its arithmetic, so the results are
-bitwise the same whatever the number of CPUs.  Smaller grids, and every grid
-on one CPU, run inline; there too the pointwise work of a grid of more than
-``_BLOCK_POINTS`` points goes in slabs, so its temporaries stay slab-sized.
+closure, in slabs of the first axis, and a linear half-step goes in one slab
+per thread.  The threads split independent work and never change its
+arithmetic, so the results are bitwise the same whatever the number of CPUs.
+Smaller grids, and every grid on one CPU, run inline; there too the
+tendencies' pointwise work on more than ``_BLOCK_POINTS`` points goes in
+slabs, so its temporaries stay slab-sized, while a half-step is one slab.
 """
 
 from __future__ import annotations
@@ -293,18 +294,17 @@ class FieldState:
     phase axis, :meth:`split` per field, and the field properties are views
     of ``physical``.
 
-    Only the band is held (``Grid.band``); every mode outside it is zero.  A
-    state never changes: every array it holds is read-only and ``time`` is
-    fixed at construction.  The constructor copies physical arrays, keeps
-    them as ``physical`` for the state's life and transforms them once onto
-    the band; states from ``from_spectra`` make their physical twin on first
-    read.  :func:`step` releases that twin of the state it advances once the
-    CFL bound is read, and a later read makes the same bits again.
+    The band is the state's data (``Grid.band``; every mode outside it is
+    zero), and the twin is a cache of it.  A state never changes: every array
+    it holds is read-only and ``time`` is fixed at construction.  The
+    constructor copies physical arrays, transforms them once onto the band
+    and keeps them as the twin; states from ``from_spectra`` make their twin
+    on first read.  :func:`step` releases the twin of the state it advances,
+    whatever made it, once the CFL bound is read; a later read is the
+    inverse transform of the spectra.
     ``rho_ratio`` is ``rho+ / (R+ + R-)`` at the closure root of the nonlinear
     stage that produced the state (the next step warm-starts from it), or None.
     """
-
-    _twin_given = False  # set by the constructor: its physical arrays are the state's data
 
     def __init__(self, grid: Grid, n_plus, n_minus, u_plus, u_minus, time: float = 0.0):
         physical = np.concatenate([np.asarray(n_plus)[None], np.asarray(n_minus)[None],
@@ -312,7 +312,6 @@ class FieldState:
         self._hold(grid, _rfft_rows(grid, physical, workers(grid)), time)
         threads.freeze(physical)
         self.physical = physical
-        self._twin_given = True
 
     @classmethod
     def from_spectra(cls, grid: Grid, spectra: np.ndarray, time: float):
@@ -360,9 +359,8 @@ class FieldState:
         return physical
 
     def _release_twin(self):
-        """Forget a physical twin made from the spectra; the next read remakes its bits."""
-        if not self._twin_given:
-            self.__dict__.pop("physical", None)
+        """Forget the physical twin; the next read makes it from the spectra."""
+        self.__dict__.pop("physical", None)
 
     n_plus = property(lambda self: self.split(self.physical)[0],
                       doc="Fraction-density perturbation of the + phase.")
@@ -547,13 +545,15 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
     is transformed once, onto the 2/3 band.  Returns ``(F, rho_ratio)``: ``F``
     is stacked like ``state.spectra`` and holds the band spectra of the
     tendencies of n+, n-, u+ and u-; one pass per phase index builds that
-    phase's rows from the phase axis of the fields and their gradients.
-    The pointwise closure is solved once, and the call keeps only its root
-    ``rho+``, one grid row: each phase's pass derives its own five coefficients
-    from it slab by slab (``closure.closure_at_root`` and
-    ``closure.phase_coefficients``), so no coefficient outlives its slab.
-    ``rho_ratio`` is ``rho+ / (R+ + R-)`` at the root: a given one warm-starts
-    the solve at ``rho_ratio * (R+ + R-)``, and the one returned is this state's.  The ratio moves less than the root
+    phase's rows from the phase axis of the fields and their gradients.  The
+    continuity tendencies are divergences, so their mean modes are set to
+    exactly 0: no step moves a phase's mass.  The pointwise closure is solved
+    once, and the call keeps only its root ``rho+``, one grid row: each
+    phase's pass derives its own five coefficients from it slab by slab
+    (``closure.closure_at_root`` and ``closure.phase_coefficients``), so no
+    coefficient outlives its slab.  ``rho_ratio`` is ``rho+ / (R+ + R-)`` at
+    the root: a given one warm-starts the solve at ``rho_ratio * (R+ + R-)``,
+    and the one returned is this state's.  The ratio moves less than the root
     from stage to stage, and at ``gamma+ = gamma-``, where the root is
     ``R+ + R-``, it is exactly 1.  The phases run one after the other, each
     with its transform rows and pointwise slabs on :func:`workers` threads,
@@ -637,6 +637,7 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
         threads.each(slab, len(parts), size)
         _rfft_rows(grid, T, size, out=F, at=at[p])
         np.negative(F[at[p, dim]], out=F[at[p, dim]])
+    F[(slice(2),) + (0,) * dim] = 0.0  # the continuity rows' mean modes
     return F, ratio
 
 
@@ -692,31 +693,30 @@ def gradient_l2sq(grid: Grid, spec, order=1):
 
 
 def energy_report(state: FieldState, params: FluidParams) -> EnergyReport:
-    """Natural energy, dissipation and phase masses, evaluated spectrally."""
+    """Natural energy, dissipation and phase masses, evaluated spectrally.
+
+    A phase's mass is its band's mean mode times the cell volume, which
+    :func:`step` keeps fixed (see :func:`nonlinear_rhs`).
+    """
     grid = state.grid
     co = linear_coefficients(params)
     n_p, n_m, u_p, u_m = FieldState.split(state.spectra)
     iks = _waves(grid).iks
+    (u0_p, u1_p), (u0_m, u1_m) = (gradient_l2sq(grid, u, order=(0, 1)) for u in (u_p, u_m))
     e0 = 0.5 * (
         gradient_l2sq(grid, combination(n_p, n_m, co), 0)
         + co.sigma_plus / co.beta2 * gradient_l2sq(grid, n_p)
         + co.sigma_minus / co.beta3 * gradient_l2sq(grid, n_m)
-        + gradient_l2sq(grid, u_p, 0) / co.beta2
-        + gradient_l2sq(grid, u_m, 0) / co.beta3
+        + u0_p / co.beta2 + u0_m / co.beta3
     )
     div_p = sum(ik * c for ik, c in zip(iks, u_p))
     div_m = sum(ik * c for ik, c in zip(iks, u_m))
     d0 = (
-        (co.nu1_plus * gradient_l2sq(grid, u_p) + co.nu2_plus * gradient_l2sq(grid, div_p, 0))
-        / co.beta2
-        + (co.nu1_minus * gradient_l2sq(grid, u_m)
-           + co.nu2_minus * gradient_l2sq(grid, div_m, 0)) / co.beta3
+        (co.nu1_plus * u1_p + co.nu2_plus * gradient_l2sq(grid, div_p, 0)) / co.beta2
+        + (co.nu1_minus * u1_m + co.nu2_minus * gradient_l2sq(grid, div_m, 0)) / co.beta3
     )
-    return EnergyReport(
-        e0=e0, d0=d0,
-        mass_plus=float(state.n_plus.mean() * grid.volume),
-        mass_minus=float(state.n_minus.mean() * grid.volume),
-    )
+    mass = state.spectra[(slice(2),) + (0,) * grid.dim].real * grid.volume / grid.n**grid.dim
+    return EnergyReport(e0=e0, d0=d0, mass_plus=float(mass[0]), mass_minus=float(mass[1]))
 
 
 def weighted_sup_functionals(times, norms: dict, ell: int = 3):

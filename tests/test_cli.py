@@ -728,6 +728,17 @@ def _drift(monkeypatch, field, rate):
     monkeypatch.setattr(cli, "energy_report", drifting)
 
 
+@pytest.mark.parametrize("params", ["", "params:\n  gamma_plus: 1.6\n  gamma_minus: 2.2\n"
+                                         "  mu_minus: 1.3\n  rbar_minus: 0.7\n"],
+                         ids=["readme", "nonsym"])
+def test_simulate_masses_are_the_initial_ones(tmp_path, params):
+    # a step never moves a phase's mass, so the drift is exactly 0
+    assert run_campaign(parse_config(SMALL_SIM + params), out_dir=tmp_path, quiet=True) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "energy.csv").read_text().splitlines()[2:]]
+    assert len(rows) == 4 and all(r[3:] == rows[0][3:] for r in rows)
+    assert json.loads((tmp_path / "metadata.json").read_text())["mass_drift"] == 0.0
+
+
 def test_simulate_mass_drift_covers_both_phases(tmp_path, monkeypatch):
     _drift(monkeypatch, "mass_minus", 1e-12)  # below the gate
     assert run_campaign(parse_config(SMALL_SIM), out_dir=tmp_path, quiet=True) == 0

@@ -15,8 +15,10 @@ threads never change bits.  Each campaign's exit code goes to stderr; its
 The campaigns: ``analyze-modes`` on the README, non-symmetric and
 tuned-confluent parameters; ``linear-decay`` and ``lower-bound`` on the README
 and non-symmetric parameters, each set's two back to back, so the second
-reuses the first's cached basis; ``simulate`` with seed 7 on seven grids; and
-``fit`` on the 1D n = 64 run's ``norms.csv`` (statuses ``n/a``: a periodic box has
+reuses the first's cached basis; ``simulate`` with seed 7 on seven grids on
+the README parameters, and on three on the non-symmetric ones (gamma+ != gamma-,
+so each closure stage's start misses the tolerance and the root solve iterates);
+and ``fit`` on the 1D n = 64 run's ``norms.csv`` (statuses ``n/a``: a periodic box has
 no whole-space rate) and on the README ``linear-decay`` run's (the rows of that
 run's own ``fit_summary.csv``).
 """
@@ -40,6 +42,7 @@ NONSYM_PARAMS = dict(mu_plus=0.8, mu_minus=1.3, lambda_plus=0.4, lambda_minus=0.
 # (dim, n, t_end) of the simulate runs; the larger 3D grids run fewer steps
 SIM_GRIDS = ((1, 64, 10.0), (1, 1024, 10.0), (2, 32, 10.0), (2, 128, 10.0),
              (3, 16, 10.0), (3, 32, 1.0), (3, 64, 0.2))
+NONSYM_SIM_GRIDS = ((1, 64, 10.0), (2, 32, 10.0), (3, 32, 1.0))
 
 
 def campaigns():
@@ -53,6 +56,9 @@ def campaigns():
     out += [(f"sim-{dim}d-{n}", {"task": "simulate", "seed": 7, "params": README_PARAMS,
                                  "sim": dict(README_SIM, dim=dim, n=n, t_end=t_end)})
             for dim, n, t_end in SIM_GRIDS]
+    out += [(f"sim-nonsym-{dim}d-{n}", {"task": "simulate", "seed": 7, "params": NONSYM_PARAMS,
+                                        "sim": dict(README_SIM, dim=dim, n=n, t_end=t_end)})
+            for dim, n, t_end in NONSYM_SIM_GRIDS]
     out += [(f"fit-{name}", {"task": "fit", "params": README_PARAMS,
                              "fit": {"input": f"../{source}/norms.csv"}})
             for name, source in (("1d-64", "sim-1d-64"), ("decay-readme", "linear-decay-readme"))]
