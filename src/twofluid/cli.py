@@ -195,6 +195,12 @@ CONFIG_RULES = (
     (DECAY, "decay", "t_min", lambda d: 0 < d.t_min < d.t_max,
      "> 0 and < decay.t_max ({0.t_max!r})"),
     (DECAY, "decay", "samples", lambda d: d.samples >= MIN_FIT_SAMPLES, f">= {MIN_FIT_SAMPLES}"),
+    # the smallest norm, combo's at k_max and t_max, is 0.02-0.08 times this
+    # product on the README parameters: its square stays above float_info.min
+    (("linear-decay",), "decay", "K0",
+     lambda d: d.t_max <= 0 or d.K0 * (1.0 + d.t_max) ** -(1.0 + d.k_max / 2.0) >= 1e-150,
+     "large enough that the squared norms stay normal floats: K0 (1 + decay.t_max)^-(1 + "
+     "decay.k_max / 2) >= 1e-150 (decay.t_max = {0.t_max!r}, decay.k_max = {0.k_max})"),
     (DECAY, "decay", "t_min", lambda d: (np.diff(_sample_times(d)) > 0).all(),
      "far enough below decay.t_max ({0.t_max!r}) for {0.samples} distinct sample times"),
     (DECAY, "decay", "tolerance", lambda d: d.tolerance >= 0, ">= 0"),

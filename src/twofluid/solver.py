@@ -20,12 +20,13 @@ costs the FFTs of the nonlinear stages plus a one-off build of the semigroup on
 decomposed once per distinct |k|^2 on the band (1,095 of 40,678 modes at 64^3).
 
 On grids of at least ``_PARALLEL_POINTS`` points a step runs on the
-package's thread pool (:mod:`twofluid.threads`, one thread per CPU the process
-may use), which gets rows and slabs, never phases: the tendencies are built
-one phase at a time, its transforms by rows and its pointwise work, like the
-closure, in slabs of the first axis, and a linear half-step goes in one slab
-per thread.  The threads split independent work and never change its
-arithmetic, so the results are bitwise the same whatever the number of CPUs.
+package's threads (:mod:`twofluid.threads`: the caller plus CPUS - 1 pool
+threads, one per CPU the process may use), which get rows and slabs, never
+phases: the tendencies are built one phase at a time, its transforms by rows
+and its pointwise work, like the closure, in slabs of the first axis, and a
+linear half-step goes in one slab per thread.  The threads split independent
+work and never change its arithmetic, so the results are bitwise the same
+whatever the number of CPUs.
 Smaller grids, and every grid on one CPU, run inline; there too the
 tendencies' pointwise work on more than ``_BLOCK_POINTS`` points goes in
 slabs, so its temporaries stay slab-sized, while a half-step is one slab.
@@ -454,17 +455,15 @@ def init_state(grid: Grid, spec: InitSpec, params: FluidParams | None = None) ->
         # the draw covers the rfft layout in ravel order, which the band keeps
         drawn = (kidx >= spec.band[0]) & (kidx <= spec.band[1])
         count, kept, at = drawn.sum(), (kidx <= _cut(grid.n))[drawn], grid.band(drawn)
-
-        def rand_field():
-            spec_arr = np.zeros(grid.band_shape, dtype=complex)
-            spec_arr[at] = (rng.normal(size=count) + 1j * rng.normal(size=count))[kept]
-            f = _irfft(spec_arr, shape)
+        band = np.zeros((len(physical),) + grid.band_shape, dtype=complex)
+        n_band, u_band = FieldState.phases(band)
+        for f in (*n_band, *(u_band[p, d] for d in range(grid.dim) for p in (0, 1))):
+            f[at] = (rng.normal(size=count) + 1j * rng.normal(size=count))[kept]
+        _irfft_rows(band.__getitem__, len(band), shape, workers(grid), out=physical)
+        for f in physical:
             m = np.abs(f).max()
-            return f * (spec.amplitude / m) if m > 0 else f
-
-        n[0], n[1] = rand_field(), rand_field()
-        for d in range(grid.dim):
-            u[0, d], u[1, d] = rand_field(), rand_field()
+            if m > 0:
+                f *= spec.amplitude / m
     # keep every field inside the 2/3 band so products never alias back
     state = FieldState.from_spectra(grid, _rfft_rows(grid, physical, workers(grid)), 0.0)
     state.check_positivity(params if params is not None else FluidParams())

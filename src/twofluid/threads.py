@@ -2,7 +2,8 @@
 
 The solver's steps on large grids, the linear lab's sample times and the
 projections of large node batches split independent work among the CPUs this
-process may use.
+process may use: the calling thread works one share itself and the pool's
+``CPUS - 1`` threads work the others.
 The threads never change the arithmetic of a row, slab or time, so results
 are bitwise the same whatever the number of CPUs.  A pool task never submits
 to the pool.
@@ -27,22 +28,31 @@ def _pool(size: int):
 
 
 def each(task, count: int, size: int):
-    """``task(i)`` for every ``i < count``: inline on one thread or one task, else on the pool.
+    """``task(i)`` for every ``i < count``: inline on one thread or one task, else
+    on the caller plus ``size - 1`` pool threads.
 
-    Tasks run their own work inline: a task that submitted to the pool and
-    waited could hold the last free thread its work needs.
+    Share ``j`` is every ``size``-th item from ``j``; the caller works share 0
+    and waits for every share to finish before it returns or re-raises the
+    first exception.  Tasks run their own work inline: a task that submitted
+    to the pool and waited could hold the last free thread its work needs.
     """
     if size == 1 or count <= 1:
         for i in range(count):
             task(i)
         return
 
-    def share(first):  # one hand-off per thread: every size-th item
+    def share(first):
         for i in range(first, count, size):
             task(i)
 
-    for _ in _pool(size).map(share, range(min(size, count))):
-        pass  # reading each result re-raises a task's exception
+    futures = [_pool(size - 1).submit(share, first) for first in range(1, min(size, count))]
+    try:
+        share(0)
+    finally:
+        for future in futures:
+            future.exception()  # waits; the caller's own exception goes first
+    for future in futures:
+        future.result()  # re-raises a pool share's exception
 
 
 def freeze(*arrays):

@@ -504,6 +504,14 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
     ("linear-decay", "decay:\n  K0: 0\n", "'decay.K0' must be > 0, got 0.0"),
     ("linear-decay", "decay:\n  K0: -1\n", "'decay.K0' must be > 0, got -1.0"),
     ("lower-bound", "decay:\n  K0: 1.5\n", "'decay.K0' must be in (0, 1), got 1.5"),
+    ("linear-decay", "decay:\n  samples: 8\n  k_max: 0\n  K0: 1.0e-146\n",
+     "'decay.K0' must be large enough that the squared norms stay normal floats: K0 (1 + "
+     "decay.t_max)^-(1 + decay.k_max / 2) >= 1e-150 (decay.t_max = 10000.0, decay.k_max = 0), "
+     "got 1e-146"),
+    ("linear-decay", "decay:\n  K0: 1.0e-150\n",
+     "'decay.K0' must be large enough that the squared norms stay normal floats: K0 (1 + "
+     "decay.t_max)^-(1 + decay.k_max / 2) >= 1e-150 (decay.t_max = 10000.0, decay.k_max = 3), "
+     "got 1e-150"),
     ("lower-bound", "decay:\n  theta: 2\n", "'decay.theta' must be < 2, got 2.0"),
     ("lower-bound", "decay:\n  s_exp: 0\n", "'decay.s_exp' must be > 0, got 0.0"),
     ("lower-bound", "decay:\n  eta: 0\n", "'decay.eta' must be > 0, got 0.0"),
@@ -535,7 +543,8 @@ def test_simulate_time_field_boundaries_parse_and_other_tasks_ignore_them():
         "xi_min-negative", "xi_min-above-xi_max", "t_check-negative", "samples-zero",
         "samples-below-fit-minimum", "decay-k_max-negative", "decay-t_min-zero",
         "decay-window-empty", "sample-times-collide", "linear-decay-K0-zero",
-        "linear-decay-K0-negative", "lower-bound-K0-above-1", "theta-2", "s_exp-zero",
+        "linear-decay-K0-negative", "lower-bound-K0-above-1", "K0-squares-subnormal-k_max-0",
+        "K0-squares-subnormal-k_max-3", "theta-2", "s_exp-zero",
         "eta-zero", "c_cfl-negative", "gaussian-width-zero", "gaussian-width-underflows",
         "gaussian-exponent-overflows", "fit-window-reversed", "fit-tolerance-negative",
         "mode-above-the-band", "band-above-the-band", "band-below-zero", "xi_min-below-floor"])
@@ -545,7 +554,9 @@ def test_parse_rejects_fields_out_of_their_task_domain(tmp_path, capsys, task, t
     # From xi_min on: a reversed xi sweep ran to exit 0, and the rest died inside
     # the run with a message that named no field.  The mode and band cases at the
     # end ran a zero state (the 2/3 band erases their data) to exit 0, and
-    # xi_min-below-floor wrote eigenvalues with a positive real part to exit 0
+    # xi_min-below-floor wrote eigenvalues with a positive real part to exit 0.
+    # K0-squares-subnormal-k_max-3 died inside the run with exit 2 (quadrature
+    # not converged); its k_max-0 twin sits just below the bound
     text = "seed: 1\n" + text
     with pytest.raises(ConfigError) as exc:
         parse_config(f"task: {task}\n" + text)
@@ -589,7 +600,9 @@ BOUNDARIES = {
     "t_min-smallest": ("linear-decay", f"decay:\n  samples: 8\n  k_max: 0\n  t_min: {TINY}\n"),
     "t_min-near-t_max": ("linear-decay",
                          "decay:\n  samples: 8\n  k_max: 0\n  t_min: 9999.999999999\n"),
-    "K0-small": ("linear-decay", "decay:\n  samples: 8\n  k_max: 0\n  K0: 1.0e-150\n"),
+    # K0 (1 + t_max)^-(1 + k_max / 2) just above 1e-150, the rejected side's bound
+    "K0-small": ("linear-decay", "decay:\n  samples: 8\n  k_max: 0\n  K0: 1.0002e-146\n"),
+    "K0-small-k_max-3": ("linear-decay", "decay:\n  samples: 8\n  K0: 1.0003e-140\n"),
     "theta-below-2": ("lower-bound",
                       "decay:\n  samples: 8\n  k_max: 0\n  theta: 1.9999999999999998\n"),
     "s_exp-smallest": ("lower-bound", f"decay:\n  samples: 8\n  k_max: 0\n  s_exp: {TINY}\n"),

@@ -1091,8 +1091,8 @@ def test_one_cpu_creates_no_pool(monkeypatch, tmp_path):
     from twofluid import solver, threads
     from twofluid.cli import parse_config, run_campaign
 
-    def refuse(size):
-        raise AssertionError("one CPU must not create a pool")
+    def refuse(pool_threads):
+        raise AssertionError(f"one CPU must not create a pool, asked for {pool_threads} thread(s)")
 
     _lab_threads(monkeypatch, 1)
     monkeypatch.setattr(threads, "_pool", refuse)
@@ -1112,18 +1112,33 @@ def test_pool_tasks_never_submit_to_the_pool(monkeypatch, tmp_path):
     from twofluid import threads
     from twofluid.cli import parse_config, run_campaign
 
-    nested = []
+    nested, asked = [], set()
     spare = ThreadPoolExecutor(2)
-    pool = threads._pool
+    pool, each = threads._pool, threads.each
+    in_task = threading.local()  # tasks of each() running on this thread
 
-    def guarded(size):
-        if threading.current_thread().name.startswith("twofluid-pool"):
+    def marked(task, count, size):
+        def run(i):
+            in_task.depth = getattr(in_task, "depth", 0) + 1
+            try:
+                task(i)
+            finally:
+                in_task.depth -= 1
+
+        each(run, count, size)
+
+    def guarded(pool_threads):
+        # the caller works share 0, so a task may run on the calling thread too
+        if (getattr(in_task, "depth", 0)
+                or threading.current_thread().name.startswith("twofluid-pool")):
             nested.append(threading.current_thread().name)
             return spare  # record the nested submission and run it elsewhere
-        return pool(size)
+        asked.add(pool_threads)
+        return pool(pool_threads)
 
     _lab_threads(monkeypatch, 2)
     monkeypatch.setattr(threads, "_pool", guarded)
+    monkeypatch.setattr(threads, "each", marked)
     grid = Grid(dim=3, n=16, length=2 * np.pi)
     st = init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=3))
     done = []
@@ -1139,5 +1154,75 @@ def test_pool_tasks_never_submit_to_the_pool(monkeypatch, tmp_path):
         assert not runner.is_alive(), "work did not finish: the pool deadlocked"
         assert len(done) == 2 and np.isfinite(done[0].physical).all() and done[1] == 0
         assert nested == []
+        assert asked == {1}  # two CPUs: the caller and one pool thread
     finally:
         spare.shutdown()
+
+
+def _own_pools(monkeypatch):
+    """Give ``threads`` pools of its own for one test; returns them by thread count."""
+    from twofluid import threads
+
+    pools, make = {}, threads._pool.__wrapped__
+
+    def pool(pool_threads):
+        if pool_threads not in pools:
+            pools[pool_threads] = make(pool_threads)
+        return pools[pool_threads]
+
+    monkeypatch.setattr(threads, "_pool", pool)
+    return pools
+
+
+def test_the_caller_works_share_0_beside_size_minus_1_pool_threads(monkeypatch):
+    import threading
+    import time
+
+    from twofluid import threads
+
+    pools = _own_pools(monkeypatch)
+    try:
+        for size in (2, 3):
+            ran, before = {}, set(threading.enumerate())
+
+            def task(i):
+                time.sleep(0.02)  # every share is busy at once
+                ran[i] = threading.current_thread()
+
+            threads.each(task, 3 * size + 1, size)
+            made = set(threading.enumerate()) - before
+            assert len(made) == size - 1
+            assert all(t.name.startswith("twofluid-pool") for t in made)
+            assert sorted(ran) == list(range(3 * size + 1))
+            for i, thread in ran.items():  # share j is every size-th item from j
+                assert (thread is threading.current_thread()) == (i % size == 0)
+                assert thread is ran[i % size]
+    finally:
+        for pool in pools.values():
+            pool.shutdown()
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["caller-share", "pool-share"])
+def test_a_share_exception_reaches_the_caller_after_every_share(monkeypatch, failing):
+    # the other shares sleep, then write: each write is done when the exception arrives
+    import time
+
+    from twofluid import threads
+
+    pools = _own_pools(monkeypatch)
+    written = []
+
+    def task(i):
+        if i == failing:
+            raise KeyError(i)
+        time.sleep(0.1 * (i + 1))
+        written.append(i)
+
+    try:
+        with pytest.raises(KeyError) as exc:
+            threads.each(task, 3, 3)
+        assert exc.value.args == (failing,)
+        assert sorted(written) == [i for i in range(3) if i != failing]
+    finally:
+        for pool in pools.values():
+            pool.shutdown()

@@ -13,12 +13,16 @@ the caches; then it prints, one per line:
   entry, in grid rows (one float64 array of the grid's shape); the step
   before it runs traced too, so the incoming state's physical twin, which
   the caller holds, is traced memory that the step may release;
-- ``maxrss_mb``: the process's ``ru_maxrss``, read before tracing starts.
+- ``maxrss_mb``: the process's ``ru_maxrss``, read before tracing starts;
+- ``pool_threads``: the live ``twofluid-pool`` threads after the steps,
+  ``CPUS - 1`` on a pooled grid (the caller works the remaining share) and 0
+  inline.
 """
 
 import resource
 import statistics
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -62,6 +66,7 @@ def main(argv):
     print(f"minflt_per_step {(usage.ru_minflt - faults) / STEPS:.1f}")
     print(f"live_peak_rows {peak / row:.2f} (grid row {row / 1e6:.3f} MB)")
     print(f"maxrss_mb {usage.ru_maxrss * 1024 / 1e6:.1f}")
+    print("pool_threads", sum(t.name.startswith("twofluid-pool") for t in threading.enumerate()))
 
 
 if __name__ == "__main__":
