@@ -400,7 +400,7 @@ def _task_analyze_modes(config: RunConfig, out_dir: Path, chash: str, meta: dict
                "branch", "projector_residual", "semigroup_residual"],
               rows, chash)
     meta.update({
-        "eta": choose_eta(co),
+        "asymptotic_radius": choose_eta(co),
         "branch_counts": {
             "distinct": int((~dec.confluent & ~dec.fallback).sum()),
             "confluent": int(dec.confluent.sum()),
@@ -461,8 +461,8 @@ def _task_linear_decay(config: RunConfig, out_dir: Path, chash: str, meta: dict)
     d = config.decay
     _, _, fits, fit_rows = _norm_rows_and_fits(config, make_generic_data(d.K0), VARIABLES,
                                                out_dir, chash)
-    meta.update({"eta": choose_eta(linear_coefficients(config.params)), "K0": d.K0,
-                 "fit_window": [d.t_min, d.t_max]})
+    meta.update({"asymptotic_radius": choose_eta(linear_coefficients(config.params)),
+                 "K0": d.K0, "fit_window": [d.t_min, d.t_max]})
     worst = max(abs(f.exponent - expected_exponent(v, k)) for (v, k), f in fits.items())
     return (all(r[5] == "pass" for r in fit_rows),
             f"linear-decay: {len(fits)} fits, worst exponent deviation {worst:.4f}")
@@ -485,7 +485,7 @@ def _task_lower_bound(config: RunConfig, out_dir: Path, chash: str, meta: dict):
     write_csv(out_dir / "band_summary.csv",
               ["variable", "weight_power", "max_over_min", "status"], band_rows, chash)
     meta.update({
-        "eta": choose_eta(linear_coefficients(config.params)),
+        "asymptotic_radius": choose_eta(linear_coefficients(config.params)), "eta": d.eta,
         "c0": data.c0, "s_exp": data.s_exp, "theta": data.theta,
         "band_gate": BAND_GATE,
     })

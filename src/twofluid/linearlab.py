@@ -244,7 +244,7 @@ class NormSeries:
 def _decompose(nodes, coeffs):
     """``decompose_batch`` with every array read-only: a cached basis is shared."""
     decomp = decompose_batch(nodes, coeffs)
-    threads.freeze(*decomp.char, *(a for a in vars(decomp).values() if a is not decomp.char))
+    threads.freeze(*decomp.char, *(a for a in vars(decomp).values() if isinstance(a, np.ndarray)))
     return decomp
 
 
@@ -273,11 +273,12 @@ class ModeEvolution:
     it is the latest one built in the process.  That pays when one process
     checks a parameter set twice in a row, as ``linear-decay`` and
     ``lower-bound`` do; a single campaign builds it once either way.
-    :meth:`norms` projects the data once, ``Q[n, i] = P[n, i] @ U0[n]``,
-    through the adjugate, never building the projector matrices.  Each sample
-    time costs only the real sum ``U(t) = sum_i w_i(t) Q_i`` (one exponential
-    per conjugate pair), and the squared moduli of every variable meet the
-    node weights ``4 pi w r^(2k+2)`` of every order in one matrix product.
+    :meth:`norms` projects the data once onto each node's two root clusters
+    (:class:`~twofluid.spectral.BatchDecomposition`), never building the
+    projector matrices.  Each sample time costs only a real weighted sum of
+    those terms (one exponential per cluster), and the squared moduli of every
+    variable meet the node weights ``4 pi w r^(2k+2)`` of every order in one
+    matrix product.
     Each time fills its own row of the table, so the times run on the
     package's thread pool (:mod:`twofluid.threads`), one task each; each keeps
     its working set at a few node arrays.

@@ -498,7 +498,7 @@ def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
     co = linear_coefficients(params)
     k2 = _waves(grid).k2
     distinct, inverse = np.unique(k2.ravel(), return_inverse=True)
-    S = decompose_batch(np.sqrt(distinct), co).semigroup(dt).real[inverse]
+    S = decompose_batch(np.sqrt(distinct), co).semigroup(dt)[inverse]
     S = np.ascontiguousarray(np.moveaxis(S, 0, -1)).reshape((4, 4) + grid.band_shape)
     heat = np.stack([heat_factor(k2, nu, dt) for nu in (co.nu1_plus, co.nu1_minus)])
     threads.freeze(S, heat)

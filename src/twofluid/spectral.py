@@ -7,13 +7,8 @@ After the Hodge split, the compressible unknowns ``(n+, phi+, n-, phi-)``, with
 characteristic quartic factored into two real quadratics by Ferrari's
 resolvent and Newton on the factors, after Strobach 2010, then one guarded
 Newton step on ``det(lambda I - A1)``), assembles the semigroup ``exp(t A1)``
-from spectral projectors, and provides the smooth cutoff profile used to build
-band-limited data.  Every row projects data through the adjugate of
-``lambda I - A1`` at each simple root (Cayley-Hamilton); on a near-double
-diffusive pair ``mu`` the pair's projection is the rest, ``I - P1 - P2``, and
-``A1 - mu`` on it is the nilpotent part of a ``t*exp(mu*t)`` term.  The
-projector matrices, the projection of the identity, are built on demand;
-evolving real data takes one exponential per conjugate pair.
+from two clusters of two roots (:class:`BatchDecomposition`), and provides the
+smooth cutoff profile used to build band-limited data.
 
 Functions of the frequency take whole arrays of magnitudes; one mode is an
 array of length one.
@@ -24,16 +19,17 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import threads
 from .closure import LinearCoefficients
 
-# Relative gap below which the diffusive pair is treated as confluent.  At
-# the window edge the distinct-branch projectors carry ~1/gap cancellation
-# through their denominators prod_{j != i} (lambda_i - lambda_j), so the
-# switch must happen well before the gap reaches sqrt(eps).
+# Gap, relative to the largest root, below which a cluster's roots are
+# confluent: the per-root report P_G/2 ± (A - mu) P_G/(r1 - r2) carries ~1/gap
+# cancellation, so it switches well before sqrt(eps).  A root of the other
+# cluster that close raises.  The evolution holds at any gap.
 EPS_CONFLUENT = 2e-6
 
 # Smallest frequency the quartic solve is accurate at: the depressed quartic's
@@ -41,8 +37,9 @@ EPS_CONFLUENT = 2e-6
 # the normal floats (subnormal, then zero), so the small roots lose their digits.
 XI_FLOOR = sys.float_info.min ** 0.125
 
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _I4 = np.eye(4)
+# Slots of the two clusters, by the partner of slot 0: cluster 0, then cluster 1.
+_SLOTS = np.array([[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 1, 3], [0, 3, 1, 2]], dtype=np.int8)
 # Batches of more rows than this are projected on the package's thread pool,
 # in contiguous chunks of at most this many rows; smaller ones run inline.
 # Measured with the four linear-lab campaigns (11,328 nodes) on a 2-vCPU
@@ -56,7 +53,7 @@ _CHUNK_ROWS = 2048
 
 
 class UnsupportedDegeneracyError(ValueError):
-    """Eigenvalue collision outside the lone diffusive-pair case."""
+    """Three eigenvalues in one cluster: no split into two separated pairs."""
 
 
 def smooth_step_down(x):
@@ -338,119 +335,175 @@ def _order_roots_distinct(lam):
     return np.where(fallback[:, None], by_mag, by_im), fallback
 
 
-def _weights(lam, nilpotent, t: float):
-    """``exp(lam t)``, times ``t`` where ``nilpotent`` (the confluent t*exp(mu t) term)."""
-    w = np.exp(lam * t)
-    return np.where(nilpotent, t, 1.0) * w if nilpotent.any() else w
+def _split(lam):
+    """Each row's best split {0, j} | rest of its roots: ``j``, its smaller and its cross gap.
+
+    Of the splits a real matrix allows (both pairs closed under conjugation,
+    or each the other's conjugate), the one with the smallest ratio of its
+    largest gap within a pair to its smallest gap between them, ties to the
+    lower j.
+    """
+    splits = []
+    for j in (1, 2, 3):
+        g, h = lam[:, _SLOTS[j, :2]], lam[:, _SLOTS[j, 2:]]
+        closed = [(p[:, 0] == p[:, 1].conj()) | (p.imag == 0).all(axis=1) for p in (g, h)]
+        ok = (closed[0] & closed[1] | (h == g.conj()).all(axis=1)
+              | (h[:, ::-1] == g.conj()).all(axis=1))
+        within = np.abs([g[:, 0] - g[:, 1], h[:, 0] - h[:, 1]])
+        between = np.abs(g[:, :, None] - h[:, None, :]).min(axis=(1, 2))
+        ok &= between > 0
+        splits.append([np.where(ok, within.max(axis=0) / np.where(ok, between, 1.0), np.inf),
+                       within.min(axis=0), between])
+    ratio, within, between = np.array(splits).transpose(1, 0, 2)
+    k, rows = ratio.argmin(axis=0), np.arange(len(lam))
+    return k + 1, within[k, rows], between[k, rows]
+
+
+def _pairs(lam, partner):
+    """Each cluster's roots ``r1, r2`` and the other's ``s1, s2``, (2, n) each, and ``mirrored``.
+
+    A row is mirrored when its clusters are not each closed under
+    conjugation, so that each is the other's conjugate.
+    """
+    R = np.take_along_axis(lam, _SLOTS[partner], axis=1).T.reshape(2, 2, -1)
+    r1, r2 = R[:, 0], R[:, 1]
+    closed = (r1 == r2.conj()) | (r1.imag == 0) & (r2.imag == 0)
+    return r1, r2, r1[::-1], r2[::-1], ~closed.all(axis=0)
+
+
+def _project(A, lam, partner, U, Q):
+    """Cluster terms of data ``U`` (4, m, n) of rows with roots ``lam`` into ``Q``, nodes last.
+
+    With ``v = q_H(A) U``, ``w = (A - mu) v`` and the line's value ``m`` at
+    ``mu`` and slope ``d``: ``P_G U = m v + d w``, and ``(A - mu) P_G U = m w +
+    d delta^2 v`` as ``(A - mu)^2 = delta^2`` on G's invariant subspace.  The
+    constants are real unless the row is mirrored; at xi = 0 cluster 0 is the
+    identity and cluster 1 empty.
+    """
+    r1, r2, s1, s2, mirrored = _pairs(lam, partner)
+    zero = (lam == 0).all(axis=1)
+    f1, f2 = (r1 - s1) * (r1 - s2), (r2 - s1) * (r2 - s2)
+    f = np.where(zero, 1.0, f1 * f2)
+    coef = np.stack([0.5 * (r1 + r2), s1 + s2, s1 * s2, 0.5 * (f1 + f2) / f,
+                     (s1 + s2 - r1 - r2) / f, 0.25 * (r1 - r2) ** 2])
+    coef = np.where(mirrored, coef, coef.real)
+    coef[:, :, zero] = 0.0
+    coef[2:4, 0, zero] = 1.0
+    At = np.ascontiguousarray(A.transpose(1, 2, 0))
+
+    def mv(X):  # A X per node
+        Y = At[:, 0, None] * X[0]
+        for j in (1, 2, 3):
+            Y += At[:, j, None] * X[j]
+        return Y
+
+    K1 = mv(U)
+    K2 = mv(K1)
+    for g, (mu, sigma, pi, m, d, d2) in enumerate(coef.transpose(1, 0, 2)):
+        v = K2 - sigma * K1 + pi * U
+        w = mv(v) - mu * v
+        Q[g] = m * v + d * w, m * w + d * d2 * v
+
+
+def _cluster_weights(c, t: float):
+    """Weights (2, n) at ``t`` of clusters ``c``: of ``P U`` (real part) and ``N U`` (imaginary).
+
+    These are ``e^(mu t) cosh(delta t)`` and ``e^(mu t) t sinhc(delta t)``,
+    ``N = (A - mu) P``.  A conjugate pair ``mu ± i omega`` takes ``e^(mu t)
+    (cos, sin)(omega t)``, one exponential, its ``N U`` scaled by ``1/omega``
+    (``n_scale``).  Any other cluster, from its root ``r`` of larger real
+    part and ``gap``, the other root minus ``r``, takes ``e^(r t) (1 + g/2)``
+    and ``e^(r t) g / gap`` with ``g = expm1(gap t)`` (``t e^(r t)`` at gap
+    0): neither overflows nor cancels.  A mirrored row's cluster 1 takes
+    the imaginary parts of its cluster 0's.
+    """
+    W = np.exp(c.lead * t)
+    E, g = W[c.slot, c.row], np.expm1(c.gap * t)
+    cosh, sinhc = E * (1.0 + 0.5 * g), E * np.where(c.z, t, g * c.inv_gap)
+    W[c.slot, c.row] = cosh.real + 1j * sinhc.real
+    W[1, c.row[c.conjugate]] = (cosh.imag + 1j * sinhc.imag)[c.conjugate]
+    return W
 
 
 @dataclass
 class BatchDecomposition:
-    """Semigroup decompositions ``exp(t A1) = sum_i w_i(t) P_i`` per frequency.
+    """Semigroup ``exp(t A1)`` per frequency from two clusters of two roots.
 
-    :attr:`projectors` is built on first read; :meth:`project` and
-    :meth:`evolution` apply them to data without it.  On ``confluent`` rows the
-    fourth term is nilpotent, weighted by ``t``.  ``fallback`` rows were
-    ordered by magnitude.
+    Each row's roots split into the two best separated pairs (at small xi the
+    acoustic pair ``~ ±i omega xi`` and the diffusive pair ``~ xi^2``): cluster
+    0 holds slots 0 and ``partner``, cluster 1 the other two.  After Davies &
+    Higham (2003), for G = {r1, r2} against H = {s1, s2}: ``P_G = u(A) q_H(A)``,
+    ``q_H(l) = (l - s1)(l - s2)`` and ``u`` the line through ``1/q_H`` at r1 and
+    r2, of slope ``-(r1 + r2 - s1 - s2) / (q_H(r1) q_H(r2))``; and ``exp(t A) P_G
+    = e^(mu t) [cosh(delta t) P_G + t sinhc(delta t) (A - mu) P_G]``, ``mu`` and
+    ``delta`` the pair's mean and half-gap.  Neither divides by ``r1 - r2``.
+    ``projectors`` reports the same matrices per root.
     """
 
     xis: np.ndarray
-    eigenvalues: np.ndarray   # (n, 4); confluent rows hold (l1, l2, mu, mu)
+    eigenvalues: np.ndarray   # (n, 4)
     confluent: np.ndarray     # (n,) bool
     fallback: np.ndarray      # (n,) bool
+    partner: np.ndarray       # (n,) int: the slot clustered with slot 0
     green: np.ndarray         # (n, 4, 4) real Green matrices
     char: tuple               # quartic coefficients (c3, c2, c1, c0), each (n,)
 
-    def _adjugate(self, rows):
-        """The ``rows``' roots, ``(B2, B1, B0)`` and ``prod_{j != i} (l_i - l_j)``.
-
-        At a simple root adj(l_i I - A) = prod_{j != i} (l_i - l_j) P_i, and
-        matching powers of l in adj(l I - A) (l I - A) = p(l) I (p the quartic)
-        gives adj(l I - A) = l^3 I + l^2 B2 + l B1 + B0 with real B2 = A + c3 I,
-        B1 = A B2 + c2 I, B0 = A B1 + c1 I (-B0 A = c0 I is Cayley-Hamilton):
-        two real stacked matmuls, then one Horner pass per root.  Products zero by
-        construction (a confluent row's double root, xi = 0) are 1 instead.
-        """
-        A, ld = self.green[rows], self.eigenvalues[rows]
-        c3, c2, c1 = (c[rows, None, None] for c in self.char[:3])
-        B2 = A + c3 * _I4
-        B1 = A @ B2 + c2 * _I4
-        # products written out: np.prod rounds a one-row batch differently, and
-        # a row must not depend on the batch (or chunk) it is in
-        gaps = [[ld[:, i] - ld[:, j] for j in range(4) if j != i] for i in range(4)]
-        one = (self.xis[rows] == 0) | self.confluent[rows] & (np.arange(4)[:, None] >= 2)
-        den = [np.where(o, 1.0, a * b * c) for o, (a, b, c) in zip(one, gaps)]
-        return ld, (B2, B1, A @ B1 + c1 * _I4), den
-
     @cached_property
-    def projectors(self):
-        """Spectral projectors (n, 4, 4, 4), the projection of the identity; lazy, read-only."""
-        n = len(self.xis)
-        P = np.stack([self.project(np.broadcast_to(e, (n, 4))) for e in _I4], axis=-1)
-        threads.freeze(P)  # a decomposition may be shared (the lab caches its bases)
-        return P
+    def _clusters(self):
+        """Per-cluster constants of the weights and of the per-root report, read-only."""
+        r1, r2, _, _, mirrored = _pairs(self.eigenvalues, self.partner)
+        first = (r1.real > r2.real) | (r1.real == r2.real) & (r1.imag >= r2.imag)
+        lead, gap = np.where(first, r1, r2), np.where(first, r2 - r1, r1 - r2)
+        osc = (lead.imag > 0) & (r1 == r2.conj())  # a conjugate pair
+        general = ~osc
+        general[1, mirrored] = False  # cluster 0's conjugate
+        slot, row = np.nonzero(general)
+        gap = gap[general]
+        out = SimpleNamespace(
+            slots=_SLOTS[self.partner], mirrored=np.nonzero(mirrored)[0],
+            tight=np.abs(r1 - r2) <= EPS_CONFLUENT * np.abs(self.eigenvalues).max(axis=1),
+            mu=0.5 * (r1 + r2), lead=np.where(general | osc, lead, 0.0), slot=slot, row=row,
+            n_scale=1.0 / np.where(osc, lead.imag, 1.0), conjugate=mirrored[row], gap=gap,
+            inv_gap=1.0 / np.where(gap == 0, 1.0, gap), z=gap == 0)
+        threads.freeze(*vars(out).values())
+        return out
 
-    def weights(self, t: float):
-        return _weights(self.eigenvalues, self.confluent[:, None] & (np.arange(4) == 3), t)
+    def project(self, U):
+        """``(P_g U, (A - mu_g) P_g U)`` per cluster g, (2, 2, 4, m, n) complex, of U (4, m, n).
 
-    def semigroup(self, t: float):
-        """``exp(t A1)`` for every mode, shape (n, 4, 4)."""
-        return np.einsum("ni,nijk->njk", self.weights(t), self.projectors)
-
-    def project(self, U0):
-        """``Q[n, i] = P_i U0[n]``, shape (n, 4, 4) complex, without the projector array.
-
-        Large batches go in row chunks on the package's thread pool, each into its rows of ``Q``.
+        Large batches go in row chunks on the package's thread pool, each into its rows.
         """
-        U0 = np.asarray(U0)
-        Q = np.empty((len(U0), 4, 4), dtype=complex)
-        count = -(-len(Q) // _CHUNK_ROWS) if threads.CPUS > 1 else 1
-        threads.slices(lambda s: self._project(s, U0[s], Q[s]), len(Q), count, threads.CPUS)
+        n = U.shape[-1]
+        Q = np.empty((2, 2) + U.shape, dtype=complex)
+        count = -(-n // _CHUNK_ROWS) if threads.CPUS > 1 else 1
+        threads.slices(lambda s: _project(self.green[s], self.eigenvalues[s], self.partner[s],
+                                          U[..., s], Q[..., s]), n, count, threads.CPUS)
         return Q
 
-    def _project(self, rows, U0, Q):
-        """:meth:`project` of the mode vectors ``U0`` of the slice ``rows``, into ``Q``.
-
-        Confluent rows' pair columns: ``Q2 = U0 - Q0 - Q1`` and ``Q3 = (A - mu) Q2``.
-        """
-        ld, Bs, den = self._adjugate(rows)
-        V2, V1, V0 = (np.einsum("mij,mj->im", B, U0) for B in Bs)  # nodes last: long loops
-        for i, li in enumerate(ld.T):
-            Q[:, i] = ((((li * U0.T + V2) * li + V1) * li + V0) / den[i]).T
-        zero, conf = self.xis[rows] == 0, self.confluent[rows]
-        Q[zero, 0] = U0[zero]
-        Q[conf, 2] = U0[conf] - Q[conf, 0] - Q[conf, 1]
-        Q[conf, 3] = (np.einsum("mij,mj->mi", self.green[rows][conf], Q[conf, 2])
-                      - ld[conf, 2, None] * Q[conf, 2])
-
     def evolution(self, U0):
-        """``t -> exp(t A1) U0`` for mode vectors ``U0`` (n, 4), projected once.
+        """``t -> exp(t A1) U0`` for mode data ``U0`` (n, 4) or (n, 4, m), projected once.
 
-        Data evolve in real arithmetic (complex data as two real parts): an
-        exact, non-real conjugate pair of roots (l0, l1) or (l2, l3) folds into
-        ``2 Re(w Q)`` of its first root, one complex exponential per pair.  At
-        xi = 0 all roots are 0 and nothing folds.
+        Real data evolve in real arithmetic (complex data as two real parts); a
+        mirrored row's terms are twice the real, then minus twice the imaginary
+        parts of its cluster 0's.
         """
         if np.iscomplexobj(U0):
             re, im = self.evolution(np.real(U0)), self.evolution(np.imag(U0))
             return lambda t: re(t) + 1j * im(t)
-        lam = self.eigenvalues
-        fold = (lam[:, 1::2] == lam[:, ::2].conj()) & (lam[:, ::2].imag != 0)
-        scale = np.stack([1.0 + fold, 1.0 - fold], axis=2).reshape(-1, 4)  # 2, 0 if folded
-        Q = scale[..., None] * self.project(U0)
-        keep = scale != 0
-        dense = keep.all(axis=0)  # one block of the columns every row keeps, one per other
-        extra = np.nonzero(keep.any(axis=0) & ~dense)[0]
-        blocks = [(slice(None), dense)] + [(keep[:, i], np.arange(4) == i) for i in extra]
-        arrays = (lam, self.confluent[:, None] & (np.arange(4) == 3), Q.real, Q.imag)
-        terms = [(rows, *(a[rows][:, cols] for a in arrays)) for rows, cols in blocks]
+        U0 = np.asarray(U0, dtype=float)
+        Q = self.project((U0 if U0.ndim == 3 else U0[..., None]).transpose(1, 2, 0))
+        m = self._clusters.mirrored
+        Q[:, ..., m] = 2.0 * Q[0][..., m], 2.0j * Q[0][..., m]
+        V = Q.reshape((4,) + Q.shape[2:]).real.copy()
+        c = self._clusters
+        V[1::2] *= c.n_scale[:, None, None]
 
-        def at(t: float):
-            U = np.zeros(np.shape(U0))
-            for rows, l, nil, qr, qi in terms:
-                w = _weights(l, nil, t)
-                U[rows] += np.einsum("ni,nij->nj", w.real, qr) - np.einsum("ni,nij->nj", w.imag, qi)
-            return U
+        def at(t: float):  # refers to ``c``, not to self, so ``_identity`` makes no cycle
+            W = _cluster_weights(c, t)
+            U = W[0].real * V[0]
+            for w, v in zip((W[0].imag, W[1].real, W[1].imag), V[1:]):
+                U += w * v
+            return U.transpose(2, 0, 1).reshape(U0.shape)
 
         return at
 
@@ -458,50 +511,59 @@ class BatchDecomposition:
         """Evolve mode vectors: shape (n, 4) -> (n, 4), real for real data."""
         return self.evolution(U0)(t)
 
+    @cached_property
+    def _identity(self):
+        return self.evolution(np.broadcast_to(_I4, (len(self.xis), 4, 4)))
+
+    def semigroup(self, t: float):
+        """``exp(t A1)`` for every mode, shape (n, 4, 4), real; the identity is projected once."""
+        return self._identity(t)
+
+    @cached_property
+    def projectors(self):
+        """Per-root report (n, 4, 4, 4) of the cluster projections; lazy, read-only.
+
+        A cluster in slots (i, j) reports ``P_G/2 ± (A - mu) P_G / (l_i - l_j)``,
+        its roots' projectors, or, if ``tight`` (roots within ``EPS_CONFLUENT``,
+        as on confluent rows and at xi = 0), ``P_G`` and ``(A - mu) P_G``.
+        """
+        n, c = len(self.xis), self._clusters
+        Q = self.project(np.broadcast_to(_I4[:, :, None], (4, 4, n))).transpose(0, 1, 4, 2, 3)
+        P = np.empty((n, 4, 4, 4), dtype=complex)
+        rows = np.arange(n)
+        for g, (PG, N) in enumerate(Q):
+            i, j, tight = c.slots[:, 2 * g], c.slots[:, 2 * g + 1], c.tight[g][:, None, None]
+            gap = np.where(c.tight[g], 1.0, self.eigenvalues[rows, i] - self.eigenvalues[rows, j])
+            P[rows, i] = np.where(tight, PG, 0.5 * PG + N / gap[:, None, None])
+            P[rows, j] = np.where(tight, N, 0.5 * PG - N / gap[:, None, None])
+        threads.freeze(P)  # a decomposition may be shared (the lab caches its bases)
+        return P
+
 
 def decompose_batch(xis, coeffs: LinearCoefficients) -> BatchDecomposition:
-    """Eigenvalues and semigroup decomposition of ``A1`` per frequency.
+    """Eigenvalues and their two clusters per frequency.
 
-    Each row takes one branch: zero (xi = 0: four zero roots); confluent (two
-    roots within ``EPS_CONFLUENT`` times the largest magnitude: the row holds
-    ``(l1, l2, mu, mu)``, the other two roots by descending Im and then the
-    pair's midpoint twice; a second collision raises
-    :class:`UnsupportedDegeneracyError`); distinct (acoustic pair first, by
-    descending Im, then the other pair by descending Re, ties by descending
-    Im); or distinct-fallback (``fallback``: no pair stands out by |Im|, as
-    when all four roots are real; by descending magnitude, then Re, then Im).
+    Each row takes one branch, which only orders and labels it: zero (xi = 0);
+    distinct (acoustic pair first, by descending Im, then the other pair by
+    descending Re, ties by descending Im); distinct-fallback (``fallback``: no
+    pair stands out by |Im|, as when all roots are real; by descending
+    magnitude, then Re, then Im); or confluent (ordered as distinct, with a
+    cluster's roots within ``EPS_CONFLUENT`` times the largest magnitude).
+    Three roots that close raise :class:`UnsupportedDegeneracyError`.
     """
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    n = xis.shape[0]
     A = batch_green(xis, coeffs)
     char = batch_char_coeffs(xis, coeffs)
-    lam = _eigenvalues(A, char)
-    scale = np.abs(lam).max(axis=1)
-
-    d = np.stack([np.abs(lam[:, i] - lam[:, j]) for i, j in _PAIRS], axis=1)
-    imin = d.argmin(axis=1)
-    dmin = d[np.arange(n), imin]
-    zero = scale == 0.0
-    conf = (~zero) & (dmin <= EPS_CONFLUENT * scale)
-
-    lam_o = np.zeros((n, 4), dtype=complex)
-    fallback = np.zeros(n, dtype=bool)
-    dist = ~(zero | conf)
-    lam_o[dist], fallback[dist] = _order_roots_distinct(lam[dist])
-    for r in np.nonzero(conf)[0]:
-        l1, l2 = (lam[r, k] for k in range(4) if k not in _PAIRS[imin[r]])
-        if l1.imag < l2.imag:
-            l1, l2 = l2, l1
-        if abs(l1 - l2) <= EPS_CONFLUENT * scale[r]:
-            raise UnsupportedDegeneracyError(
-                f"more than one eigenvalue collision at xi={xis[r]:.6g}")
-        mu = -(char[0][r] + l1 + l2) / 2.0  # pair midpoint via the trace (stable)
-        if min(abs(l1 - mu), abs(l2 - mu)) <= EPS_CONFLUENT * scale[r]:
-            raise UnsupportedDegeneracyError(
-                f"acoustic/diffusive eigenvalue collision at xi={xis[r]:.6g}")
-        lam_o[r] = (l1, l2, mu, mu)
-
-    return BatchDecomposition(xis=xis, eigenvalues=lam_o, confluent=conf, fallback=fallback,
+    lam, fallback = _order_roots_distinct(_eigenvalues(A, char))
+    partner, within, between = _split(lam)
+    eps = EPS_CONFLUENT * np.abs(lam).max(axis=1)
+    apart = (eps == 0) | (between > eps)
+    if not apart.all():
+        raise UnsupportedDegeneracyError(
+            f"three eigenvalues in one cluster at xi={xis[np.argmin(apart)]:.6g}")
+    conf = (eps > 0) & (within <= eps)
+    return BatchDecomposition(xis=xis, eigenvalues=lam, confluent=conf,
+                              fallback=fallback & (eps > 0) & ~conf, partner=partner,
                               green=A, char=char)
 
 
@@ -510,21 +572,25 @@ def projector_residuals(batch: BatchDecomposition):
 
     Every row checks resolution of identity, idempotence and mutual
     annihilation of its projections, and spectral reconstruction
-    ``A = sum_i l_i P_i``.  A confluent row's fourth slot is the nilpotent
-    ``(A - mu) P3``: it checks ``P4 @ P4 = 0``, weighs 1 in the reconstruction
-    and is left out of the identity and of the pairs.  Idempotence and
-    annihilation are scaled by the projector magnitudes (they grow near
-    confluence), reconstruction by the matrix magnitude.
+    ``A = sum_i l_i P_i``.  A tight cluster's ``(P_G, N)``, ``N = (A - mu)
+    P_G``, weighs ``mu`` and 1 there; its ``N`` checks ``N @ N = 0`` and is left
+    out of the identity and of the pairs.  Idempotence and annihilation are
+    scaled by the projector magnitudes (they grow near confluence),
+    reconstruction by the matrix magnitude.
     """
-    P = batch.projectors
-    A = batch.green
-    nil = batch.confluent[:, None] & (np.arange(4) == 3)
+    P, A, c = batch.projectors, batch.green, batch._clusters
+    nil = np.zeros((len(P), 4), dtype=bool)
+    weight = batch.eigenvalues.copy()
+    for g in range(2):
+        rows = np.nonzero(c.tight[g])[0]
+        i, j = c.slots[rows, 2 * g], c.slots[rows, 2 * g + 1]
+        nil[rows, j] = True
+        weight[rows, i], weight[rows, j] = c.mu[g, rows], 1.0
     proj = np.where(nil, 0.0, 1.0)  # 1 on projections, 0 on the nilpotent
     pmax = np.abs(P).max(axis=(2, 3))
     res = np.abs((proj[:, :, None, None] * P).sum(axis=1) - _I4).max(axis=(1, 2))
-    recon = np.einsum("ni,nijk->njk", np.where(nil, 1.0, batch.eigenvalues), P)
-    rec = np.abs(recon - A).max(axis=(1, 2)) / (1.0 + np.abs(A).max(axis=(1, 2)))
-    res = np.maximum(res, rec)
+    rec = np.abs(np.einsum("ni,nijk->njk", weight, P) - A).max(axis=(1, 2))
+    res = np.maximum(res, rec / (1.0 + np.abs(A).max(axis=(1, 2))))
     for i in range(4):
         idem = (np.abs(P[:, i] @ P[:, i] - proj[:, i, None, None] * P[:, i]).max(axis=(1, 2))
                 / (1.0 + pmax[:, i] ** 2))
@@ -538,11 +604,7 @@ def projector_residuals(batch: BatchDecomposition):
 
 
 def eigenvalues_exact(xis, coeffs: LinearCoefficients):
-    """Ordered quartic eigenvalues per frequency, shape (n, 4); zeros at xi = 0.
-
-    Ordered as :func:`decompose_batch` orders its distinct and
-    distinct-fallback rows, on every row, near-confluent ones included.
-    """
+    """Quartic eigenvalues per frequency, (n, 4), ordered as :func:`decompose_batch` orders them."""
     return _order_roots_distinct(batch_eigenvalues(xis, coeffs))[0]
 
 

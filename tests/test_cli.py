@@ -95,7 +95,7 @@ def test_analyze_modes_campaign(tmp_path):
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["passed"] is True
     assert meta["max_projector_residual"] < 1e-10
-    assert 0 < meta["eta"] <= 1.0
+    assert 0 < meta["asymptotic_radius"] <= 1.0
     assert "combination_ratio" in meta
 
 
@@ -115,11 +115,22 @@ def test_analyze_modes_semigroup_residual_matches_per_mode_loop(tmp_path):
         A = batch_green([xi], co)[0]
         worst = 0.0
         for t in cfg.modes.t_check:
-            S = np.einsum("i,ijk->jk", dec.weights(t)[i], dec.projectors[i])
+            S = dec.semigroup(t)[i]
             E = matrix_exp_oracle(A, t)
             worst = max(worst, float(np.abs(S - E).max() / max(np.abs(E).max(), 1e-290)))
         want.append(worst)
     assert [float(r.split(",")[-1]) for r in rows] == want
+
+
+def test_analyze_modes_runs_past_the_collision_of_the_two_pairs(tmp_path):
+    # on the README parameters roots of the two conjugate pairs meet near
+    # xi = 1107; the sweep runs through and writes its artifacts (whether the
+    # per-root projector gate passes there is not claimed)
+    cfg = parse_config("task: analyze-modes\nmodes:\n  xi_max: 2.0e3\n")
+    assert run_campaign(cfg, out_dir=tmp_path, quiet=True) in (0, 1)
+    assert len((tmp_path / "modes.csv").read_text().splitlines()) == cfg.modes.count + 2
+    meta = json.loads((tmp_path / "metadata.json").read_text())
+    assert meta["max_semigroup_residual"] <= 1e-10 and "failure" not in meta
 
 
 def test_analyze_modes_labels_the_fallback_rows(tmp_path):
@@ -830,7 +841,7 @@ def test_analyze_modes_without_modes_exits_2_with_metadata(tmp_path):
     assert len((tmp_path / "modes.csv").read_text().splitlines()) == 2  # comment and header
     meta = json.loads((tmp_path / "metadata.json").read_text())
     assert meta["passed"] is False and meta["failure"].startswith("error: ")
-    assert meta["config_hash"] == config_hash(cfg) and "eta" not in meta
+    assert meta["config_hash"] == config_hash(cfg) and "asymptotic_radius" not in meta
 
 
 def test_run_campaign_prints_summary_unless_quiet_and_fails_on_unmakeable_dir(tmp_path,

@@ -286,7 +286,7 @@ def test_norms_match_per_time_contraction(sym_evolution):
     # reference: the semigroup applied to the data at every time, then one
     # quadrature sum per (time, variable, order)
     ev = sym_evolution
-    assert ev.decomp.confluent.sum() > 0  # the t*exp(mu t) weight is exercised
+    assert ev.decomp.confluent.sum() > 0  # rows with a near-double pair are exercised
     data = make_generic_data(0.5)
     times = np.geomspace(1.0, 1e4, 12)
     ks = range(4)
@@ -294,8 +294,7 @@ def test_norms_match_per_time_contraction(sym_evolution):
     U0 = data.sampled(nodes)
     table = ev.norms(data, times, ks=ks)
     for it, t in enumerate(times):
-        U = np.einsum("ni,nijk,nk->nj", ev.decomp.weights(t), ev.decomp.projectors,
-                      U0.astype(complex))
+        U = np.einsum("njk,nk->nj", ev.decomp.semigroup(t), U0)
         vals = ev._variable_values(U, U0, nodes, t)
         for v in linearlab.VARIABLES:
             for k in ks:
@@ -405,7 +404,8 @@ def test_equal_keys_share_one_read_only_basis():
     arrays = [ev.quad.lo, ev.quad.hi, ev.quad.nodes, ev.quad.weights, fine.nodes, fine.weights]
     for dec in (ev.decomp, refined):
         arrays += [a for a in vars(dec).values() if isinstance(a, np.ndarray)] + list(dec.char)
-    assert len(arrays) == 6 + 2 * 9
+    assert len(arrays) == 6 + 2 * 10
+    arrays += list(vars(ev.decomp._clusters).values())  # built by the first evolution
     arrays.append(ev.decomp.projectors)  # built on first read, shared like the rest
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):

@@ -21,6 +21,10 @@ from twofluid.spectral import (
 )
 
 SYM = linear_coefficients(FluidParams())  # beta_i = 2, nu = 1, sigma = 1
+README = FluidParams(gamma_plus=2.0, gamma_minus=2.0)
+NONSYM = FluidParams(mu_plus=0.8, mu_minus=1.3, lambda_plus=0.4, lambda_minus=0.1,
+                     sigma_plus=0.9, sigma_minus=1.2, gamma_plus=1.6, gamma_minus=2.2,
+                     rbar_plus=1.4, rbar_minus=0.7)
 
 
 def random_coeffs(rng):
@@ -306,18 +310,12 @@ def test_eigenvalues_match_the_asymptotics_down_to_the_xi_floor():
     # below XI_FLOOR the quartic's O(xi^8) terms are subnormal or zero, and on
     # the non-symmetric set analyze-modes wrote growing modes (Re > 0) at 3.7e-40
     rng = np.random.default_rng(20261019)
-    sets = (FluidParams(gamma_plus=2.0, gamma_minus=2.0),
-            FluidParams(mu_plus=0.8, mu_minus=1.3, lambda_plus=0.4, lambda_minus=0.1,
-                        sigma_plus=0.9, sigma_minus=1.2, gamma_plus=1.6, gamma_minus=2.2,
-                        rbar_plus=1.4, rbar_minus=0.7),
-            _log_uniform_draw(rng), _log_uniform_draw(rng))
+    sets = (README, NONSYM, _log_uniform_draw(rng), _log_uniform_draw(rng))
     xis = np.geomspace(spectral.XI_FLOOR, 1e-20, 400)
     for params in sets:
         co = linear_coefficients(params)
         dec = decompose_batch(xis, co)
         want = eigenvalues_asymptotic(xis, co).real
-        # a confluent row holds the diffusive pair's midpoint twice
-        want[dec.confluent, 2:] = want[dec.confluent, 2:].mean(axis=1, keepdims=True)
         got, want = np.sort(dec.eigenvalues.real, axis=1), np.sort(want, axis=1)
         assert np.all(np.abs(got - want) <= 1e-3 * np.abs(want)), params
 
@@ -382,29 +380,58 @@ def test_acoustic_pair_is_exactly_conjugate():
 
 
 
+def _project_rows(d, U0):
+    """``d.project`` of mode vectors ``U0`` (n, 4), as (n, cluster, term, 4)."""
+    return d.project(U0.T[:, None])[..., 0, :].transpose(3, 0, 1, 2)
+
+
 def test_project_matches_projector_contraction():
+    # each cluster's terms split the data into the clusters' invariant
+    # subspaces: x0 + x1 = U0 and (A - r1)(A - r2) x = 0 for x = P_G U0; the
+    # second term is (A - mu) x; and x is the report's per-root projectors
+    # applied and summed back
     from test_acceptance import XI_GRID, acceptance_draws
 
     xis = np.concatenate([[0.0], XI_GRID])
     rng = np.random.default_rng(11)
     worst, confluent = 0.0, 0
     for params in acceptance_draws():
-        d = decompose_batch(xis, linear_coefficients(params))
+        co = linear_coefficients(params)
+        d = decompose_batch(xis, co)
+        A = batch_green(xis, co)
+        norm = 1.0 + np.abs(A).max(axis=(1, 2))[:, None]
+        slots = d._clusters.slots
+        roots = np.take_along_axis(d.eigenvalues, slots, axis=1)
+        P = np.take_along_axis(d.projectors, slots[:, :, None, None], axis=1)
+        size = 1.0 + np.abs(P).max(axis=(1, 2, 3))
         real = rng.normal(size=(len(xis), 4))
         for U0 in (real, real + 1j * rng.normal(size=(len(xis), 4))):
-            Q = d.project(U0)
-            P = d.projectors
-            err = np.abs(Q - np.einsum("nijk,nk->nij", P, U0)).max(axis=(1, 2))
-            worst = max(worst, float((err / (1.0 + np.abs(P).max(axis=(1, 2, 3)))).max()))
+            Q = _project_rows(d, U0)
+            PU = np.einsum("nsjk,nk->nsj", P, U0)
+            errs = [Q[:, 0, 0] + Q[:, 1, 0] - U0]
+            for g in range(2):
+                r1, r2 = roots[:, 2 * g, None], roots[:, 2 * g + 1, None]
+                x, y = Q[:, g, 0], Q[:, g, 1]
+                Ax = np.einsum("nij,nj->ni", A, x)
+                v = Ax - r2 * x
+                a, b = PU[:, 2 * g], PU[:, 2 * g + 1]
+                tight = (np.abs(r1 - r2) <= spectral.EPS_CONFLUENT
+                         * np.abs(d.eigenvalues).max(axis=1, keepdims=True))
+                errs += [(np.einsum("nij,nj->ni", A, v) - r1 * v) / norm**2,
+                         (y - Ax + 0.5 * (r1 + r2) * x) / norm,
+                         x - np.where(tight, a, a + b)]
+            err = np.max([np.abs(e).max(axis=1) for e in errs], axis=0)
+            worst = max(worst, float((err / size).max()))
         confluent += int(d.confluent.sum())
-    assert confluent > 0  # the confluent rows' pair columns are exercised
+    assert confluent > 0  # the confluent rows' (P_G, (A - mu) P_G) report is exercised
     assert worst <= 1e-12
 
 
 def test_fallback_rows_evolve_and_project_like_the_projectors():
-    # all-real spectra (ordered by magnitude, ``fallback``) fold nothing,
-    # while the other distinct rows fold their conjugate pairs, so evolution
-    # runs its per-column blocks next to the dense one
+    # all-real spectra (ordered by magnitude, ``fallback``) evolve their two
+    # real pairs by cosh and sinhc, next to rows that evolve conjugate pairs
+    # by cos and sin; both match the semigroup, and on the fallback rows the
+    # semigroup matches the oracle and the projection the per-root report
     xis = np.concatenate([[0.0], np.geomspace(1e-4, 1e2, 300)])
     d = decompose_batch(xis, FALLBACK_PARAMS_CO)
     fb = d.fallback
@@ -415,15 +442,20 @@ def test_fallback_rows_evolve_and_project_like_the_projectors():
     rng = np.random.default_rng(13)
     U0 = rng.normal(size=(len(xis), 4))
     evolve = d.evolution(U0)
-    pmax = 1.0 + np.abs(d.projectors).max(axis=(2, 3))
     for t in (0.0, 0.3, 10.0, 1e3):
         got = evolve(t)
-        ref = np.einsum("njk,nk->nj", d.semigroup(t), U0).real
-        size = (np.abs(d.weights(t)) * pmax).sum(axis=1) * np.abs(U0).max(axis=1)
-        assert (np.abs(got - ref).max(axis=1) <= 1e-12 * size + 1e-300).all()
+        ref = np.einsum("njk,nk->nj", d.semigroup(t), U0)
+        assert (np.abs(got - ref).max(axis=1) <= 1e-12 * _term_size(d, t, U0) + 1e-300).all()
+    for t in (1e-3, 0.1):
+        E = matrix_exp_oracle(d.green[fb], t)
+        err = np.abs(d.semigroup(t)[fb] - E).max(axis=(1, 2)) / np.abs(E).max(axis=(1, 2))
+        assert err.max() <= 1e-10
+    P = d.projectors[fb]
+    slots = d._clusters.slots[fb]
     for U in (U0, U0 + 1j * rng.normal(size=U0.shape)):
-        err = np.abs(d.project(U) - np.einsum("nijk,nk->nij", d.projectors, U)).max(axis=(1, 2))
-        assert (err / pmax.max(axis=1) <= 1e-12).all()
+        PU = np.take_along_axis(np.einsum("nijk,nk->nij", P, U[fb]), slots[:, :, None], axis=1)
+        err = np.abs(_project_rows(d, U)[fb, :, 0] - (PU[:, ::2] + PU[:, 1::2])).max(axis=(1, 2))
+        assert (err / (1.0 + np.abs(P).max(axis=(1, 2, 3))) <= 1e-12).all()
 
 
 def _documented_order(row):
@@ -467,10 +499,11 @@ def row_threads(monkeypatch, cpus, rows):
 
 @pytest.mark.parametrize("case", ["readme", "confluent", "draw0"])
 def test_pool_and_inline_decompositions_give_the_same_bits(monkeypatch, case):
-    # every field of the decomposition, the projector array and the projection
-    # of data, which (the array too) runs inline on one CPU and in chunks of at
-    # most 7 rows on 2 and 5 threads, switching often; the quadrature's first
-    # panel puts confluent rows in several chunks
+    # a row's decomposition, projector report, projection and evolution are
+    # the same bits in any batch and chunk: the whole batch inline on one CPU
+    # and projected in chunks of at most 7 rows on 2 and 5 threads, switching
+    # often, against batches of 7 rows; the quadrature's first panel puts
+    # confluent rows in several chunks
     from test_acceptance import XI_GRID, tuned_confluent_params
 
     params = {"readme": FluidParams(), "confluent": tuned_confluent_params(),
@@ -478,53 +511,30 @@ def test_pool_and_inline_decompositions_give_the_same_bits(monkeypatch, case):
     co = linear_coefficients(params)
     xis = np.concatenate([[0.0], _first_panel(), XI_GRID, np.geomspace(1e2, 1e3, 50)[1:]])
     U0 = np.random.default_rng(3).normal(size=(len(xis), 4))
+
+    def arrays(rows):
+        d = decompose_batch(xis[rows], co)
+        fields = [getattr(d, f.name) for f in dataclasses.fields(d) if f.name != "char"]
+        return fields + list(d.char) + [d.projectors, _project_rows(d, U0[rows]),
+                                         d.semigroup(10.0), d.apply(10.0, U0[rows])]
+
     results = []
     switch = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)
         for cpus in (1, 2, 5):
             row_threads(monkeypatch, cpus, 7)
-            d = decompose_batch(xis, co)
-            fields = [getattr(d, f.name) for f in dataclasses.fields(d) if f.name != "char"]
-            results.append(fields + list(d.char) + [d.projectors, d.project(U0)])
+            results.append(arrays(slice(None)))
     finally:
         sys.setswitchinterval(switch)
-    assert d.confluent.sum() > 14 and (d.fallback.sum() > 100) == (case == "draw0")
-    for inline, *pooled in zip(*results):
-        for arr in pooled:
-            assert arr.dtype == inline.dtype and arr.shape == inline.shape
-            assert arr.tobytes() == inline.tobytes()
-
-
-def _eager_horner_projectors(xis, co, lam):
-    """Distinct-row projectors as ``decompose_batch`` once built them eagerly."""
-    A = batch_green(xis, co)
-    c3, c2, c1, _ = batch_char_coeffs(xis, co)
-    eye = np.eye(4)
-    B2 = A + c3[:, None, None] * eye
-    B1 = A @ B2 + c2[:, None, None] * eye
-    B0 = A @ B1 + c1[:, None, None] * eye
-    P = np.empty(lam.shape + (4, 4), dtype=complex)
-    for i in range(4):
-        li = lam[:, i, None, None]
-        den = np.prod([lam[:, i] - lam[:, j] for j in range(4) if j != i], axis=0)
-        P[:, i] = (((li * eye + B2) * li + B1) * li + B0) / den[:, None, None]
-    return P
-
-
-def test_lazy_projectors_are_the_eager_build_bit_for_bit():
-    from test_acceptance import XI_GRID, acceptance_draws
-
-    xis = np.concatenate([[0.0], XI_GRID])
-    for params in acceptance_draws():
-        co = linear_coefficients(params)
-        d = decompose_batch(xis, co)
-        assert "projectors" not in vars(d)
-        P = d.projectors
-        dist = ~d.confluent & (d.xis != 0)
-        ref = _eager_horner_projectors(xis[dist], co, d.eigenvalues[dist])
-        assert np.array_equal(P[dist], ref)
-        assert np.array_equal(P[0], np.stack([np.eye(4)] + [np.zeros((4, 4))] * 3))
+    results.append([np.concatenate(a) for a in zip(*(arrays(slice(i, i + 7))
+                                                      for i in range(0, len(xis), 7)))])
+    d = decompose_batch(xis, co)
+    assert d.confluent[:30].sum() > 14 and (d.fallback.sum() > 100) == (case == "draw0")
+    for whole, *others in zip(*results):
+        for arr in others:
+            assert arr.dtype == whole.dtype and arr.shape == whole.shape
+            assert arr.tobytes() == whole.tobytes()
 
 
 def test_projector_leading_order_structure():
@@ -581,19 +591,27 @@ def test_real_evolution_matches_projector_sum(make_coeffs):
         assert d.confluent.any()
     U0 = np.random.default_rng(12).normal(size=(len(xis), 4))
     evolve = d.evolution(U0)
-    pmax = 1.0 + np.abs(d.projectors).max(axis=(2, 3))
     for t in (0.0, 0.3, 10.0, 1e3):
         got = evolve(t)
-        w = d.weights(t)
-        ref = np.einsum("ni,nijk,nk->nj", w, d.projectors, U0).real
-        # relative to the terms summed, as for the projection (small xi
-        # cancels 1/xi parts); weights that underflow to subnormals keep
-        # no relative accuracy, hence the absolute floor
-        size = (np.abs(w) * pmax).sum(axis=1) * np.abs(U0).max(axis=1)
+        ref = np.einsum("njk,nk->nj", d.semigroup(t), U0)
+        # relative to the terms summed (small xi cancels 1/xi parts);
+        # weights that underflow to subnormals keep no relative accuracy,
+        # hence the absolute floor
+        size = _term_size(d, t, U0)
         assert got.dtype == float
         assert (np.abs(got - ref).max(axis=1) <= 1e-12 * size + 1e-300).all()
-        # xi = 0: all four roots are 0 and nothing may fold (no doubled Q0)
+        # xi = 0: all four roots are 0, cluster 0 is the identity
         assert np.array_equal(got[0], U0[0])
+
+
+def _term_size(d, t, U0):
+    """Per row, ``sum_i |w_i(t)| |P_i| |U0|`` over the per-root report, ``w_i = e^(l_i t)``,
+    times ``t`` on a confluent row's nilpotent slot."""
+    w = np.abs(np.exp(d.eigenvalues * t))
+    w[d.confluent, 3] *= t
+    pmax = 1.0 + np.abs(d.projectors).max(axis=(2, 3))
+    return (w * pmax).sum(axis=1) * np.abs(U0).max(axis=1)
+
 
 def test_confluent_branch_matches_oracle():
     co = confluent_coeffs()
@@ -700,6 +718,35 @@ def test_matrix_exp_oracle_matches_40_digit_expm(i):
     assert np.abs(E - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("case,xi,t,bound", [
+    # below xi ~ 1e-6 the diffusive pair is confluent; the error of a
+    # midpoint double root would grow like (gap t)^2
+    ("readme", 1e-6, 1e8, 1.3e-12),
+    ("nonsym", 1e-6, 1e8, 1.9e-12),
+    ("confluent", 1e-3, 1e6, 3.8e-10),
+    # roots of the two conjugate pairs meet near xi = 1107; t = 1/xi^2 keeps
+    # every entry of exp(t A) (real parts ~ -xi^2/2) above the underflow
+    ("readme", 500.0, 500.0**-2, 4.3e-15),
+    ("readme", 1107.0, 1107.0**-2, 1.9e-15),
+    ("readme", 1500.0, 1500.0**-2, 4.3e-15),
+], ids=["readme-1e-6", "nonsym-1e-6", "confluent-1e-3", "readme-500", "readme-1107",
+        "readme-1500"])
+def test_semigroup_matches_60_digit_expm(case, xi, t, bound):
+    # an independent reference: mpmath's expm of the same Green matrix times
+    # t, exact in 60 digits; the bounds are 10x the errors measured
+    mpmath = pytest.importorskip("mpmath")
+    from test_acceptance import tuned_confluent_params
+
+    params = {"readme": README, "nonsym": NONSYM, "confluent": tuned_confluent_params()}[case]
+    A = batch_green([xi], linear_coefficients(params))[0]
+    with mpmath.workdps(60):
+        tA = mpmath.matrix([[mpmath.mpf(float(a)) * mpmath.mpf(t) for a in row]
+                            for row in A.tolist()])
+        ref = np.array(mpmath.expm(tA).tolist(), dtype=float)
+    S = decompose_batch([xi], linear_coefficients(params)).semigroup(t)[0]
+    assert np.abs(S - ref).max() <= bound * np.abs(ref).max()
+
+
 def test_matrix_exp_oracle_keeps_small_entries_next_to_huge_ones():
     E = matrix_exp_oracle(np.diag([-1e40, -1.0, 0.0, 0.0]), 1.0)
     assert np.array_equal(E, np.diag([0.0, np.exp(-1.0), 1.0, 1.0]))
@@ -760,21 +807,36 @@ def test_choose_eta_matches_roots_to_asymptotics_by_distance():
     assert choose_eta(linear_coefficients(params)) == 1.0
 
 
-def test_unsupported_degeneracy_raises():
-    # nearly decoupled identical phases: both 2x2 channels carry the same
-    # complex pair, so the spectrum is doubly degenerate twice over
+def _decoupled_coeffs(nu_plus, nu_minus, sigma_plus, sigma_minus):
+    """Nearly decoupled phases: each 2x2 channel has the roots of ``l^2 + nu l + sigma`` at xi = 1."""
     from twofluid.closure import LinearCoefficients
 
     b = 1e-30
-    co = LinearCoefficients(beta1=b, beta2=b, beta3=b, beta4=b,
-                            beta_plus=1.0, beta_minus=1.0,
-                            nu1_plus=0.5, nu1_minus=0.5, nu2_plus=0.5, nu2_minus=0.5,
-                            nu_plus=1.0, nu_minus=1.0,
-                            rhobar_plus=2.0, rhobar_minus=2.0,
-                            sigma_plus=1.0, sigma_minus=1.0)
+    return LinearCoefficients(beta1=b, beta2=b, beta3=b, beta4=b,
+                              beta_plus=1.0, beta_minus=1.0,
+                              nu1_plus=0.5, nu1_minus=0.5, nu2_plus=0.5, nu2_minus=0.5,
+                              nu_plus=nu_plus, nu_minus=nu_minus,
+                              rhobar_plus=2.0, rhobar_minus=2.0,
+                              sigma_plus=sigma_plus, sigma_minus=sigma_minus)
+
+
+def test_doubly_degenerate_row_matches_the_oracle():
+    # identical phases: both channels carry the same complex pair, so the
+    # spectrum is doubly degenerate twice over; the clusters are the two
+    # double roots, each the other's conjugate
+    d = decompose_batch([1.0], _decoupled_coeffs(1.0, 1.0, 1.0, 1.0))
+    assert d.confluent[0] and d._clusters.mirrored.tolist() == [0]
+    for t in (0.1, 1.0, 10.0, 100.0):
+        E = matrix_exp_oracle(d.green[0], t)
+        assert np.abs(d.semigroup(t)[0] - E).max() <= 1e-12 * np.abs(E).max()
+
+
+def test_unsupported_degeneracy_raises():
+    # a triple root at -1 (a double one in the + channel, nu^2 = 4 sigma) and
+    # a simple one at -2: no split keeps three roots apart
     with pytest.raises(spectral.UnsupportedDegeneracyError,
-                       match="more than one eigenvalue collision at xi=1$"):
-        decompose_batch([1.0], co)
+                       match="three eigenvalues in one cluster at xi=1$"):
+        decompose_batch([1.0], _decoupled_coeffs(2.0, 3.0, 1.0, 2.0))
 
 
 def test_cutoff_profile_is_the_shared_smooth_step():
