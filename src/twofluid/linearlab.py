@@ -241,28 +241,22 @@ class NormSeries:
             raise ValueError("norm values must be nonnegative")
 
 
-def _decompose(nodes, coeffs):
-    """``decompose_batch`` with every array read-only: a cached basis is shared."""
-    decomp = decompose_batch(nodes, coeffs)
-    threads.freeze(*decomp.char, *(a for a in vars(decomp).values() if isinstance(a, np.ndarray)))
-    return decomp
-
-
 @functools.lru_cache(maxsize=1)
 def _evolution_basis(params: FluidParams, t_max: float):
     """The oscillation-aware quadrature on radii up to 12, its decomposition and a check slot.
 
-    Built once per ``(params, t_max)`` and read-only: every evolution
-    of one parameter set shares it, and since a row's decomposition does not
-    depend on its batch, every norm keeps its bits.  Only the latest key's
-    basis is kept; another key replaces it.  The slot, a one-item list, holds
-    the quadrature check's last refinement.
+    Built once per ``(params, t_max)`` and read-only, as the rule and
+    ``decompose_batch`` return their arrays: every evolution of one parameter
+    set shares it, and since a row's decomposition does not depend on its
+    batch, every norm keeps its bits.  Only the latest key's basis is kept;
+    another key replaces it.  The slot, a one-item list, holds the quadrature
+    check's last refinement.
     """
     coeffs = linear_coefficients(params)
     nubar = spectral_constants(coeffs)[4]
     omega = np.sqrt(coeffs.beta1 + coeffs.beta4)
     quad = RadialQuadrature.oscillation_aware(12.0, t_max, omega, max(nubar, 1e-3))
-    return quad, _decompose(quad.nodes, coeffs), [None]
+    return quad, decompose_batch(quad.nodes, coeffs), [None]
 
 
 class ModeEvolution:
@@ -374,7 +368,7 @@ class ModeEvolution:
             if slot is None or not np.array_equal(slot[0], live):
                 fine = quad.refined(live)
                 threads.freeze(live)
-                slot = self._refined[0] = (live, fine, _decompose(fine.nodes, self.coeffs))
+                slot = self._refined[0] = (live, fine, decompose_batch(fine.nodes, self.coeffs))
             _, fine, decomp = slot
             U0 = data.sampled(fine.nodes)
             U = decomp.apply(t, U0)

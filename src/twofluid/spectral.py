@@ -256,12 +256,6 @@ def _polish_roots(lam, c3, c2, c1, c0):
     return lam
 
 
-def batch_eigenvalues(xis, coeffs: LinearCoefficients):
-    """Eigenvalues of the Green matrix for an array of frequencies."""
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    return _eigenvalues(batch_green(xis, coeffs), batch_char_coeffs(xis, coeffs))
-
-
 def _polish_on_green(lam, A):
     """One guarded Newton step of roots ``lam`` (n, k) on ``det(l I - A)`` of Green matrices.
 
@@ -271,7 +265,7 @@ def _polish_on_green(lam, A):
     parameters at large xi) the two complex pairs come within a relative
     2.7e-4 of each other: the quartic's roots then move by eps/2.7e-4 under
     the rounding of its coefficients, while the eigenvalues of ``A`` stay
-    well conditioned, and the projectors, built from ``A``, want the latter.
+    well conditioned, and the semigroup, built from ``q_H(A)``, wants the latter.
     The step is skipped wherever the determinant is within its own
     evaluation noise, which covers the small frequencies, where the
     cancelling block products leave the quartic the better conditioned.
@@ -440,13 +434,12 @@ class BatchDecomposition:
     ``projectors`` reports the same matrices per root.
     """
 
-    xis: np.ndarray
+    xis: np.ndarray           # (n,) a copy of the caller's frequencies
     eigenvalues: np.ndarray   # (n, 4)
     confluent: np.ndarray     # (n,) bool
     fallback: np.ndarray      # (n,) bool
     partner: np.ndarray       # (n,) int: the slot clustered with slot 0
     green: np.ndarray         # (n, 4, 4) real Green matrices
-    char: tuple               # quartic coefficients (c3, c2, c1, c0), each (n,)
 
     @cached_property
     def _clusters(self):
@@ -481,16 +474,13 @@ class BatchDecomposition:
         return Q
 
     def evolution(self, U0):
-        """``t -> exp(t A1) U0`` for mode data ``U0`` (n, 4) or (n, 4, m), projected once.
+        """``t -> exp(t A1) U0`` for real mode data ``U0`` (n, 4) or (n, 4, m), projected once.
 
-        Real data evolve in real arithmetic (complex data as two real parts); a
-        mirrored row's terms are twice the real, then minus twice the imaginary
-        parts of its cluster 0's.
+        The data evolve in real arithmetic (complex data raise ``TypeError``:
+        evolve their real and imaginary parts); a mirrored row's terms are
+        twice the real, then minus twice the imaginary parts of its cluster 0's.
         """
-        if np.iscomplexobj(U0):
-            re, im = self.evolution(np.real(U0)), self.evolution(np.imag(U0))
-            return lambda t: re(t) + 1j * im(t)
-        U0 = np.asarray(U0, dtype=float)
+        U0 = np.asarray(U0).astype(float, casting="same_kind", copy=False)
         Q = self.project((U0 if U0.ndim == 3 else U0[..., None]).transpose(1, 2, 0))
         m = self._clusters.mirrored
         Q[:, ..., m] = 2.0 * Q[0][..., m], 2.0j * Q[0][..., m]
@@ -536,7 +526,7 @@ class BatchDecomposition:
             gap = np.where(c.tight[g], 1.0, self.eigenvalues[rows, i] - self.eigenvalues[rows, j])
             P[rows, i] = np.where(tight, PG, 0.5 * PG + N / gap[:, None, None])
             P[rows, j] = np.where(tight, N, 0.5 * PG - N / gap[:, None, None])
-        threads.freeze(P)  # a decomposition may be shared (the lab caches its bases)
+        threads.freeze(P)
         return P
 
 
@@ -549,12 +539,13 @@ def decompose_batch(xis, coeffs: LinearCoefficients) -> BatchDecomposition:
     pair stands out by |Im|, as when all roots are real; by descending
     magnitude, then Re, then Im); or confluent (ordered as distinct, with a
     cluster's roots within ``EPS_CONFLUENT`` times the largest magnitude).
-    Three roots that close raise :class:`UnsupportedDegeneracyError`.
+    Three roots that close raise :class:`UnsupportedDegeneracyError`.  Every
+    array of the result is read-only, cached ones too: a decomposition may be
+    shared (the lab caches its bases).
     """
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    xis = np.array(xis, dtype=float, ndmin=1)
     A = batch_green(xis, coeffs)
-    char = batch_char_coeffs(xis, coeffs)
-    lam, fallback = _order_roots_distinct(_eigenvalues(A, char))
+    lam, fallback = _order_roots_distinct(_eigenvalues(A, batch_char_coeffs(xis, coeffs)))
     partner, within, between = _split(lam)
     eps = EPS_CONFLUENT * np.abs(lam).max(axis=1)
     apart = (eps == 0) | (between > eps)
@@ -562,9 +553,10 @@ def decompose_batch(xis, coeffs: LinearCoefficients) -> BatchDecomposition:
         raise UnsupportedDegeneracyError(
             f"three eigenvalues in one cluster at xi={xis[np.argmin(apart)]:.6g}")
     conf = (eps > 0) & (within <= eps)
-    return BatchDecomposition(xis=xis, eigenvalues=lam, confluent=conf,
-                              fallback=fallback & (eps > 0) & ~conf, partner=partner,
-                              green=A, char=char)
+    fallback &= (eps > 0) & ~conf
+    threads.freeze(xis, lam, conf, fallback, partner, A)
+    return BatchDecomposition(xis=xis, eigenvalues=lam, confluent=conf, fallback=fallback,
+                              partner=partner, green=A)
 
 
 def projector_residuals(batch: BatchDecomposition):
@@ -573,26 +565,28 @@ def projector_residuals(batch: BatchDecomposition):
     Every row checks resolution of identity, idempotence and mutual
     annihilation of its projections, and spectral reconstruction
     ``A = sum_i l_i P_i``.  A tight cluster's ``(P_G, N)``, ``N = (A - mu)
-    P_G``, weighs ``mu`` and 1 there; its ``N`` checks ``N @ N = 0`` and is left
-    out of the identity and of the pairs.  Idempotence and annihilation are
-    scaled by the projector magnitudes (they grow near confluence),
-    reconstruction by the matrix magnitude.
+    P_G``, weighs ``mu`` and 1 there; its ``N`` checks ``N @ N = delta^2 P_G``,
+    ``delta`` half the cluster's root gap, and is left out of the identity and
+    of the pairs.  Idempotence and annihilation are scaled by the projector
+    magnitudes (they grow near confluence), reconstruction by the matrix
+    magnitude.
     """
-    P, A, c = batch.projectors, batch.green, batch._clusters
+    P, A, c, lam = batch.projectors, batch.green, batch._clusters, batch.eigenvalues
     nil = np.zeros((len(P), 4), dtype=bool)
-    weight = batch.eigenvalues.copy()
+    weight, square = lam.copy(), P.copy()  # square: what P_i @ P_i should be
     for g in range(2):
         rows = np.nonzero(c.tight[g])[0]
         i, j = c.slots[rows, 2 * g], c.slots[rows, 2 * g + 1]
         nil[rows, j] = True
         weight[rows, i], weight[rows, j] = c.mu[g, rows], 1.0
+        square[rows, j] = (0.5 * (lam[rows, i] - lam[rows, j]))[:, None, None] ** 2 * P[rows, i]
     proj = np.where(nil, 0.0, 1.0)  # 1 on projections, 0 on the nilpotent
     pmax = np.abs(P).max(axis=(2, 3))
     res = np.abs((proj[:, :, None, None] * P).sum(axis=1) - _I4).max(axis=(1, 2))
     rec = np.abs(np.einsum("ni,nijk->njk", weight, P) - A).max(axis=(1, 2))
     res = np.maximum(res, rec / (1.0 + np.abs(A).max(axis=(1, 2))))
     for i in range(4):
-        idem = (np.abs(P[:, i] @ P[:, i] - proj[:, i, None, None] * P[:, i]).max(axis=(1, 2))
+        idem = (np.abs(P[:, i] @ P[:, i] - square[:, i]).max(axis=(1, 2))
                 / (1.0 + pmax[:, i] ** 2))
         res = np.maximum(res, idem)
         for j in range(4):
@@ -605,7 +599,9 @@ def projector_residuals(batch: BatchDecomposition):
 
 def eigenvalues_exact(xis, coeffs: LinearCoefficients):
     """Quartic eigenvalues per frequency, (n, 4), ordered as :func:`decompose_batch` orders them."""
-    return _order_roots_distinct(batch_eigenvalues(xis, coeffs))[0]
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    return _order_roots_distinct(_eigenvalues(batch_green(xis, coeffs),
+                                              batch_char_coeffs(xis, coeffs)))[0]
 
 
 def eigenvalues_asymptotic(xi, coeffs: LinearCoefficients):
@@ -719,7 +715,7 @@ def choose_eta(coeffs: LinearCoefficients) -> float:
     from itertools import permutations
 
     xis = np.geomspace(1e-4, 1.0, 160)
-    ex = batch_eigenvalues(xis, coeffs)
+    ex = eigenvalues_exact(xis, coeffs)
     ay = eigenvalues_asymptotic(xis, coeffs)
     # match exact to asymptotic roots by minimum total distance (the two
     # branches can have equal real parts, so sorting is not reliable)

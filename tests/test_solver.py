@@ -293,7 +293,8 @@ def test_linear_propagator_matches_evolve_mode():
     d = decompose_batch([xi], co)
     # the cos mode splits into +-k; track the +k spectral coefficient
     n_hat = np.fft.rfftn(st.n_plus)[3]
-    V = d.apply(t, np.array([[n_hat, 0.0, 0.0, 0.0]], dtype=complex))[0]
+    V = (d.apply(t, np.array([[n_hat.real, 0.0, 0.0, 0.0]]))[0]
+         + 1j * d.apply(t, np.array([[n_hat.imag, 0.0, 0.0, 0.0]]))[0])
     got = np.fft.rfftn(out.n_plus)[3]
     assert abs(got - V[0]) <= 1e-10 * abs(n_hat)
     got_u = np.fft.rfftn(out.u_plus[0])[3]

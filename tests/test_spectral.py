@@ -514,9 +514,9 @@ def test_pool_and_inline_decompositions_give_the_same_bits(monkeypatch, case):
 
     def arrays(rows):
         d = decompose_batch(xis[rows], co)
-        fields = [getattr(d, f.name) for f in dataclasses.fields(d) if f.name != "char"]
-        return fields + list(d.char) + [d.projectors, _project_rows(d, U0[rows]),
-                                         d.semigroup(10.0), d.apply(10.0, U0[rows])]
+        fields = [getattr(d, f.name) for f in dataclasses.fields(d)]
+        return fields + [d.projectors, _project_rows(d, U0[rows]), d.semigroup(10.0),
+                         d.apply(10.0, U0[rows])]
 
     results = []
     switch = sys.getswitchinterval()
@@ -634,7 +634,7 @@ def test_confluent_branch_matches_oracle():
 
 def test_projector_residuals_catch_a_wrong_confluent_mu():
     # P1 + P2 + P3 = I and the reconstruction hold for any mu on a confluent
-    # row; the nilpotent (A - mu) P3 squares to zero only at the right one
+    # row; N = (A - mu) P3 squares to delta^2 P3 only at the right one
     from test_acceptance import XI_GRID, tuned_confluent_params
     from twofluid.cli import PROJECTOR_GATE
 
@@ -645,6 +645,31 @@ def test_projector_residuals_catch_a_wrong_confluent_mu():
     lam[conf, 2:] *= 1 + 1e-3
     wrong = dataclasses.replace(dec, eigenvalues=lam)
     assert spectral.projector_residuals(wrong)[conf].max() > PROJECTOR_GATE
+
+
+def test_confluent_nilpotent_squares_to_its_half_gap_squared_projection():
+    # past xi = 1107 on the README parameters one cluster of every row is
+    # confluent with a nonzero gap: its N = (A - mu) P_G squares to delta^2
+    # P_G, not to 0; the bound is 10x the largest residual measured
+    d = decompose_batch(np.geomspace(1107.0, 2000.0, 200), linear_coefficients(README))
+    assert d.confluent.all()
+    assert spectral.projector_residuals(d).max() <= 5.3e-9
+
+
+def test_decomposition_is_read_only_from_birth():
+    # a decomposition may be shared (the lab caches its bases): its arrays are
+    # read-only when decompose_batch returns, its cluster constants and
+    # projector report from their first read; the caller's frequencies are copied
+    xis = np.geomspace(1e-3, 10.0, 9)
+    d = decompose_batch(xis, SYM)
+    fresh = [a for a in vars(d).values() if isinstance(a, np.ndarray)]
+    assert len(fresh) == len(dataclasses.fields(d))
+    for a in fresh + list(vars(d._clusters).values()) + [d.projectors]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = a
+    assert xis.flags.writeable
+    xis[0] = 2.0
+    assert d.xis[0] == 1e-3
 
 
 def test_semigroup_eval_identity_and_oracle():
