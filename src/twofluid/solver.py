@@ -14,17 +14,21 @@ out.  The one forward and one inverse transform move between that layout and
 physical space, transform only the Fourier lines that cross the band and give
 scipy.fft's bits on it.  The fields stay spectral through a step: the linear
 half-steps are per-mode multiplies, the tendencies are band spectra, and
-physical arrays are made only where products and the guards need them.  A run
-costs the FFTs of the nonlinear stages plus a one-off build of the semigroup on
-:mod:`twofluid.spectral`'s ``(n+, phi+, n-, phi-)``, ``phi = i khat . u_hat``,
-decomposed once per distinct |k|^2 on the band (1,095 of 40,678 modes at 64^3).
+physical arrays are made only where products and the guards need them: a
+stage transforms the rows it reads from its state's spectra, so no stage state
+makes a physical twin, and the second stage adds its tendencies into the
+first's stack.  A run costs the FFTs of the nonlinear stages plus a one-off
+build of the semigroup on :mod:`twofluid.spectral`'s ``(n+, phi+, n-, phi-)``,
+``phi = i khat . u_hat``, decomposed and held once per distinct |k|^2 on the
+band (1,095 of 40,678 modes at 64^3); each band mode reaches its entry through
+one band index.
 
 On grids of at least ``_PARALLEL_POINTS`` points a step runs on the
 package's threads (:mod:`twofluid.threads`: the caller plus CPUS - 1 pool
 threads, one per CPU the process may use), which get rows and slabs, never
 phases: the tendencies are built one phase at a time, its transforms by rows
 and its pointwise work, like the closure, in slabs of the first axis, and a
-linear half-step goes in one slab per thread.  The threads split independent
+linear half-step goes in two slabs per thread.  The threads split independent
 work and never change its arithmetic, so the results are bitwise the same
 whatever the number of CPUs.
 Smaller grids, and every grid on one CPU, run inline; there too the
@@ -107,7 +111,7 @@ class Grid:
     def __post_init__(self):
         check_domain(GRID_DOMAIN, self)
 
-    @property
+    @functools.cached_property
     def shape(self):
         return (self.n,) * self.dim
 
@@ -146,9 +150,9 @@ class Grid:
         return self._per_axis(np.fft.fftfreq(self.n, d=1.0 / self.n).astype(np.int64),
                               np.arange(self.n // 2 + 1, dtype=np.int64))
 
-    @property
+    @functools.cached_property
     def band_shape(self):
-        """Shape of a spectrum on the 2/3 band, the solver's spectral layout."""
+        """Shape of a spectrum on the 2/3 band, the solver's spectral layout; made once per grid."""
         cut = _cut(self.n)
         return (2 * cut + 1,) * (self.dim - 1) + (cut + 1,)
 
@@ -225,7 +229,7 @@ def _irfft(spec, shape, out=None):
 _PARALLEL_POINTS = 2**15
 # Transform rows go through numpy.fft in blocks of at most this many points,
 # one call per block and axis pass: on small grids that saves numpy's per-call
-# cost (a 1D n = 1024 step makes 17 transform calls, not one per row, 32).
+# cost (a warm 1D n = 1024 step makes 11 transform calls, not one per row, 32).
 # A row of more points is its own block, so large grids keep one row per call
 # and per pool task, and their temporaries stay one row deep.
 _BLOCK_POINTS = 2**15
@@ -240,12 +244,10 @@ def _blocks(count: int, shape: tuple) -> tuple:
 
 @functools.lru_cache(maxsize=4)
 def _row_tables(dim: int) -> tuple:
-    """``q, j, at``: gradient row r is d_j[r] of row q[r]; at[p]: phase p's u rows, n row."""
+    """``q, j``: gradient row r is d_j[r] of row q[r]."""
     q, j = np.divmod(np.arange((2 + dim) * dim), dim)
-    n_rows, u_rows = FieldState.phases(np.arange(2 + 2 * dim))
-    at = np.concatenate([u_rows, n_rows[:, None]], axis=1)
-    threads.freeze(q, j, at)
-    return q, j, at
+    threads.freeze(q, j)
+    return q, j
 
 
 def workers(grid: Grid) -> int:
@@ -271,16 +273,15 @@ def _irfft_rows(spectrum, count: int, shape, size: int, out=None):
     return out
 
 
-def _rfft_rows(grid: Grid, physical, size: int = 1, out=None, at=None):
-    """Band spectra of the rows of ``physical``, row ``r`` into ``out[at[r]]`` (by
-    default a new stack), a block at a time on ``size`` threads."""
+def _rfft_rows(grid: Grid, physical, size: int = 1):
+    """Stack of the band spectra of the rows of ``physical``, a block at a time on
+    ``size`` threads."""
     count = len(physical)
-    if out is None:
-        out, at = np.empty((count,) + grid.band_shape, dtype=complex), range(count)
+    out = np.empty((count,) + grid.band_shape, dtype=complex)
     blocks = _blocks(count, grid.shape)
 
     def block(b):
-        out[at[blocks[b]]] = _rfft(physical[blocks[b]], dim=grid.dim)
+        out[blocks[b]] = _rfft(physical[blocks[b]], dim=grid.dim)
 
     threads.each(block, len(blocks), size)
     return out
@@ -300,9 +301,9 @@ class FieldState:
     it holds is read-only and ``time`` is fixed at construction.  The
     constructor copies physical arrays, transforms them once onto the band
     and keeps them as the twin; states from ``from_spectra`` make their twin
-    on first read.  :func:`step` releases the twin of the state it advances,
-    whatever made it, once the CFL bound is read; a later read is the
-    inverse transform of the spectra.
+    on first read, which :func:`nonlinear_rhs` never does.  :func:`step`
+    releases the twin of the state it advances, whatever made it, once the
+    CFL bound is read; a later read is the inverse transform of the spectra.
     ``rho_ratio`` is ``rho+ / (R+ + R-)`` at the closure root of the nonlinear
     stage that produced the state (the next step warm-starts from it), or None.
     """
@@ -486,50 +487,52 @@ def _hodge(u_hat, khat):
 
 @functools.lru_cache(maxsize=8)
 def _linear_propagator(grid: Grid, params: FluidParams, dt: float):
-    """Per-mode semigroup on ``(n+, phi+, n-, phi-)`` and the heat factors.
+    """Semigroup on ``(n+, phi+, n-, phi-)`` and heat factors per distinct |k|^2.
 
-    The semigroup depends on |k| only, so it is decomposed once per distinct
-    |k|^2 of the band and scattered to the modes that have it.  Returns
-    ``(S, heat)``: ``S`` with shape ``(4, 4) + grid.band_shape``, ``heat``
-    the factors ``exp(-nu1± |k|^2 dt)`` on the phase axis, shape
-    ``(2,) + grid.band_shape``; built once per ``(grid, params, dt)`` and
-    read-only.
+    Both depend on |k| only, so each is held once per distinct |k|^2 of the
+    band (1,095 of 40,678 modes at 64^3), in increasing order.  Returns
+    ``(S, heat, index)``: ``S`` with shape ``(4, 4, distinct)``, ``heat`` the
+    factors ``exp(-nu1± |k|^2 dt)`` on the phase axis, shape ``(2,
+    distinct)``, and ``index`` each band mode's entry, band shape; a
+    half-step gathers its slab's entries.  Built once per ``(grid, params,
+    dt)`` and read-only.
     """
     co = linear_coefficients(params)
-    k2 = _waves(grid).k2
-    distinct, inverse = np.unique(k2.ravel(), return_inverse=True)
-    S = decompose_batch(np.sqrt(distinct), co).semigroup(dt)[inverse]
-    S = np.ascontiguousarray(np.moveaxis(S, 0, -1)).reshape((4, 4) + grid.band_shape)
-    heat = np.stack([heat_factor(k2, nu, dt) for nu in (co.nu1_plus, co.nu1_minus)])
-    threads.freeze(S, heat)
-    return S, heat
+    distinct, index = np.unique(_waves(grid).k2, return_inverse=True)
+    S = np.ascontiguousarray(np.moveaxis(decompose_batch(np.sqrt(distinct), co).semigroup(dt),
+                                         0, -1))
+    heat = np.stack([heat_factor(distinct, nu, dt) for nu in (co.nu1_plus, co.nu1_minus)])
+    index = index.reshape(grid.band_shape)
+    threads.freeze(S, heat, index)
+    return S, heat, index
 
 
 def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) -> FieldState:
     """Advance the linearized system exactly by ``dt`` (per-mode semigroup).
 
     A per-mode multiply on the spectra, in slabs of the first spectral axis
-    on :func:`workers` threads; the result keeps its spectra and transforms
-    to physical space only when its fields are read.
+    on :func:`workers` threads, each gathering its modes' semigroups and heat
+    factors from the per-|k|^2 tables; the result keeps its spectra and
+    transforms to physical space only when its fields are read.
     """
     grid = state.grid
-    S, heat = _linear_propagator(grid, params, dt)
+    S, heat, index = _linear_propagator(grid, params, dt)
     khat = _waves(grid).khat
 
     def slab(s):
         n, u = FieldState.phases(state.spectra[:, s])
-        kh = khat[:, s]
+        kh, at = khat[:, s], index[s]
         phi, rem = _hodge(u.swapaxes(0, 1), kh[:, None])  # both phases: axes (dim, phase)
-        new = np.einsum("ij...,j...->i...", S[:, :, s],  # rows n+, phi+, n-, phi-
+        new = np.einsum("ij...,j...->i...", S.take(at, axis=2),  # rows n+, phi+, n-, phi-
                         np.stack([n, phi], axis=1).reshape((4,) + n.shape[1:]))
         new_n, new_u = FieldState.phases(out[:, s])
         new_n[...] = new[0::2]
         np.multiply(-1j * kh, new[1::2, None], out=new_u)
-        rem *= heat[:, s]
+        rem *= heat.take(at, axis=1)
         new_u += rem.swapaxes(0, 1)
 
     size, out = workers(grid), np.empty_like(state.spectra)
-    threads.slices(slab, grid.band_shape[0], size, size)
+    threads.slices(slab, grid.band_shape[0], 1 if size == 1 else 2 * size, size)
     return FieldState.from_spectra(grid, out, state.time + dt)
 
 
@@ -537,20 +540,23 @@ def linear_propagator_step(state: FieldState, dt: float, params: FluidParams) ->
 # nonlinear tendencies
 
 
-def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
+def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None, into=None):
     """Tendencies of the reformulated system, dealiased, in the state's rows.
 
     Derivatives are spectral, products pointwise; every assembled tendency
     is transformed once, onto the 2/3 band.  Returns ``(F, rho_ratio)``: ``F``
     is stacked like ``state.spectra`` and holds the band spectra of the
     tendencies of n+, n-, u+ and u-; one pass per phase index builds that
-    phase's rows from the phase axis of the fields and their gradients.  The
-    continuity tendencies are divergences, so their mean modes are set to
-    exactly 0: no step moves a phase's mass.  The pointwise closure is solved
-    once, and the call keeps only its root ``rho+``, one grid row: each
-    phase's pass derives its own five coefficients from it slab by slab
-    (``closure.closure_at_root`` and ``closure.phase_coefficients``), so no
-    coefficient outlives its slab.  ``rho_ratio`` is ``rho+ / (R+ + R-)`` at
+    phase's rows from the phase axis of the fields and their gradients; given
+    ``into``, a stack an earlier call returned, it adds them into that stack
+    and returns it.  The continuity tendencies are divergences, so their mean
+    modes are set to exactly 0: no step moves a phase's mass.  The call reads
+    the state's spectra only (n+ and n- are transformed once, each phase's
+    velocity rows with its gradients), never its physical twin.  The pointwise
+    closure is solved once, and the call keeps only its root ``rho+``, one grid
+    row: each phase's pass derives its own five coefficients from it slab by
+    slab (``closure.closure_at_root`` and ``closure.phase_coefficients``), so
+    no coefficient outlives its slab.  ``rho_ratio`` is ``rho+ / (R+ + R-)`` at
     the root: a given one warm-starts the solve at ``rho_ratio * (R+ + R-)``,
     and the one returned is this state's.  The ratio moves less than the root
     from stage to stage, and at ``gamma+ = gamma-``, where the root is
@@ -562,16 +568,24 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
     shape, dim = grid.shape, grid.dim
     size = workers(grid)
     w = _waves(grid)
-    q, j, at = _row_tables(dim)
-    n, u = FieldState.phases(state.physical)
+    q, j = _row_tables(dim)
     u_hat = FieldState.phases(state.spectra)[1]
     eq = equilibrium_state(params)
+    # n+ and n-, read by the closure and both phases; dn[q, j] = d_j n_q, read
+    # by both phases; then one phase's rows at a time: Du[i, j] = d_j u_p,i,
+    # u_p, and T, the tendencies of u_p (the viscous rows) and n_p
+    rows = np.empty((2 + 2 * dim + dim * dim + dim + dim + 1,) + shape)
+    n = _irfft_rows(state.spectra.__getitem__, 2, shape, size, out=rows[:2])
+    dn = rows[2:2 + 2 * dim].reshape((2, dim) + shape)
+    Du = rows[2 + 2 * dim:2 + 2 * dim + dim * dim].reshape((dim, dim) + shape)
+    u, T = rows[-2 * dim - 1:-dim - 1], rows[-dim - 1:]
     # pointwise work goes in slabs of the first axis, of at most _BLOCK_POINTS
     # points and, on the pool, two per thread.  The closure pass keeps only the
     # root rho+, from which each phase's pass derives its own coefficients slab
     # by slab.  The outputs and the root are made first.
     slabs = max(1 if size == 1 else 2 * size, math.prod(shape) // _BLOCK_POINTS)
-    F, ratio, root = np.empty_like(state.spectra), np.empty(shape), np.empty(shape)
+    F = np.empty_like(state.spectra) if into is None else into
+    ratio, root = np.empty(shape), np.empty(shape)
 
     def closure_slab(s):
         R_p, R_m = n[0][s] + params.rbar_plus, n[1][s] + params.rbar_minus
@@ -584,12 +598,6 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
 
     parts = threads.slices(closure_slab, grid.n, slabs, size)
     mu, lam = (params.mu_plus, params.mu_minus), (params.lambda_plus, params.lambda_minus)
-    # dn[q, j] = d_j n_q, read by both phases, then one phase's rows at a time:
-    # Du[i, j] = d_j u_p,i and T, the tendencies of u_p (the viscous rows) and n_p
-    rows = np.empty((2 * dim + dim * dim + dim + 1,) + shape)
-    dn = rows[:2 * dim].reshape((2, dim) + shape)
-    Du = rows[2 * dim:2 * dim + dim * dim].reshape((dim, dim) + shape)
-    T = rows[2 * dim + dim * dim:]
     sources = (state.spectra[:2 + dim], u_hat[1])  # n+, n- and u+; u-
 
     for p in range(2):  # a phase's arrays die before the next one's are made
@@ -597,16 +605,19 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
         k_dot_u = sum(kd * c for kd, c in zip(w.ks, u_hat[p]))
         visc = -(mu[p] * w.k2 * u_hat[p] + (mu[p] + lam[p]) * w.ks * k_dot_u)
 
-        def spectrum(s):  # d_j src[q] at row q dim + j, then the viscous rows
-            if s.start >= grads:
-                return visc[s.start - grads:s.stop - grads]
-            if s.stop > grads:
-                return np.concatenate([spectrum(slice(s.start, grads)), visc[:s.stop - grads]])
+        def spectrum(s):  # d_j src[q] at row q dim + j, then u_p's rows, then the viscous rows
+            if s.start >= grads + dim:
+                return visc[s.start - grads - dim:s.stop - grads - dim]
+            if s.start >= grads and s.stop <= grads + dim:
+                return u_hat[p][s.start - grads:s.stop - grads]
+            if s.stop > grads:  # a block across two kinds of row: its two parts, joined
+                cut = grads if s.start < grads else grads + dim
+                return np.concatenate([spectrum(slice(s.start, cut)), spectrum(slice(cut, s.stop))])
             if s.stop - s.start == 1:  # views of the one row's wavenumber and spectrum
                 return w.iks[j[s.start]:j[s.start] + 1] * src[q[s.start]:q[s.start] + 1]
             return w.iks[j[s]] * src[q[s]]
 
-        _irfft_rows(spectrum, grads + dim, shape, size, out=rows[2 * dim * p:-1])
+        _irfft_rows(spectrum, grads + 2 * dim, shape, size, out=rows[2 + 2 * dim * p:-1])
         del k_dot_u, visc, spectrum  # before the slabs
 
         def slab(part):
@@ -615,7 +626,7 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
             g_0, g_1, h, k, l = phase_coefficients(
                 closure_at_root(n[0][s] + params.rbar_plus, n[1][s] + params.rbar_minus,
                                 root[s], params), p, eq)
-            D, dns, us = Du[:, :, s], dn[:, :, s], u[p][:, s]
+            D, dns, us = Du[:, :, s], dn[:, :, s], u[:, s]
             div = np.einsum("ii...->...", D)
             # continuity by the product rule: -div(n u) = -(u . grad n + n div u)
             flux_div = np.einsum("i...,i...->...", us, dns[p], out=T[dim, s])
@@ -634,8 +645,15 @@ def nonlinear_rhs(state: FieldState, params: FluidParams, rho_ratio=None):
                 f += mu[p] * np.einsum("j...,j...->...", a, D[:, i])
 
         threads.each(slab, len(parts), size)
-        _rfft_rows(grid, T, size, out=F, at=at[p])
-        np.negative(F[at[p, dim]], out=F[at[p, dim]])
+        spec = _rfft_rows(grid, T, size)  # u_p's tendencies, then n_p's flux
+        u_rows = slice(2 + dim * p, 2 + dim * (p + 1))
+        if into is None:
+            F[u_rows] = spec[:dim]
+            F[p] = -spec[dim]
+        else:
+            F[u_rows] += spec[:dim]
+            F[p] -= spec[dim]
+        del spec  # before the next phase's rows
     F[(slice(2),) + (0,) * dim] = 0.0  # the continuity rows' mean modes
     return F, ratio
 
@@ -646,7 +664,9 @@ def step(state: FieldState, dt: float, params: FluidParams,
 
     The fields stay spectral between the half steps, and the incoming state's
     physical twin is released once the CFL bound is read (see
-    :class:`FieldState`).  The first stage's
+    :class:`FieldState`); the stages read spectra only, so no stage state
+    makes a twin.  The second stage adds its tendencies into the first's
+    stack, so the step holds one.  The first stage's
     closure solve warm-starts from ``state.rho_ratio`` (cold when None), the
     second from the first's; the returned state carries the second stage's
     ratio as its ``rho_ratio`` (see :func:`nonlinear_rhs`).
@@ -659,11 +679,9 @@ def step(state: FieldState, dt: float, params: FluidParams,
     state._release_twin()  # else the caller's reference holds it through both stages
     s = linear_propagator_step(state, 0.5 * dt, params)
     F, ratio = nonlinear_rhs(s, params, rho_ratio=state.rho_ratio)
-    base, t = s.spectra, s.time
-    del s  # frees its physical twin before the second stage makes one
-    G, ratio = nonlinear_rhs(FieldState.from_spectra(grid, base + dt * F, t), params,
-                             rho_ratio=ratio)
-    s = FieldState.from_spectra(grid, base + 0.5 * dt * (F + G), t)
+    F, ratio = nonlinear_rhs(FieldState.from_spectra(grid, s.spectra + dt * F, s.time), params,
+                             rho_ratio=ratio, into=F)  # F + G, G the second stage's
+    s = FieldState.from_spectra(grid, s.spectra + 0.5 * dt * F, s.time)
     s = linear_propagator_step(s, 0.5 * dt, params)
     s.rho_ratio = ratio
     n_max = np.abs(FieldState.phases(s.physical)[0]).reshape(2, -1).max(axis=1)

@@ -1,9 +1,10 @@
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from twofluid.cli import (
     ConfigError,
@@ -82,6 +83,35 @@ decay:
     again = parse_config(serialize_config(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
+
+
+_NONSYM_PARAMS = """params:
+  mu_plus: 0.8
+  mu_minus: 1.3
+  lambda_plus: 0.4
+  lambda_minus: 0.1
+  sigma_plus: 0.9
+  sigma_minus: 1.2
+  gamma_plus: 1.6
+  gamma_minus: 2.2
+  rbar_plus: 1.4
+  rbar_minus: 0.7
+"""
+
+
+@pytest.mark.parametrize("text", [
+    None,
+    "task: linear-decay\n" + _NONSYM_PARAMS,
+    "task: simulate\nseed: 7\nsim:\n  dim: 3\n  n: 64\n  t_end: 0.2\n  amplitude: 1.0e-3\n",
+    "task: lower-bound\ndecay:\n  K0: 1.0e-150\n  eta: 1.0e-3\n",
+], ids=["readme", "nonsym", "simulate", "small-floats"])
+def test_config_text_is_pyyaml_safe_dump_text(text):
+    # config_hash and every CSV header read this text; libyaml's emitter must
+    # write the bytes of PyYAML's pure-Python SafeDumper
+    cfg = parse_config(_readme_config() if text is None else text)
+    plain = yaml.dump(json.loads(json.dumps(asdict(cfg))), Dumper=yaml.SafeDumper,
+                      sort_keys=True)
+    assert serialize_config(cfg) == plain
 
 
 def test_analyze_modes_campaign(tmp_path):

@@ -581,21 +581,23 @@ def test_propagator_dedup_matches_full_decomposition(dim, n):
 
     grid = Grid(dim=dim, n=n, length=2 * np.pi * 4)
     dt = 0.3
-    S, heat = _linear_propagator(grid, SYM, dt)
+    S, heat, index = _linear_propagator(grid, SYM, dt)
     co = linear_coefficients(SYM)
     kmag = np.sqrt(_waves(grid).k2)
     full = decompose_batch(kmag.ravel(), co).semigroup(dt).real
     full = np.moveaxis(full, 0, -1).reshape((4, 4) + grid.band_shape)
-    assert np.abs(S - full).max() <= 1e-14
-    assert heat.shape == (2,) + grid.band_shape
-    for row, nu1 in zip(heat, (co.nu1_plus, co.nu1_minus)):
+    assert index.shape == grid.band_shape
+    assert np.abs(S[:, :, index] - full).max() <= 1e-14
+    for row, nu1 in zip(heat[:, index], (co.nu1_plus, co.nu1_minus)):
         assert np.abs(row - np.exp(-nu1 * kmag ** 2 * dt)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
 def test_propagator_is_one_decomposition_per_distinct_band_k2(monkeypatch, dim, n):
     # the semigroup is decomposed once per distinct |k|^2 of the band, at its
-    # square root, and every mode with that |k|^2 gets those bits
+    # square root, and held once per distinct |k|^2: one 4x4 block and one heat
+    # factor per phase each, in increasing |k|^2; every mode's band index
+    # reaches the bits of its |k|^2
     from twofluid import solver
     from twofluid.spectral import decompose_batch
 
@@ -614,15 +616,18 @@ def test_propagator_is_one_decomposition_per_distinct_band_k2(monkeypatch, dim, 
     monkeypatch.setattr(solver, "decompose_batch",
                         lambda xis, c: rows.append(len(xis)) or decompose_batch(xis, c))
     solver._linear_propagator.cache_clear()
-    S, heat = solver._linear_propagator(grid, params, dt)
+    S, heat, index = solver._linear_propagator(grid, params, dt)
     solver._linear_propagator.cache_clear()
     assert rows == [len(distinct)]
     assert (len(distinct) == k2.size) == (dim == 1)  # every 1D |k|^2 is its own
-    assert S.shape == (4, 4) + grid.band_shape
-    assert np.array_equal(S, expected) and S.tobytes() == expected.tobytes()
-    assert heat.shape == (2,) + grid.band_shape
-    assert np.array_equal(heat[0], np.exp(-co.nu1_plus * k2 * dt))
-    assert np.array_equal(heat[1], np.exp(-co.nu1_minus * k2 * dt))
+    assert S.shape == (4, 4, len(distinct)) and heat.shape == (2, len(distinct))
+    assert S.tobytes() == np.ascontiguousarray(np.moveaxis(S_distinct, 0, -1)).tobytes()
+    assert index.shape == grid.band_shape and np.array_equal(distinct[index], k2)
+    assert not any(a.flags.writeable for a in (S, heat, index))
+    per_mode = S[:, :, index]
+    assert np.array_equal(per_mode, expected) and per_mode.tobytes() == expected.tobytes()
+    assert np.array_equal(heat[0][index], np.exp(-co.nu1_plus * k2 * dt))
+    assert np.array_equal(heat[1][index], np.exp(-co.nu1_minus * k2 * dt))
 
 
 @pytest.mark.parametrize("shape", [(1024,), (256, 256), (16, 16, 16), (64, 64, 64),
@@ -713,7 +718,7 @@ def _step_calls(dim):
 
 
 # (call, c_call) budgets per dim; keyed by dim so that lowering one keeps the test ids
-_STEP_CALL_BUDGETS = {1: (395, 231), 2: (537, 290), 3: (823, 439)}
+_STEP_CALL_BUDGETS = {1: (379, 225), 2: (521, 284), 3: (807, 433)}
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -926,10 +931,12 @@ def _solver_threads(monkeypatch, cpus):
 
 
 def per_phase_linear_step(state, dt, params):
-    """Reference linear half-step: one Hodge split and generator sums per phase."""
+    """Reference linear half-step: one Hodge split and generator sums per phase,
+    on per-mode tables scattered from the per-|k|^2 ones."""
     from twofluid.solver import _linear_propagator
 
-    S, heat = _linear_propagator(state.grid, params, dt)
+    S, heat, index = _linear_propagator(state.grid, params, dt)
+    S, heat = S[:, :, index], heat[:, index]
     khat = _waves(state.grid).khat
     n_p, n_m, u_p, u_m = FieldState.split(state.spectra)
     phi_p, rem_p = _hodge(u_p, khat)
@@ -979,37 +986,46 @@ def test_pool_and_inline_give_the_same_bits(monkeypatch, dim, n):
             assert np.array_equal(inline, arr)
 
 
-# tracemalloc peak of one warm nonlinear_rhs above the call's entry, in grid
-# rows (float64 arrays of the grid's shape), per (dim, n, threads): inline at
-# 1D n = 1024 and 2D n = 256 (the smallest grid cut into slabs inline), and on
-# two threads at 3D n = 32
-_RHS_PEAK_ROWS = {(1, 1024, 1): 24.5, (3, 32, 2): 31.5, (2, 256, 1): 22.5}
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+def test_step_is_the_rk2_sum_of_two_independent_stages(monkeypatch, dim, n, cpus):
+    # the second stage adds its tendencies into the first's stack (and
+    # subtracts the continuity fluxes) instead of returning its own: the step
+    # keeps the bytes of base + 0.5 dt (F + G) from two separate calls
+    _solver_threads(monkeypatch, cpus)
+    dt = 0.01
+    grid = Grid(dim=dim, n=n, length=2 * np.pi)
+    st = step(init_state(grid, InitSpec(kind="random", amplitude=1e-2, seed=5, band=(0, n)),
+                         NONSYM), dt, NONSYM)
+    half = linear_propagator_step(st, 0.5 * dt, NONSYM)
+    F, first = nonlinear_rhs(half, NONSYM, rho_ratio=st.rho_ratio)
+    stage = FieldState.from_spectra(grid, half.spectra + dt * F, half.time)
+    G, second = nonlinear_rhs(stage, NONSYM, rho_ratio=first)
+    expected = linear_propagator_step(
+        FieldState.from_spectra(grid, half.spectra + 0.5 * dt * (F + G), half.time),
+        0.5 * dt, NONSYM)
+    into = F.copy()
+    summed, ratio = nonlinear_rhs(stage, NONSYM, rho_ratio=first, into=into)
+    assert summed is into and summed.tobytes() == (F + G).tobytes()
+    assert ratio.tobytes() == second.tobytes()
+    got = step(st, dt, NONSYM)
+    assert got.spectra.tobytes() == expected.spectra.tobytes()
+    assert got.rho_ratio.tobytes() == second.tobytes()
 
 
-def test_rhs_working_set(monkeypatch):
-    # the phases go one at a time and the pool gets rows and slabs, so the
-    # peak is the rows the call must hold plus slab-sized temporaries: the
-    # closure keeps one root row, and each phase's slabs derive their own
-    # coefficients from it (inline, grids above a block go in slabs too); the
-    # returned ratio owns its memory, so a state holding it keeps no other
-    # row alive, and the call leaves only F and the ratio behind
-    import tracemalloc
-
-    for (dim, n, cpus), budget in _RHS_PEAK_ROWS.items():
-        _solver_threads(monkeypatch, cpus)
-        grid = Grid(dim=dim, n=n, length=2 * np.pi)
-        st = step(init_state(grid, InitSpec(kind="random", amplitude=1e-3, seed=1)), 0.01, SYM)
-        nonlinear_rhs(st, SYM, rho_ratio=st.rho_ratio)  # warm: the physical twin and the caches
-        tracemalloc.start()
-        try:
-            entry = tracemalloc.get_traced_memory()[0]
-            F, ratio = nonlinear_rhs(st, SYM, rho_ratio=st.rho_ratio)
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert (peak - entry) / ratio.nbytes <= budget, (dim, n, cpus)
-        assert ratio.base is None and not np.shares_memory(ratio, F)
-        assert held - entry < F.nbytes + ratio.nbytes + 4096
+@pytest.mark.parametrize("dim,n", [(1, 64), (2, 32), (3, 16)])
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pooled"])
+def test_rhs_reads_spectra_only(monkeypatch, dim, n, cpus):
+    # nonlinear_rhs transforms the rows it needs from the spectra: it caches no
+    # twin on its state, and a state that holds one gives the same bits
+    _solver_threads(monkeypatch, cpus)
+    grid = Grid(dim=dim, n=n, length=2 * np.pi)
+    st = _warm_state(grid)
+    bare, bare_ratio = nonlinear_rhs(st, NONSYM)
+    assert "physical" not in vars(st)
+    st.physical
+    held, held_ratio = nonlinear_rhs(st, NONSYM)
+    assert held.tobytes() == bare.tobytes() and held_ratio.tobytes() == bare_ratio.tobytes()
 
 
 def _warm_state(grid):
@@ -1020,14 +1036,51 @@ def _warm_state(grid):
     return warm
 
 
+# tracemalloc peak of one warm nonlinear_rhs above the call's entry, in grid
+# rows (float64 arrays of the grid's shape), per (dim, n, threads): inline at
+# 1D n = 1024 and 2D n = 256 (the smallest grid cut into slabs inline), and on
+# two threads at 3D n = 32.  The entry holds no physical twin, and the peak
+# counts the rows of n+, n- and u_p that the call transforms itself
+_RHS_PEAK_ROWS = {(1, 1024, 1): 27.5, (3, 32, 2): 36.5, (2, 256, 1): 26.5}
+
+
+def test_rhs_working_set(monkeypatch):
+    # the phases go one at a time and the pool gets rows and slabs, so the
+    # peak is the rows the call must hold plus slab-sized temporaries: the
+    # closure keeps one root row, and each phase's slabs derive their own
+    # coefficients from it (inline, grids above a block go in slabs too); the
+    # returned ratio owns its memory, so a state holding it keeps no other
+    # row alive, and the call leaves only F and the ratio behind, no twin
+    import tracemalloc
+
+    for (dim, n, cpus), budget in _RHS_PEAK_ROWS.items():
+        _solver_threads(monkeypatch, cpus)
+        grid = Grid(dim=dim, n=n, length=2 * np.pi)
+        st = _warm_state(grid)
+        nonlinear_rhs(st, SYM, rho_ratio=st.rho_ratio)  # warm: the caches
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            F, ratio = nonlinear_rhs(st, SYM, rho_ratio=st.rho_ratio)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - entry) / ratio.nbytes <= budget, (dim, n, cpus)
+        assert ratio.base is None and not np.shares_memory(ratio, F)
+        assert held - entry < F.nbytes + ratio.nbytes + 4096
+        assert "physical" not in vars(st)
+
+
 # tracemalloc peak of one warm step above its entry, in grid rows, on two
 # threads at 3D n = 32; the entry holds the incoming state's physical twin
-_STEP_PEAK_ROWS = 40.0
+_STEP_PEAK_ROWS = 34.6
 
 
 def test_step_working_set(monkeypatch):
     # the step releases the incoming state's twin once the CFL bound is read,
-    # so the caller's state holds no grid row through the two stages
+    # so the caller's state holds no grid row through the two stages; the
+    # stages read spectra only, so no stage state makes a twin, and the second
+    # stage adds into the first's tendency stack
     import tracemalloc
 
     _solver_threads(monkeypatch, 2)
